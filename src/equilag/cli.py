@@ -2,8 +2,9 @@
 
 Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
-Exit codes: 0 ok, 2 config error, 3 degenerate surface class,
-4 verification failure.
+Exit codes: 0 ok, 2 config error, 3 degenerate surface class or refused
+input (lambda too close to the real locus, failed quadrature or
+certificate), 4 verification failure.
 
 All numeric output is formatted to 17 significant digits, so identical
 configurations reproduce byte-identical files.
@@ -17,12 +18,14 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import immersion, periodicity, verification
+from .immersion import RegimeError
 from .potential import (
+    DerivedConstants,
     SurfaceClass,
     SurfaceClassError,
     SurfaceParams,
@@ -39,6 +42,10 @@ EXIT_VERIFY = 4
 
 class ConfigError(ValueError):
     pass
+
+
+class DegenerateSurface(Exception):
+    """The configured surface, or lambda, is a degenerate member of the family."""
 
 
 def _fmt(x: float) -> str:
@@ -72,6 +79,14 @@ class JobConfig:
     out_path: str = ""
 
     def validate(self) -> None:
+        if not (math.isfinite(self.a1) and self.a1 > 0.0):
+            raise ConfigError(f"a1 must be positive and finite, got {self.a1}")
+        if not cmath.isfinite(self.psi):
+            raise ConfigError(f"psi must be finite, got {self.psi}")
+        g = self.grid
+        bounds = (self.sweep_start, self.sweep_end, g.x_min, g.x_max, g.y_min, g.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ConfigError("lambda arc and grid bounds must be finite")
         for name, v in (
             ("quadrature", self.quadrature_tol),
             ("phase", self.phase_tol),
@@ -81,7 +96,7 @@ class JobConfig:
                 raise ConfigError(f"tolerance {name} must be > 0, got {v}")
         if self.max_den < 1:
             raise ConfigError(f"max_den must be >= 1, got {self.max_den}")
-        if self.sweep_count == 0 and abs(abs(self.lam) - 1.0) > 1e-9:
+        if self.sweep_count == 0 and not abs(abs(self.lam) - 1.0) <= 1e-9:
             raise ConfigError(f"|lambda| = 1 required, got |lambda| = {abs(self.lam)!r}")
         if self.grid.nx < 2 or self.grid.ny < 2:
             raise ConfigError("grid needs nx >= 2 and ny >= 2")
@@ -89,6 +104,24 @@ class JobConfig:
             raise ConfigError(f"unknown output format {self.out_format!r}")
         if self.sweep_count < 0:
             raise ConfigError("sweep count must be >= 1")
+
+
+# (section, key, field, type) of the [grid], [tolerances] and [output] keys;
+# [grid] fields live on GridSpec, the others on JobConfig
+_TABLE = (
+    ("grid", "x_min", "x_min", float),
+    ("grid", "x_max", "x_max", float),
+    ("grid", "y_min", "y_min", float),
+    ("grid", "y_max", "y_max", float),
+    ("grid", "nx", "nx", int),
+    ("grid", "ny", "ny", int),
+    ("tolerances", "quadrature", "quadrature_tol", float),
+    ("tolerances", "phase", "phase_tol", float),
+    ("tolerances", "rational_tol", "rational_tol", float),
+    ("tolerances", "max_den", "max_den", int),
+    ("output", "format", "out_format", str),
+    ("output", "path", "out_path", str),
+)
 
 
 def parse_config(text: str) -> JobConfig:
@@ -118,26 +151,11 @@ def parse_config(text: str) -> JobConfig:
                 kw["sweep_end"] = lab.getfloat("arc_end", 2.0 * math.pi)
             else:
                 kw["lam"] = complex(lab.getfloat("re", 1.0), lab.getfloat("im", 0.0))
-        if "grid" in cp:
-            g = cp["grid"]
-            kw["grid"] = GridSpec(
-                x_min=g.getfloat("x_min", 0.0),
-                x_max=g.getfloat("x_max", 1.0),
-                y_min=g.getfloat("y_min", 0.0),
-                y_max=g.getfloat("y_max", 1.0),
-                nx=g.getint("nx", 16),
-                ny=g.getint("ny", 16),
-            )
-        if "tolerances" in cp:
-            t = cp["tolerances"]
-            kw["quadrature_tol"] = t.getfloat("quadrature", 1e-11)
-            kw["phase_tol"] = t.getfloat("phase", 1e-8)
-            kw["rational_tol"] = t.getfloat("rational_tol", 1e-8)
-            kw["max_den"] = t.getint("max_den", 64)
-        if "output" in cp:
-            o = cp["output"]
-            kw["out_format"] = o.get("format", "csv")
-            kw["out_path"] = o.get("path", "")
+        grid = {}
+        for section, key, name, conv in _TABLE:
+            if section in cp and key in cp[section]:
+                (grid if section == "grid" else kw)[name] = conv(cp[section][key])
+        kw["grid"] = GridSpec(**grid)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -165,45 +183,23 @@ def render_config(cfg: JobConfig) -> str:
         ]
     else:
         lines += [f"re = {_fmt(cfg.lam.real)}", f"im = {_fmt(cfg.lam.imag)}"]
-    g = cfg.grid
-    lines += [
-        "",
-        "[grid]",
-        f"x_min = {_fmt(g.x_min)}",
-        f"x_max = {_fmt(g.x_max)}",
-        f"y_min = {_fmt(g.y_min)}",
-        f"y_max = {_fmt(g.y_max)}",
-        f"nx = {g.nx}",
-        f"ny = {g.ny}",
-        "",
-        "[tolerances]",
-        f"quadrature = {_fmt(cfg.quadrature_tol)}",
-        f"phase = {_fmt(cfg.phase_tol)}",
-        f"rational_tol = {_fmt(cfg.rational_tol)}",
-        f"max_den = {cfg.max_den}",
-        "",
-        "[output]",
-        f"format = {cfg.out_format}",
-        f"path = {cfg.out_path}",
-        "",
-    ]
+    for section, values in _table_values(cfg).items():
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_fmt(v) if isinstance(v, float) else v}" for key, v in values.items()]
+    lines.append("")
     return "\n".join(lines)
 
 
+def _table_values(cfg: JobConfig) -> dict[str, dict]:
+    """{section: {key: value}} of the table-driven config sections."""
+    out: dict[str, dict] = {}
+    for section, key, name, _ in _TABLE:
+        out.setdefault(section, {})[key] = getattr(cfg.grid if section == "grid" else cfg, name)
+    return out
+
+
 def _config_dict(cfg: JobConfig) -> dict:
-    d = {
-        "a1": cfg.a1,
-        "psi_re": cfg.psi.real,
-        "psi_im": cfg.psi.imag,
-        "grid": vars(cfg.grid).copy(),
-        "tolerances": {
-            "quadrature": cfg.quadrature_tol,
-            "phase": cfg.phase_tol,
-            "rational_tol": cfg.rational_tol,
-            "max_den": cfg.max_den,
-        },
-        "output": {"format": cfg.out_format, "path": cfg.out_path},
-    }
+    d = {"a1": cfg.a1, "psi_re": cfg.psi.real, "psi_im": cfg.psi.imag, **_table_values(cfg)}
     if cfg.sweep_count > 0:
         d["lambda"] = {
             "count": cfg.sweep_count,
@@ -231,18 +227,11 @@ def _load(args) -> JobConfig:
         if args.a1 is None or args.psi is None:
             raise ConfigError("either --config or both --a1 and --psi are required")
         cfg = JobConfig(a1=args.a1, psi=args.psi)
-    if args.a1 is not None:
-        cfg = replace(cfg, a1=args.a1)
-    if args.psi is not None:
-        cfg = replace(cfg, psi=args.psi)
+    flags = {"a1": args.a1, "psi": args.psi, "max_den": args.max_den,
+             "rational_tol": args.tol, "out_path": args.out or None}
+    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     if args.lam is not None:
         cfg = replace(cfg, lam=args.lam, sweep_count=0)
-    if args.max_den is not None:
-        cfg = replace(cfg, max_den=args.max_den)
-    if args.tol is not None:
-        cfg = replace(cfg, rational_tol=args.tol)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_path=args.out)
     cfg.validate()
     return cfg
 
@@ -250,23 +239,36 @@ def _load(args) -> JobConfig:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_derive(cfg: JobConfig, as_json: bool) -> int:
+def _generic_constants(cfg: JobConfig, lam: complex | None = None) -> DerivedConstants:
+    """Derived constants of the configured surface, generic at lam when given.
+
+    Raises DegenerateSurface for a degenerate class, and ConfigError for
+    a1 < |psi|^(2/3) or where k rounds to 1 in double precision.
+    """
     params = SurfaceParams(cfg.a1, cfg.psi)
-    tag = classify(params, cfg.lam)
+    tag = classify(params, lam)
     if tag is not SurfaceClass.GENERIC:
-        print(f"degenerate surface class: {tag.value}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    c = derive_constants(params)
+        raise DegenerateSurface(tag.value)
+    try:
+        return derive_constants(params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+_REAL_CONSTANTS = ("beta", "a1", "a2", "a3", "k", "q2", "r", "T")
+
+
+def cmd_derive(cfg: JobConfig, as_json: bool) -> int:
+    c = _generic_constants(cfg, cfg.lam)
     es = eigensystem(c, cfg.lam)
     regime = immersion.regime_of(c, cfg.lam)
     if as_json:
         payload = {
             "config": _config_dict(cfg),
-            "classification": tag.value,
+            "classification": SurfaceClass.GENERIC.value,
             "regime": regime,
             "constants": {
-                "beta": c.beta, "a1": c.a1, "a2": c.a2, "a3": c.a3,
-                "k": c.k, "q2": c.q2, "r": c.r, "T": c.T,
+                **{name: getattr(c, name) for name in _REAL_CONSTANTS},
                 "a_re": c.a.real, "a_im": c.a.imag,
                 "b_re": c.b.real, "b_im": c.b.imag,
             },
@@ -274,8 +276,8 @@ def cmd_derive(cfg: JobConfig, as_json: bool) -> int:
         }
         sys.stdout.write(_json_dumps(payload))
         return EXIT_OK
-    print(f"classification : {tag.value} (cubic form regime: {regime})")
-    for name in ("beta", "a1", "a2", "a3", "k", "q2", "r", "T"):
+    print(f"classification : {SurfaceClass.GENERIC.value} (cubic form regime: {regime})")
+    for name in _REAL_CONSTANTS:
         print(f"{name:<5} = {_fmt(getattr(c, name))}")
     print(f"a     = {_fmt(c.a.real)} + {_fmt(c.a.imag)}i")
     print(f"b     = {_fmt(c.b.real)} + {_fmt(c.b.imag)}i")
@@ -288,29 +290,18 @@ def cmd_verify(
     cfg: JobConfig, as_json: bool, corrupt_kappa: bool = False,
     suites: list[str] | None = None,
 ) -> int:
-    params = SurfaceParams(cfg.a1, cfg.psi)
-    if classify(params) is not SurfaceClass.GENERIC:
-        print(f"degenerate surface class: {classify(params).value}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    c = _generic_constants(cfg)
     try:
-        report = verification.run_suites(params, corrupt_kappa=corrupt_kappa, names=suites)
+        report = verification.run_suites(
+            SurfaceParams(c.a1, c.psi), corrupt_kappa=corrupt_kappa, names=suites
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if as_json:
         payload = {
             "config": _config_dict(cfg),
             "passed": report.passed,
-            "suites": [
-                {
-                    "name": s.name,
-                    "passed": s.passed,
-                    "residuals": s.residuals,
-                    "thresholds": s.thresholds,
-                    "note": s.note,
-                    "seconds": s.seconds,
-                }
-                for s in report.suites
-            ],
+            "suites": [asdict(s) for s in report.suites],
         }
         sys.stdout.write(_json_dumps(payload))
     else:
@@ -333,28 +324,20 @@ def _csv_value(x: float) -> str:
 
 
 def cmd_sample(cfg: JobConfig) -> int:
-    params = SurfaceParams(cfg.a1, cfg.psi)
-    if classify(params, cfg.lam) is not SurfaceClass.GENERIC:
-        print(f"degenerate surface class: {classify(params, cfg.lam).value}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    c = derive_constants(params)
+    c = _generic_constants(cfg, cfg.lam)
+    if not cfg.out_path:
+        raise ConfigError("sample requires an output path ([output] path or --out)")
     g = cfg.grid
     grid = immersion.sample_grid(
         c, cfg.lam, (g.x_min, g.x_max), (g.y_min, g.y_max), g.nx, g.ny,
         tol=cfg.quadrature_tol,
     )
-    if not cfg.out_path:
-        raise ConfigError("sample requires an output path ([output] path or --out)")
-    try:
-        if cfg.out_format == "csv":
-            _write_csv(cfg.out_path, grid)
-        elif cfg.out_format == "obj":
-            _write_obj(cfg.out_path, grid)
-        else:
-            _write_json(cfg.out_path, cfg, grid)
-    except OSError as exc:
-        print(f"cannot write {cfg.out_path}: {exc}", file=sys.stderr)
-        return 1
+    if cfg.out_format == "csv":
+        _write_csv(cfg.out_path, grid)
+    elif cfg.out_format == "obj":
+        _write_obj(cfg.out_path, grid)
+    else:
+        _write_json(cfg.out_path, cfg, grid)
     return EXIT_OK
 
 
@@ -430,20 +413,12 @@ def _verdict_dict(v: periodicity.PeriodVerdict) -> dict:
     if v.lattice is not None:
         d["p_f"] = v.lattice[0].real
         d["omega_f"] = [v.lattice[1].real, v.lattice[1].imag]
-    d["certificates"] = {
-        name: {"num": cert.num, "den": cert.den, "value": cert.value, "residual": cert.residual}
-        for name, cert in v.certificates.items()
-    }
+    d["certificates"] = {name: asdict(cert) for name, cert in v.certificates.items()}
     return d
 
 
 def cmd_classify(cfg: JobConfig, as_json: bool) -> int:
-    params = SurfaceParams(cfg.a1, cfg.psi)
-    tag = classify(params, cfg.lam)
-    if tag is not SurfaceClass.GENERIC:
-        print(f"degenerate surface class: {tag.value}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    c = derive_constants(params)
+    c = _generic_constants(cfg, cfg.lam)
     verdict = periodicity.classify_torus(
         c, cfg.lam, max_den=cfg.max_den, tol=cfg.rational_tol,
         phase_tol=cfg.phase_tol, quad_tol=cfg.quadrature_tol,
@@ -464,15 +439,11 @@ def cmd_classify(cfg: JobConfig, as_json: bool) -> int:
 
 
 def cmd_sweep(cfg: JobConfig) -> int:
-    params = SurfaceParams(cfg.a1, cfg.psi)
-    if classify(params) is not SurfaceClass.GENERIC:
-        print(f"degenerate surface class: {classify(params).value}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    c = _generic_constants(cfg)
     if cfg.sweep_count < 1:
         raise ConfigError("sweep requires [lambda] count >= 1")
     if not cfg.out_path:
         raise ConfigError("sweep requires an output path ([output] path or --out)")
-    c = derive_constants(params)
     thetas = np.linspace(cfg.sweep_start, cfg.sweep_end, cfg.sweep_count, endpoint=False)
     rows = []
     for i, theta in enumerate(thetas):
@@ -496,22 +467,17 @@ def cmd_sweep(cfg: JobConfig) -> int:
             row["verdict"] = ""
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    try:
+    with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg.out_format == "json":
-            with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_json_dumps({"config": _config_dict(cfg), "samples": rows}))
-        else:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("index,theta,lam_re,lam_im,regime,verdict,p_f,error\n")
-                for row in rows:
-                    fh.write(
-                        f"{row['index']},{_fmt(row['theta'])},{_fmt(row['lam_re'])},"
-                        f"{_fmt(row['lam_im'])},{row.get('regime','')},{row['verdict']},"
-                        f"{_fmt(row['p_f']) if 'p_f' in row else ''},{row['error']}\n"
-                    )
-    except OSError as exc:
-        print(f"cannot write {cfg.out_path}: {exc}", file=sys.stderr)
-        return 1
+            fh.write(_json_dumps({"config": _config_dict(cfg), "samples": rows}))
+            return EXIT_OK
+        fh.write("index,theta,lam_re,lam_im,regime,verdict,p_f,error\n")
+        for row in rows:
+            fh.write(
+                f"{row['index']},{_fmt(row['theta'])},{_fmt(row['lam_re'])},"
+                f"{_fmt(row['lam_im'])},{row.get('regime','')},{row['verdict']},"
+                f"{_fmt(row['p_f']) if 'p_f' in row else ''},{row['error']}\n"
+            )
     return EXIT_OK
 
 
@@ -577,9 +543,20 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DegenerateSurface as exc:
+        print(f"degenerate surface class: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except SurfaceClassError as exc:
         print(f"degenerate surface class: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (RegimeError, ArithmeticError) as exc:
+        # RegimeError: lambda too close to the real locus for the non-real
+        # route; ArithmeticError covers QuadratureError and failed certificates
+        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

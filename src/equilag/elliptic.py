@@ -42,7 +42,9 @@ def _agm_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...], tuple[f
     a: list[float] = [1.0]
     b: list[float] = [kp]
     c: list[float] = [k]
-    while abs(c[-1]) > 1e-17 * a[-1] and len(a) < 40:
+    # stop at one ulp of a_n: a_n and b_n can stay a last bit apart for
+    # good, and a tighter rule would then run the chain to its cap
+    while abs(c[-1]) > 2.0**-52 * a[-1] and len(a) < 40:
         an = 0.5 * (a[-1] + b[-1])
         bn = math.sqrt(a[-1] * b[-1])
         c.append(0.5 * (a[-1] - b[-1]))

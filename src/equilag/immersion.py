@@ -28,12 +28,13 @@ derivatives as F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import iwasawa
+from .elliptic import jacobi
 from .linalg3 import herm_inner
 from .metric import metric_at
 from .potential import (
@@ -152,16 +153,6 @@ def phase_integrals(c: DerivedConstants, lam: complex, y: float, tol: float = 1e
     return g
 
 
-def lift_nonreal(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
-    """Closed-form lift for non-real cubic form; |F| = 1 identically."""
-    _require("nonreal", c, es.lam)
-    w = metric_at(c, y).w
-    h = _h_values(c, es, w)
-    g = phase_integrals(c, es.lam, y, tol)
-    coeff = h * np.exp(1j * (es.d * x + g))
-    return LiftSample(x=x, y=y, lam=es.lam, F=coeff @ es.vectors)
-
-
 # ---------------------------------------------------------------------------
 # real regime
 
@@ -185,44 +176,16 @@ def _real_assignment(c: DerivedConstants, es: EigenSystem):
     return idx, cs
 
 
-def lift_real(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
-    """Closed-form lift for real cubic form; satisfies F(x, y + 4T) = F(x, y)."""
-    _require("real", c, es.lam)
-    idx, cs = _real_assignment(c, es)
-    from .elliptic import jacobi
-
-    sn, cn, dn = jacobi(c.r * y, c.k)
-    p = np.zeros(3)
-    p[idx[0]], p[idx[1]], p[idx[2]] = cs[0] * sn, cs[1] * cn, cs[2] * dn
-    coeff = p * np.exp(1j * es.d * x)
-    return LiftSample(x=x, y=y, lam=es.lam, F=coeff @ es.vectors)
-
-
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
-    """Regime-dispatching lift evaluation."""
-    regime = regime_of(c, es.lam)
-    if regime == "real":
-        return lift_real(c, es, x, y)
-    if regime == "nonreal":
-        return lift_nonreal(c, es, x, y, tol)
-    raise HyperplaneDegenerateError(
-        "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
-    )
-
-
-def _coefficients_with_derivative(
+def _coefficients(
     c: DerivedConstants, es: EigenSystem, y: float, tol: float = 1e-11
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum p_j l_j."""
+    """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum_j p_j l_j."""
     regime = regime_of(c, es.lam)
-    m = metric_at(c, y)
     if regime == "real":
         idx, cs = _real_assignment(c, es)
-        from .elliptic import jacobi
-
         sn, cn, dn = jacobi(c.r * y, c.k)
         p = np.zeros(3)
         dp = np.zeros(3)
@@ -230,39 +193,47 @@ def _coefficients_with_derivative(
         dp[idx[0]] = cs[0] * c.r * cn * dn
         dp[idx[1]] = -cs[1] * c.r * sn * dn
         dp[idx[2]] = -cs[2] * c.r * c.k**2 * sn * cn
-        return p.astype(complex), dp.astype(complex)
+        return p, dp
     if regime == "nonreal":
         v = c.psi / es.lam**3
-        re0, im0 = v.real, v.imag
-        h = _h_values(c, es, m.w)
-        g = phase_integrals(c, es.lam, y, tol)
-        p = h * np.exp(1j * g)
+        m = metric_at(c, y)
+        p = _h_values(c, es, m.w) * np.exp(1j * phase_integrals(c, es.lam, y, tol))
         # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
-        dp = es.d * p * (m.u_prime * m.w + 2j * im0) / (2.0 * (es.d * m.w - re0))
+        dp = es.d * p * (m.u_prime * m.w + 2j * v.imag) / (2.0 * (es.d * m.w - v.real))
         return p, dp
     raise HyperplaneDegenerateError(
         "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
     )
 
 
-def lift_with_derivatives(
-    c: DerivedConstants, lam: complex, x: float, y: float, tol: float = 1e-11
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, F_x, F_y) with exact x-phases and the closed-form y-derivative."""
-    es = eigensystem(c, lam)
-    p, dp = _coefficients_with_derivative(c, es, y, tol)
-    phase = np.exp(1j * es.d * x)
-    F = (p * phase) @ es.vectors
-    Fx = (1j * es.d * p * phase) @ es.vectors
-    Fy = (dp * phase) @ es.vectors
-    return F, Fx, Fy
+def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
+    """Regime-dispatching lift evaluation."""
+    p, _ = _coefficients(c, es, y, tol)
+    return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)
+
+
+def lift_nonreal(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
+    """Closed-form lift for non-real cubic form; |F| = 1 identically."""
+    _require("nonreal", c, es.lam)
+    return lift_at(c, es, x, y, tol)
+
+
+def lift_real(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
+    """Closed-form lift for real cubic form; satisfies F(x, y + 4T) = F(x, y)."""
+    _require("real", c, es.lam)
+    return lift_at(c, es, x, y)
 
 
 def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> "iwasawa.FrameSample":
     """Extended frame rebuilt from the closed-form lift (eigenbasis route)."""
     lam = _check_unit(lam)
     z = complex(z)
-    F, Fx, Fy = lift_with_derivatives(c, lam, z.real, z.imag)
+    es = eigensystem(c, lam)
+    p, dp = _coefficients(c, es, z.imag)
+    phase = np.exp(1j * es.d * z.real)
+    F = (p * phase) @ es.vectors
+    Fx = (1j * es.d * p * phase) @ es.vectors
+    Fy = (dp * phase) @ es.vectors
     fz = (Fx - 1j * Fy) / 2.0
     fzb = (Fx + 1j * Fy) / 2.0
     eu2 = math.sqrt(metric_at(c, z.imag).w)
@@ -335,7 +306,7 @@ def sample_grid(
                 g = g + _g_increment(c, lam, es.d, ys[iy - 1], y, tol)
             p = _h_values(c, es, w) * np.exp(1j * g)
         else:
-            p, _ = _coefficients_with_derivative(c, es, y, tol)
+            p, _ = _coefficients(c, es, y, tol)
         F[iy] = (phase * p) @ es.vectors
     flags = np.abs(F[:, :, 2]) <= 1e-8
     chart = np.full((ny, nx, 2), np.nan, dtype=complex)
@@ -381,16 +352,10 @@ def verify_geometry(
     re0, im0 = v.real, v.imag
 
     def ev(x: float, y: float) -> np.ndarray:
-        p, _ = _coefficients_with_derivative(c, es, y, tol)
+        p, _ = _coefficients(c, es, y, tol)
         return (p * np.exp(1j * es.d * x)) @ es.vectors
 
-    rep = dict.fromkeys(
-        (
-            "horizontality", "conformality_diag", "conformality_cross", "laplace",
-            "cubic_form", "x_ode", "factor_identity", "scalar_ode", "unit_norm",
-        ),
-        0.0,
-    )
+    rep = {f.name: 0.0 for f in fields(GeometryReport) if f.name not in ("points", "flagged")}
     flagged = 0
     points = 0
     h = step
@@ -439,9 +404,9 @@ def verify_geometry(
             rhs = (0.25 * m.u_prime**2 * w**2 + im0**2) * es.d
             rep["factor_identity"] = max(rep["factor_identity"], float(np.max(np.abs(lhs - rhs))))
 
-            pj, _ = _coefficients_with_derivative(c, es, y, tol)
-            pjp, _ = _coefficients_with_derivative(c, es, y + h, tol)
-            pjm, _ = _coefficients_with_derivative(c, es, y - h, tol)
+            pj, _ = _coefficients(c, es, y, tol)
+            pjp, _ = _coefficients(c, es, y + h, tol)
+            pjm, _ = _coefficients(c, es, y - h, tol)
             dpj = (pjp - pjm) / (2 * h)
             ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * pj
             rep["scalar_ode"] = max(rep["scalar_ode"], float(np.max(np.abs(ode))))

@@ -34,7 +34,13 @@ import numpy as np
 
 from .linalg3 import dagger
 from .metric import metric_at
-from .potential import DerivedConstants, _check_unit, commutant_matrix, eigensystem
+from .potential import (
+    DerivedConstants,
+    EigenSystem,
+    _check_unit,
+    commutant_matrix,
+    eigensystem,
+)
 from .quadrature import relaxed_simpson
 
 
@@ -285,33 +291,55 @@ def extended_frame(
     if route != "iwasawa":
         raise ValueError(f"unknown route {route!r}")
 
-    x, y = z.real, z.imag
     es = eigensystem(c, lam)
-    b1, b2 = beta_integrals(c, y, lam, tol=tol)
-    q0, qt = q_factor(c, y, lam)
-    exps = np.exp((z - b1) * 1j * es.d - b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
-    basis = es.vectors.T  # columns are l_j
-    exp_part = (basis * exps) @ dagger(basis)
-    mat = exp_part @ np.linalg.inv(q0 @ qt)
-    return FrameSample(z=z, lam=lam, matrix=mat)
+    b1, b2 = beta_integrals(c, z.imag, lam, tol=tol)
+    q0, qt = q_factor(c, z.imag, lam)
+    return FrameSample(z=z, lam=lam, matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
 
 
-def u_plus(c: DerivedConstants, y: float, lam: complex, tol: float = 1e-11) -> np.ndarray:
+def u_plus(
+    c: DerivedConstants,
+    y: float,
+    lam: complex,
+    tol: float = 1e-11,
+    _wrong_normalizer: bool = False,
+) -> np.ndarray:
     """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0), |lambda| = 1.
 
     Satisfies U_+ D U_+^{-1} = Omega and dU_+/dy U_+^{-1} = 2i(lam V_1 + V_0)
-    on the admissible set.
+    on the admissible set.  (_wrong_normalizer is passed on to q_factor as
+    the negative control of verification.)
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
     b1, b2 = beta_integrals(c, y, lam, tol=tol)
-    q0, qt = q_factor(c, y, lam)
-    exps = np.exp(b1 * 1j * es.d + b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
-    basis = es.vectors.T
-    return q0 @ qt @ ((basis * exps) @ dagger(basis))
+    q0, qt = q_factor(c, y, lam, _wrong_normalizer)
+    return q0 @ qt @ _exp_d_l0(c, es, b1, b2)
+
+
+def _l0_spectrum(c: DerivedConstants, d: np.ndarray) -> np.ndarray:
+    """Eigenvalues -d_j^2 + 2 beta / 3 of L0 on the eigenvectors l_j of D."""
+    return -d**2 + 2.0 * c.beta / 3.0
+
+
+def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s: complex, t: complex) -> np.ndarray:
+    """exp(s D + t L0), diagonal in the eigenbasis l_j of D(lambda)."""
+    exps = np.exp(s * 1j * es.d + t * _l0_spectrum(c, es.d))
+    basis = es.vectors.T  # columns are l_j
+    return (basis * exps) @ dagger(basis)
 
 
 def monodromy_data(c: DerivedConstants, lam: complex, tol: float = 1e-11) -> tuple[float, float]:
     """(Re beta1(2T), Im beta2(2T)), the only period data entering monodromy."""
     b1, b2 = _beta_full_period(c, complex(lam), tol)
     return float(b1.real), float(b2.imag)
+
+
+def full_period_phases(c: DerivedConstants, es: EigenSystem, tol: float = 1e-11) -> np.ndarray:
+    """Lift phases G_j(2T) in eigensystem order, from the monodromy data.
+
+    G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T) (-d_j^2 + 2 beta / 3)), the
+    cancellation identity between the monodromy and the lift phases.
+    """
+    re_b1, im_b2 = monodromy_data(c, es.lam, tol)
+    return -(re_b1 * es.d + im_b2 * _l0_spectrum(c, es.d))

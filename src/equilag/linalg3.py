@@ -1,9 +1,8 @@
 """Complex 3x3 linear algebra for the su(3) loop-group machinery.
 
-Provides the Hermitian inner product, the order-6 outer automorphism sigma
-and its eigenspace ("twist class") projections, the compact real form
-involution tau, a trigonometric depressed-cubic solver, and closed-form
-eigendecomposition / exponentials of 3x3 skew-Hermitian matrices.
+Provides the Hermitian inner product, the order-6 outer automorphism sigma,
+a trigonometric depressed-cubic solver, and closed-form eigendecomposition /
+exponentials of 3x3 skew-Hermitian matrices.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
 dtype, plain value semantics.  Everything here is pure and re-entrant.
@@ -36,18 +35,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def matmul(*ms: np.ndarray) -> np.ndarray:
-    """Product of one or more 3x3 matrices, left to right."""
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
-
-
-def det(m: np.ndarray) -> complex:
-    return complex(np.linalg.det(m))
-
-
 def unitary_residual(m: np.ndarray) -> float:
     """Frobenius distance of m^dagger m from the identity."""
     return float(np.linalg.norm(dagger(m) @ m - _I3))
@@ -64,27 +51,6 @@ def sigma_group(m: np.ndarray) -> np.ndarray:
 def sigma_algebra(x: np.ndarray) -> np.ndarray:
     """Derivative of sigma_group at the identity: xi -> -P xi^t P^{-1}."""
     return -(P_SIGMA @ x.T @ P_SIGMA)
-
-
-def tau_algebra(x: np.ndarray) -> np.ndarray:
-    """Anti-holomorphic involution xi -> -conj(xi)^t cutting out su(3)."""
-    return -dagger(x)
-
-
-def project_twist(x: np.ndarray, l: int) -> np.ndarray:
-    """Projection of x onto the eps^l eigenspace of sigma, l in 0..5.
-
-    Averaging projector (1/6) sum_j eps^{-lj} sigma^j(x); the six
-    projections always sum back to x.
-    """
-    if l not in range(6):
-        raise ValueError(f"twist class must be an integer in 0..5, got {l}")
-    acc = np.zeros((3, 3), dtype=complex)
-    term = np.asarray(x, dtype=complex)
-    for j in range(6):
-        acc += EPS6 ** (-l * j) * term
-        term = sigma_algebra(term)
-    return acc / 6.0
 
 
 def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:

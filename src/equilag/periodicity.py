@@ -11,7 +11,8 @@ whose eigenvalues are exp(i theta_j) with
             = p d_j + m G_j(2T),
 
 the second equality being the exact cancellation identity between the
-monodromy data and the lift phases.  The surface closes up under omega
+monodromy data and the lift phases.  The phases are taken from the beta
+integrals (iwasawa.full_period_phases).  The surface closes up under omega
 iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows since all
 three sum to zero).  Rationality of d-ratios and of the 2T phase data is
 certified with continued-fraction convergents under an explicit
@@ -31,13 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import immersion, iwasawa
-from .linalg3 import matexp_skew
 from .potential import (
     DerivedConstants,
+    HyperplaneDegenerateError,
     _check_unit,
-    commutant_matrix,
     eigensystem,
-    potential_matrix,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -102,34 +101,19 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     return RationalCertificate(value=x0, num=h, den=k, residual=residual)
 
 
-def _phase_data(c: DerivedConstants, lam: complex, tol: float) -> np.ndarray:
-    """G_j(2T) in eigensystem order, from the cached monodromy integrals."""
-    es = eigensystem(c, lam)
-    re_b1, im_b2 = iwasawa.monodromy_data(c, lam, tol)
-    return -(re_b1 * es.d + im_b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
-
-
 def monodromy_phases(
-    c: DerivedConstants,
-    p: float,
-    m: int,
-    lam: complex,
-    tol: float = 1e-11,
-    route: str = "auto",
+    c: DerivedConstants, p: float, m: int, lam: complex, tol: float = 1e-11
 ) -> MonodromyPhases:
     """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi.
 
-    route="beta" uses (Re beta1(2T), Im beta2(2T)); route="g" uses the lift
-    phases G_j(2T); "auto" picks "beta" and falls back to the closed
-    antiperiodicity form in the real-cubic-form regime (where the integrals
-    do not exist).
+    Uses G_j(2T) from (Re beta1(2T), Im beta2(2T)), and the closed
+    antiperiodicity form in the real-cubic-form regime (where the
+    integrals do not exist).
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
     regime = immersion.regime_of(c, lam)
     if regime == "imaginary":
-        from .potential import HyperplaneDegenerateError
-
         raise HyperplaneDegenerateError("monodromy undefined at hyperplane-degenerate lambda")
     if m == 0:
         theta = p * es.d
@@ -139,23 +123,9 @@ def monodromy_phases(
         flip = np.zeros(3)
         flip[idx[0]] = flip[idx[1]] = 1.0
         theta = p * es.d + m * math.pi * flip
-    elif route in ("auto", "beta"):
-        re_b1, im_b2 = iwasawa.monodromy_data(c, lam, tol)
-        theta = p * es.d - m * (re_b1 * es.d + im_b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
-    elif route == "g":
-        g = np.array(immersion._g_full_period(c, lam, tol))
-        theta = p * es.d + m * g
     else:
-        raise ValueError(f"unknown route {route!r}")
+        theta = p * es.d + m * iwasawa.full_period_phases(c, es, tol)
     return MonodromyPhases(p=p, m=m, lam=lam, theta=theta)
-
-
-def monodromy_matrix(c: DerivedConstants, p: float, m: int, lam: complex, tol: float = 1e-11) -> np.ndarray:
-    """The monodromy matrix itself, by exponentiating the loop-algebra element."""
-    lam = _check_unit(lam)
-    re_b1, im_b2 = iwasawa.monodromy_data(c, lam, tol)
-    gen = (p - m * re_b1) * potential_matrix(c, lam) - 1j * m * im_b2 * commutant_matrix(c, lam)
-    return matexp_skew(gen, 1.0)
 
 
 def _phase_defect(theta: float) -> float:
@@ -210,7 +180,6 @@ def classify_torus(
     tol: float = 1e-8,
     phase_tol: float = 1e-8,
     quad_tol: float = 1e-11,
-    route: str = "beta",
 ) -> PeriodVerdict:
     """Torus / cylinder / no-period classification at lambda.
 
@@ -224,8 +193,6 @@ def classify_torus(
     es = eigensystem(c, lam)
     regime = immersion.regime_of(c, lam)
     if regime == "imaginary":
-        from .potential import HyperplaneDegenerateError
-
         raise HyperplaneDegenerateError("classification refused at hyperplane-degenerate lambda")
 
     certs: dict[str, RationalCertificate] = {}
@@ -258,10 +225,7 @@ def classify_torus(
     n1, n2 = cert.den, cert.num  # d1/d2 = n1/n2, gcd 1, n1 > 0
     p_f = TWO_PI * n1 / float(es.d[0])
 
-    if route == "g":
-        g = np.array(immersion._g_full_period(c, lam, quad_tol))
-    else:
-        g = _phase_data(c, lam, quad_tol)
+    g = iwasawa.full_period_phases(c, es, quad_tol)
     s = (n2 * g[0] - n1 * g[1]) / TWO_PI
     cert_s = rational_approx(float(s), max_den, tol)
     if cert_s is None:

@@ -260,23 +260,3 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
         vecs[j] = _fix_phase(vecs[j], lam)
     return EigenSystem(lam=lam, d=roots, vectors=vecs)
 
-
-def eigensystem_sweep(c: DerivedConstants, lams, track: bool = True) -> list[EigenSystem]:
-    """Eigensystems along a lambda path.
-
-    With track=True each sample's labels are permuted to follow the previous
-    sample by eigenvalue proximity (useful across label collisions in plots);
-    the per-sample descending order is then not guaranteed.
-    """
-    out: list[EigenSystem] = []
-    for lam in lams:
-        es = eigensystem(c, lam)
-        if track and out:
-            prev = out[-1].d
-            perms = (
-                (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-            )
-            best = min(perms, key=lambda p: float(np.sum(np.abs(es.d[list(p)] - prev))))
-            es = EigenSystem(lam=es.lam, d=es.d[list(best)], vectors=es.vectors[list(best)])
-        out.append(es)
-    return out

@@ -195,21 +195,14 @@ def suite_iwasawa(
             abs(b1e.real - b1.real),
             abs(b2e.imag + b2.imag),
         )
-    def u_plus_flagged(y: float, lam: complex) -> np.ndarray:
-        es = eigensystem(c, lam)
-        b1, b2 = iwasawa.beta_integrals(c, y, lam, tol=1e-12)
-        q0, qt = iwasawa.q_factor(c, y, lam, _wrong_normalizer=corrupt_kappa)
-        exps = np.exp(b1 * 1j * es.d + b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
-        basis = es.vectors.T
-        return q0 @ qt @ ((basis * exps) @ linalg3.dagger(basis))
-
     worst_flow = 0.0
     h = 1e-4
     for theta, y in ((0.4, 0.3), (1.7, 1.0)):
         lam = complex(np.exp(1j * theta))
-        up = u_plus_flagged(y + h, lam)
-        um = u_plus_flagged(y - h, lam)
-        u0 = u_plus_flagged(y, lam)
+        up, um, u0 = (
+            iwasawa.u_plus(c, t, lam, tol=1e-12, _wrong_normalizer=corrupt_kappa)
+            for t in (y + h, y - h, y)
+        )
         flow = (up - um) / (2.0 * h) @ np.linalg.inv(u0)
         worst_flow = max(
             worst_flow, float(np.max(np.abs(flow - iwasawa.y_flow_matrix(c, y, lam))))
@@ -352,8 +345,7 @@ def suite_identities(params: SurfaceParams | None = None, seed: int = 29) -> Sui
         es = eigensystem(c, lam)
         g = np.array(immersion._g_full_period(c, lam, 1e-12))
         worst_sum = max(worst_sum, abs(float(g.sum())))
-        re_b1, im_b2 = iwasawa.monodromy_data(c, lam, 1e-12)
-        cancel = g + re_b1 * es.d + im_b2 * (-es.d**2 + 2.0 * c.beta / 3.0)
+        cancel = g - iwasawa.full_period_phases(c, es, 1e-12)
         worst_cancel = max(worst_cancel, float(np.max(np.abs(cancel))))
         v = c.psi / lam**3
         for y in rng.uniform(0.0, 2.0 * c.T, 30):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -79,6 +80,10 @@ class TestConfig:
             parse_config(BASE_CONFIG.replace("format = csv", "format = stl"))
         with pytest.raises(ConfigError):
             parse_config(BASE_CONFIG.replace("quadrature = 1e-11", "quadrature = -1"))
+        with pytest.raises(ConfigError):
+            parse_config(BASE_CONFIG.replace("x_max = 2.0", "x_max = inf"))
+        with pytest.raises(ConfigError):
+            parse_config("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = 4\narc_end = nan\n")
 
 
 class TestDerive:
@@ -237,3 +242,37 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["suites"][0]["name"] == "elliptic"
+
+
+class TestRefusals:
+    def test_sample_near_real_locus(self, tmp_path, capsys):
+        # lambda 1e-8 rad off the real locus: regime_of calls it non-real, but
+        # the G_j denominators fall below what double precision certifies
+        psi = cmath.exp(1j * math.pi / 4)
+        lam = cmath.exp(1j * (math.pi / 12 + 1e-8))
+        rc = main([
+            "sample", "--a1", "2", "--psi", f"{psi.real!r},{psi.imag!r}",
+            "--lambda", f"{lam.real!r},{lam.imag!r}", "--out", str(tmp_path / "grid.csv"),
+        ])
+        assert rc == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("refused: RegimeError:") and err.count("\n") == 1
+
+    def test_classify_failed_lattice_check(self, capsys):
+        rc = main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", "0.8,0.6",
+                   "--max-den", "100000"])
+        assert rc == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ArithmeticError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--a1", "-1", "--psi", "1,0"],
+        ["--a1", "0.5", "--psi", "1,0"],      # a1 below |psi|^(2/3)
+        ["--a1", "2", "--psi", "nan,0"],
+        ["--a1", "2", "--psi", "1,0", "--lambda", "nan,0"],
+        ["--a1", "1e6", "--psi", "1,0"],      # k rounds to 1
+    ])
+    def test_out_of_domain_surface(self, flags, capsys):
+        assert main(["derive", *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from equilag.elliptic import complete_K, incomplete_J, jacobi
+from equilag.elliptic import _agm_scheme, complete_K, incomplete_J, jacobi
 
 
 def oracle_J(theta: float, k: float) -> float:
@@ -175,3 +175,28 @@ class TestJacobi:
             so, co, do, _ = special.ellipj(z, k * k)
             worst = max(worst, abs(sn - so), abs(cn - co), abs(dn - do))
         assert worst < 1e-12
+
+
+class TestAgmScheme:
+    # moduli at which a stop rule below one ulp never held: a_n and b_n
+    # stayed a last bit apart and the chain ran to its 40-level cap
+    FORMERLY_CAPPED = (0.052378446115288226, 0.09519047619047619, 0.1522731829573935)
+
+    def test_stops_within_a_few_levels(self):
+        levels = [len(_agm_scheme(float(k))[0]) for k in np.linspace(0.0, 0.999, 1000)]
+        assert max(levels) < 40
+
+    def test_accuracy_against_mpmath_at_formerly_capped_moduli(self):
+        import mpmath
+
+        for k in self.FORMERLY_CAPPED:
+            assert len(_agm_scheme(k)[0]) < 40
+            with mpmath.workdps(30):
+                K = float(mpmath.ellipk(mpmath.mpf(k) ** 2))
+                oracles = [
+                    [float(mpmath.ellipfun(f, z, k=k)) for f in ("sn", "cn", "dn")]
+                    for z in (0.3, -1.7, 5.9)
+                ]
+            assert abs(complete_K(k) - K) < 1e-15 * K
+            for z, oracle in zip((0.3, -1.7, 5.9), oracles):
+                assert max(abs(a - b) for a, b in zip(jacobi(z, k), oracle)) < 1e-14

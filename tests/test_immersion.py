@@ -8,6 +8,7 @@ from equilag import linalg3
 from equilag.immersion import (
     ChartError,
     RegimeError,
+    _coefficients,
     frame_from_lift,
     lift_at,
     lift_nonreal,
@@ -291,3 +292,16 @@ def test_scalar_ode_identity_closed_form(bench_nonreal):
         lhs = (es.d * m.w - v.real) * dpj
         rhs = 0.5 * (m.u_prime * m.w + 2j * v.imag) * es.d * pj
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+@pytest.mark.parametrize("regime", ["nonreal", "real"])
+def test_coefficient_derivative_matches_central_difference(bench_nonreal, bench_real, regime):
+    # the closed-form p_j' of the coefficient kernel against its own p_j
+    c = bench_nonreal if regime == "nonreal" else bench_real
+    es = eigensystem(c, 1.0)
+    assert regime_of(c, 1.0) == regime
+    h = 1e-5
+    for y in (-0.7, 0.3, 0.9, 1.5, 2.0 * c.T + 0.4):
+        _, dp = _coefficients(c, es, y)
+        fd = (_coefficients(c, es, y + h)[0] - _coefficients(c, es, y - h)[0]) / (2 * h)
+        assert np.max(np.abs(dp - fd)) < 1e-8

@@ -4,23 +4,34 @@ import math
 import numpy as np
 import pytest
 
-from equilag import immersion
+from equilag import immersion, iwasawa
 from equilag.immersion import lift_at, project_chart
+from equilag.linalg3 import matexp_skew
 from equilag.periodicity import (
     classify_cylinder,
     classify_torus,
-    monodromy_matrix,
     monodromy_phases,
     rational_approx,
 )
 from equilag.potential import (
     HyperplaneDegenerateError,
     SurfaceParams,
+    _check_unit,
+    commutant_matrix,
     derive_constants,
     eigensystem,
+    potential_matrix,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def monodromy_matrix(c, p, m, lam, tol=1e-11):
+    """The monodromy matrix itself, by exponentiating the loop-algebra element."""
+    lam = _check_unit(lam)
+    re_b1, im_b2 = iwasawa.monodromy_data(c, lam, tol)
+    gen = (p - m * re_b1) * potential_matrix(c, lam) - 1j * m * im_b2 * commutant_matrix(c, lam)
+    return matexp_skew(gen, 1.0)
 
 
 class TestRationalApprox:
@@ -86,16 +97,20 @@ class TestMonodromyPhases:
         c = bench_nonreal
         for theta0 in (0.0, 0.35, 1.2):
             lam = cmath.exp(1j * theta0)
-            ph = monodromy_phases(c, 0.0, 1, lam, route="beta")
+            ph = monodromy_phases(c, 0.0, 1, lam)
             g = np.array(immersion._g_full_period(c, lam, 1e-12))
             assert np.max(np.abs(ph.theta - g)) < 1e-8
 
     def test_sum_is_zero_mod_2pi(self, bench_nonreal, bench_real):
-        for c, routes in ((bench_nonreal, ("beta", "g")), (bench_real, ("auto",))):
-            for route in routes:
-                ph = monodromy_phases(c, 1.3, 2, 1.0, route=route)
-                s = ph.theta.sum() / TWO_PI
-                assert abs(s - round(s)) < 1e-9
+        es = eigensystem(bench_nonreal, 1.0)
+        g = np.array(immersion._g_full_period(bench_nonreal, 1.0, 1e-11))
+        for theta in (
+            monodromy_phases(bench_nonreal, 1.3, 2, 1.0).theta,
+            1.3 * es.d + 2 * g,  # the same phases from the lift's G_j(2T)
+            monodromy_phases(bench_real, 1.3, 2, 1.0).theta,
+        ):
+            s = theta.sum() / TWO_PI
+            assert abs(s - round(s)) < 1e-9
 
     def test_matrix_eigenvalues_cross_check(self, bench_nonreal):
         c = bench_nonreal
@@ -171,7 +186,8 @@ class TestClassifyTorus:
             classify_torus(bench_sweep, cmath.exp(1j * math.pi / 6))
 
     def test_route_consistency_random(self):
-        # beta-route and G-route must agree on accept/reject
+        # the G_j(2T) that classify_torus takes from the beta integrals must
+        # match the lift's own phase integrals
         rng = np.random.default_rng(3)
         done = 0
         while done < 20:
@@ -182,9 +198,9 @@ class TestClassifyTorus:
             if immersion.regime_of(c, lam) != "nonreal":
                 continue
             done += 1
-            va = classify_torus(c, lam, route="beta")
-            vb = classify_torus(c, lam, route="g")
-            assert va.tag == vb.tag
+            g_beta = iwasawa.full_period_phases(c, eigensystem(c, lam), 1e-11)
+            g = np.array(immersion._g_full_period(c, lam, 1e-11))
+            assert np.max(np.abs(g_beta - g)) < 1e-8
 
     def test_half_shift_lattice_form(self):
         # engineered real-regime surface with odd/odd eigenvalue ratio 1/3:
