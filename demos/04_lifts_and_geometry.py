@@ -1,11 +1,11 @@
 """Closed-form horizontal lifts in both regimes and their geometry.
 
 Depending on whether lambda^-3 psi is real, the canonical lift into S^5 is a
-phase-twisted eigenbasis sum with quadrature phases G_j, or a pure
-sn/cn/dn combination that is 4T-periodic in y.  This demo evaluates both,
-confirms unit norm, horizontality/conformality by finite differences, the
-third-order ODE in x, and the projective agreement with the Iwasawa-route
-frame column.
+phase-twisted eigenbasis sum with phases G_j given by elliptic integrals of
+the third kind, or a pure sn/cn/dn combination that is 4T-periodic in y.
+This demo evaluates both, confirms unit norm, horizontality/conformality
+by finite differences, the third-order ODE in x, and the projective
+agreement with the Iwasawa-route frame column.
 """
 
 import cmath

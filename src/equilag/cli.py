@@ -71,7 +71,7 @@ class JobConfig:
     sweep_start: float = 0.0
     sweep_end: float = 2.0 * math.pi
     grid: GridSpec = field(default_factory=GridSpec)
-    quadrature_tol: float = 1e-11
+    quadrature_tol: float = 1e-11  # parsed and echoed; no command integrates numerically
     phase_tol: float = 1e-8
     rational_tol: float = 1e-8
     max_den: int = 64
@@ -329,8 +329,7 @@ def cmd_sample(cfg: JobConfig) -> int:
         raise ConfigError("sample requires an output path ([output] path or --out)")
     g = cfg.grid
     grid = immersion.sample_grid(
-        c, cfg.lam, (g.x_min, g.x_max), (g.y_min, g.y_max), g.nx, g.ny,
-        tol=cfg.quadrature_tol,
+        c, cfg.lam, (g.x_min, g.x_max), (g.y_min, g.y_max), g.nx, g.ny
     )
     if cfg.out_format == "csv":
         _write_csv(cfg.out_path, grid)
@@ -420,8 +419,7 @@ def _verdict_dict(v: periodicity.PeriodVerdict) -> dict:
 def cmd_classify(cfg: JobConfig, as_json: bool) -> int:
     c = _generic_constants(cfg, cfg.lam)
     verdict = periodicity.classify_torus(
-        c, cfg.lam, max_den=cfg.max_den, tol=cfg.rational_tol,
-        phase_tol=cfg.phase_tol, quad_tol=cfg.quadrature_tol,
+        c, cfg.lam, max_den=cfg.max_den, tol=cfg.rational_tol, phase_tol=cfg.phase_tol
     )
     if as_json:
         sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "verdict": _verdict_dict(verdict)}))
@@ -452,8 +450,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
         try:
             row["regime"] = immersion.regime_of(c, lam)
             verdict = periodicity.classify_torus(
-                c, lam, max_den=cfg.max_den, tol=cfg.rational_tol,
-                phase_tol=cfg.phase_tol, quad_tol=cfg.quadrature_tol,
+                c, lam, max_den=cfg.max_den, tol=cfg.rational_tol, phase_tol=cfg.phase_tol
             )
             row["verdict"] = verdict.tag
             if verdict.lattice is not None:

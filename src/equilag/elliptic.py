@@ -1,15 +1,17 @@
-"""Jacobi elliptic functions and elliptic integrals of the first kind.
+"""Jacobi elliptic functions and elliptic integrals of the first and third kind.
 
 Conventions: the modulus k (not the parameter m = k^2) is used throughout,
-and J(theta, k) = int_0^theta dalpha / sqrt(1 - k^2 sin^2 alpha).
+J(theta, k) = int_0^theta dalpha / sqrt(1 - k^2 sin^2 alpha) and
+Pi(n; phi, k) = int_0^phi dalpha / ((1 - n sin^2 alpha) sqrt(1 - k^2 sin^2 alpha)).
 
 The complete integral K(k) = J(pi/2, k) is computed with the
 arithmetic-geometric mean, sn/cn/dn with the AGM phase recursion
 (descending Landen chain, https://dlmf.nist.gov/22.20), and the incomplete
-integral with Carlson's symmetric form R_F by duplication
-(https://dlmf.nist.gov/19.36).  All three routes are independent of each
-other up to the shared AGM scale, and accurate to ~1e-13 relative for
-k <= 0.999; accuracy degrades gracefully as k -> 1.
+integrals with Carlson's symmetric forms R_F, R_C and R_J by duplication
+(https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26).
+All routes are independent of each other up to the shared AGM scale, and
+accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
+as k -> 1.
 """
 
 from __future__ import annotations
@@ -93,6 +95,92 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
         + 3.0 * E3 * E3 / 104.0
         + E2 * E2 * E3 / 16.0
     ) / math.sqrt(A)
+
+
+def _carlson_rc(x: float, y: float) -> float:
+    """Carlson degenerate integral R_C(x, y), x >= 0, y > 0, by duplication."""
+    A = (x + 2.0 * y) / 3.0
+    s0 = y - A
+    Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * abs(A - x)
+    f = 1.0
+    while Q * f >= abs(A):
+        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
+        x = 0.25 * (x + lam)
+        y = 0.25 * (y + lam)
+        A = 0.25 * (A + lam)
+        f *= 0.25
+    s = s0 * f / A
+    return (
+        1.0 + s * s * (3.0 / 10.0 + s * (1.0 / 7.0 + s * (3.0 / 8.0 + s * (
+            9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0)))))
+    ) / math.sqrt(A)
+
+
+def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
+    """Carlson symmetric integral R_J(x, y, z, p), x, y, z >= 0, p > 0.
+
+    Carlson's duplication sums terms R_C(1, 1 + delta_m / d_m^2) with
+    delta_m = (p_m - x_m)(p_m - y_m)(p_m - z_m) and
+    d_m = (sqrt p_m + sqrt x_m)(sqrt p_m + sqrt y_m)(sqrt p_m + sqrt z_m).
+    That argument equals 2 sqrt(p_m) (p_m + lam_m) / d_m, which is used
+    here because it keeps full accuracy as p -> 0+, where the sum cancels.
+    """
+    A0 = A = (x + y + z + 2.0 * p) / 5.0
+    x0, y0, z0 = x, y, z
+    Q = (0.25 * 2.3e-16) ** (-1.0 / 6.0) * max(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
+    f = 1.0
+    acc = 0.0
+    while Q * f >= abs(A):
+        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
+        lam = sx * sy + sx * sz + sy * sz
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        acc += f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)
+        x = 0.25 * (x + lam)
+        y = 0.25 * (y + lam)
+        z = 0.25 * (z + lam)
+        p = 0.25 * (p + lam)
+        A = 0.25 * (A + lam)
+        f *= 0.25
+    # fifth-order Taylor tail in the symmetric elementary functions
+    X = (A0 - x0) * f / A
+    Y = (A0 - y0) * f / A
+    Z = (A0 - z0) * f / A
+    P = -0.5 * (X + Y + Z)
+    P2 = P * P
+    E2 = X * Y + X * Z + Y * Z - 3.0 * P2
+    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P * P2
+    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P * P2) * P
+    E5 = X * Y * Z * P2
+    return f / (A * math.sqrt(A)) * (
+        1.0
+        - 3.0 * E2 / 14.0
+        + E3 / 6.0
+        + 9.0 * E2 * E2 / 88.0
+        - 3.0 * E4 / 22.0
+        - 9.0 * E2 * E3 / 52.0
+        + 3.0 * E5 / 26.0
+    ) + 6.0 * acc
+
+
+def _third_kind(n: float, p: float, s: float, c2: float, d2: float, k2: float) -> float:
+    """Pi(n; phi, k) for n < 1 and |phi| <= pi/2, from the amplitude's sines.
+
+    s = sin phi, c2 = cos^2 phi, d2 = 1 - k^2 s^2, k2 = k^2 and
+    p = 1 - n s^2 are passed in rather than recomputed, so that a caller
+    holding them free of cancellation keeps that accuracy.  For n >= 0 this
+    is s R_F(c2, d2, 1) + (n/3) s^3 R_J(c2, d2, 1, p)
+    (https://dlmf.nist.gov/19.25.E14); for n < 0 that sum cancels as
+    n -> -inf, and the equivalent form
+    s R_C(c2 d2, p q) - k^2 s^3 / (3n) R_J(c2, d2, 1, q), q = 1 - k^2 s^2 / n,
+    whose two terms share one sign, is used instead.
+    """
+    if s == 0.0:
+        return 0.0
+    s3 = s * s * s
+    if n >= 0.0:
+        return s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
+    q = 1.0 - k2 * s * s / n
+    return s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
 
 
 def incomplete_J(theta: float, k: float) -> float:

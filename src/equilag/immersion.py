@@ -7,7 +7,18 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
       F = sum_j h_j(y) exp(i d_j x + i G_j(y)) l_j,
       h_j = sqrt((d_j e^u - Re) / (d_j^3 - Re)),
       G_j = int_0^y d_j Im / (d_j e^u - Re) ds,
-  with Re, Im the parts of lambda^-3 psi.
+  with Re, Im the parts of lambda^-3 psi.  Since e^u = a1 (1 - q^2 sn^2(r y)),
+  the phase integrals are incomplete integrals of the third kind,
+      G_j(y) = d_j Im / (r (d_j a1 - Re)) Pi(n_j; am(r y), k),
+      n_j = d_j a1 q^2 / (d_j a1 - Re),  1 - n_j = (d_j a2 - Re) / (d_j a1 - Re),
+  evaluated through Carlson's R_F, R_C and R_J (elliptic) on the sn, cn, dn
+  of r y, with Pi(n; phi + m pi) = Pi(n; phi) + 2m Pi(n) for the whole
+  periods; no quadrature is involved.  d_j e^u - Re keeps one sign, so
+  n_j < 1: n_j in [0, 1) takes DLMF 19.25.14, n_j < 0 (where that form
+  cancels) an R_C form with terms of one sign.  Near the real locus one
+  d_j a_i - Re (i = 1, 2) tends to zero like Im^2; these gaps come from the
+  cubic of d_j without cancellation, and below 1e-15 max(1, |psi|) the
+  lift is refused with a RegimeError.
 
 * lambda^-3 psi real (value psi0): the eigenvalues are psi0/a1, psi0/a2,
   -psi0/a3 and
@@ -30,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import iwasawa
-from .elliptic import jacobi
+from .elliptic import _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import metric_at
 from .potential import (
@@ -44,7 +56,6 @@ from .potential import (
     _check_unit,
     eigensystem,
 )
-from .quadrature import relaxed_simpson
 
 
 class RegimeError(ValueError):
@@ -92,65 +103,103 @@ def _require(regime: str, c: DerivedConstants, lam: complex) -> None:
 # ---------------------------------------------------------------------------
 # non-real regime
 
-def _h_values(c: DerivedConstants, es: EigenSystem, w: float) -> np.ndarray:
-    re0 = (c.psi / es.lam**3).real
-    ratio = (es.d * w - re0) / (es.d**3 - re0)
-    if np.any(ratio < -1e-10):
-        raise ArithmeticError(
-            "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
-        )
-    return np.sqrt(np.maximum(ratio, 0.0))
+class _PhaseConstants(NamedTuple):
+    """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order."""
+
+    den0: tuple[float, float, float]         # d_j a1 - Re = d_j e^u - Re at y = 0
+    n: tuple[float, float, float]            # n_j
+    one_minus_n: tuple[float, float, float]  # (d_j a2 - Re) / (d_j a1 - Re)
+    pre: tuple[float, float, float]          # d_j Im / (r (d_j a1 - Re))
 
 
-def _g_increment(
-    c: DerivedConstants, lam: complex, d: np.ndarray, y0: float, y1: float, tol: float
-) -> np.ndarray:
-    v = c.psi / complex(lam) ** 3
-    re0, im0 = v.real, v.imag
-    # d_j e^u - Re stays one-signed off the real locus, but its minimum
-    # shrinks like the square of the distance to that locus; below the
-    # floor double precision cannot certify the sign any more
-    floor = 1e-15 * max(1.0, abs(c.psi))
-    out = np.empty(3)
-    for j, dj in enumerate(d):
-        def f(t: float, dj=dj) -> float:
-            den = dj * metric_at(c, t).w - re0
-            if abs(den) < floor:
-                raise RegimeError(
-                    "G_j denominator vanishes: cubic form too close to real; "
-                    "evaluate at the nearby real-regime lambda instead"
-                )
-            return dj * im0 / den
+def _gaps(c: DerivedConstants, d: np.ndarray, re0: float, im0: float) -> np.ndarray:
+    """d_j a_i - Re for a_i = a1, a2 (shape (3, 2)), free of cancellation.
 
-        out[j] = float(np.real(relaxed_simpson(f, y0, y1, tol=tol)))
-    return out
-
-
-def _g_segment_raw(c: DerivedConstants, lam: complex, y: float, tol: float) -> tuple[float, float, float]:
-    es = eigensystem(c, lam)
-    return tuple(_g_increment(c, lam, es.d, 0.0, y, tol))
-
-
-@lru_cache(maxsize=4096)
-def _g_segment(c: DerivedConstants, lam: complex, y: float, tol: float):
-    return _g_segment_raw(c, lam, y, tol)
+    Towards the real locus one d_j tends to e = Re / a_i and the plain
+    difference loses every digit.  The cubic f(d) = d^3 - beta d + 2 Re of
+    the d_j has f(e) = -Re Im^2 / a_i^3, so for the root nearest e
+    d_j a_i - Re = Re Im^2 / (a_i^2 (d_j^2 + d_j e + e^2 - beta)).
+    """
+    a = np.array([c.a1, c.a2])
+    gaps = np.outer(d, a) - re0
+    for i, ai in enumerate(a):
+        e = re0 / ai
+        j = int(np.argmin(np.abs(d - e)))
+        gaps[j, i] = re0 * im0**2 / (ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta))
+    return gaps
 
 
 @lru_cache(maxsize=256)
-def _g_full_period(c: DerivedConstants, lam: complex, tol: float):
-    return _g_segment_raw(c, lam, 2.0 * c.T, tol)
+def _g_segment(c: DerivedConstants, lam: complex) -> _PhaseConstants:
+    """Constants of the phase integrals G_j within one period, per (c, lambda)."""
+    v = c.psi / lam**3
+    d = eigensystem(c, lam).d
+    gaps = _gaps(c, d, v.real, v.imag)
+    # d_j e^u - Re stays one-signed off the real locus, but its extremes
+    # d_j a_i - Re shrink like the square of the distance to that locus;
+    # below the floor double precision cannot certify the sign any more
+    if np.min(np.abs(gaps)) < 1e-15 * max(1.0, abs(c.psi)):
+        raise RegimeError(
+            "G_j denominator vanishes: cubic form too close to real; "
+            "evaluate at the nearby real-regime lambda instead"
+        )
+    den0 = gaps[:, 0]
+    one_minus_n = gaps[:, 1] / den0
+    if np.any(one_minus_n <= 0.0):
+        raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
+    return _PhaseConstants(
+        den0=tuple(den0),
+        n=tuple(d * c.a1 * c.q2 / den0),
+        one_minus_n=tuple(one_minus_n),
+        pre=tuple(d * v.imag / (c.r * den0)),
+    )
 
 
-def phase_integrals(c: DerivedConstants, lam: complex, y: float, tol: float = 1e-11) -> np.ndarray:
+def _moduli(c: DerivedConstants) -> tuple[float, float]:
+    """(k^2, k'^2) from the roots, k'^2 without the cancellation of 1 - k^2."""
+    return (c.a1 - c.a2) / (c.a1 + c.a3), (c.a2 + c.a3) / (c.a1 + c.a3)
+
+
+@lru_cache(maxsize=256)
+def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, float]:
+    """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind."""
+    g = _g_segment(c, lam)
+    k2, kp2 = _moduli(c)
+    return tuple(
+        2.0 * pre * _third_kind(n, omn, 1.0, 0.0, kp2, k2)
+        for pre, n, omn in zip(g.pre, g.n, g.one_minus_n)
+    )
+
+
+def _phase_terms(c: DerivedConstants, lam: complex, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d_j e^u - Re, G_j) at y, both in closed form.
+
+    With m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
+    sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
+    G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
+    (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
+    """
+    g = _g_segment(c, lam)
+    k2, kp2 = _moduli(c)
+    sn, cn, _ = jacobi(c.r * y, c.k)
+    m = round(y / (2.0 * c.T))
+    s = -sn if m % 2 else sn
+    c2 = cn * cn
+    d2 = kp2 + k2 * c2
+    p = np.array([
+        omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)
+    ])
+    phases = np.array([
+        pre * _third_kind(n, pj, s, c2, d2, k2) for pre, n, pj in zip(g.pre, g.n, p)
+    ])
+    if m:
+        phases += m * np.array(_g_full_period(c, lam))
+    return np.array(g.den0) * p, phases
+
+
+def phase_integrals(c: DerivedConstants, lam: complex, y: float) -> np.ndarray:
     """G_j(y), ordered like eigensystem(c, lam).d; G_j(y+2mT) = G_j(y) + m G_j(2T)."""
-    lam = complex(lam)
-    period = 2.0 * c.T
-    m = int(math.floor(y / period))
-    rem = y - m * period
-    g = np.array(_g_segment(c, lam, rem, tol))
-    if m != 0:
-        g = g + m * np.array(_g_full_period(c, lam, tol))
-    return g
+    return _phase_terms(c, complex(lam), y)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +228,7 @@ def _real_assignment(c: DerivedConstants, es: EigenSystem):
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _coefficients(
-    c: DerivedConstants, es: EigenSystem, y: float, tol: float = 1e-11
-) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[np.ndarray, np.ndarray]:
     """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum_j p_j l_j."""
     regime = regime_of(c, es.lam)
     if regime == "real":
@@ -197,25 +244,31 @@ def _coefficients(
     if regime == "nonreal":
         v = c.psi / es.lam**3
         m = metric_at(c, y)
-        p = _h_values(c, es, m.w) * np.exp(1j * phase_integrals(c, es.lam, y, tol))
+        den, g = _phase_terms(c, es.lam, y)
+        h2 = den / (es.d**3 - v.real)
+        if np.any(h2 < -1e-10):
+            raise ArithmeticError(
+                "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
+            )
+        p = np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g)
         # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
-        dp = es.d * p * (m.u_prime * m.w + 2j * v.imag) / (2.0 * (es.d * m.w - v.real))
+        dp = es.d * p * (m.u_prime * m.w + 2j * v.imag) / (2.0 * den)
         return p, dp
     raise HyperplaneDegenerateError(
         "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
     )
 
 
-def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
+def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
     """Regime-dispatching lift evaluation."""
-    p, _ = _coefficients(c, es, y, tol)
+    p, _ = _coefficients(c, es, y)
     return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)
 
 
-def lift_nonreal(c: DerivedConstants, es: EigenSystem, x: float, y: float, tol: float = 1e-11) -> LiftSample:
+def lift_nonreal(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
     """Closed-form lift for non-real cubic form; |F| = 1 identically."""
     _require("nonreal", c, es.lam)
-    return lift_at(c, es, x, y, tol)
+    return lift_at(c, es, x, y)
 
 
 def lift_real(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
@@ -280,33 +333,25 @@ def sample_grid(
     y_range: tuple[float, float],
     nx: int,
     ny: int,
-    tol: float = 1e-11,
 ) -> GridSample:
     """Lift on a rectangular grid with the regime-appropriate route.
 
-    Chart-singular cells are flagged and carry NaN chart coordinates; the
-    lift itself is defined everywhere.
+    The eigensystem and the full-period phases are computed once per grid
+    and every row in closed form.  Chart-singular cells are flagged and
+    carry NaN chart coordinates; the lift itself is defined everywhere.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx >= 2 and ny >= 2")
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    regime = regime_of(c, lam)
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     F = np.empty((ny, nx, 3), dtype=complex)
     e_u = np.empty(ny)
     phase = np.exp(1j * np.outer(xs, es.d))  # (nx, 3)
-    g = phase_integrals(c, lam, ys[0], tol) if regime == "nonreal" else None
     for iy, y in enumerate(ys):
-        w = metric_at(c, y).w
-        e_u[iy] = w
-        if regime == "nonreal":
-            if iy:  # march the phase integrals along the row instead of from 0
-                g = g + _g_increment(c, lam, es.d, ys[iy - 1], y, tol)
-            p = _h_values(c, es, w) * np.exp(1j * g)
-        else:
-            p, _ = _coefficients(c, es, y, tol)
+        e_u[iy] = metric_at(c, y).w
+        p, _ = _coefficients(c, es, y)
         F[iy] = (phase * p) @ es.vectors
     flags = np.abs(F[:, :, 2]) <= 1e-8
     chart = np.full((ny, nx, 2), np.nan, dtype=complex)
@@ -343,7 +388,6 @@ def verify_geometry(
     ys,
     step: float = 1e-4,
     ode_step: float = 5e-3,
-    tol: float = 1e-11,
 ) -> GeometryReport:
     """Finite-difference residual sweep of the lift over the given points."""
     lam = _check_unit(lam)
@@ -352,7 +396,7 @@ def verify_geometry(
     re0, im0 = v.real, v.imag
 
     def ev(x: float, y: float) -> np.ndarray:
-        p, _ = _coefficients(c, es, y, tol)
+        p, _ = _coefficients(c, es, y)
         return (p * np.exp(1j * es.d * x)) @ es.vectors
 
     rep = {f.name: 0.0 for f in fields(GeometryReport) if f.name not in ("points", "flagged")}
@@ -404,9 +448,9 @@ def verify_geometry(
             rhs = (0.25 * m.u_prime**2 * w**2 + im0**2) * es.d
             rep["factor_identity"] = max(rep["factor_identity"], float(np.max(np.abs(lhs - rhs))))
 
-            pj, _ = _coefficients(c, es, y, tol)
-            pjp, _ = _coefficients(c, es, y + h, tol)
-            pjm, _ = _coefficients(c, es, y - h, tol)
+            pj, _ = _coefficients(c, es, y)
+            pjp, _ = _coefficients(c, es, y + h)
+            pjm, _ = _coefficients(c, es, y - h)
             dpj = (pjp - pjm) / (2 * h)
             ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * pj
             rep["scalar_ode"] = max(rep["scalar_ode"], float(np.max(np.abs(ode))))

@@ -339,7 +339,9 @@ def full_period_phases(c: DerivedConstants, es: EigenSystem, tol: float = 1e-11)
     """Lift phases G_j(2T) in eigensystem order, from the monodromy data.
 
     G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T) (-d_j^2 + 2 beta / 3)), the
-    cancellation identity between the monodromy and the lift phases.
+    cancellation identity between the monodromy and the lift phases.  The
+    package takes G_j(2T) from the lift's closed form; this quadrature route
+    is the independent side of suite `identities` and of the tests.
     """
     re_b1, im_b2 = monodromy_data(c, es.lam, tol)
     return -(re_b1 * es.d + im_b2 * _l0_spectrum(c, es.d))

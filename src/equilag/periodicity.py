@@ -11,8 +11,11 @@ whose eigenvalues are exp(i theta_j) with
             = p d_j + m G_j(2T),
 
 the second equality being the exact cancellation identity between the
-monodromy data and the lift phases.  The phases are taken from the beta
-integrals (iwasawa.full_period_phases).  The surface closes up under omega
+monodromy data and the lift phases.  The phases are taken from the lift's
+closed form G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)) with the complete
+integral of the third kind (immersion), computed once per (surface,
+lambda); the beta-integral route (iwasawa.full_period_phases) stays as the
+independent check of suite `identities`.  The surface closes up under omega
 iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows since all
 three sum to zero).  Rationality of d-ratios and of the 2T phase data is
 certified with continued-fraction convergents under an explicit
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import immersion, iwasawa
+from . import immersion
 from .potential import (
     DerivedConstants,
     HyperplaneDegenerateError,
@@ -101,12 +104,10 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     return RationalCertificate(value=x0, num=h, den=k, residual=residual)
 
 
-def monodromy_phases(
-    c: DerivedConstants, p: float, m: int, lam: complex, tol: float = 1e-11
-) -> MonodromyPhases:
+def monodromy_phases(c: DerivedConstants, p: float, m: int, lam: complex) -> MonodromyPhases:
     """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi.
 
-    Uses G_j(2T) from (Re beta1(2T), Im beta2(2T)), and the closed
+    Uses the closed-form G_j(2T) of the lift, and the closed
     antiperiodicity form in the real-cubic-form regime (where the
     integrals do not exist).
     """
@@ -124,7 +125,7 @@ def monodromy_phases(
         flip[idx[0]] = flip[idx[1]] = 1.0
         theta = p * es.d + m * math.pi * flip
     else:
-        theta = p * es.d + m * iwasawa.full_period_phases(c, es, tol)
+        theta = p * es.d + m * np.array(immersion._g_full_period(c, lam))
     return MonodromyPhases(p=p, m=m, lam=lam, theta=theta)
 
 
@@ -138,7 +139,6 @@ def classify_cylinder(
     lam: complex,
     omega: complex,
     phase_tol: float = 1e-8,
-    tol: float = 1e-11,
 ) -> PeriodVerdict:
     """Is omega = p + 2mTi a period of the immersion at lambda?
 
@@ -155,7 +155,7 @@ def classify_cylinder(
         raise ValueError(
             f"Im(omega) = {omega.imag!r} is not an integer multiple of 2T = {period!r}"
         )
-    ph = monodromy_phases(c, omega.real, m, lam, tol)
+    ph = monodromy_phases(c, omega.real, m, lam)
     defects = [_phase_defect(t) for t in ph.theta]
     if defects[0] <= phase_tol and defects[1] <= phase_tol:
         if defects[2] > 10.0 * phase_tol:
@@ -179,7 +179,6 @@ def classify_torus(
     max_den: int = 64,
     tol: float = 1e-8,
     phase_tol: float = 1e-8,
-    quad_tol: float = 1e-11,
 ) -> PeriodVerdict:
     """Torus / cylinder / no-period classification at lambda.
 
@@ -225,7 +224,7 @@ def classify_torus(
     n1, n2 = cert.den, cert.num  # d1/d2 = n1/n2, gcd 1, n1 > 0
     p_f = TWO_PI * n1 / float(es.d[0])
 
-    g = iwasawa.full_period_phases(c, es, quad_tol)
+    g = immersion._g_full_period(c, lam)
     s = (n2 * g[0] - n1 * g[1]) / TWO_PI
     cert_s = rational_approx(float(s), max_den, tol)
     if cert_s is None:
@@ -238,7 +237,7 @@ def classify_torus(
     p0 = (TWO_PI * l1 - m_f * g[0]) / float(es.d[0])
     p0 -= p_f * math.floor(p0 / p_f)
     omega_f = p0 + 2.0 * m_f * c.T * 1j
-    ph = monodromy_phases(c, p0, m_f, lam, quad_tol)
+    ph = monodromy_phases(c, p0, m_f, lam)
     if max(_phase_defect(t) for t in ph.theta) > 10.0 * phase_tol:
         raise ArithmeticError("constructed lattice generator fails the phase check")
     return PeriodVerdict(tag="Torus", lam=lam, lattice=(complex(p_f), omega_f), certificates=certs)

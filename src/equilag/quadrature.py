@@ -1,4 +1,11 @@
-"""Adaptive Simpson quadrature for smooth complex-valued integrands."""
+"""Adaptive Simpson quadrature for smooth complex-valued integrands.
+
+In the package it integrates only the beta integrals of the explicit
+Iwasawa factorization (iwasawa.beta_integrals, for the iwasawa frame route
+and the cross-checks of verification) and the defining integral of K in
+suite `elliptic`.  Lifts, grids and period phases take the closed forms of
+immersion instead; the tests use this rule as the independent route to them.
+"""
 
 from __future__ import annotations
 

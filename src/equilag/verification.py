@@ -343,7 +343,7 @@ def suite_identities(params: SurfaceParams | None = None, seed: int = 29) -> Sui
         if immersion.regime_of(c, lam) != "nonreal":
             continue
         es = eigensystem(c, lam)
-        g = np.array(immersion._g_full_period(c, lam, 1e-12))
+        g = np.array(immersion._g_full_period(c, lam))
         worst_sum = max(worst_sum, abs(float(g.sum())))
         cancel = g - iwasawa.full_period_phases(c, es, 1e-12)
         worst_cancel = max(worst_cancel, float(np.max(np.abs(cancel))))

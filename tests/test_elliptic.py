@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from equilag.elliptic import _agm_scheme, complete_K, incomplete_J, jacobi
+from equilag.elliptic import (
+    _agm_scheme,
+    _carlson_rc,
+    _carlson_rj,
+    _third_kind,
+    complete_K,
+    incomplete_J,
+    jacobi,
+)
 
 
 def oracle_J(theta: float, k: float) -> float:
@@ -200,3 +208,60 @@ class TestAgmScheme:
             assert abs(complete_K(k) - K) < 1e-15 * K
             for z, oracle in zip((0.3, -1.7, 5.9), oracles):
                 assert max(abs(a - b) for a, b in zip(jacobi(z, k), oracle)) < 1e-14
+
+
+class TestCarlson:
+    """R_C, R_J and the third-kind forms against mpmath at 30 digits."""
+
+    def test_rc_against_mpmath(self):
+        import mpmath
+
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for _ in range(400):
+            x, y = 10.0 ** rng.uniform(-8, 3, size=2)
+            if rng.uniform() < 0.2:
+                x = 0.0
+            elif rng.uniform() < 0.2:
+                y = x * (1.0 + rng.uniform(-1e-6, 1e-6))  # near the series point
+            with mpmath.workdps(30):
+                want = mpmath.elliprc(x, y)
+                worst = max(worst, float(abs(_carlson_rc(x, y) - want) / want))
+        assert worst < 2e-15
+
+    def test_rj_against_mpmath(self):
+        import mpmath
+
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for _ in range(400):
+            x, y, z, p = 10.0 ** rng.uniform(-8, 3, size=4)
+            if rng.uniform() < 0.2:
+                x = 0.0
+            with mpmath.workdps(30):
+                want = mpmath.elliprj(x, y, z, p)
+                worst = max(worst, float(abs(_carlson_rj(x, y, z, p) - want) / want))
+        assert worst < 2e-15
+
+    @pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-12, 1e-16])
+    def test_rj_as_p_tends_to_zero(self, p):
+        # R_J grows like p^(-1/2); the textbook duplication terms
+        # R_C(1, 1 + delta_m / d_m^2) cancel in 1 + delta_m / d_m^2 here
+        import mpmath
+
+        for x, y, z in ((0.0, 0.3, 1.0), (0.04, 0.6, 1.0), (3.6, 0.22, 411.0)):
+            with mpmath.workdps(30):
+                want = mpmath.elliprj(x, y, z, p)
+            assert abs(_carlson_rj(x, y, z, p) - want) < 2e-15 * want
+
+    @pytest.mark.parametrize("n", [0.999999, 0.7, 0.2, 0.0, -0.3, -40.0, -1e6, -1e12])
+    @pytest.mark.parametrize("phi", [0.2, 1.1, math.pi / 2, -0.8])
+    def test_third_kind_both_branches(self, n, phi):
+        import mpmath
+
+        k = 0.9
+        s, c = math.sin(phi), math.cos(phi)
+        got = _third_kind(n, 1.0 - n * s * s, s, c * c, 1.0 - (k * s) ** 2, k * k)
+        with mpmath.workdps(30):
+            want = float(mpmath.ellippi(n, phi, k * k))
+        assert abs(got - want) < 4e-15 * abs(want)  # relative: G_j scales Pi up

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equilag import linalg3
 from equilag.immersion import (
@@ -23,9 +25,12 @@ from equilag.immersion import (
 from equilag.metric import metric_at
 from equilag.potential import (
     HyperplaneDegenerateError,
+    SurfaceParams,
+    derive_constants,
     eigensystem,
     potential_matrix,
 )
+from phase_oracles import by_ellippi, by_quadrature
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
@@ -70,6 +75,24 @@ class TestLiftNonreal:
         g = phase_integrals(bench_nonreal, 1.0, 0.0)
         assert np.max(np.abs(g)) == 0.0
 
+    @pytest.mark.parametrize("offset", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_phase_integrals_near_real_locus(self, bench_nonreal, offset):
+        # lambda^-3 psi = e^{-3i offset}: one d_j a_i - Re is of order offset^2
+        c = bench_nonreal
+        lam = cmath.exp(1j * (math.pi / 12 + offset))
+        assert regime_of(c, lam) == "nonreal"
+        for y in (0.6 * c.T, c.T, 1.3 * c.T, 4.5 * c.T):  # n_j -> 1 bites at y = T
+            want = by_ellippi(c.a1, c.psi, lam, y)
+            g = phase_integrals(c, lam, y)
+            assert np.all(np.abs(g - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_refused_closer_to_real_locus(self, bench_nonreal):
+        c = bench_nonreal
+        lam = cmath.exp(1j * (math.pi / 12 + 1e-8))
+        assert regime_of(c, lam) == "nonreal"
+        with pytest.raises(RegimeError):
+            lift_at(c, eigensystem(c, lam), 0.3, 0.6 * c.T)
+
     def test_unit_norm_random(self, bench_nonreal):
         rng = np.random.default_rng(0)
         es = eigensystem(bench_nonreal, 1.0)
@@ -81,8 +104,17 @@ class TestLiftNonreal:
     def test_g_sum_rule(self, bench_nonreal):
         c = bench_nonreal
         for theta in (0.0, 0.35, 1.2):
-            g = phase_integrals(c, cmath.exp(1j * theta), 2.0 * c.T, tol=1e-12)
+            g = phase_integrals(c, cmath.exp(1j * theta), 2.0 * c.T)
             assert abs(g.sum()) < 1e-8
+
+    def test_phase_integrals_match_quadrature(self, bench_nonreal):
+        # the closed form against adaptive quadrature of the defining integral
+        c = bench_nonreal
+        for theta in (0.0, 0.35, 1.2):
+            lam = cmath.exp(1j * theta)
+            for y in (0.3 * c.T, 1.4 * c.T, 2.0 * c.T, 3.7 * c.T, -0.9 * c.T):
+                g = phase_integrals(c, lam, y)
+                assert np.max(np.abs(g - by_quadrature(c, lam, y))) < 1e-10
 
 
 class TestLiftReal:
@@ -305,3 +337,33 @@ def test_coefficient_derivative_matches_central_difference(bench_nonreal, bench_
         _, dp = _coefficients(c, es, y)
         fd = (_coefficients(c, es, y + h)[0] - _coefficients(c, es, y - h)[0]) / (2 * h)
         assert np.max(np.abs(dp - fd)) < 1e-8
+
+
+def _a1_for_modulus(k: float) -> float:
+    """a1 of the surface with psi = 1 and modulus k, by bisection in log a1."""
+    lo, hi = 0.0, math.log(1e4)  # k -> 0 at a1 = 1, k -> 1 as a1 grows
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if derive_constants(SurfaceParams(math.exp(mid), 1.0)).k < k:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.floats(0.3, 0.998),
+    delta=st.floats(1e-3, math.pi / 2 - 0.15),
+    quadrant=st.integers(0, 3),
+    y_over_t=st.floats(0.0, 6.0),
+)
+def test_phase_integrals_match_ellippi(k, delta, quadrant, y_over_t):
+    # arg(lambda^-3 psi) = delta from the real locus, in each quadrant
+    arg = (delta, math.pi - delta, math.pi + delta, -delta)[quadrant]
+    lam = cmath.exp(-1j * arg / 3.0)
+    c = derive_constants(SurfaceParams(_a1_for_modulus(k), 1.0))
+    y = y_over_t * c.T
+    g = phase_integrals(c, lam, y)
+    want = by_ellippi(c.a1, c.psi, lam, y)
+    assert np.all(np.abs(g - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))

@@ -22,6 +22,7 @@ from equilag.potential import (
     eigensystem,
     potential_matrix,
 )
+from phase_oracles import by_quadrature
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,20 +94,20 @@ class TestMonodromyPhases:
         assert np.allclose(ph.theta, 0.37 * es.d)
 
     def test_g_identity(self, bench_nonreal):
-        # theta_j(p=0, m=1) == + G_j(2T) from two independent quadratures
+        # theta_j(p=0, m=1) == + G_j(2T): the closed form against quadrature
         c = bench_nonreal
         for theta0 in (0.0, 0.35, 1.2):
             lam = cmath.exp(1j * theta0)
             ph = monodromy_phases(c, 0.0, 1, lam)
-            g = np.array(immersion._g_full_period(c, lam, 1e-12))
+            g = by_quadrature(c, lam, 2.0 * c.T)
             assert np.max(np.abs(ph.theta - g)) < 1e-8
 
     def test_sum_is_zero_mod_2pi(self, bench_nonreal, bench_real):
         es = eigensystem(bench_nonreal, 1.0)
-        g = np.array(immersion._g_full_period(bench_nonreal, 1.0, 1e-11))
+        g = iwasawa.full_period_phases(bench_nonreal, es)
         for theta in (
             monodromy_phases(bench_nonreal, 1.3, 2, 1.0).theta,
-            1.3 * es.d + 2 * g,  # the same phases from the lift's G_j(2T)
+            1.3 * es.d + 2 * g,  # the same phases from the beta integrals
             monodromy_phases(bench_real, 1.3, 2, 1.0).theta,
         ):
             s = theta.sum() / TWO_PI
@@ -186,8 +187,8 @@ class TestClassifyTorus:
             classify_torus(bench_sweep, cmath.exp(1j * math.pi / 6))
 
     def test_route_consistency_random(self):
-        # the G_j(2T) that classify_torus takes from the beta integrals must
-        # match the lift's own phase integrals
+        # the closed-form G_j(2T) that classify_torus takes must match the
+        # phases from the beta integrals
         rng = np.random.default_rng(3)
         done = 0
         while done < 20:
@@ -199,7 +200,7 @@ class TestClassifyTorus:
                 continue
             done += 1
             g_beta = iwasawa.full_period_phases(c, eigensystem(c, lam), 1e-11)
-            g = np.array(immersion._g_full_period(c, lam, 1e-11))
+            g = np.array(immersion._g_full_period(c, lam))
             assert np.max(np.abs(g_beta - g)) < 1e-8
 
     def test_half_shift_lattice_form(self):
