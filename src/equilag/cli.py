@@ -71,7 +71,6 @@ class JobConfig:
     sweep_start: float = 0.0
     sweep_end: float = 2.0 * math.pi
     grid: GridSpec = field(default_factory=GridSpec)
-    quadrature_tol: float = 1e-11  # parsed and echoed; no command integrates numerically
     phase_tol: float = 1e-8
     rational_tol: float = 1e-8
     max_den: int = 64
@@ -88,7 +87,6 @@ class JobConfig:
         if not all(map(math.isfinite, bounds)):
             raise ConfigError("lambda arc and grid bounds must be finite")
         for name, v in (
-            ("quadrature", self.quadrature_tol),
             ("phase", self.phase_tol),
             ("rational_tol", self.rational_tol),
         ):
@@ -115,7 +113,6 @@ _TABLE = (
     ("grid", "y_max", "y_max", float),
     ("grid", "nx", "nx", int),
     ("grid", "ny", "ny", int),
-    ("tolerances", "quadrature", "quadrature_tol", float),
     ("tolerances", "phase", "phase_tol", float),
     ("tolerances", "rational_tol", "rational_tol", float),
     ("tolerances", "max_den", "max_den", int),

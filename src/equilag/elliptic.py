@@ -12,21 +12,50 @@ integrals with Carlson's symmetric forms R_F, R_C and R_J by duplication
 All routes are independent of each other up to the shared AGM scale, and
 accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
 as k -> 1.
+
+`jacobi`, `_carlson_rf`, `_carlson_rc`, `_carlson_rj` and `_third_kind`
+also take numpy arrays in their varying arguments (the argument z; the
+integrals' x, y, z, p and the amplitude's sines) and then act elementwise
+with numpy's elementary functions; the modulus, n and k^2 stay scalars.
+Python floats keep the `math` path and return floats.  A duplication loop
+over an array runs until every element meets Carlson's stop rule, and each
+element stops where it meets it, so the integrals agree bit for bit with
+the float path.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
+
+import numpy as np
+
+
+_Real = float | np.ndarray  # a float, or an array taken elementwise
+# bound once: the float path pays for this type test on every call
+_ndarray = np.ndarray
+
+
+def _largest(*vs: np.ndarray) -> np.ndarray:
+    """Elementwise max() of arrays."""
+    return reduce(np.maximum, vs)
+
+
+# (sqrt, largest) of the float path and of the array path
+_CARLSON_MATH = (math.sqrt, max)
+_CARLSON_NUMPY = (np.sqrt, _largest)
+# (sin, cos, asin, sqrt, round, largest, smallest), in the same way
+_JACOBI_MATH = (math.sin, math.cos, math.asin, math.sqrt, round, max, min)
+_JACOBI_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt, np.round, _largest, np.minimum)
 
 
 class JacobiTriple(NamedTuple):
     """Values (sn z, cn z, dn z) at a common argument and modulus."""
 
-    sn: float
-    cn: float
-    dn: float
+    sn: _Real
+    cn: _Real
+    dn: _Real
 
 
 def _check_modulus(k: float, allow_one: bool = False) -> None:
@@ -55,6 +84,15 @@ def _agm_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...], tuple[f
     return tuple(a), tuple(b), tuple(c)
 
 
+def _keep_done(go, after: tuple, before: tuple) -> tuple:
+    """A duplication step's state on the elements still short of the stop rule.
+
+    The others keep their state from before the step, so that every element
+    of an array takes exactly the steps it would take alone.
+    """
+    return tuple(np.where(go, new, old) for new, old in zip(after, before))
+
+
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind K(k) via the AGM.
 
@@ -66,19 +104,25 @@ def complete_K(k: float) -> float:
     return math.pi / (2.0 * a[-1])
 
 
-def _carlson_rf(x: float, y: float, z: float) -> float:
+def _carlson_rf(x: _Real, y: _Real, z: _Real) -> _Real:
     """Carlson symmetric integral R_F(x, y, z) by duplication."""
     A = (x + y + z) / 3.0
-    Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * max(abs(A - x), abs(A - y), abs(A - z))
+    array = isinstance(A, _ndarray)
+    sqrt, largest = _CARLSON_NUMPY if array else _CARLSON_MATH
+    Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * largest(abs(A - x), abs(A - y), abs(A - z))
     f = 1.0
-    while Q * f >= abs(A):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+    while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
+        if array:
+            before = x, y, z, A, f
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         z = 0.25 * (z + lam)
         A = 0.25 * (A + lam)
-        f *= 0.25
+        f = 0.25 * f  # not in place: an array f is also held in before
+        if array:
+            x, y, z, A, f = _keep_done(go, (x, y, z, A, f), before)
     # fifth-order Taylor tail in the symmetric elementary functions
     X = 1.0 - x / A
     Y = 1.0 - y / A
@@ -94,29 +138,35 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
         - 5.0 * E2**3 / 208.0
         + 3.0 * E3 * E3 / 104.0
         + E2 * E2 * E3 / 16.0
-    ) / math.sqrt(A)
+    ) / sqrt(A)
 
 
-def _carlson_rc(x: float, y: float) -> float:
+def _carlson_rc(x: _Real, y: _Real) -> _Real:
     """Carlson degenerate integral R_C(x, y), x >= 0, y > 0, by duplication."""
     A = (x + 2.0 * y) / 3.0
+    array = isinstance(A, _ndarray)
+    sqrt, largest = _CARLSON_NUMPY if array else _CARLSON_MATH
     s0 = y - A
     Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * abs(A - x)
     f = 1.0
-    while Q * f >= abs(A):
-        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
+    while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
+        lam = 2.0 * sqrt(x) * sqrt(y) + y
+        if array:
+            before = x, y, A, f
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         A = 0.25 * (A + lam)
-        f *= 0.25
+        f = 0.25 * f  # not in place: an array f is also held in before
+        if array:
+            x, y, A, f = _keep_done(go, (x, y, A, f), before)
     s = s0 * f / A
     return (
         1.0 + s * s * (3.0 / 10.0 + s * (1.0 / 7.0 + s * (3.0 / 8.0 + s * (
             9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0)))))
-    ) / math.sqrt(A)
+    ) / sqrt(A)
 
 
-def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
+def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     """Carlson symmetric integral R_J(x, y, z, p), x, y, z >= 0, p > 0.
 
     Carlson's duplication sums terms R_C(1, 1 + delta_m / d_m^2) with
@@ -126,21 +176,27 @@ def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
     here because it keeps full accuracy as p -> 0+, where the sum cancels.
     """
     A0 = A = (x + y + z + 2.0 * p) / 5.0
+    array = isinstance(A, _ndarray)
+    sqrt, largest = _CARLSON_NUMPY if array else _CARLSON_MATH
     x0, y0, z0 = x, y, z
-    Q = (0.25 * 2.3e-16) ** (-1.0 / 6.0) * max(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
+    Q = (0.25 * 2.3e-16) ** (-1.0 / 6.0) * largest(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
     f = 1.0
     acc = 0.0
-    while Q * f >= abs(A):
-        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
+    while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
+        sx, sy, sz, sp = sqrt(x), sqrt(y), sqrt(z), sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
-        acc += f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)
+        if array:
+            before = acc, x, y, z, p, A, f
+        acc = acc + f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)  # not in place, as f
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         z = 0.25 * (z + lam)
         p = 0.25 * (p + lam)
         A = 0.25 * (A + lam)
-        f *= 0.25
+        f = 0.25 * f  # not in place: an array f is also held in before
+        if array:
+            acc, x, y, z, p, A, f = _keep_done(go, (acc, x, y, z, p, A, f), before)
     # fifth-order Taylor tail in the symmetric elementary functions
     X = (A0 - x0) * f / A
     Y = (A0 - y0) * f / A
@@ -151,7 +207,7 @@ def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
     E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P * P2
     E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P * P2) * P
     E5 = X * Y * Z * P2
-    return f / (A * math.sqrt(A)) * (
+    return f / (A * sqrt(A)) * (
         1.0
         - 3.0 * E2 / 14.0
         + E3 / 6.0
@@ -162,7 +218,7 @@ def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
     ) + 6.0 * acc
 
 
-def _third_kind(n: float, p: float, s: float, c2: float, d2: float, k2: float) -> float:
+def _third_kind(n: float, p: _Real, s: _Real, c2: _Real, d2: _Real, k2: float) -> _Real:
     """Pi(n; phi, k) for n < 1 and |phi| <= pi/2, from the amplitude's sines.
 
     s = sin phi, c2 = cos^2 phi, d2 = 1 - k^2 s^2, k2 = k^2 and
@@ -172,15 +228,19 @@ def _third_kind(n: float, p: float, s: float, c2: float, d2: float, k2: float) -
     (https://dlmf.nist.gov/19.25.E14); for n < 0 that sum cancels as
     n -> -inf, and the equivalent form
     s R_C(c2 d2, p q) - k^2 s^3 / (3n) R_J(c2, d2, 1, q), q = 1 - k^2 s^2 / n,
-    whose two terms share one sign, is used instead.
+    whose two terms share one sign, is used instead.  p, s, c2 and d2 may
+    be arrays of one shape; s = 0 gives 0.
     """
-    if s == 0.0:
+    array = isinstance(s, _ndarray)
+    if not array and s == 0.0:
         return 0.0
     s3 = s * s * s
     if n >= 0.0:
-        return s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
-    q = 1.0 - k2 * s * s / n
-    return s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
+        val = s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
+    else:
+        q = 1.0 - k2 * s * s / n
+        val = s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
+    return np.where(s == 0.0, 0.0, val) if array else val
 
 
 def incomplete_J(theta: float, k: float) -> float:
@@ -203,31 +263,36 @@ def incomplete_J(theta: float, k: float) -> float:
     return val
 
 
-def jacobi(z: float, k: float) -> JacobiTriple:
+def jacobi(z: _Real, k: float) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn at real argument z.
 
     Uses the AGM phase recursion after reducing z modulo the real period
     4K(k).  The limits k = 0 (circular) and k = 1 (hyperbolic) are exact
     closed forms.  Inverts incomplete_J: sn(J(theta, k), k) = sin(theta).
+    z may be an array: the AGM scheme of k is shared and the phase
+    recursion runs elementwise, giving a triple of arrays.
     """
     _check_modulus(k, allow_one=True)
-    if not math.isfinite(z):
+    array = isinstance(z, _ndarray)
+    sin, cos, asin, sqrt, rnd, largest, smallest = _JACOBI_NUMPY if array else _JACOBI_MATH
+    if not (np.isfinite(z).all() if array else math.isfinite(z)):
         raise ValueError(f"argument must be finite, got {z}")
     if k == 0.0:
-        return JacobiTriple(math.sin(z), math.cos(z), 1.0)
+        return JacobiTriple(sin(z), cos(z), np.ones_like(z) if array else 1.0)
     if k == 1.0:
-        return JacobiTriple(math.tanh(z), 1.0 / math.cosh(z), 1.0 / math.cosh(z))
+        sech = 1.0 / (np.cosh if array else math.cosh)(z)
+        return JacobiTriple((np.tanh if array else math.tanh)(z), sech, sech)
 
     a, _, c = _agm_scheme(k)
     n_last = len(a) - 1
     K = math.pi / (2.0 * a[-1])
-    z = z - 4.0 * K * round(z / (4.0 * K))
+    z = z - 4.0 * K * rnd(z / (4.0 * K))
 
     phi = (2.0**n_last) * a[-1] * z
     for n in range(n_last, 0, -1):
-        s = c[n] / a[n] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, s))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(0.0, 1.0 - (k * sn) * (k * sn)))
+        s = c[n] / a[n] * sin(phi)
+        phi = 0.5 * (phi + asin(largest(-1.0, smallest(1.0, s))))
+    sn = sin(phi)
+    cn = cos(phi)
+    dn = sqrt(largest(0.0, 1.0 - (k * sn) * (k * sn)))
     return JacobiTriple(sn, cn, dn)

@@ -34,6 +34,11 @@ Both forms give |F| = 1 identically, F(0, 0) = e_3, and agree exactly with
 the third frame column of the explicit Iwasawa route wherever that route is
 defined.  The full frame is recovered from the lift and its analytic
 derivatives as F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F).
+
+`phase_integrals` and the coefficient kernel `_coefficients` take a float y
+or a 1-D array of them; `sample_grid` makes one array pass per grid, one
+`jacobi` call for all rows.  The pointwise functions (`lift_at`, the regime
+lifts, `frame_from_lift`, `verify_geometry`) keep the float path.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import iwasawa
-from .elliptic import _third_kind, jacobi
+from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
-from .metric import metric_at
+from .metric import _from_jacobi, metric_at
 from .potential import (
     DerivedConstants,
     EigenSystem,
@@ -171,35 +176,40 @@ def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, flo
     )
 
 
-def _phase_terms(c: DerivedConstants, lam: complex, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d_j e^u - Re, G_j) at y, both in closed form.
+def _phase_terms(
+    c: DerivedConstants, lam: complex, y: float | np.ndarray, sn, cn
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_j e^u - Re, G_j) at y, both in closed form, from sn and cn of r y.
 
     With m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
     sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
     G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
+    An array y of shape (ny,) gives rows of shape (ny, 3), with m per row.
     """
     g = _g_segment(c, lam)
     k2, kp2 = _moduli(c)
-    sn, cn, _ = jacobi(c.r * y, c.k)
-    m = round(y / (2.0 * c.T))
-    s = -sn if m % 2 else sn
+    array = isinstance(y, np.ndarray)
+    m = (np.round if array else round)(y / (2.0 * c.T))
+    s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
     c2 = cn * cn
     d2 = kp2 + k2 * c2
-    p = np.array([
-        omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)
-    ])
+    p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
     phases = np.array([
         pre * _third_kind(n, pj, s, c2, d2, k2) for pre, n, pj in zip(g.pre, g.n, p)
-    ])
-    if m:
-        phases += m * np.array(_g_full_period(c, lam))
-    return np.array(g.den0) * p, phases
+    ]).T
+    if m.any() if array else m:
+        phases += np.multiply.outer(m, _g_full_period(c, lam))
+    return np.array(g.den0) * np.array(p).T, phases
 
 
-def phase_integrals(c: DerivedConstants, lam: complex, y: float) -> np.ndarray:
-    """G_j(y), ordered like eigensystem(c, lam).d; G_j(y+2mT) = G_j(y) + m G_j(2T)."""
-    return _phase_terms(c, complex(lam), y)[1]
+def phase_integrals(c: DerivedConstants, lam: complex, y: float | np.ndarray) -> np.ndarray:
+    """G_j(y), ordered like eigensystem(c, lam).d; G_j(y+2mT) = G_j(y) + m G_j(2T).
+
+    An array y of shape (ny,) gives the phases as rows of shape (ny, 3).
+    """
+    sn, cn, _ = jacobi(c.r * y, c.k)
+    return _phase_terms(c, complex(lam), y, sn, cn)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +238,46 @@ def _real_assignment(c: DerivedConstants, es: EigenSystem):
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _coefficients(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum_j p_j l_j."""
+def _coefficients(
+    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, jac: JacobiTriple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum_j p_j l_j.
+
+    A float y gives two arrays of shape (3,) by the math path; an array y
+    of shape (ny,) gives rows of shape (ny, 3) from one `jacobi` call.
+    jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
+    as well.
+    """
     regime = regime_of(c, es.lam)
+    if regime == "imaginary":
+        raise HyperplaneDegenerateError(
+            "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
+        )
+    sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
+    array = isinstance(y, np.ndarray)
     if regime == "real":
         idx, cs = _real_assignment(c, es)
-        sn, cn, dn = jacobi(c.r * y, c.k)
-        p = np.zeros(3)
-        dp = np.zeros(3)
+        # rows j first, so that a float y writes scalar elements
+        p = np.zeros((3, *y.shape) if array else 3)
+        dp = np.zeros(p.shape)
         p[idx[0]], p[idx[1]], p[idx[2]] = cs[0] * sn, cs[1] * cn, cs[2] * dn
         dp[idx[0]] = cs[0] * c.r * cn * dn
         dp[idx[1]] = -cs[1] * c.r * sn * dn
         dp[idx[2]] = -cs[2] * c.r * c.k**2 * sn * cn
-        return p, dp
-    if regime == "nonreal":
-        v = c.psi / es.lam**3
-        m = metric_at(c, y)
-        den, g = _phase_terms(c, es.lam, y)
-        h2 = den / (es.d**3 - v.real)
-        if np.any(h2 < -1e-10):
-            raise ArithmeticError(
-                "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
-            )
-        p = np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g)
-        # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
-        dp = es.d * p * (m.u_prime * m.w + 2j * v.imag) / (2.0 * den)
-        return p, dp
-    raise HyperplaneDegenerateError(
-        "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
-    )
+        return p.T, dp.T
+    v = c.psi / es.lam**3
+    m = _from_jacobi(c, y, (sn, cn, dn))
+    den, g = _phase_terms(c, es.lam, y, sn, cn)
+    h2 = den / (es.d**3 - v.real)
+    if np.any(h2 < -1e-10):
+        raise ArithmeticError(
+            "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
+        )
+    p = np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g)
+    # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
+    rate = m.u_prime * m.w + 2j * v.imag
+    dp = es.d * p * (rate[..., None] if array else rate) / (2.0 * den)
+    return p, dp
 
 
 def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
@@ -282,14 +303,15 @@ def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> "iwasawa.F
     lam = _check_unit(lam)
     z = complex(z)
     es = eigensystem(c, lam)
-    p, dp = _coefficients(c, es, z.imag)
+    jac = jacobi(c.r * z.imag, c.k)
+    p, dp = _coefficients(c, es, z.imag, jac)
     phase = np.exp(1j * es.d * z.real)
     F = (p * phase) @ es.vectors
     Fx = (1j * es.d * p * phase) @ es.vectors
     Fy = (dp * phase) @ es.vectors
     fz = (Fx - 1j * Fy) / 2.0
     fzb = (Fx + 1j * Fy) / 2.0
-    eu2 = math.sqrt(metric_at(c, z.imag).w)
+    eu2 = math.sqrt(_from_jacobi(c, z.imag, jac).w)
     col1 = -1j * lam * fz / eu2
     col2 = fzb / (1j * lam * eu2)
     mat = np.stack([col1, col2, F], axis=1)
@@ -336,9 +358,10 @@ def sample_grid(
 ) -> GridSample:
     """Lift on a rectangular grid with the regime-appropriate route.
 
-    The eigensystem and the full-period phases are computed once per grid
-    and every row in closed form.  Chart-singular cells are flagged and
-    carry NaN chart coordinates; the lift itself is defined everywhere.
+    One array pass: the eigensystem and the full-period phases are computed
+    once per grid, and the coefficients of every row, with e^u, come from
+    one `jacobi` call on the array of y.  Chart-singular cells are flagged
+    and carry NaN chart coordinates; the lift itself is defined everywhere.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx >= 2 and ny >= 2")
@@ -346,18 +369,15 @@ def sample_grid(
     es = eigensystem(c, lam)
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
-    F = np.empty((ny, nx, 3), dtype=complex)
-    e_u = np.empty(ny)
-    phase = np.exp(1j * np.outer(xs, es.d))  # (nx, 3)
-    for iy, y in enumerate(ys):
-        e_u[iy] = metric_at(c, y).w
-        p, _ = _coefficients(c, es, y)
-        F[iy] = (phase * p) @ es.vectors
+    jac = jacobi(c.r * ys, c.k)
+    p, _ = _coefficients(c, es, ys, jac)                     # (ny, 3)
+    phase = np.exp(1j * np.outer(xs, es.d))                  # (nx, 3)
+    F = (p[:, None, :] * phase) @ es.vectors                 # (ny, nx, 3)
     flags = np.abs(F[:, :, 2]) <= 1e-8
-    chart = np.full((ny, nx, 2), np.nan, dtype=complex)
-    ok = ~flags
-    chart[ok, 0] = F[ok, 0] / F[ok, 2]
-    chart[ok, 1] = F[ok, 1] / F[ok, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chart = F[:, :, :2] / F[:, :, 2:]
+    chart[flags] = np.nan
+    e_u = _from_jacobi(c, ys, jac).w
     return GridSample(lam=lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
 
 
@@ -395,33 +415,35 @@ def verify_geometry(
     v = c.psi / lam**3
     re0, im0 = v.real, v.imag
 
-    def ev(x: float, y: float) -> np.ndarray:
-        p, _ = _coefficients(c, es, y)
+    def ev(x: float, p: np.ndarray) -> np.ndarray:
         return (p * np.exp(1j * es.d * x)) @ es.vectors
 
+    # every stencil needs p_j only at y - h, y and y + h: once per y
+    h = step
+    rows = [
+        (metric_at(c, y), *(_coefficients(c, es, t)[0] for t in (y - h, y, y + h))) for y in ys
+    ]
     rep = {f.name: 0.0 for f in fields(GeometryReport) if f.name not in ("points", "flagged")}
     flagged = 0
     points = 0
-    h = step
     for x in xs:
-        for y in ys:
+        for m, pm, p0, pp in rows:
             points += 1
-            F = ev(x, y)
+            F = ev(x, p0)
             rep["unit_norm"] = max(rep["unit_norm"], abs(np.linalg.norm(F) - 1.0))
             if abs(F[2]) <= 1e-8:
                 flagged += 1
-            fxp, fxm = ev(x + h, y), ev(x - h, y)
-            fyp, fym = ev(x, y + h), ev(x, y - h)
+            fxp, fxm = ev(x + h, p0), ev(x - h, p0)
+            fyp, fym = ev(x, pp), ev(x, pm)
             Fx = (fxp - fxm) / (2 * h)
             Fy = (fyp - fym) / (2 * h)
             Fxx = (fxp - 2 * F + fxm) / h**2
             Fyy = (fyp - 2 * F + fym) / h**2
-            Fxy = (ev(x + h, y + h) - ev(x + h, y - h) - ev(x - h, y + h) + ev(x - h, y - h)) / (4 * h**2)
+            Fxy = (ev(x + h, pp) - ev(x + h, pm) - ev(x - h, pp) + ev(x - h, pm)) / (4 * h**2)
             Fz = (Fx - 1j * Fy) / 2
             Fzb = (Fx + 1j * Fy) / 2
             Fzzb = (Fxx + Fyy) / 4
             Fzz = (Fxx - Fyy - 2j * Fxy) / 4
-            m = metric_at(c, y)
             w = m.w
             rep["horizontality"] = max(
                 rep["horizontality"], abs(herm_inner(Fz, F)), abs(herm_inner(Fzb, F))
@@ -437,7 +459,7 @@ def verify_geometry(
 
             # third x-derivative: fourth-order central stencil, larger step
             H = ode_step
-            sten = [ev(x + j * H, y) for j in (-3, -2, -1, 1, 2, 3)]
+            sten = [ev(x + j * H, p0) for j in (-3, -2, -1, 1, 2, 3)]
             d3 = (sten[0] - 8 * sten[1] + 13 * sten[2] - 13 * sten[3] + 8 * sten[4] - sten[5]) / (8 * H**3)
             d1 = (sten[1] - 8 * sten[2] + 8 * sten[3] - sten[4]) / (12 * H)
             rep["x_ode"] = max(
@@ -448,11 +470,8 @@ def verify_geometry(
             rhs = (0.25 * m.u_prime**2 * w**2 + im0**2) * es.d
             rep["factor_identity"] = max(rep["factor_identity"], float(np.max(np.abs(lhs - rhs))))
 
-            pj, _ = _coefficients(c, es, y)
-            pjp, _ = _coefficients(c, es, y + h)
-            pjm, _ = _coefficients(c, es, y - h)
-            dpj = (pjp - pjm) / (2 * h)
-            ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * pj
+            dpj = (pp - pm) / (2 * h)
+            ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * p0
             rep["scalar_ode"] = max(rep["scalar_ode"], float(np.max(np.abs(ode))))
 
     return GeometryReport(points=points, flagged=flagged, **rep)

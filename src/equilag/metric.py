@@ -6,7 +6,8 @@ equation, w = e^u, is solved in closed form by
     w(y) = a1 (1 - q^2 sn^2(r y, k)),
 
 an even function of y with period 2T, ranging over [a2, a1].  The derivative
-follows from d/dz sn = cn dn.
+follows from d/dz sn = cn dn.  `metric_at` takes a float y or an array of
+them; an array gives a MetricSample of arrays from one `jacobi` call.
 """
 
 from __future__ import annotations
@@ -14,25 +15,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import jacobi
+import numpy as np
+
+from .elliptic import JacobiTriple, jacobi
 from .potential import DerivedConstants
 
 
 @dataclass(frozen=True)
 class MetricSample:
-    y: float
-    w: float        # e^{u(y)}
-    w_prime: float
-    u: float
-    u_prime: float
+    """Floats at a float y, arrays of y's shape at an array."""
+
+    y: float | np.ndarray
+    w: float | np.ndarray        # e^{u(y)}
+    w_prime: float | np.ndarray
+    u: float | np.ndarray
+    u_prime: float | np.ndarray
 
 
-def metric_at(c: DerivedConstants, y: float) -> MetricSample:
+def metric_at(c: DerivedConstants, y: float | np.ndarray) -> MetricSample:
     """Conformal factor and derivatives at coordinate y."""
-    sn, cn, dn = jacobi(c.r * y, c.k)
+    return _from_jacobi(c, y, jacobi(c.r * y, c.k))
+
+
+def _from_jacobi(c: DerivedConstants, y: float | np.ndarray, jac: JacobiTriple) -> MetricSample:
+    """metric_at(c, y) from jac = jacobi(c.r * y, c.k), for callers that hold it."""
+    sn, cn, dn = jac
     w = c.a1 * (1.0 - c.q2 * sn * sn)
     wp = -2.0 * c.a1 * c.q2 * c.r * sn * cn * dn
-    return MetricSample(y=y, w=w, w_prime=wp, u=math.log(w), u_prime=wp / w)
+    log = math.log if isinstance(w, float) else np.log
+    return MetricSample(y=y, w=w, w_prime=wp, u=log(w), u_prime=wp / w)
 
 
 def first_integral_residual(c: DerivedConstants, y: float) -> float:

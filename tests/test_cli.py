@@ -55,6 +55,12 @@ class TestConfig:
         assert cfg == cfg2
         assert render_config(cfg2) == echoed
 
+    def test_retired_quadrature_key_is_ignored(self):
+        # [tolerances] quadrature governed nothing and is gone; old configs still parse
+        cfg = parse_config(BASE_CONFIG.replace("quadrature = 1e-11", "quadrature = -1"))
+        assert cfg == parse_config(BASE_CONFIG)
+        assert "quadrature" not in render_config(cfg)
+
     def test_polar_psi(self):
         cfg = parse_config(
             "[surface]\na1 = 1.0\npsi_mod = 2.0\npsi_arg = 1.5707963267948966\n"
@@ -78,8 +84,6 @@ class TestConfig:
             parse_config(BASE_CONFIG.replace("nx = 6", "nx = 1"))
         with pytest.raises(ConfigError):
             parse_config(BASE_CONFIG.replace("format = csv", "format = stl"))
-        with pytest.raises(ConfigError):
-            parse_config(BASE_CONFIG.replace("quadrature = 1e-11", "quadrature = -1"))
         with pytest.raises(ConfigError):
             parse_config(BASE_CONFIG.replace("x_max = 2.0", "x_max = inf"))
         with pytest.raises(ConfigError):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from equilag.elliptic import (
     _agm_scheme,
     _carlson_rc,
+    _carlson_rf,
     _carlson_rj,
     _third_kind,
     complete_K,
@@ -265,3 +269,106 @@ class TestCarlson:
         with mpmath.workdps(30):
             want = float(mpmath.ellippi(n, phi, k * k))
         assert abs(got - want) < 4e-15 * abs(want)  # relative: G_j scales Pi up
+
+
+def _log_uniform(lo: int, hi: int):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _within_ulps(got: np.ndarray, want, ulps: int = 4, scale=None) -> bool:
+    """Elementwise |got - want| <= ulps units in the last place of want (or of scale)."""
+    want = np.asarray(want, dtype=float)
+    ref = np.abs(want) if scale is None else scale
+    return bool(np.all(np.abs(got - want) <= ulps * np.spacing(ref)))
+
+
+class TestArrayPath:
+    """Arrays take numpy's elementwise path; each element must match the float path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.floats(0.0, 0.998),
+        z=arrays(np.float64, st.integers(1, 40), elements=st.floats(-30.0, 30.0)),
+    )
+    def test_jacobi(self, k, z):
+        got = jacobi(z, k)
+        want = np.array([jacobi(float(zi), k) for zi in z]).T
+        for g, w in zip(got, want):
+            assert g.shape == z.shape
+            # sn, cn and dn lie in [-1, 1]: their accuracy is absolute
+            assert _within_ulps(g, w, scale=1.0)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_jacobi_closed_form_limits(self, k):
+        z = np.linspace(-3.0, 3.0, 13)
+        got = jacobi(z, k)
+        want = np.array([jacobi(float(zi), k) for zi in z]).T
+        for g, w in zip(got, want):
+            assert g.shape == z.shape
+            assert _within_ulps(g, w, scale=1.0)
+        with pytest.raises(ValueError):
+            jacobi(np.array([0.3, math.nan]), 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), _log_uniform(-8, 3)),
+                _log_uniform(-8, 3), _log_uniform(-8, 3), _log_uniform(-16, 3),
+            ),
+            min_size=1, max_size=30,
+        )
+    )
+    # elements that stop at different steps of the duplication: an element
+    # that took the slowest one's extra steps would miss by 6 ulp in R_J
+    @example([
+        (1.0815033123087217e-08, 2.0702454031022626e-08, 2.2033830068875957e-05, 2.2682628688600983e-07),
+        (0.0008318300905206765, 15.568629100968383, 6.972842880569993e-06, 4.655634050106779e-06),
+        (0.28535887641271596, 0.00037897870472929616, 1.088102962527201, 0.04475283445566671),
+        (0.08157833949519347, 5.0917280266074045e-06, 0.0328709553036143, 1.0989043252706183),
+        (7.414101209699589, 2.799543608359394e-06, 87.82128473592884, 1.7983425606317195e-05),
+        (4.871447624080009e-07, 0.1445815939058655, 0.5137491412486238, 6.116892542643433e-05),
+        (0.000258943759061069, 3.3590899089419135e-08, 1.7338550510542756e-05, 6.789285680093467),
+        (0.05631121809298778, 4.8864797228316555e-06, 3.6862341081724646e-05, 349.35949859030666),
+    ])
+    def test_carlson(self, args):
+        x, y, z, p = (np.array(col) for col in zip(*args))
+        assert _within_ulps(_carlson_rf(x, y, z), [_carlson_rf(*a[:3]) for a in args])
+        assert _within_ulps(_carlson_rc(x, y), [_carlson_rc(*a[:2]) for a in args])
+        # p -> 0+ as low as 1e-16, where R_J grows like p^(-1/2)
+        assert _within_ulps(_carlson_rj(x, y, z, p), [_carlson_rj(*a) for a in args])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # for -1e-205 < n < 0, q = 1 - k^2 s^2 / n overflows R_J's duplication
+        # terms and both paths give NaN alike
+        n=st.one_of(
+            st.floats(-1e12, 0.999999).filter(lambda n: n >= 0.0 or n < -1e-200),
+            st.sampled_from([0.0, 0.999999, -1e12]),
+        ),
+        k=st.floats(0.0, 0.998),
+        phi=st.lists(
+            st.one_of(st.just(0.0), st.floats(-math.pi / 2, math.pi / 2)), min_size=1, max_size=20
+        ),
+    )
+    def test_third_kind(self, n, k, phi):
+        # the caller's forms: p = (1 - n) + n cos^2 for n > 0 keeps p -> 0+ accurate
+        def args(s, c):
+            p = (1.0 - n) + n * c * c if n > 0.0 else 1.0 - n * s * s
+            return n, p, s, c * c, 1.0 - (k * s) ** 2, k * k
+
+        s, c = np.sin(phi), np.cos(phi)
+        got = _third_kind(*args(s, c))
+        want = [_third_kind(*args(float(si), float(ci))) for si, ci in zip(s, c)]
+        assert _within_ulps(got, want)
+        assert np.all(got[s == 0.0] == 0.0)
+
+    def test_floats_stay_python_floats(self):
+        # the scalar path must not pay for numpy scalars
+        assert all(type(v) is float for v in jacobi(0.7, 0.6))
+        assert all(type(v) is float for v in jacobi(0.7, 0.0))
+        assert type(_carlson_rf(0.2, 0.5, 1.0)) is float
+        assert type(_carlson_rc(0.2, 0.5)) is float
+        assert type(_carlson_rj(0.2, 0.5, 1.0, 1e-9)) is float
+        assert type(_third_kind(0.5, 0.9, 0.3, 0.91, 0.9, 0.25)) is float
+        assert type(_third_kind(-4.0, 1.36, 0.3, 0.91, 0.9, 0.25)) is float

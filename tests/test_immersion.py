@@ -240,6 +240,37 @@ class TestGrid:
         with pytest.raises(ValueError):
             sample_grid(bench_nonreal, 1.0, (0, 1), (0, 1), 1, 8)
 
+    @pytest.mark.parametrize("case", ["nonreal", "real", "near_locus"])
+    def test_every_cell_matches_lift_at(self, bench_nonreal, bench_real, case):
+        # the one array pass against the float path, cell by cell; the rows
+        # span m = round(y / 2T) from -1 to 2, so both parities and m < 0
+        c, lam = {
+            "nonreal": (bench_nonreal, cmath.exp(0.3j)),
+            "real": (bench_real, 1.0),
+            "near_locus": (bench_nonreal, cmath.exp(1j * (math.pi / 12 + 1e-6))),
+        }[case]
+        assert regime_of(c, lam) == ("real" if case == "real" else "nonreal")
+        es = eigensystem(c, lam)
+        g = sample_grid(c, lam, (-1.0, 2.0), (-2.5 * c.T, 4.5 * c.T), 7, 41)
+        for iy, y in enumerate(g.ys):
+            assert abs(g.e_u[iy] - metric_at(c, y).w) < 1e-13 * c.a1
+            for ix, x in enumerate(g.xs):
+                assert np.max(np.abs(lift_at(c, es, x, y).F - g.F[iy, ix])) < 1e-13
+        ok = ~g.flags
+        assert np.array_equal(g.chart[ok], np.stack([g.F[ok, 0], g.F[ok, 1]], -1) / g.F[ok, 2:])
+
+    def test_refusals_through_the_array_path(self, bench_nonreal, bench_sweep):
+        c = bench_nonreal
+        lam = cmath.exp(1j * (math.pi / 12 + 1e-8))
+        assert regime_of(c, lam) == "nonreal"
+        with pytest.raises(RegimeError):
+            sample_grid(c, lam, (0.0, 1.0), (0.0, 2.0 * c.T), 4, 6)
+        with pytest.raises(RegimeError):
+            _coefficients(c, eigensystem(c, lam), np.linspace(0.0, 2.0 * c.T, 6))
+        hyperplane = cmath.exp(1j * math.pi / 6)
+        with pytest.raises(HyperplaneDegenerateError):
+            sample_grid(bench_sweep, hyperplane, (0.0, 1.0), (0.0, 1.0), 4, 6)
+
 
 @pytest.fixture(scope="module")
 def reports(bench_nonreal, bench_real):
@@ -337,6 +368,25 @@ def test_coefficient_derivative_matches_central_difference(bench_nonreal, bench_
         _, dp = _coefficients(c, es, y)
         fd = (_coefficients(c, es, y + h)[0] - _coefficients(c, es, y - h)[0]) / (2 * h)
         assert np.max(np.abs(dp - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("regime", ["nonreal", "real"])
+def test_coefficient_rows_match_float_calls(bench_nonreal, bench_real, regime):
+    # an array of y gives the rows the float path gives one y at a time
+    c = bench_nonreal if regime == "nonreal" else bench_real
+    es = eigensystem(c, 1.0)
+    ys = np.linspace(-2.5 * c.T, 4.5 * c.T, 29)
+    p, dp = _coefficients(c, es, ys)
+    assert p.shape == dp.shape == (29, 3)
+    for i, y in enumerate(ys):
+        p1, dp1 = _coefficients(c, es, float(y))
+        assert np.max(np.abs(p[i] - p1)) < 1e-14
+        assert np.max(np.abs(dp[i] - dp1)) < 1e-14 * max(1.0, float(np.max(np.abs(dp1))))
+    if regime == "nonreal":
+        g = phase_integrals(c, 1.0, ys)
+        assert g.shape == (29, 3)
+        for i, y in enumerate(ys):
+            assert np.max(np.abs(g[i] - phase_integrals(c, 1.0, float(y)))) < 1e-13
 
 
 def _a1_for_modulus(k: float) -> float:

@@ -64,3 +64,16 @@ def test_gauss_equation(bench_nonreal, frac):
 def test_gauss_equation_other_surface(bench_real):
     for y in (0.0, bench_real.T / 2.0, 1.1):
         assert gauss_residual(bench_real, y) < 1e-5
+
+
+def test_array_matches_float_path(bench_nonreal):
+    c = bench_nonreal
+    ys = np.linspace(-3.0 * c.T, 3.0 * c.T, 25)
+    m = metric_at(c, ys)
+    for field in ("w", "w_prime", "u", "u_prime"):
+        got = getattr(m, field)
+        assert got.shape == ys.shape
+        want = np.array([getattr(metric_at(c, float(y)), field) for y in ys])
+        assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, float(np.max(np.abs(want))))
+    # a float keeps the math path: Python floats, not numpy scalars
+    assert all(type(getattr(metric_at(c, 0.4), f)) is float for f in ("w", "w_prime", "u", "u_prime"))
