@@ -3,8 +3,8 @@
 Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
 Exit codes: 0 ok, 2 config error, 3 degenerate surface class or refused
-input (lambda too close to the real locus, failed quadrature or
-certificate), 4 verification failure.
+input (lambda too close to the real locus, on the singular locus of the
+Iwasawa factorization, or a failed certificate), 4 verification failure.
 
 All numeric output is formatted to 17 significant digits, so identical
 configurations reproduce byte-identical files.
@@ -240,7 +240,7 @@ def _generic_constants(cfg: JobConfig, lam: complex | None = None) -> DerivedCon
     """Derived constants of the configured surface, generic at lam when given.
 
     Raises DegenerateSurface for a degenerate class, and ConfigError for
-    a1 < |psi|^(2/3) or where k rounds to 1 in double precision.
+    a1 < |psi|^(2/3) or a modulus k too close to 1 (derive_constants).
     """
     params = SurfaceParams(cfg.a1, cfg.psi)
     tag = classify(params, lam)
@@ -545,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except (RegimeError, ArithmeticError) as exc:
         # RegimeError: lambda too close to the real locus for the non-real
-        # route; ArithmeticError covers QuadratureError and failed certificates
+        # route; ArithmeticError covers SingularLocusError and failed certificates
         print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except OSError as exc:

@@ -228,14 +228,16 @@ def _third_kind(n: float, p: _Real, s: _Real, c2: _Real, d2: _Real, k2: float) -
     (https://dlmf.nist.gov/19.25.E14); for n < 0 that sum cancels as
     n -> -inf, and the equivalent form
     s R_C(c2 d2, p q) - k^2 s^3 / (3n) R_J(c2, d2, 1, q), q = 1 - k^2 s^2 / n,
-    whose two terms share one sign, is used instead.  p, s, c2 and d2 may
-    be arrays of one shape; s = 0 gives 0.
+    whose two terms share one sign, is used instead.  That form overflows
+    as n -> 0- (q ~ 1/|n|), where 19.25.14 does not cancel, so tiny
+    negative n, -1e-8 <= n < 0, takes 19.25.14.  p, s, c2 and d2 may be
+    arrays of one shape; s = 0 gives 0.
     """
     array = isinstance(s, _ndarray)
     if not array and s == 0.0:
         return 0.0
     s3 = s * s * s
-    if n >= 0.0:
+    if n >= -1e-8:
         val = s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
     else:
         q = 1.0 - k2 * s * s / n

@@ -14,8 +14,8 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
   evaluated through Carlson's R_F, R_C and R_J (elliptic) on the sn, cn, dn
   of r y, with Pi(n; phi + m pi) = Pi(n; phi) + 2m Pi(n) for the whole
   periods; no quadrature is involved.  d_j e^u - Re keeps one sign, so
-  n_j < 1: n_j in [0, 1) takes DLMF 19.25.14, n_j < 0 (where that form
-  cancels) an R_C form with terms of one sign.  Near the real locus one
+  n_j < 1: n_j in [-1e-8, 1) takes DLMF 19.25.14, n_j < -1e-8 (where that
+  form cancels) an R_C form with terms of one sign.  Near the real locus one
   d_j a_i - Re (i = 1, 2) tends to zero like Im^2; these gaps come from the
   cubic of d_j without cancellation, and below 1e-15 max(1, |psi|) the
   lift is refused with a RegimeError.
@@ -179,9 +179,10 @@ def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, flo
 def _phase_terms(
     c: DerivedConstants, lam: complex, y: float | np.ndarray, sn, cn
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_j e^u - Re, G_j) at y, both in closed form, from sn and cn of r y.
+    """(p_j, G_j) at y, both in closed form, from sn and cn of r y.
 
-    With m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
+    p_j = (d_j e^u - Re) / (d_j a1 - Re) = 1 - n_j sn^2(r y).  With
+    m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
     sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
     G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
@@ -200,7 +201,7 @@ def _phase_terms(
     ]).T
     if m.any() if array else m:
         phases += np.multiply.outer(m, _g_full_period(c, lam))
-    return np.array(g.den0) * np.array(p).T, phases
+    return np.array(p).T, phases
 
 
 def phase_integrals(c: DerivedConstants, lam: complex, y: float | np.ndarray) -> np.ndarray:
@@ -267,7 +268,8 @@ def _coefficients(
         return p.T, dp.T
     v = c.psi / es.lam**3
     m = _from_jacobi(c, y, (sn, cn, dn))
-    den, g = _phase_terms(c, es.lam, y, sn, cn)
+    p, g = _phase_terms(c, es.lam, y, sn, cn)
+    den = np.array(_g_segment(c, es.lam).den0) * p
     h2 = den / (es.d**3 - v.real)
     if np.any(h2 < -1e-10):
         raise ArithmeticError(
@@ -318,14 +320,14 @@ def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> "iwasawa.F
     return iwasawa.FrameSample(z=z, lam=lam, matrix=mat)
 
 
-def lift_via_frame(c: DerivedConstants, z: complex, lam: complex, tol: float = 1e-11) -> LiftSample:
+def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> LiftSample:
     """Third frame column through the explicit Iwasawa route.
 
     Requires (y, lambda) off the singular locus of the factorization;
     projectively equal to the closed-form routes where both exist.
     """
     z = complex(z)
-    frame = iwasawa.extended_frame(c, z, lam, route="iwasawa", tol=tol)
+    frame = iwasawa.extended_frame(c, z, lam, route="iwasawa")
     return LiftSample(x=z.real, y=z.imag, lam=complex(lam), F=frame.matrix[:, 2])
 
 

@@ -17,10 +17,22 @@ and beta1, beta2 are scalar integrals
 The extended frame is then F(z, lambda) =
 exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda).
 
+For |lambda| = 1 the beta integrals are closed forms in the lift's own
+G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
+Re + i Im = lambda^-3 psi.  cdet = -2i Im - w', and the first integral gives
+|cdet|^2 = -8 prod_j (w - Re / d_j); partial fractions in w split the
+integrands into G_j' = d_j Im / (d_j w - Re) and (log p_j)' = d_j w' / (d_j w - Re):
+
+    Re beta1 = -sum_j d_j G_j / f'(d_j),  Im beta1 = y - sum_j d_j log p_j / (2 f'(d_j)),
+    Re beta2 = -sum_j log p_j / (2 f'(d_j)),  Im beta2 = sum_j G_j / f'(d_j),
+
+f'(d_j) = prod_{l != j} (d_j - d_l).  p_j is 2T-periodic, so whole periods
+enter through G_j(2T); no quadrature is involved.
+
 The scalar normalizer of Qtilde involves a cube root whose branch is fixed
-by continuity in y from Qtilde(0) = I, tracked along the integration path;
-principal branches are never used blindly.  The factors degenerate where
-cdet vanishes -- in particular everywhere on the real-cubic-form locus
+by continuity in y from Qtilde(0) = I (see _branch_ratio); principal
+branches are never used blindly.  The factors degenerate where cdet
+vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
 points callers at the eigenbasis route (see immersion), which stays valid.
 """
@@ -32,24 +44,26 @@ from functools import lru_cache
 
 import numpy as np
 
+from .elliptic import jacobi
 from .linalg3 import dagger
 from .metric import metric_at
 from .potential import (
     DerivedConstants,
     EigenSystem,
+    HyperplaneDegenerateError,
     _check_unit,
     commutant_matrix,
     eigensystem,
 )
-from .quadrature import relaxed_simpson
 
 
 class SingularLocusError(ArithmeticError):
     """(y, lambda) is on the singular locus of the explicit factorization.
 
     The Iwasawa-route formulas need cdet = lam^3 conj(psi) - lam^-3 psi
-    - e^u u' bounded away from zero on the whole path 0 -> y.  Evaluate the
-    frame or lift through the eigenbasis closed forms instead
+    - e^u u' bounded away from zero on the whole path 0 -> y; for
+    |lambda| = 1 its minimum over y is |cdet(0)| = 2 |Im(lambda^-3 psi)|.
+    Evaluate the frame or lift through the eigenbasis closed forms instead
     (extended_frame(..., route="eigenbasis") or the immersion module).
     """
 
@@ -123,14 +137,17 @@ def y_flow_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
     return 2j * (lam * v_p1 + v0)
 
 
-def _cdet(c: DerivedConstants, lam: complex, y: float) -> complex:
-    w_prime = metric_at(c, y).w_prime  # e^u u' = w'
-    return lam**3 * np.conj(c.psi) - c.psi / lam**3 - w_prime
-
-
-def _cdet_floor(c: DerivedConstants, lam: complex) -> float:
+def _cdet_floor(c: DerivedConstants) -> float:
     scale = 2.0 * abs(c.psi) + 2.0 * c.a1 * c.q2 * c.r
     return 1e-8 * scale
+
+
+def _checked_c0(c: DerivedConstants, lam: complex) -> complex:
+    """cdet(0) = lam^3 conj(psi) - lam^-3 psi, refused below the cdet floor."""
+    c0 = lam**3 * np.conj(c.psi) - c.psi / lam**3
+    if abs(c0) < _cdet_floor(c):
+        raise SingularLocusError("cdet vanishes at y = 0 (lambda^-3 psi is real up to tolerance)")
+    return c0
 
 
 def _raw_factor(c: DerivedConstants, y: float, lam: complex):
@@ -153,7 +170,7 @@ def _raw_factor(c: DerivedConstants, y: float, lam: complex):
     return raw, q0, cch
 
 
-def _branch_ratio(c: DerivedConstants, y: float, lam: complex) -> complex:
+def _branch_ratio(c: DerivedConstants, y: float, c0: complex) -> complex:
     """zeta(y)^2, zeta the continuous cube root of cdet(y)/cdet(0) from zeta(0) = 1.
 
     cdet(y)/cdet(0) = 1 - w'(y)/c0 with c0 = lam^3 conj(psi) - lam^-3 psi,
@@ -167,14 +184,8 @@ def _branch_ratio(c: DerivedConstants, y: float, lam: complex) -> complex:
     needed, and the value is exact for every y (in particular it returns to
     1 after each full period).
     """
-    c0 = lam**3 * np.conj(c.psi) - c.psi / lam**3
-    floor = _cdet_floor(c, lam)
-    if abs(c0) < floor:
-        raise SingularLocusError(
-            "cdet vanishes at y = 0 (lambda^-3 psi is real up to tolerance)"
-        )
     cch = c0 - metric_at(c, y).w_prime
-    if abs(cch) < floor:
+    if abs(cch) < _cdet_floor(c):
         raise SingularLocusError(f"cdet vanishes at y = {y:.6g}")
     w = cch / c0
     if w.real <= 0.0 and abs(w.imag) <= 1e-12 * abs(w):
@@ -202,77 +213,71 @@ def q_factor(
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     raw, q0, _ = _raw_factor(c, y, lam)
-    c0 = lam**3 * np.conj(c.psi) - c.psi / lam**3
-    rho = _branch_ratio(c, y, lam)
-    if _wrong_normalizer:
-        xi = c0 * rho * rho
-    else:
-        xi = c0 * rho
+    c0 = _checked_c0(c, lam)
+    rho = _branch_ratio(c, y, c0)
+    xi = c0 * rho * rho if _wrong_normalizer else c0 * rho
     return q0, raw / xi
 
 
-# beta integrals at the full period are reused heavily; cache per (c, lambda)
-@lru_cache(maxsize=256)
-def _beta_full_period(c: DerivedConstants, lam: complex, tol: float) -> tuple[complex, complex]:
-    return _beta_segment(c, 2.0 * c.T, lam, tol)
+def _check_beta_domain(c: DerivedConstants, lam: complex) -> None:
+    """Refuse lambda off the closed forms' domain with this route's errors.
 
-
-def _beta_segment(c: DerivedConstants, y: float, lam: complex, tol: float) -> tuple[complex, complex]:
-    floor = _cdet_floor(c, lam)
-    for t in np.linspace(0.0, y, 65):
-        if abs(_cdet(c, lam, t)) < floor:
-            raise SingularLocusError(f"beta integrand denominator vanishes near y = {t:.6g}")
-
-    def f1(t: float) -> complex:
-        m = metric_at(c, t)
-        den = lam**3 * np.conj(c.psi) - c.psi / lam**3 - m.w_prime
-        return (2j * lam**3 * np.conj(c.psi) - 1j * m.w_prime) / den
-
-    def f2(t: float) -> complex:
-        m = metric_at(c, t)
-        den = lam**3 * np.conj(c.psi) - c.psi / lam**3 - m.w_prime
-        return 2.0 * m.w / den
-
-    return relaxed_simpson(f1, 0.0, y, tol=tol), relaxed_simpson(f2, 0.0, y, tol=tol)
-
-
-def beta_integrals(
-    c: DerivedConstants, y: float, lam: complex, tol: float = 1e-11
-) -> tuple[complex, complex]:
-    """The abelian-factor integrals (beta1(y), beta2(y)).
-
-    The integrands are 2T-periodic, so beta_j(y + 2mT) = beta_j(y)
-    + m beta_j(2T) reduces every argument to [0, 2T); the full-period values
-    are cached per (constants, lambda).  Raises SingularLocusError when the
-    common denominator vanishes on the path.
+    For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
+    check of c0 covers every y; the lift's gap floor may refuse first.
     """
-    lam = complex(lam)
-    period = 2.0 * c.T
-    m = int(np.floor(y / period))
-    rem = y - m * period
-    b1, b2 = _beta_segment(c, rem, lam, tol)
-    if m != 0:
-        f1, f2 = _beta_full_period(c, lam, tol)
-        b1 += m * f1
-        b2 += m * f2
-    return b1, b2
+    from . import immersion  # deferred: immersion depends on this module
+
+    _checked_c0(c, lam)
+    if immersion.regime_of(c, lam) == "imaginary":
+        raise HyperplaneDegenerateError("lambda^-3 psi is purely imaginary: d_j a1 - Re vanishes")
+    try:
+        immersion._g_segment(c, lam)
+    except immersion.RegimeError as exc:
+        raise SingularLocusError(f"lift phase constants refused ({exc})") from exc
 
 
-def iwasawa_factors(c: DerivedConstants, y: float, lam: complex, tol: float = 1e-11) -> IwasawaFactors:
+def _partial_fractions(d: np.ndarray, g, log_p, y: float) -> tuple[complex, complex]:
+    """(beta1, beta2) from G_j and log p_j, f'(d_j) = prod_{l != j} (d_j - d_l)."""
+    w = 1.0 / np.prod(np.subtract.outer(d, d) + np.eye(3), axis=1)
+    return complex(-(d * w) @ g, y - 0.5 * (d * w) @ log_p), complex(-0.5 * w @ log_p, w @ g)
+
+
+def _betas(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[complex, complex]:
+    """(beta1(y), beta2(y)) from the lift's p_j(y) and G_j(y), eigensystem es."""
+    from . import immersion  # deferred: immersion depends on this module
+
+    _check_beta_domain(c, es.lam)
+    if y == 0.0:
+        return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
+    sn, cn, _ = jacobi(c.r * y, c.k)
+    p, g = immersion._phase_terms(c, es.lam, y, sn, cn)
+    return _partial_fractions(es.d, g, np.log(p), y)
+
+
+def beta_integrals(c: DerivedConstants, y: float, lam: complex) -> tuple[complex, complex]:
+    """The abelian-factor integrals (beta1(y), beta2(y)), |lambda| = 1.
+
+    Closed forms in the lift's phase integrals G_j(y) and p_j(y) (module
+    docstring), so beta(y + 2mT) = beta(y) + m beta(2T) and beta(0) = 0
+    exactly.  Raises SingularLocusError on the singular locus of the
+    factorization and HyperplaneDegenerateError where lambda^-3 psi is
+    purely imaginary.
+    """
+    lam = _check_unit(lam)
+    return _betas(c, eigensystem(c, lam), float(y))
+
+
+def iwasawa_factors(c: DerivedConstants, y: float, lam: complex) -> IwasawaFactors:
     """All pieces of the explicit factorization at (y, lambda)."""
     q0, qt = q_factor(c, y, lam)
-    b1, b2 = beta_integrals(c, y, lam, tol=tol)
+    b1, b2 = beta_integrals(c, y, lam)
     return IwasawaFactors(
         y=y, lam=lam, Q0=q0, Qtilde=qt, beta1=b1, beta2=b2, L0=commutant_matrix(c, lam)
     )
 
 
 def extended_frame(
-    c: DerivedConstants,
-    z: complex,
-    lam: complex,
-    route: str = "eigenbasis",
-    tol: float = 1e-11,
+    c: DerivedConstants, z: complex, lam: complex, route: str = "eigenbasis"
 ) -> FrameSample:
     """The extended frame F(z, lambda) in SU(3), F(0, lambda) = I.
 
@@ -292,17 +297,13 @@ def extended_frame(
         raise ValueError(f"unknown route {route!r}")
 
     es = eigensystem(c, lam)
-    b1, b2 = beta_integrals(c, z.imag, lam, tol=tol)
+    b1, b2 = _betas(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, lam)
     return FrameSample(z=z, lam=lam, matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
 
 
 def u_plus(
-    c: DerivedConstants,
-    y: float,
-    lam: complex,
-    tol: float = 1e-11,
-    _wrong_normalizer: bool = False,
+    c: DerivedConstants, y: float, lam: complex, _wrong_normalizer: bool = False
 ) -> np.ndarray:
     """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0), |lambda| = 1.
 
@@ -312,7 +313,7 @@ def u_plus(
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    b1, b2 = beta_integrals(c, y, lam, tol=tol)
+    b1, b2 = _betas(c, es, float(y))
     q0, qt = q_factor(c, y, lam, _wrong_normalizer)
     return q0 @ qt @ _exp_d_l0(c, es, b1, b2)
 
@@ -329,19 +330,35 @@ def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s: complex, t: complex) -> n
     return (basis * exps) @ dagger(basis)
 
 
-def monodromy_data(c: DerivedConstants, lam: complex, tol: float = 1e-11) -> tuple[float, float]:
-    """(Re beta1(2T), Im beta2(2T)), the only period data entering monodromy."""
-    b1, b2 = _beta_full_period(c, complex(lam), tol)
-    return float(b1.real), float(b2.imag)
+@lru_cache(maxsize=256)
+def _beta_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float]:
+    """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per (c, lambda)."""
+    from . import immersion  # deferred: immersion depends on this module
+
+    _check_beta_domain(c, lam)
+    g = np.array(immersion._g_full_period(c, lam))
+    b1, b2 = _partial_fractions(eigensystem(c, lam).d, g, np.zeros(3), 2.0 * c.T)
+    return b1.real, b2.imag
 
 
-def full_period_phases(c: DerivedConstants, es: EigenSystem, tol: float = 1e-11) -> np.ndarray:
+def monodromy_data(c: DerivedConstants, lam: complex) -> tuple[float, float]:
+    """(Re beta1(2T), Im beta2(2T)), the only period data entering monodromy.
+
+    Closed forms in the complete-integral phases G_j(2T) of the lift:
+    Re beta1(2T) = -sum_j d_j G_j(2T) / f'(d_j) and
+    Im beta2(2T) = sum_j G_j(2T) / f'(d_j).  Refused like beta_integrals.
+    """
+    return _beta_full_period(c, _check_unit(lam))
+
+
+def full_period_phases(c: DerivedConstants, es: EigenSystem) -> np.ndarray:
     """Lift phases G_j(2T) in eigensystem order, from the monodromy data.
 
     G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T) (-d_j^2 + 2 beta / 3)), the
     cancellation identity between the monodromy and the lift phases.  The
-    package takes G_j(2T) from the lift's closed form; this quadrature route
-    is the independent side of suite `identities` and of the tests.
+    monodromy data are combinations of the lift's G_j(2T), so the identity
+    checks the partial-fraction algebra and sum_j G_j(2T) = 0, not an
+    independent integration.
     """
-    re_b1, im_b2 = monodromy_data(c, es.lam, tol)
+    re_b1, im_b2 = monodromy_data(c, es.lam)
     return -(re_b1 * es.d + im_b2 * _l0_spectrum(c, es.d))

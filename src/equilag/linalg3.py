@@ -61,7 +61,8 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
     (Viete) form; otherwise `multiple` is set and the roots carry
     multiplicity (for p > 0 only the single real root exists and is
     replicated).  Roots are Newton-polished and re-centered so they sum
-    to zero exactly.
+    to zero, and a root below 1e-3 of the largest is taken from the
+    product of the roots, -q, to keep its relative accuracy.
     """
     disc = -4.0 * p**3 - 27.0 * q * q
     scale = max(1.0, abs(p), abs(q))
@@ -94,6 +95,11 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
     roots = np.sort(roots)[::-1]
     if not single:  # the three real roots of a depressed cubic sum to zero
         roots = roots - roots.sum() / 3.0
+        # re-centring leaves an ulp of the largest root as absolute error: a
+        # far smaller root comes from -q / (product of the others) instead
+        j = int(np.argmin(np.abs(roots)))
+        if abs(roots[j]) < 1e-3 * np.max(np.abs(roots)):
+            roots[j] = -q / np.prod(np.delete(roots, j))
     return roots, multiple
 
 

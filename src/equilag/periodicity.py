@@ -14,10 +14,11 @@ the second equality being the exact cancellation identity between the
 monodromy data and the lift phases.  The phases are taken from the lift's
 closed form G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)) with the complete
 integral of the third kind (immersion), computed once per (surface,
-lambda); the beta-integral route (iwasawa.full_period_phases) stays as the
-independent check of suite `identities`.  The surface closes up under omega
-iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows since all
-three sum to zero).  Rationality of d-ratios and of the 2T phase data is
+lambda); iwasawa.full_period_phases gives them back from the monodromy
+data, themselves closed forms in the same G_j(2T), so suite `identities`
+checks the cancellation identity algebraically.  The surface closes up
+under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows
+since all three sum to zero).  Rationality of d-ratios and of the 2T phase data is
 certified with continued-fraction convergents under an explicit
 (max_denominator, tolerance) policy.
 

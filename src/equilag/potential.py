@@ -112,7 +112,9 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
     Raises TotallyGeodesicError for psi = 0, FlatCliffordError at the Clifford
     point, and ValueError when a1 is below |psi|^(2/3) (the origin convention
     requires e^{u(0)} to be the maximum of the conformal factor; the surface
-    with e^{u(0)} at the minimum is the same one reparametrized).
+    with e^{u(0)} at the minimum is the same one reparametrized) or where
+    k'^2 = 1 - k^2 falls below 2^-26, as k = sqrt(k^2) then rounds away
+    more than half the digits of k'.
     """
     tag = classify(params)
     if tag is SurfaceClass.TOTALLY_GEODESIC:
@@ -126,10 +128,13 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
             "a1 must be the maximum of the conformal factor: a1 > |psi|^(2/3)"
         )
     beta = 2.0 * a1 + abs(psi) ** 2 / a1**2
-    s = beta / 2.0 - a1  # = |psi|^2 / (2 a1^2) > 0
+    s = abs(psi) ** 2 / (2.0 * a1**2)  # = beta / 2 - a1, which cancels as a1 grows
     root = math.sqrt(s * s + 4.0 * a1 * s)
     a2 = (s + root) / 2.0
     a3 = (-s + root) / 2.0
+    if (kp2 := (a2 + a3) / (a1 + a3)) < 2.0**-26:
+        raise ValueError(
+            f"modulus too close to 1: k'^2 = {kp2:.3g} would keep under half its digits in k")
     k2 = (a1 - a2) / (a1 + a3)
     q2 = (a1 - a2) / a1
     r = math.sqrt(2.0 * (a1 + a3))

@@ -1,10 +1,9 @@
 """Adaptive Simpson quadrature for smooth complex-valued integrands.
 
-In the package it integrates only the beta integrals of the explicit
-Iwasawa factorization (iwasawa.beta_integrals, for the iwasawa frame route
-and the cross-checks of verification) and the defining integral of K in
-suite `elliptic`.  Lifts, grids and period phases take the closed forms of
-immersion instead; the tests use this rule as the independent route to them.
+In the package it integrates only the defining integral of K in suite
+`elliptic`.  Lifts, grids, frames, beta integrals and period phases are
+closed forms (immersion, iwasawa); the tests use this rule as the
+independent route to them.
 """
 
 from __future__ import annotations
@@ -54,30 +53,6 @@ def adaptive_simpson(
             f"quadrature on [{a:g}, {b:g}] converged only to ~{state[1]:.1e}"
         )
     return total
-
-
-def relaxed_simpson(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float = 1e-11,
-    relax_to: float = 1e-7,
-) -> complex:
-    """adaptive_simpson with a one-step tolerance fallback.
-
-    Near the singular loci the integrands grow sharp near-poles; there the
-    sharpest tolerance can blow the evaluation budget even though a request
-    a few decades looser converges immediately (and typically attains far
-    better accuracy than asked).  The fallback keeps full accuracy where it
-    is cheap and degrades gracefully - but loudly, bounded by err_cap -
-    where it is not.
-    """
-    try:
-        return adaptive_simpson(f, a, b, tol=tol)
-    except QuadratureError:
-        if tol >= relax_to:
-            raise
-        return adaptive_simpson(f, a, b, tol=relax_to, max_evals=1_000_000)
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth, state):

@@ -78,16 +78,9 @@ def suite_elliptic(seed: int = 11) -> SuiteResult:
         worst_sc = max(worst_sc, abs(sn * sn + cn * cn - 1.0))
         worst_sd = max(worst_sd, abs(k * k * sn * sn + dn * dn - 1.0))
     k = 0.5
-    oracle = float(
-        np.real(
-            adaptive_simpson(
-                lambda a: 1.0 / math.sqrt(1.0 - (k * math.sin(a)) ** 2),
-                0.0,
-                math.pi / 2.0,
-                tol=1e-14,
-            )
-        )
-    )
+    oracle = float(np.real(adaptive_simpson(
+        lambda a: 1.0 / math.sqrt(1.0 - (k * math.sin(a)) ** 2), 0.0, math.pi / 2.0, tol=1e-14
+    )))
     res = {
         "sn2_cn2": worst_sc,
         "k2sn2_dn2": worst_sd,
@@ -199,10 +192,8 @@ def suite_iwasawa(
     h = 1e-4
     for theta, y in ((0.4, 0.3), (1.7, 1.0)):
         lam = complex(np.exp(1j * theta))
-        up, um, u0 = (
-            iwasawa.u_plus(c, t, lam, tol=1e-12, _wrong_normalizer=corrupt_kappa)
-            for t in (y + h, y - h, y)
-        )
+        up, um, u0 = (iwasawa.u_plus(c, t, lam, _wrong_normalizer=corrupt_kappa)
+                      for t in (y + h, y - h, y))
         flow = (up - um) / (2.0 * h) @ np.linalg.inv(u0)
         worst_flow = max(
             worst_flow, float(np.max(np.abs(flow - iwasawa.y_flow_matrix(c, y, lam))))
@@ -345,7 +336,7 @@ def suite_identities(params: SurfaceParams | None = None, seed: int = 29) -> Sui
         es = eigensystem(c, lam)
         g = np.array(immersion._g_full_period(c, lam))
         worst_sum = max(worst_sum, abs(float(g.sum())))
-        cancel = g - iwasawa.full_period_phases(c, es, 1e-12)
+        cancel = g - iwasawa.full_period_phases(c, es)
         worst_cancel = max(worst_cancel, float(np.max(np.abs(cancel))))
         v = c.psi / lam**3
         for y in rng.uniform(0.0, 2.0 * c.T, 30):

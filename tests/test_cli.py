@@ -274,7 +274,7 @@ class TestRefusals:
         ["--a1", "0.5", "--psi", "1,0"],      # a1 below |psi|^(2/3)
         ["--a1", "2", "--psi", "nan,0"],
         ["--a1", "2", "--psi", "1,0", "--lambda", "nan,0"],
-        ["--a1", "1e6", "--psi", "1,0"],      # k rounds to 1
+        ["--a1", "1e6", "--psi", "1,0"],      # k too close to 1
     ])
     def test_out_of_domain_surface(self, flags, capsys):
         assert main(["derive", *flags]) == EXIT_CONFIG

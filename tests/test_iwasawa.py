@@ -1,9 +1,12 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equilag import linalg3
+from equilag import iwasawa, linalg3
 from equilag.iwasawa import (
     SingularLocusError,
     b_matrix,
@@ -16,7 +19,13 @@ from equilag.iwasawa import (
     y_flow_matrix,
 )
 from equilag.metric import metric_at
-from equilag.potential import potential_matrix
+from equilag.potential import (
+    HyperplaneDegenerateError,
+    SurfaceParams,
+    derive_constants,
+    potential_matrix,
+)
+from phase_oracles import beta_by_mpmath, beta_by_quadrature
 
 EPS6 = linalg3.EPS6
 I3 = np.eye(3)
@@ -81,6 +90,10 @@ class TestBetaIntegrals:
     def test_zero_at_origin(self, bench_nonreal):
         b1, b2 = beta_integrals(bench_nonreal, 0.0, cmath.exp(0.3j))
         assert b1 == 0.0 and b2 == 0.0
+        # exactly, although log p_j(0) = log((1 - n_j) + n_j) may round off 0
+        c = derive_constants(SurfaceParams(3.1, cmath.rect(0.7, 2.0)))
+        for theta in np.linspace(0.1, 6.0, 12):
+            assert beta_integrals(c, 0.0, cmath.exp(1j * theta)) == (0j, 0j)
 
     def test_full_period_lemma(self, bench_nonreal):
         c = bench_nonreal
@@ -118,16 +131,46 @@ class TestBetaIntegrals:
         def f1(t):
             return (2j * lam**3 * np.conj(c.psi) - 1j * metric_at(c, t).w_prime) / den(t)
 
+        def f2(t):
+            return 2.0 * metric_at(c, t).w / den(t)
+
+        def integral(f, y):
+            return complex(*(quad(lambda t: part(f(t)), 0, y, epsabs=1e-13)[0]
+                             for part in (np.real, np.imag)))
+
         y = 1.1
-        oracle = quad(lambda t: f1(t).real, 0, y, epsabs=1e-13)[0] + 1j * quad(
-            lambda t: f1(t).imag, 0, y, epsabs=1e-13
-        )[0]
-        b1, _ = beta_integrals(c, y, lam)
-        assert abs(b1 - oracle) < 1e-10
+        b1, b2 = beta_integrals(c, y, lam)
+        assert abs(b1 - integral(f1, y)) < 1e-10
+        assert abs(b2 - integral(f2, y)) < 1e-10
 
     def test_singular_locus(self, bench_sweep):
         with pytest.raises(SingularLocusError):
             beta_integrals(bench_sweep, 1.0, 1.0)
+
+    def test_unit_lambda_required(self, bench_nonreal):
+        with pytest.raises(ValueError):
+            beta_integrals(bench_nonreal, 0.5, 0.3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ratio=st.floats(1.05, 50.0),           # a1 / |psi|^(2/3)
+        apsi=st.floats(0.2, 3.0),
+        arg_psi=st.floats(0.0, 2.0 * math.pi),
+        locus=st.integers(0, 3),               # next locus below: real (even) or hyperplane (odd)
+        gap=st.floats(3e-3, math.pi / 2 - 3e-3),  # 3 arg(lambda) from it: >= 1e-3 rad from both
+        y_periods=st.floats(-3.0, 5.0),
+    )
+    def test_matches_quadrature(self, ratio, apsi, arg_psi, locus, gap, y_periods):
+        # lambda^-3 psi is real where 3 arg(lambda) - arg(psi) is a multiple of
+        # pi and purely imaginary half way between
+        psi = cmath.rect(apsi, arg_psi)
+        c = derive_constants(SurfaceParams(ratio * apsi ** (2.0 / 3.0), psi))
+        lam = cmath.exp(1j * (arg_psi + locus * math.pi / 2 + gap) / 3.0)
+        y = y_periods * c.T
+        got = beta_integrals(c, y, lam)
+        want = beta_by_quadrature(c, lam, y)
+        scale = max(1.0, *map(abs, want))
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12 * scale
 
     def test_factors_record(self, bench_nonreal):
         c = bench_nonreal
@@ -138,15 +181,74 @@ class TestBetaIntegrals:
         assert abs(np.linalg.det(fac.Qtilde) - 1.0) < 1e-11
 
 
+# arg psi = pi/4 on bench_nonreal: lambda^-3 psi is real at arg lambda = pi/12
+# and purely imaginary at -pi/12
+LOCI = {"real": math.pi / 12, "hyperplane": -math.pi / 12}
+
+
+class TestBetaDomainEdges:
+    """Near both loci beta is either right or refused with a typed error."""
+
+    REFUSALS = (SingularLocusError, HyperplaneDegenerateError)
+
+    @pytest.mark.parametrize("locus", sorted(LOCI))
+    @pytest.mark.parametrize("offset", [10.0**-e for e in range(1, 13)])
+    def test_ladder(self, bench_nonreal, locus, offset):
+        c = bench_nonreal
+        lam = cmath.exp(1j * (LOCI[locus] + offset))
+        y = 1.3 * c.T
+        try:
+            got = beta_integrals(c, y, lam)
+        except self.REFUSALS as exc:
+            refusal = type(exc)
+        else:
+            refusal = None
+            assert all(np.isfinite(b.real) and np.isfinite(b.imag) for b in got)
+            want = beta_by_mpmath(2.0, c.psi, lam, y, dps=20)
+            assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
+        # the iwasawa frame and U_+ refuse exactly where beta does, alike
+        for route in (
+            lambda: u_plus(c, y, lam),
+            lambda: extended_frame(c, 0.3 + 1j * y, lam, route="iwasawa").matrix,
+        ):
+            if refusal is None:
+                assert np.all(np.isfinite(route()))
+            else:
+                with pytest.raises(refusal):
+                    route()
+
+    def test_gap_floor_refuses_as_singular_locus(self, bench_nonreal):
+        # 3e-8 rad from the real locus |cdet(0)| clears its floor but the
+        # lift's gaps d_j a_i - Re do not clear theirs
+        c = bench_nonreal
+        lam = cmath.exp(1j * (LOCI["real"] + 3e-8))
+        assert abs(2.0 * (c.psi / lam**3).imag) > iwasawa._cdet_floor(c)
+        for call in (
+            lambda: beta_integrals(c, 0.7, lam),
+            lambda: u_plus(c, 0.7, lam),
+            lambda: extended_frame(c, 0.7j, lam, route="iwasawa"),
+            lambda: iwasawa.monodromy_data(c, lam),
+        ):
+            with pytest.raises(SingularLocusError, match="phase constants"):
+                call()
+
+    def test_hyperplane_refused(self, bench_nonreal):
+        lam = cmath.exp(1j * LOCI["hyperplane"])
+        with pytest.raises(HyperplaneDegenerateError):
+            beta_integrals(bench_nonreal, 0.7, lam)
+        with pytest.raises(HyperplaneDegenerateError):
+            iwasawa.monodromy_data(bench_nonreal, lam)
+
+
 class TestUPlusFlow:
     def test_y_flow_equation(self, bench_nonreal):
         c = bench_nonreal
         h = 1e-4
         for theta, y in ((0.4, 0.3), (1.9, 0.9)):
             lam = cmath.exp(1j * theta)
-            up = u_plus(c, y + h, lam, tol=1e-12)
-            um = u_plus(c, y - h, lam, tol=1e-12)
-            u0 = u_plus(c, y, lam, tol=1e-12)
+            up = u_plus(c, y + h, lam)
+            um = u_plus(c, y - h, lam)
+            u0 = u_plus(c, y, lam)
             flow = (up - um) / (2 * h) @ np.linalg.inv(u0)
             assert np.max(np.abs(flow - y_flow_matrix(c, y, lam))) < 1e-6
 

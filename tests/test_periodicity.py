@@ -27,10 +27,10 @@ from phase_oracles import by_quadrature
 TWO_PI = 2.0 * math.pi
 
 
-def monodromy_matrix(c, p, m, lam, tol=1e-11):
+def monodromy_matrix(c, p, m, lam):
     """The monodromy matrix itself, by exponentiating the loop-algebra element."""
     lam = _check_unit(lam)
-    re_b1, im_b2 = iwasawa.monodromy_data(c, lam, tol)
+    re_b1, im_b2 = iwasawa.monodromy_data(c, lam)
     gen = (p - m * re_b1) * potential_matrix(c, lam) - 1j * m * im_b2 * commutant_matrix(c, lam)
     return matexp_skew(gen, 1.0)
 
@@ -199,7 +199,7 @@ class TestClassifyTorus:
             if immersion.regime_of(c, lam) != "nonreal":
                 continue
             done += 1
-            g_beta = iwasawa.full_period_phases(c, eigensystem(c, lam), 1e-11)
+            g_beta = iwasawa.full_period_phases(c, eigensystem(c, lam))
             g = np.array(immersion._g_full_period(c, lam))
             assert np.max(np.abs(g_beta - g)) < 1e-8
 

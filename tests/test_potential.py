@@ -65,6 +65,25 @@ class TestDeriveConstants:
                 __import__("equilag").complete_K(c.k) / c.r, abs=1e-14
             )
 
+    @pytest.mark.parametrize("a1", [50.0, 1e3, 1e5])
+    def test_high_modulus_roots_against_mpmath(self, a1):
+        # beta / 2 - a1 = |psi|^2 / (2 a1^2) cancels as a1 grows; at
+        # a1 = 1e5 that difference put a2 7% off its root
+        import mpmath
+
+        c = derive_constants(SurfaceParams(a1, 1.0))
+        with mpmath.workdps(40):
+            beta = 2 * mpmath.mpf(a1) + 1 / mpmath.mpf(a1) ** 2
+            roots = sorted(mpmath.re(z) for z in mpmath.polyroots(
+                [1, -beta / 2, 0, mpmath.mpf(1) / 2], maxsteps=200, extraprec=100))
+        assert abs(c.a2 - roots[1]) < 1e-15 * roots[1]
+        assert abs(c.a3 + roots[0]) < 1e-15 * abs(roots[0])
+
+    def test_modulus_too_close_to_one_rejected(self):
+        # k'^2 = 1.4e-9 < 2^-26: k would keep under half the digits of k'
+        with pytest.raises(ValueError, match="modulus too close to 1"):
+            derive_constants(SurfaceParams(1e6, 1.0))
+
     def test_totally_geodesic_rejected(self):
         with pytest.raises(TotallyGeodesicError):
             derive_constants(SurfaceParams(1.0, 0.0))
@@ -209,6 +228,23 @@ class TestEigensystem:
         for j in range(3):
             assert es.vectors[j][2].imag == pytest.approx(0.0, abs=1e-13)
             assert es.vectors[j][2].real > 0.0
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9])
+    def test_small_eigenvalue_near_hyperplane(self, bench_nonreal, offset):
+        # arg psi = pi/4: Re(lambda^-3 psi) vanishes at arg lambda = -pi/12
+        # and the middle root d_2 ~ 2 Re / beta with it; re-centring the
+        # roots left it with an absolute, not a relative, error of an ulp.
+        # The reference roots are those of the cubic the package solves.
+        import mpmath
+
+        c = bench_nonreal
+        lam = cmath.exp(1j * (-math.pi / 12 + offset))
+        d = eigensystem(c, lam).d
+        with mpmath.workdps(40):
+            q = mpmath.mpf(2.0 * (c.psi / lam**3).real)
+            want = sorted((mpmath.re(z) for z in mpmath.polyroots(
+                [1, 0, -mpmath.mpf(c.beta), q], maxsteps=200, extraprec=100)), reverse=True)
+        assert abs(d[1] - want[1]) < 4e-16 * abs(want[1])
 
     def test_flat_input_raises(self):
         flat = SurfaceParams(1.0, 1.0)
