@@ -16,7 +16,6 @@ from .immersion import (
     lift_at,
     lift_nonreal,
     lift_real,
-    lift_via_frame,
     phase_integrals,
     project_chart,
     regime_of,
@@ -30,6 +29,7 @@ from .iwasawa import (
     beta_integrals,
     extended_frame,
     iwasawa_factors,
+    lift_via_frame,
     omega_matrix,
     q_factor,
 )

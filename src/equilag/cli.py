@@ -316,10 +316,6 @@ def cmd_verify(
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _csv_value(x: float) -> str:
-    return "nan" if math.isnan(x) else _fmt(x)
-
-
 def cmd_sample(cfg: JobConfig) -> int:
     c = _generic_constants(cfg, cfg.lam)
     if not cfg.out_path:
@@ -352,7 +348,7 @@ def _write_csv(path: str, grid: immersion.GridSample) -> None:
                 for comp in F:
                     row += [comp.real, comp.imag]
                 row += [w[0].real, w[0].imag, w[1].real, w[1].imag, grid.e_u[iy]]
-                fh.write(",".join(_csv_value(v) for v in row))
+                fh.write(",".join(_fmt(v) for v in row))
                 fh.write(f",{int(grid.flags[iy, ix])}\n")
 
 

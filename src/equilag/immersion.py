@@ -28,17 +28,18 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
   4T-periodic in y.
 
 * lambda^-3 psi purely imaginary: the lift degenerates into a hyperplane
-  and is refused.
+  and is refused by `_checked_regime`, the one hyperplane gate that every
+  lift, frame, beta-integral and monodromy route passes.
 
 Both forms give |F| = 1 identically, F(0, 0) = e_3, and agree exactly with
 the third frame column of the explicit Iwasawa route wherever that route is
-defined.  The full frame is recovered from the lift and its analytic
-derivatives as F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F).
+defined.  The frames live in iwasawa, which builds on this module.
 
 `phase_integrals` and the coefficient kernel `_coefficients` take a float y
 or a 1-D array of them; `sample_grid` makes one array pass per grid, one
 `jacobi` call for all rows.  The pointwise functions (`lift_at`, the regime
-lifts, `frame_from_lift`, `verify_geometry`) keep the float path.
+lifts, `verify_geometry`, and iwasawa's `frame_from_lift`) keep the float
+path.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import iwasawa
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import _from_jacobi, metric_at
 from .potential import (
+    CLASS_TOL,
     DerivedConstants,
     EigenSystem,
     HyperplaneDegenerateError,
@@ -81,26 +82,33 @@ class LiftSample:
 
 ChartPoint = tuple[complex, complex]
 
-_REGIME_TOL = 1e-9
+# |F_3| at or below this leaves the affine chart (F1/F3, F2/F3) undefined
+CHART_TOL = 1e-8
 
 
-def regime_of(c: DerivedConstants, lam: complex, tol: float = _REGIME_TOL) -> str:
+def regime_of(c: DerivedConstants, lam: complex) -> str:
     """One of "nonreal", "real", "imaginary" for the cubic form lambda^-3 psi."""
     v = c.psi / complex(lam) ** 3
     scale = abs(c.psi)
-    if abs(v.imag) < tol * scale:
+    if abs(v.imag) < CLASS_TOL * scale:
         return "real"
-    if abs(v.real) < tol * scale:
+    if abs(v.real) < CLASS_TOL * scale:
         return "imaginary"
     return "nonreal"
 
 
-def _require(regime: str, c: DerivedConstants, lam: complex) -> None:
-    actual = regime_of(c, lam)
-    if actual == "imaginary":
+def _checked_regime(c: DerivedConstants, lam: complex) -> str:
+    """regime_of, refusing the hyperplane-degenerate lambda (imaginary regime)."""
+    regime = regime_of(c, lam)
+    if regime == "imaginary":
         raise HyperplaneDegenerateError(
             "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
         )
+    return regime
+
+
+def _require(regime: str, c: DerivedConstants, lam: complex) -> None:
+    actual = _checked_regime(c, lam)
     if actual != regime:
         raise RegimeError(f"lambda^-3 psi is {actual}; use the {actual} route")
 
@@ -137,6 +145,7 @@ def _gaps(c: DerivedConstants, d: np.ndarray, re0: float, im0: float) -> np.ndar
 @lru_cache(maxsize=256)
 def _g_segment(c: DerivedConstants, lam: complex) -> _PhaseConstants:
     """Constants of the phase integrals G_j within one period, per (c, lambda)."""
+    _checked_regime(c, lam)
     v = c.psi / lam**3
     d = eigensystem(c, lam).d
     gaps = _gaps(c, d, v.real, v.imag)
@@ -160,18 +169,12 @@ def _g_segment(c: DerivedConstants, lam: complex) -> _PhaseConstants:
     )
 
 
-def _moduli(c: DerivedConstants) -> tuple[float, float]:
-    """(k^2, k'^2) from the roots, k'^2 without the cancellation of 1 - k^2."""
-    return (c.a1 - c.a2) / (c.a1 + c.a3), (c.a2 + c.a3) / (c.a1 + c.a3)
-
-
 @lru_cache(maxsize=256)
 def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, float]:
     """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind."""
     g = _g_segment(c, lam)
-    k2, kp2 = _moduli(c)
     return tuple(
-        2.0 * pre * _third_kind(n, omn, 1.0, 0.0, kp2, k2)
+        2.0 * pre * _third_kind(n, omn, 1.0, 0.0, c.kp2, c.k2)
         for pre, n, omn in zip(g.pre, g.n, g.one_minus_n)
     )
 
@@ -189,15 +192,14 @@ def _phase_terms(
     An array y of shape (ny,) gives rows of shape (ny, 3), with m per row.
     """
     g = _g_segment(c, lam)
-    k2, kp2 = _moduli(c)
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
     s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
     c2 = cn * cn
-    d2 = kp2 + k2 * c2
+    d2 = c.kp2 + c.k2 * c2
     p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
     phases = np.array([
-        pre * _third_kind(n, pj, s, c2, d2, k2) for pre, n, pj in zip(g.pre, g.n, p)
+        pre * _third_kind(n, pj, s, c2, d2, c.k2) for pre, n, pj in zip(g.pre, g.n, p)
     ]).T
     if m.any() if array else m:
         phases += np.multiply.outer(m, _g_full_period(c, lam))
@@ -249,11 +251,7 @@ def _coefficients(
     jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
     as well.
     """
-    regime = regime_of(c, es.lam)
-    if regime == "imaginary":
-        raise HyperplaneDegenerateError(
-            "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
-        )
+    regime = _checked_regime(c, es.lam)
     sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
     array = isinstance(y, np.ndarray)
     if regime == "real":
@@ -300,42 +298,11 @@ def lift_real(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftS
     return lift_at(c, es, x, y)
 
 
-def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> "iwasawa.FrameSample":
-    """Extended frame rebuilt from the closed-form lift (eigenbasis route)."""
-    lam = _check_unit(lam)
-    z = complex(z)
-    es = eigensystem(c, lam)
-    jac = jacobi(c.r * z.imag, c.k)
-    p, dp = _coefficients(c, es, z.imag, jac)
-    phase = np.exp(1j * es.d * z.real)
-    F = (p * phase) @ es.vectors
-    Fx = (1j * es.d * p * phase) @ es.vectors
-    Fy = (dp * phase) @ es.vectors
-    fz = (Fx - 1j * Fy) / 2.0
-    fzb = (Fx + 1j * Fy) / 2.0
-    eu2 = math.sqrt(_from_jacobi(c, z.imag, jac).w)
-    col1 = -1j * lam * fz / eu2
-    col2 = fzb / (1j * lam * eu2)
-    mat = np.stack([col1, col2, F], axis=1)
-    return iwasawa.FrameSample(z=z, lam=lam, matrix=mat)
-
-
-def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> LiftSample:
-    """Third frame column through the explicit Iwasawa route.
-
-    Requires (y, lambda) off the singular locus of the factorization;
-    projectively equal to the closed-form routes where both exist.
-    """
-    z = complex(z)
-    frame = iwasawa.extended_frame(c, z, lam, route="iwasawa")
-    return LiftSample(x=z.real, y=z.imag, lam=complex(lam), F=frame.matrix[:, 2])
-
-
-def project_chart(F: np.ndarray | LiftSample, tol: float = 1e-8) -> ChartPoint:
+def project_chart(F: np.ndarray | LiftSample) -> ChartPoint:
     """Affine chart (F1/F3, F2/F3) of the projective point."""
     v = F.F if isinstance(F, LiftSample) else np.asarray(F)
-    if abs(v[2]) <= tol:
-        raise ChartError(f"|F_3| = {abs(v[2]):.3e} <= {tol:g}: chart undefined")
+    if abs(v[2]) <= CHART_TOL:
+        raise ChartError(f"|F_3| = {abs(v[2]):.3e} <= {CHART_TOL:g}: chart undefined")
     return complex(v[0] / v[2]), complex(v[1] / v[2])
 
 
@@ -375,7 +342,7 @@ def sample_grid(
     p, _ = _coefficients(c, es, ys, jac)                     # (ny, 3)
     phase = np.exp(1j * np.outer(xs, es.d))                  # (nx, 3)
     F = (p[:, None, :] * phase) @ es.vectors                 # (ny, nx, 3)
-    flags = np.abs(F[:, :, 2]) <= 1e-8
+    flags = np.abs(F[:, :, 2]) <= CHART_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         chart = F[:, :, :2] / F[:, :, 2:]
     chart[flags] = np.nan
@@ -403,15 +370,12 @@ class GeometryReport:
     flagged: int
 
 
-def verify_geometry(
-    c: DerivedConstants,
-    lam: complex,
-    xs,
-    ys,
-    step: float = 1e-4,
-    ode_step: float = 5e-3,
-) -> GeometryReport:
-    """Finite-difference residual sweep of the lift over the given points."""
+def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport:
+    """Finite-difference residual sweep of the lift over the given points.
+
+    Central differences of step 1e-4, and step 5e-3 for the fourth-order
+    stencil of the third x-derivative.
+    """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
     v = c.psi / lam**3
@@ -421,7 +385,7 @@ def verify_geometry(
         return (p * np.exp(1j * es.d * x)) @ es.vectors
 
     # every stencil needs p_j only at y - h, y and y + h: once per y
-    h = step
+    h = 1e-4
     rows = [
         (metric_at(c, y), *(_coefficients(c, es, t)[0] for t in (y - h, y, y + h))) for y in ys
     ]
@@ -433,7 +397,7 @@ def verify_geometry(
             points += 1
             F = ev(x, p0)
             rep["unit_norm"] = max(rep["unit_norm"], abs(np.linalg.norm(F) - 1.0))
-            if abs(F[2]) <= 1e-8:
+            if abs(F[2]) <= CHART_TOL:
                 flagged += 1
             fxp, fxm = ev(x + h, p0), ev(x - h, p0)
             fyp, fym = ev(x, pp), ev(x, pm)
@@ -460,7 +424,7 @@ def verify_geometry(
             rep["cubic_form"] = max(rep["cubic_form"], abs(herm_inner(Fzz, Fzb) + 1j * v))
 
             # third x-derivative: fourth-order central stencil, larger step
-            H = ode_step
+            H = 5e-3
             sten = [ev(x + j * H, p0) for j in (-3, -2, -1, 1, 2, 3)]
             d3 = (sten[0] - 8 * sten[1] + 13 * sten[2] - 13 * sten[3] + 8 * sten[4] - sten[5]) / (8 * H**3)
             d1 = (sten[1] - 8 * sten[2] + 8 * sten[3] - sten[4]) / (12 * H)

@@ -15,7 +15,9 @@ and beta1, beta2 are scalar integrals
     cdet     = lam^3 conj(psi) - lam^-3 psi - e^u u'.
 
 The extended frame is then F(z, lambda) =
-exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda).
+exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), with the lift as third
+column (lift_via_frame); frame_from_lift, the default route, rebuilds it
+from immersion's closed-form lift.  Imports run from here to immersion only.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -35,22 +37,24 @@ branches are never used blindly.  The factors degenerate where cdet
 vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
 points callers at the eigenbasis route (see immersion), which stays valid.
+Hyperplane-degenerate lambda are refused by immersion's one hyperplane gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger
-from .metric import metric_at
+from .metric import _from_jacobi, metric_at
 from .potential import (
     DerivedConstants,
     EigenSystem,
-    HyperplaneDegenerateError,
     _check_unit,
     commutant_matrix,
     eigensystem,
@@ -223,13 +227,10 @@ def _check_beta_domain(c: DerivedConstants, lam: complex) -> None:
     """Refuse lambda off the closed forms' domain with this route's errors.
 
     For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
-    check of c0 covers every y; the lift's gap floor may refuse first.
+    check of c0 covers every y; the lift's gap floor may refuse first, and
+    its phase constants refuse the hyperplane-degenerate lambda.
     """
-    from . import immersion  # deferred: immersion depends on this module
-
     _checked_c0(c, lam)
-    if immersion.regime_of(c, lam) == "imaginary":
-        raise HyperplaneDegenerateError("lambda^-3 psi is purely imaginary: d_j a1 - Re vanishes")
     try:
         immersion._g_segment(c, lam)
     except immersion.RegimeError as exc:
@@ -244,8 +245,6 @@ def _partial_fractions(d: np.ndarray, g, log_p, y: float) -> tuple[complex, comp
 
 def _betas(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[complex, complex]:
     """(beta1(y), beta2(y)) from the lift's p_j(y) and G_j(y), eigensystem es."""
-    from . import immersion  # deferred: immersion depends on this module
-
     _check_beta_domain(c, es.lam)
     if y == 0.0:
         return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
@@ -276,6 +275,28 @@ def iwasawa_factors(c: DerivedConstants, y: float, lam: complex) -> IwasawaFacto
     )
 
 
+def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
+    """Extended frame rebuilt from the closed-form lift (eigenbasis route).
+
+    F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
+    the derivatives of the lift F taken analytically from p_j and p_j'.
+    """
+    lam = _check_unit(lam)
+    z = complex(z)
+    es = eigensystem(c, lam)
+    jac = jacobi(c.r * z.imag, c.k)
+    p, dp = immersion._coefficients(c, es, z.imag, jac)
+    phase = np.exp(1j * es.d * z.real)
+    F = (p * phase) @ es.vectors
+    Fx = (1j * es.d * p * phase) @ es.vectors
+    Fy = (dp * phase) @ es.vectors
+    fz = (Fx - 1j * Fy) / 2.0
+    fzb = (Fx + 1j * Fy) / 2.0
+    eu2 = math.sqrt(_from_jacobi(c, z.imag, jac).w)
+    cols = (-1j * lam * fz / eu2, fzb / (1j * lam * eu2), F)
+    return FrameSample(z=z, lam=lam, matrix=np.stack(cols, axis=1))
+
+
 def extended_frame(
     c: DerivedConstants, z: complex, lam: complex, route: str = "eigenbasis"
 ) -> FrameSample:
@@ -290,9 +311,7 @@ def extended_frame(
     lam = _check_unit(lam)
     z = complex(z)
     if route == "eigenbasis":
-        from . import immersion  # deferred: immersion depends on this module
-
-        return immersion.frame_from_lift(c, z, lam)
+        return frame_from_lift(c, z, lam)
     if route != "iwasawa":
         raise ValueError(f"unknown route {route!r}")
 
@@ -300,6 +319,17 @@ def extended_frame(
     b1, b2 = _betas(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, lam)
     return FrameSample(z=z, lam=lam, matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
+
+
+def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> immersion.LiftSample:
+    """Third frame column through the explicit Iwasawa route.
+
+    Requires (y, lambda) off the singular locus of the factorization;
+    projectively equal to the closed-form routes where both exist.
+    """
+    z = complex(z)
+    frame = extended_frame(c, z, lam, route="iwasawa")
+    return immersion.LiftSample(x=z.real, y=z.imag, lam=complex(lam), F=frame.matrix[:, 2])
 
 
 def u_plus(
@@ -333,8 +363,6 @@ def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s: complex, t: complex) -> n
 @lru_cache(maxsize=256)
 def _beta_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float]:
     """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per (c, lambda)."""
-    from . import immersion  # deferred: immersion depends on this module
-
     _check_beta_domain(c, lam)
     g = np.array(immersion._g_full_period(c, lam))
     b1, b2 = _partial_fractions(eigensystem(c, lam).d, g, np.zeros(3), 2.0 * c.T)

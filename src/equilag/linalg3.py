@@ -1,8 +1,9 @@
 """Complex 3x3 linear algebra for the su(3) loop-group machinery.
 
 Provides the Hermitian inner product, the order-6 outer automorphism sigma,
-a trigonometric depressed-cubic solver, and closed-form eigendecomposition /
-exponentials of 3x3 skew-Hermitian matrices.
+a trigonometric depressed-cubic solver with the rank-2 kernel vector that
+potential.eigensystem builds on, and the exponential of a 3x3
+skew-Hermitian matrix from LAPACK's Hermitian eigensolver.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
 dtype, plain value semantics.  Everything here is pure and re-entrant.
@@ -116,77 +117,17 @@ def _kernel_vector(a: np.ndarray) -> np.ndarray | None:
     return best / best_norm
 
 
-def _complete_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the orthogonal complement of unit vector v."""
-    k = int(np.argmin(np.abs(v)))
-    u = np.zeros(3, dtype=complex)
-    u[k] = 1.0
-    u = u - herm_inner(u, v) * v
-    u /= np.linalg.norm(u)
-    w = np.cross(np.conj(v), np.conj(u))  # orthogonal to both under herm_inner
-    w /= np.linalg.norm(w)
-    return u, w
+def matexp_skew(d: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t*d) for skew-Hermitian d, from the LAPACK eigensystem of -i d.
 
-
-def eig_skew_hermitian(d: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a skew-Hermitian 3x3 matrix d.
-
-    Returns (dvals, basis) with d @ basis[:, j] = 1j * dvals[j] * basis[:, j],
-    dvals real and sorted descending, basis unitary.  Goes through the
-    characteristic cubic of the Hermitian matrix -1j*d plus explicit kernel
-    vectors rather than an iterative solver.
+    The result is unitary with unit-modulus determinant and satisfies the
+    one-parameter group law exp((s+t)d) = exp(sd) exp(td).  It shares no
+    code with the cubic solver behind potential.eigensystem, so it serves
+    as an independent exp(x D) in the verification suites.
     """
     d = np.asarray(d, dtype=complex)
     skew = float(np.linalg.norm(d + dagger(d)))
-    if skew > tol * (1.0 + float(np.linalg.norm(d))):
+    if skew > 1e-9 * (1.0 + float(np.linalg.norm(d))):
         raise ValueError(f"matrix is not skew-Hermitian (residual {skew:.3e})")
-    h = (-1j * d + dagger(-1j * d)) / 2.0  # exact Hermitian part
-
-    shift = float(np.trace(h).real) / 3.0
-    h0 = h - shift * _I3
-    p = -float(np.real(np.trace(h0 @ h0))) / 2.0
-    q = -float(np.real(np.linalg.det(h0)))
-    roots, _ = solve_depressed_cubic(p, q)
-    dvals = roots + shift
-
-    scale = max(1.0, float(np.max(np.abs(dvals))))
-    gap12 = dvals[0] - dvals[1]
-    gap23 = dvals[1] - dvals[2]
-    degenerate = 1e-10 * scale
-
-    if gap12 < degenerate and gap23 < degenerate:
-        return dvals, _I3.copy()
-
-    cols: list[np.ndarray] = [np.zeros(3, dtype=complex)] * 3
-    if gap12 < degenerate or gap23 < degenerate:
-        iso = 2 if gap12 < degenerate else 0
-        v = _kernel_vector(h - dvals[iso] * _I3)
-        if v is None:
-            return dvals, _I3.copy()
-        u, w = _complete_pair(v)
-        cols[iso] = v
-        other = [j for j in range(3) if j != iso]
-        cols[other[0]], cols[other[1]] = u, w
-    else:
-        for j in range(3):
-            v = _kernel_vector(h - dvals[j] * _I3)
-            if v is None:  # should not happen for distinct eigenvalues
-                raise ArithmeticError("failed to extract eigenvector of 3x3 matrix")
-            cols[j] = v
-        # Gram-Schmidt polish; vectors are orthogonal in exact arithmetic
-        for j in range(1, 3):
-            for i in range(j):
-                cols[j] = cols[j] - herm_inner(cols[j], cols[i]) * cols[i]
-            cols[j] /= np.linalg.norm(cols[j])
-    return dvals, np.stack(cols, axis=1)
-
-
-def matexp_skew(d: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*d) for skew-Hermitian d, via the closed-form eigensystem.
-
-    The result is unitary with unit-modulus determinant and satisfies the
-    one-parameter group law exp((s+t)d) = exp(sd) exp(td).
-    """
-    dvals, basis = eig_skew_hermitian(d)
-    phases = np.exp(1j * t * dvals)
-    return (basis * phases) @ dagger(basis)
+    dvals, basis = np.linalg.eigh(-1j * d)
+    return (basis * np.exp(1j * t * dvals)) @ dagger(basis)

@@ -52,8 +52,9 @@ def first_integral_residual(c: DerivedConstants, y: float) -> float:
     return abs(m.w_prime**2 + 8.0 * m.w**3 - 4.0 * c.beta * m.w**2 + 4.0 * abs(c.psi) ** 2)
 
 
-def gauss_residual(c: DerivedConstants, y: float, step: float = 1e-5) -> float:
-    """|u''/4 + e^u - |psi|^2 e^{-2u}| with u'' by central differences."""
+def gauss_residual(c: DerivedConstants, y: float) -> float:
+    """|u''/4 + e^u - |psi|^2 e^{-2u}| with u'' by central differences of step 1e-5."""
+    step = 1e-5
     um = metric_at(c, y - step).u
     u0 = metric_at(c, y).u
     up = metric_at(c, y + step).u

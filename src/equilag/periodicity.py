@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import immersion
-from .potential import (
-    DerivedConstants,
-    HyperplaneDegenerateError,
-    _check_unit,
-    eigensystem,
-)
+from .potential import DerivedConstants, _check_unit, eigensystem
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,9 +109,7 @@ def monodromy_phases(c: DerivedConstants, p: float, m: int, lam: complex) -> Mon
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    regime = immersion.regime_of(c, lam)
-    if regime == "imaginary":
-        raise HyperplaneDegenerateError("monodromy undefined at hyperplane-degenerate lambda")
+    regime = immersion._checked_regime(c, lam)
     if m == 0:
         theta = p * es.d
     elif regime == "real":
@@ -191,10 +184,7 @@ def classify_torus(
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    regime = immersion.regime_of(c, lam)
-    if regime == "imaginary":
-        raise HyperplaneDegenerateError("classification refused at hyperplane-degenerate lambda")
-
+    regime = immersion._checked_regime(c, lam)
     certs: dict[str, RationalCertificate] = {}
 
     if regime == "real":

@@ -68,8 +68,10 @@ class DerivedConstants:
     """Everything computable from SurfaceParams for a generic surface.
 
     a1, a2, -a3 are the roots of w^3 - (beta/2) w^2 + |psi|^2/2 with
-    a1 > a2 > a3 > 0; k^2 = (a1-a2)/(a1+a3); q2 = q^2 = (a1-a2)/a1;
-    r = sqrt(2(a1+a3)); T = K(k)/r is the half period of e^u.
+    a1 > a2 > a3 > 0; k2 = k^2 = (a1-a2)/(a1+a3) and kp2 = k'^2 =
+    (a2+a3)/(a1+a3), the latter free of the cancellation in 1 - k^2;
+    q2 = q^2 = (a1-a2)/a1; r = sqrt(2(a1+a3)); T = K(k)/r is the half
+    period of e^u.
     """
 
     a1: float
@@ -83,12 +85,16 @@ class DerivedConstants:
     T: float
     a: complex
     b: complex
+    k2: float
+    kp2: float
 
 
-_FLAT_TOL = 1e-9
+# relative tolerance of the flat and hyperplane tests here and of the real and
+# imaginary regimes of immersion.regime_of: one hyperplane decision for both
+CLASS_TOL = 1e-9
 
 
-def classify(params: SurfaceParams, lam: complex | None = None, tol: float = _FLAT_TOL) -> SurfaceClass:
+def classify(params: SurfaceParams, lam: complex | None = None) -> SurfaceClass:
     """Classify the input, optionally at a spectral parameter lambda.
 
     TotallyGeodesic (psi = 0) and FlatClifford (a1 = |psi|^(2/3)) do not
@@ -98,11 +104,10 @@ def classify(params: SurfaceParams, lam: complex | None = None, tol: float = _FL
     apsi = abs(params.psi)
     if apsi == 0.0:
         return SurfaceClass.TOTALLY_GEODESIC
-    if abs(params.a1 - apsi ** (2.0 / 3.0)) < tol * params.a1:
+    if abs(params.a1 - apsi ** (2.0 / 3.0)) < CLASS_TOL * params.a1:
         return SurfaceClass.FLAT_CLIFFORD
-    if lam is not None:
-        if abs((params.psi / lam**3).real) < tol * apsi:
-            return SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
+    if lam is not None and abs((params.psi / lam**3).real) < CLASS_TOL * apsi:
+        return SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
     return SurfaceClass.GENERIC
 
 
@@ -142,7 +147,7 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
     T = elliptic.complete_K(k) / r
     a = 1j * math.sqrt(a1)
     b = -1j * psi / a1
-    return DerivedConstants(a1, psi, beta, a2, a3, k, q2, r, T, a, b)
+    return DerivedConstants(a1, psi, beta, a2, a3, k, q2, r, T, a, b, k2, kp2)
 
 
 def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:

@@ -11,18 +11,25 @@ from equilag.immersion import (
     ChartError,
     RegimeError,
     _coefficients,
-    frame_from_lift,
     lift_at,
     lift_nonreal,
     lift_real,
-    lift_via_frame,
     phase_integrals,
     project_chart,
     regime_of,
     sample_grid,
     verify_geometry,
 )
+from equilag.iwasawa import (
+    beta_integrals,
+    extended_frame,
+    frame_from_lift,
+    lift_via_frame,
+    monodromy_data,
+    u_plus,
+)
 from equilag.metric import metric_at
+from equilag.periodicity import classify_torus, monodromy_phases
 from equilag.potential import (
     HyperplaneDegenerateError,
     SurfaceParams,
@@ -56,6 +63,40 @@ class TestRegime:
         es = eigensystem(bench_sweep, lam)
         with pytest.raises(HyperplaneDegenerateError):
             lift_at(bench_sweep, es, 0.1, 0.1)
+
+
+# every route at the hyperplane lambda, called as route(c, lam, es)
+HYPERPLANE_ROUTES = {
+    "phase_integrals": lambda c, lam, es: phase_integrals(c, lam, 0.3),
+    "lift_at": lambda c, lam, es: lift_at(c, es, 0.2, 0.3),
+    "lift_nonreal": lambda c, lam, es: lift_nonreal(c, es, 0.2, 0.3),
+    "lift_real": lambda c, lam, es: lift_real(c, es, 0.2, 0.3),
+    "sample_grid": lambda c, lam, es: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
+    "beta_integrals": lambda c, lam, es: beta_integrals(c, 0.3, lam),
+    "u_plus": lambda c, lam, es: u_plus(c, 0.3, lam),
+    "extended_frame_eigenbasis": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam),
+    "extended_frame_iwasawa": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam, "iwasawa"),
+    "frame_from_lift": lambda c, lam, es: frame_from_lift(c, 0.2 + 0.3j, lam),
+    "lift_via_frame": lambda c, lam, es: lift_via_frame(c, 0.2 + 0.3j, lam),
+    "monodromy_data": lambda c, lam, es: monodromy_data(c, lam),
+    "monodromy_phases": lambda c, lam, es: monodromy_phases(c, 1.0, 1, lam),
+    "classify_torus": lambda c, lam, es: classify_torus(c, lam),
+}
+
+
+@pytest.mark.parametrize("route", HYPERPLANE_ROUTES.values(), ids=list(HYPERPLANE_ROUTES))
+def test_hyperplane_refused_alike_by_every_route(bench_sweep, route):
+    """One gate: the same error type and message whichever route meets the hyperplane.
+
+    At psi = 1, lambda = e^{i pi/6} makes lambda^-3 psi = -i purely imaginary.
+    """
+    lam = cmath.exp(1j * math.pi / 6)
+    with pytest.raises(HyperplaneDegenerateError) as exc:
+        route(bench_sweep, lam, eigensystem(bench_sweep, lam))
+    assert type(exc.value) is HyperplaneDegenerateError
+    assert str(exc.value) == (
+        "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
+    )
 
 
 class TestLiftNonreal:

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from equilag.linalg3 import (
     EPS6,
     dagger,
-    eig_skew_hermitian,
     herm_inner,
     matexp_skew,
     sigma_algebra,
@@ -174,25 +173,6 @@ class TestMatexp:
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
             matexp_skew(np.eye(3, dtype=complex), 1.0)
-
-
-class TestEigSkewHermitian:
-    def test_residual_and_orthonormality(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            d = random_skew_hermitian(rng)
-            vals, basis = eig_skew_hermitian(d)
-            assert vals[0] >= vals[1] >= vals[2]
-            assert unitary_residual(basis) < 1e-12
-            resid = d @ basis - basis @ np.diag(1j * vals)
-            assert np.max(np.abs(resid)) < 1e-11
-
-    def test_matches_numpy_eigvals(self):
-        rng = np.random.default_rng(14)
-        d = random_skew_hermitian(rng)
-        vals, _ = eig_skew_hermitian(d)
-        oracle = np.sort(np.linalg.eigvals(d).imag)[::-1]
-        assert np.allclose(vals, oracle, atol=1e-12)
 
 
 def test_matmul_and_dagger():

@@ -1,8 +1,9 @@
-"""The production path stays free of numerical quadrature.
+"""The production path stays free of numerical quadrature, and imports run one way.
 
 Lifts, grids, frames, beta integrals and period phases are closed forms;
 `equilag.quadrature` is imported only by `verification`, whose suite
-`elliptic` checks K against it.
+`elliptic` checks K against it.  Every import sits at module level, and
+`iwasawa` builds on `immersion`, never the reverse.
 """
 
 import ast
@@ -11,18 +12,19 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "equilag"
 
 
-def _imports_quadrature(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, name: str) -> bool:
+    """Does tree import the package module `name` in any form?"""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "equilag.quadrature" for alias in node.names):
+            if any(alias.name == f"equilag.{name}" for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            # from .quadrature import x / from equilag.quadrature import x
+            # from .name import x / from equilag.name import x
             module = node.module or ""
-            if module in ("quadrature", "equilag.quadrature"):
+            if module in (name, f"equilag.{name}"):
                 return True
-            # from . import quadrature / from equilag import quadrature
-            if module in ("", "equilag") and any(a.name == "quadrature" for a in node.names):
+            # from . import name / from equilag import name
+            if module in ("", "equilag") and any(a.name == name for a in node.names):
                 return True
     return False
 
@@ -35,14 +37,27 @@ def test_scan_sees_every_import_form():
         "from equilag.quadrature import QuadratureError",
         "from equilag import quadrature",
     ):
-        assert _imports_quadrature(ast.parse(src)), src
-    assert not _imports_quadrature(ast.parse("from .elliptic import jacobi"))
+        assert _imports(ast.parse(src), "quadrature"), src
+    assert not _imports(ast.parse("from .elliptic import jacobi"), "quadrature")
 
 
 def test_only_verification_imports_quadrature():
     importers = sorted(
         path.stem
         for path in PACKAGE.glob("*.py")
-        if _imports_quadrature(ast.parse(path.read_text()))
+        if _imports(ast.parse(path.read_text()), "quadrature")
     )
     assert importers == ["verification"]
+
+
+def test_imports_at_module_level_and_immersion_below_iwasawa():
+    deferred = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn)
+            ):
+                deferred.append(f"{path.stem}.{fn.name}")
+    assert deferred == []
+    assert not _imports(ast.parse((PACKAGE / "immersion.py").read_text()), "iwasawa")
+    assert _imports(ast.parse("def f():\n    from . import iwasawa\n"), "iwasawa")
