@@ -18,21 +18,14 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import immersion, periodicity, verification
 from .immersion import RegimeError
-from .potential import (
-    DerivedConstants,
-    SurfaceClass,
-    SurfaceClassError,
-    SurfaceParams,
-    classify,
-    derive_constants,
-    eigensystem,
-)
+from .potential import (DerivedConstants, SurfaceClass, SurfaceClassError, SurfaceParams,
+                        _check_unit, classify, derive_constants, eigensystem)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,14 +45,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    x_min: float = 0.0
-    x_max: float = 1.0
-    y_min: float = 0.0
-    y_max: float = 1.0
-    nx: int = 16
-    ny: int = 16
+def _text(v) -> str:
+    """A config or table value as written: floats to 17 digits, the rest as str."""
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,12 @@ class JobConfig:
     sweep_count: int = 0          # > 0 selects a sweep instead of a single lambda
     sweep_start: float = 0.0
     sweep_end: float = 2.0 * math.pi
-    grid: GridSpec = field(default_factory=GridSpec)
+    x_min: float = 0.0
+    x_max: float = 1.0
+    y_min: float = 0.0
+    y_max: float = 1.0
+    nx: int = 16
+    ny: int = 16
     phase_tol: float = 1e-8
     rational_tol: float = 1e-8
     max_den: int = 64
@@ -82,35 +75,30 @@ class JobConfig:
             raise ConfigError(f"a1 must be positive and finite, got {self.a1}")
         if not cmath.isfinite(self.psi):
             raise ConfigError(f"psi must be finite, got {self.psi}")
-        g = self.grid
-        bounds = (self.sweep_start, self.sweep_end, g.x_min, g.x_max, g.y_min, g.y_max)
+        bounds = (self.sweep_start, self.sweep_end, self.x_min, self.x_max, self.y_min, self.y_max)
         if not all(map(math.isfinite, bounds)):
             raise ConfigError("lambda arc and grid bounds must be finite")
-        for name, v in (
-            ("phase", self.phase_tol),
-            ("rational_tol", self.rational_tol),
-        ):
+        for name, v in (("phase", self.phase_tol), ("rational_tol", self.rational_tol)):
             if not v > 0.0:
                 raise ConfigError(f"tolerance {name} must be > 0, got {v}")
         if self.max_den < 1:
             raise ConfigError(f"max_den must be >= 1, got {self.max_den}")
-        if self.sweep_count == 0 and not abs(abs(self.lam) - 1.0) <= 1e-9:
-            raise ConfigError(f"|lambda| = 1 required, got |lambda| = {abs(self.lam)!r}")
-        if self.grid.nx < 2 or self.grid.ny < 2:
+        if self.sweep_count == 0:
+            try:
+                _check_unit(self.lam)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid needs nx >= 2 and ny >= 2")
-        if self.out_format not in ("csv", "obj", "json"):
+        if self.out_format not in _WRITERS:
             raise ConfigError(f"unknown output format {self.out_format!r}")
         if self.sweep_count < 0:
             raise ConfigError("sweep count must be >= 1")
 
 
-# (section, key, field, type) of the [grid], [tolerances] and [output] keys;
-# [grid] fields live on GridSpec, the others on JobConfig
+# (section, key, JobConfig field, type) of the [grid], [tolerances] and [output] keys
 _TABLE = (
-    ("grid", "x_min", "x_min", float),
-    ("grid", "x_max", "x_max", float),
-    ("grid", "y_min", "y_min", float),
-    ("grid", "y_max", "y_max", float),
+    *(("grid", key, key, float) for key in ("x_min", "x_max", "y_min", "y_max")),
     ("grid", "nx", "nx", int),
     ("grid", "ny", "ny", int),
     ("tolerances", "phase", "phase_tol", float),
@@ -148,11 +136,9 @@ def parse_config(text: str) -> JobConfig:
                 kw["sweep_end"] = lab.getfloat("arc_end", 2.0 * math.pi)
             else:
                 kw["lam"] = complex(lab.getfloat("re", 1.0), lab.getfloat("im", 0.0))
-        grid = {}
         for section, key, name, conv in _TABLE:
             if section in cp and key in cp[section]:
-                (grid if section == "grid" else kw)[name] = conv(cp[section][key])
-        kw["grid"] = GridSpec(**grid)
+                kw[name] = conv(cp[section][key])
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -162,50 +148,33 @@ def parse_config(text: str) -> JobConfig:
     return cfg
 
 
-def render_config(cfg: JobConfig) -> str:
-    """Serialize a JobConfig back to the config grammar (round-trip stable)."""
-    lines = [
-        "[surface]",
-        f"a1 = {_fmt(cfg.a1)}",
-        f"psi_re = {_fmt(cfg.psi.real)}",
-        f"psi_im = {_fmt(cfg.psi.imag)}",
-        "",
-        "[lambda]",
-    ]
+def _sections(cfg: JobConfig) -> dict[str, dict]:
+    """{section: {key: value}} of the whole config, in the grammar's order."""
     if cfg.sweep_count > 0:
-        lines += [
-            f"count = {cfg.sweep_count}",
-            f"arc_start = {_fmt(cfg.sweep_start)}",
-            f"arc_end = {_fmt(cfg.sweep_end)}",
-        ]
+        lam = {"count": cfg.sweep_count, "arc_start": cfg.sweep_start, "arc_end": cfg.sweep_end}
     else:
-        lines += [f"re = {_fmt(cfg.lam.real)}", f"im = {_fmt(cfg.lam.imag)}"]
-    for section, values in _table_values(cfg).items():
-        lines += ["", f"[{section}]"]
-        lines += [f"{key} = {_fmt(v) if isinstance(v, float) else v}" for key, v in values.items()]
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _table_values(cfg: JobConfig) -> dict[str, dict]:
-    """{section: {key: value}} of the table-driven config sections."""
-    out: dict[str, dict] = {}
+        lam = {"re": cfg.lam.real, "im": cfg.lam.imag}
+    out = {"surface": {"a1": cfg.a1, "psi_re": cfg.psi.real, "psi_im": cfg.psi.imag},
+           "lambda": lam}
     for section, key, name, _ in _TABLE:
-        out.setdefault(section, {})[key] = getattr(cfg.grid if section == "grid" else cfg, name)
+        out.setdefault(section, {})[key] = getattr(cfg, name)
     return out
 
 
+def render_config(cfg: JobConfig) -> str:
+    """Serialize a JobConfig back to the config grammar (round-trip stable)."""
+    lines = []
+    for section, values in _sections(cfg).items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_text(v)}" for key, v in values.items()]
+        lines.append("")
+    return "\n".join(lines)
+
+
 def _config_dict(cfg: JobConfig) -> dict:
-    d = {"a1": cfg.a1, "psi_re": cfg.psi.real, "psi_im": cfg.psi.imag, **_table_values(cfg)}
-    if cfg.sweep_count > 0:
-        d["lambda"] = {
-            "count": cfg.sweep_count,
-            "arc_start": cfg.sweep_start,
-            "arc_end": cfg.sweep_end,
-        }
-    else:
-        d["lambda"] = {"re": cfg.lam.real, "im": cfg.lam.imag}
-    return d
+    """The JSON config echo: the [surface] keys at the top level, other sections nested."""
+    sections = _sections(cfg)
+    return {**sections.pop("surface"), **sections}
 
 
 def _json_dumps(obj) -> str:
@@ -233,9 +202,6 @@ def _load(args) -> JobConfig:
     return cfg
 
 
-# ---------------------------------------------------------------------------
-# commands
-
 def _generic_constants(cfg: JobConfig, lam: complex | None = None) -> DerivedConstants:
     """Derived constants of the configured surface, generic at lam when given.
 
@@ -255,23 +221,17 @@ def _generic_constants(cfg: JobConfig, lam: complex | None = None) -> DerivedCon
 _REAL_CONSTANTS = ("beta", "a1", "a2", "a3", "k", "q2", "r", "T")
 
 
-def cmd_derive(cfg: JobConfig, as_json: bool) -> int:
+def cmd_derive(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg, cfg.lam)
     es = eigensystem(c, cfg.lam)
     regime = immersion.regime_of(c, cfg.lam)
-    if as_json:
-        payload = {
-            "config": _config_dict(cfg),
-            "classification": SurfaceClass.GENERIC.value,
-            "regime": regime,
-            "constants": {
-                **{name: getattr(c, name) for name in _REAL_CONSTANTS},
-                "a_re": c.a.real, "a_im": c.a.imag,
-                "b_re": c.b.real, "b_im": c.b.imag,
-            },
-            "eigenvalues": list(es.d),
-        }
-        sys.stdout.write(_json_dumps(payload))
+    if args.json:
+        constants = {name: getattr(c, name) for name in _REAL_CONSTANTS}
+        constants.update(a_re=c.a.real, a_im=c.a.imag, b_re=c.b.real, b_im=c.b.imag)
+        sys.stdout.write(_json_dumps({
+            "config": _config_dict(cfg), "classification": SurfaceClass.GENERIC.value,
+            "regime": regime, "constants": constants, "eigenvalues": list(es.d),
+        }))
         return EXIT_OK
     print(f"classification : {SurfaceClass.GENERIC.value} (cubic form regime: {regime})")
     for name in _REAL_CONSTANTS:
@@ -283,98 +243,65 @@ def cmd_derive(cfg: JobConfig, as_json: bool) -> int:
     return EXIT_OK
 
 
-def cmd_verify(
-    cfg: JobConfig, as_json: bool, corrupt_kappa: bool = False,
-    suites: list[str] | None = None,
-) -> int:
+def cmd_verify(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg)
     try:
         report = verification.run_suites(
-            SurfaceParams(c.a1, c.psi), corrupt_kappa=corrupt_kappa, names=suites
+            SurfaceParams(c.a1, c.psi), corrupt_kappa=args.debug_corrupt_kappa,
+            names=args.suites.split(",") if args.suites else None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if as_json:
-        payload = {
-            "config": _config_dict(cfg),
-            "passed": report.passed,
-            "suites": [asdict(s) for s in report.suites],
-        }
-        sys.stdout.write(_json_dumps(payload))
+    if args.json:
+        sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "passed": report.passed,
+                                      "suites": [asdict(s) for s in report.suites]}))
     else:
         for s in report.suites:
-            status = "PASS" if s.passed else "FAIL"
-            worst = max(
-                (k for k in s.thresholds), key=lambda k: s.residuals[k] / s.thresholds[k]
-            )
-            print(
-                f"[suite:{s.name}] {status}  worst {worst} = {s.residuals[worst]:.3e} "
-                f"(threshold {s.thresholds[worst]:.0e}, {s.seconds:.2f}s)"
-                + (f"  note: {s.note}" if s.note else "")
-            )
+            worst = max(s.thresholds, key=lambda k: s.residuals[k] / s.thresholds[k])
+            print(f"[suite:{s.name}] {'PASS' if s.passed else 'FAIL'}  worst {worst} = "
+                  f"{s.residuals[worst]:.3e} (threshold {s.thresholds[worst]:.0e}, {s.seconds:.2f}s)"
+                  + (f"  note: {s.note}" if s.note else ""))
         print("verification:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_sample(cfg: JobConfig) -> int:
+def cmd_sample(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg, cfg.lam)
     if not cfg.out_path:
         raise ConfigError("sample requires an output path ([output] path or --out)")
-    g = cfg.grid
-    grid = immersion.sample_grid(
-        c, cfg.lam, (g.x_min, g.x_max), (g.y_min, g.y_max), g.nx, g.ny
-    )
-    if cfg.out_format == "csv":
-        _write_csv(cfg.out_path, grid)
-    elif cfg.out_format == "obj":
-        _write_obj(cfg.out_path, grid)
-    else:
-        _write_json(cfg.out_path, cfg, grid)
+    grid = immersion.sample_grid(c, cfg.lam, (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max),
+                                 cfg.nx, cfg.ny)
+    _WRITERS[cfg.out_format](cfg.out_path, cfg, grid)
     return EXIT_OK
 
 
-def _write_csv(path: str, grid: immersion.GridSample) -> None:
-    cols = (
-        "x,y,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,"
-        "re_w1,im_w1,re_w2,im_w2,e_u,flag"
-    )
+def _write_csv(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
+    """One row per cell, x fastest; complex columns as (re, im) pairs."""
+    x, y = np.meshgrid(grid.xs, grid.ys)
+    e_u = np.broadcast_to(grid.e_u[:, None], x.shape)
+    # a contiguous complex128 array viewed as float64 interleaves re and im
+    F, w = (np.ascontiguousarray(a).reshape(x.size, -1).view(float) for a in (grid.F, grid.chart))
+    table = np.column_stack([x.ravel(), y.ravel(), F, w, e_u.ravel(), grid.flags.ravel()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cols + "\n")
-        for iy, y in enumerate(grid.ys):
-            for ix, x in enumerate(grid.xs):
-                F = grid.F[iy, ix]
-                w = grid.chart[iy, ix]
-                row = [x, y]
-                for comp in F:
-                    row += [comp.real, comp.imag]
-                row += [w[0].real, w[0].imag, w[1].real, w[1].imag, grid.e_u[iy]]
-                fh.write(",".join(_fmt(v) for v in row))
-                fh.write(f",{int(grid.flags[iy, ix])}\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", comments="",
+                   header="x,y,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,re_w1,im_w1,re_w2,im_w2,e_u,flag")
 
 
-def _write_obj(path: str, grid: immersion.GridSample) -> None:
+def _quads(a: np.ndarray) -> np.ndarray:
+    """(ny, nx) -> (ny - 1, nx - 1, 4): the grid quads' corners, counter-clockwise."""
+    return np.stack([a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]], axis=-1)
+
+
+def _write_obj(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
     """Chart embedding (Re w1, Im w1, Re w2); faces skip flagged corners."""
-    ny, nx = grid.flags.shape
+    re_im = np.ascontiguousarray(grid.chart).view(float)  # Re w1, Im w1, Re w2, Im w2
+    verts = np.where(grid.flags[..., None], 0.0, re_im[..., :3])  # placeholders keep grid indexing
+    index = np.arange(1, grid.flags.size + 1).reshape(grid.flags.shape)
+    faces = _quads(index)[~_quads(grid.flags).any(axis=-1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# equilag surface sample\n")
-        for iy in range(ny):
-            for ix in range(nx):
-                if grid.flags[iy, ix]:
-                    fh.write("v 0 0 0\n")  # placeholder keeps grid indexing
-                else:
-                    w = grid.chart[iy, ix]
-                    fh.write(
-                        f"v {_fmt(w[0].real)} {_fmt(w[0].imag)} {_fmt(w[1].real)}\n"
-                    )
-        for iy in range(ny - 1):
-            for ix in range(nx - 1):
-                corners = (
-                    (iy, ix), (iy, ix + 1), (iy + 1, ix + 1), (iy + 1, ix),
-                )
-                if any(grid.flags[r, s] for r, s in corners):
-                    continue
-                idx = [r * nx + s + 1 for r, s in corners]
-                fh.write("f {} {} {} {}\n".format(*idx))
+        np.savetxt(fh, verts.reshape(-1, 3), fmt="v %.17g %.17g %.17g")
+        np.savetxt(fh, faces, fmt="f %d %d %d %d")
 
 
 def _write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
@@ -398,23 +325,28 @@ def _write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
         fh.write(_json_dumps(payload))
 
 
+_WRITERS = {"csv": _write_csv, "obj": _write_obj, "json": _write_json}
+
+
+def _verdict(cfg: JobConfig, c: DerivedConstants, lam: complex) -> periodicity.PeriodVerdict:
+    return periodicity.classify_torus(c, lam, max_den=cfg.max_den, tol=cfg.rational_tol,
+                                      phase_tol=cfg.phase_tol)
+
+
 def _verdict_dict(v: periodicity.PeriodVerdict) -> dict:
-    d: dict = {"tag": v.tag, "lambda": [v.lam.real, v.lam.imag]}
+    d: dict = {"tag": v.tag, "lambda": [v.lam.real, v.lam.imag],
+               "certificates": {name: asdict(cert) for name, cert in v.certificates.items()}}
     if v.omega is not None:
         d["omega"] = [v.omega.real, v.omega.imag]
     if v.lattice is not None:
         d["p_f"] = v.lattice[0].real
         d["omega_f"] = [v.lattice[1].real, v.lattice[1].imag]
-    d["certificates"] = {name: asdict(cert) for name, cert in v.certificates.items()}
     return d
 
 
-def cmd_classify(cfg: JobConfig, as_json: bool) -> int:
-    c = _generic_constants(cfg, cfg.lam)
-    verdict = periodicity.classify_torus(
-        c, cfg.lam, max_den=cfg.max_den, tol=cfg.rational_tol, phase_tol=cfg.phase_tol
-    )
-    if as_json:
+def cmd_classify(cfg: JobConfig, args) -> int:
+    verdict = _verdict(cfg, _generic_constants(cfg, cfg.lam), cfg.lam)
+    if args.json:
         sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "verdict": _verdict_dict(verdict)}))
         return EXIT_OK
     print(f"verdict: {verdict.tag}")
@@ -429,7 +361,10 @@ def cmd_classify(cfg: JobConfig, as_json: bool) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: JobConfig) -> int:
+_SWEEP_COLUMNS = ("index", "theta", "lam_re", "lam_im", "regime", "verdict", "p_f", "error")
+
+
+def cmd_sweep(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg)
     if cfg.sweep_count < 1:
         raise ConfigError("sweep requires [lambda] count >= 1")
@@ -439,39 +374,39 @@ def cmd_sweep(cfg: JobConfig) -> int:
     rows = []
     for i, theta in enumerate(thetas):
         lam = complex(np.exp(1j * theta))
-        row: dict = {"index": i, "theta": float(theta), "lam_re": lam.real, "lam_im": lam.imag}
+        row: dict = {"index": i, "theta": float(theta), "lam_re": lam.real, "lam_im": lam.imag,
+                     "verdict": "", "error": ""}
         try:
             row["regime"] = immersion.regime_of(c, lam)
-            verdict = periodicity.classify_torus(
-                c, lam, max_den=cfg.max_den, tol=cfg.rational_tol, phase_tol=cfg.phase_tol
-            )
+            verdict = _verdict(cfg, c, lam)
             row["verdict"] = verdict.tag
             if verdict.lattice is not None:
                 row["p_f"] = verdict.lattice[0].real
-            row["error"] = ""
         except SurfaceClassError as exc:
             row["regime"] = "imaginary"
-            row["verdict"] = ""
             row["error"] = type(exc).__name__
         except ArithmeticError as exc:
-            row["verdict"] = ""
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg.out_format == "json":
             fh.write(_json_dumps({"config": _config_dict(cfg), "samples": rows}))
             return EXIT_OK
-        fh.write("index,theta,lam_re,lam_im,regime,verdict,p_f,error\n")
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                f"{row['index']},{_fmt(row['theta'])},{_fmt(row['lam_re'])},"
-                f"{_fmt(row['lam_im'])},{row.get('regime','')},{row['verdict']},"
-                f"{_fmt(row['p_f']) if 'p_f' in row else ''},{row['error']}\n"
-            )
+            fh.write(",".join(_text(row.get(key, "")) for key in _SWEEP_COLUMNS) + "\n")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
+# name: (command, help); drives both the subparsers and the dispatch
+_COMMANDS = {
+    "derive": (cmd_derive, "print derived constants and the eigenvalue table"),
+    "verify": (cmd_verify, "run the residual verification suites"),
+    "sample": (cmd_sample, "evaluate the lift on a grid and export csv/obj/json"),
+    "classify": (cmd_classify, "cylinder/torus classification at one lambda"),
+    "sweep": (cmd_sweep, "classification catalog over a lambda arc"),
+}
+
 
 def _complex_flag(text: str) -> complex:
     try:
@@ -488,13 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derive constants, verify identities, sample lifts, classify periods.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("derive", "print derived constants and the eigenvalue table"),
-        ("verify", "run the residual verification suites"),
-        ("sample", "evaluate the lift on a grid and export csv/obj/json"),
-        ("classify", "cylinder/torus classification at one lambda"),
-        ("sweep", "classification catalog over a lambda arc"),
-    ):
+    for name, (_, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="path to an INI config file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -517,19 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
-        if args.command == "derive":
-            return cmd_derive(cfg, args.json)
-        if args.command == "verify":
-            suites = args.suites.split(",") if getattr(args, "suites", None) else None
-            return cmd_verify(cfg, args.json, getattr(args, "debug_corrupt_kappa", False), suites)
-        if args.command == "sample":
-            return cmd_sample(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg, args.json)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

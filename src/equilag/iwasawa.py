@@ -198,29 +198,20 @@ def _branch_ratio(c: DerivedConstants, y: float, c0: complex) -> complex:
     return zeta * zeta
 
 
-def q_factor(
-    c: DerivedConstants,
-    y: float,
-    lam: complex,
-    _wrong_normalizer: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """The pair (Q0, Qtilde) with Q = Q0 Qtilde solving Q D Q^{-1} = Omega.
 
     det Qtilde = 1 and Qtilde(0) = Q0(0) = I; the scalar normalizer carries
     the cube-root branch that is continuous in y from the identity (see
     _branch_ratio).  Raises SingularLocusError on the singular locus of the
-    factorization.  (_wrong_normalizer deliberately mis-places the
-    cube-root exponents; it exists only as a negative control for
-    verification.)
+    factorization.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     raw, q0, _ = _raw_factor(c, y, lam)
     c0 = _checked_c0(c, lam)
-    rho = _branch_ratio(c, y, c0)
-    xi = c0 * rho * rho if _wrong_normalizer else c0 * rho
-    return q0, raw / xi
+    return q0, raw / (c0 * _branch_ratio(c, y, c0))
 
 
 def _check_beta_domain(c: DerivedConstants, lam: complex) -> None:
@@ -332,19 +323,16 @@ def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> immersion.L
     return immersion.LiftSample(x=z.real, y=z.imag, lam=complex(lam), F=frame.matrix[:, 2])
 
 
-def u_plus(
-    c: DerivedConstants, y: float, lam: complex, _wrong_normalizer: bool = False
-) -> np.ndarray:
+def u_plus(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
     """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0), |lambda| = 1.
 
     Satisfies U_+ D U_+^{-1} = Omega and dU_+/dy U_+^{-1} = 2i(lam V_1 + V_0)
-    on the admissible set.  (_wrong_normalizer is passed on to q_factor as
-    the negative control of verification.)
+    on the admissible set.
     """
     lam = _check_unit(lam)
     es = eigensystem(c, lam)
     b1, b2 = _betas(c, es, float(y))
-    q0, qt = q_factor(c, y, lam, _wrong_normalizer)
+    q0, qt = q_factor(c, y, lam)
     return q0 @ qt @ _exp_d_l0(c, es, b1, b2)
 
 

@@ -201,7 +201,7 @@ class EigenSystem:
 
 def _check_unit(lam: complex) -> complex:
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-8:
+    if not abs(abs(lam) - 1.0) <= 1e-8:  # written so that NaN fails it too
         raise ValueError(f"|lambda| = 1 required, got |lambda| = {abs(lam)!r}")
     return lam
 

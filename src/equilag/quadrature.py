@@ -1,9 +1,11 @@
 """Adaptive Simpson quadrature for smooth complex-valued integrands.
 
-In the package it integrates only the defining integral of K in suite
-`elliptic`.  Lifts, grids, frames, beta integrals and period phases are
-closed forms (immersion, iwasawa); the tests use this rule as the
-independent route to them.
+No package module imports it: lifts, grids, frames, beta integrals and
+period phases are closed forms (immersion, iwasawa), and suite `elliptic`
+checks K against Carlson's R_F.  The tests use this rule as the independent
+route to the closed forms.  It stays in the package because the benchmark's
+layer tracer (`bench/layertrace.py`, `LAYERS`) imports every traced module,
+this one included.
 """
 
 from __future__ import annotations

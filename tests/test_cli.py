@@ -1,15 +1,19 @@
 import cmath
+import configparser
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from equilag import immersion
 from equilag.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_VERIFY,
+    JobConfig,
     main,
     parse_config,
     render_config,
@@ -72,6 +76,64 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg.sweep_count == 12
         assert parse_config(render_config(cfg)) == cfg
+
+    # every JobConfig field away from its default: a point config and a sweep config
+    FULL_POINT = """
+[surface]
+a1 = 3.5
+psi_re = 0.25
+psi_im = -1.5
+
+[lambda]
+re = 0.59999999999999998
+im = -0.80000000000000004
+
+[grid]
+x_min = -1.25
+x_max = 2.5
+y_min = 0.5
+y_max = 3
+nx = 7
+ny = 9
+
+[tolerances]
+phase = 9.9999999999999995e-07
+rational_tol = 1.0000000000000001e-05
+max_den = 12
+
+[output]
+format = obj
+path = mesh.obj
+"""
+    FULL_SWEEP = FULL_POINT.replace(
+        "re = 0.59999999999999998\nim = -0.80000000000000004",
+        "count = 30\narc_start = 0.25\narc_end = 1.5",
+    )
+
+    @pytest.mark.parametrize("text", [FULL_POINT, FULL_SWEEP], ids=["point", "sweep"])
+    def test_every_field_round_trips(self, text, tmp_path, capsys):
+        cfg = parse_config(text)
+        default = JobConfig(a1=1.0, psi=0j)
+        changed = {f.name for f in dataclasses.fields(JobConfig)
+                   if getattr(cfg, f.name) != getattr(default, f.name)}
+        mode = {"lam"} if cfg.sweep_count == 0 else {"sweep_count", "sweep_start", "sweep_end"}
+        assert changed == {f.name for f in dataclasses.fields(JobConfig)} - (
+            {"lam", "sweep_count", "sweep_start", "sweep_end"} - mode)
+        assert render_config(cfg) == text.lstrip()
+        assert parse_config(render_config(cfg)) == cfg
+        # the JSON echo carries every key of the file, [surface] at the top level
+        path = tmp_path / "job.ini"
+        path.write_text(text)
+        assert main(["derive", "--json", "--config", str(path)]) == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["config"]
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        for section in cp.sections():
+            values = echo if section == "surface" else echo[section]
+            for key, raw in cp[section].items():
+                want = raw if key in ("format", "path") else float(raw)
+                assert values[key] == want, (section, key)
+        assert len(echo) == 3 + len(cp.sections()) - 1
 
     def test_invalid_configs(self):
         from equilag.cli import ConfigError
@@ -137,6 +199,60 @@ class TestSample:
         assert main(["sample", "--config", str(path), "--out", str(out1)]) == EXIT_OK
         assert main(["sample", "--config", str(path), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @staticmethod
+    def _flag(monkeypatch, cells):
+        """Make sample_grid flag the given cells and set their chart to NaN, as it does itself."""
+        sample_grid = immersion.sample_grid
+
+        def flagged(*args):
+            grid = sample_grid(*args)
+            flags = np.zeros_like(grid.flags)
+            flags[tuple(np.transpose(cells))] = True
+            chart = grid.chart.copy()
+            chart[flags] = np.nan  # nan + 0j
+            return dataclasses.replace(grid, flags=flags, chart=chart)
+
+        monkeypatch.setattr(immersion, "sample_grid", flagged)
+
+    def _sample(self, tmp_path, fmt, nx=6, ny=5):
+        cfg = BASE_CONFIG.replace("format = csv", f"format = {fmt}")
+        path = tmp_path / "job.ini"
+        path.write_text(cfg.replace("nx = 6", f"nx = {nx}").replace("ny = 5", f"ny = {ny}"))
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()
+
+    FLAGGED = [(1, 2), (3, 0), (0, 5)]   # (iy, ix) on the 6 x 5 grid
+
+    def test_csv_flagged_cells(self, tmp_path, monkeypatch):
+        self._flag(monkeypatch, self.FLAGGED)
+        rows = [line.split(",") for line in self._sample(tmp_path, "csv")[1:]]
+        assert len(rows) == 30
+        for i, row in enumerate(rows):
+            flagged = divmod(i, 6) in self.FLAGGED
+            assert row[13] == ("1" if flagged else "0")
+            assert (row[8:12] == ["nan", "0", "nan", "0"]) is flagged
+            assert "nan" not in row[:8] + row[12:13]
+
+    def test_obj_flagged_cells(self, tmp_path, monkeypatch):
+        self._flag(monkeypatch, self.FLAGGED)
+        lines = self._sample(tmp_path, "obj")
+        verts = [line for line in lines if line.startswith("v ")]
+        faces = [[int(i) for i in line.split()[1:]] for line in lines if line.startswith("f ")]
+        flagged = {iy * 6 + ix + 1 for iy, ix in self.FLAGGED}
+        assert [i + 1 for i, v in enumerate(verts) if v == "v 0 0 0"] == sorted(flagged)
+        want = [[iy * 6 + ix + 1, iy * 6 + ix + 2, iy * 6 + ix + 8, iy * 6 + ix + 7]
+                for iy in range(4) for ix in range(5)]
+        assert faces == [f for f in want if not flagged & set(f)]
+        assert len(faces) == 20 - 7
+
+    def test_all_flagged_grid_has_no_faces(self, tmp_path, monkeypatch):
+        self._flag(monkeypatch, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        lines = self._sample(tmp_path, "obj", nx=2, ny=2)
+        assert lines == ["# equilag surface sample"] + ["v 0 0 0"] * 4
+        rows = [line.split(",") for line in self._sample(tmp_path, "csv", nx=2, ny=2)[1:]]
+        assert all(row[8:12] == ["nan", "0", "nan", "0"] and row[13] == "1" for row in rows)
 
     def test_obj_export(self, tmp_path):
         cfg = BASE_CONFIG.replace("format = csv", "format = obj")
@@ -275,8 +391,13 @@ class TestRefusals:
         ["--a1", "2", "--psi", "nan,0"],
         ["--a1", "2", "--psi", "1,0", "--lambda", "nan,0"],
         ["--a1", "1e6", "--psi", "1,0"],      # k too close to 1
+        ["--a1", "2", "--psi", "1,0", "--lambda", "1.0000001,0"],  # |lambda| 1e-7 off 1
     ])
     def test_out_of_domain_surface(self, flags, capsys):
         assert main(["derive", *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_lambda_within_the_library_gate_runs(self):
+        # |lambda| - 1 = 5e-9: inside the 1e-8 that every library route accepts
+        assert main(["derive", "--a1", "2", "--psi", "1,0", "--lambda", "1.000000005,0"]) == EXIT_OK

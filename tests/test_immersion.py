@@ -99,6 +99,26 @@ def test_hyperplane_refused_alike_by_every_route(bench_sweep, route):
     )
 
 
+# routes that take lambda, called as route(c, lam)
+UNIT_ROUTES = {
+    "eigensystem": lambda c, lam: eigensystem(c, lam),
+    "lift_at": lambda c, lam: lift_at(c, eigensystem(c, lam), 0.2, 0.3),
+    "sample_grid": lambda c, lam: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
+    "beta_integrals": lambda c, lam: beta_integrals(c, 0.3, lam),
+    "extended_frame_eigenbasis": lambda c, lam: extended_frame(c, 0.2 + 0.3j, lam),
+    "extended_frame_iwasawa": lambda c, lam: extended_frame(c, 0.2 + 0.3j, lam, "iwasawa"),
+}
+
+
+@pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(math.inf, 0.0)], ids=["nan", "inf"])
+@pytest.mark.parametrize("route", UNIT_ROUTES.values(), ids=list(UNIT_ROUTES))
+def test_non_finite_lambda_refused_by_every_route(bench_sweep, route, lam):
+    # |lambda| - 1 is NaN for lambda = NaN, so only a test written as
+    # "not within 1e-8" refuses it
+    with pytest.raises(ValueError, match=r"\|lambda\| = 1 required"):
+        route(bench_sweep, lam)
+
+
 class TestLiftNonreal:
     def test_origin_is_e3(self, bench_nonreal):
         es = eigensystem(bench_nonreal, 1.0)

@@ -82,8 +82,11 @@ class TestQFactor:
             q_factor(bench_sweep, 0.3, 1.0)
 
     def test_wrong_normalizer_breaks_det(self, bench_nonreal):
-        _, qt = q_factor(bench_nonreal, 0.6, cmath.exp(0.3j), _wrong_normalizer=True)
-        assert abs(np.linalg.det(qt) - 1.0) > 1e-3
+        # the negative control of suite iwasawa: the branch ratio applied twice
+        lam = cmath.exp(0.3j)
+        _, qt = q_factor(bench_nonreal, 0.6, lam)
+        rho = iwasawa._branch_ratio(bench_nonreal, 0.6, iwasawa._checked_c0(bench_nonreal, lam))
+        assert abs(np.linalg.det(qt / rho) - 1.0) > 1e-3
 
 
 class TestBetaIntegrals:

@@ -1,9 +1,9 @@
 """The production path stays free of numerical quadrature, and imports run one way.
 
-Lifts, grids, frames, beta integrals and period phases are closed forms;
-`equilag.quadrature` is imported only by `verification`, whose suite
-`elliptic` checks K against it.  Every import sits at module level, and
-`iwasawa` builds on `immersion`, never the reverse.
+Lifts, grids, frames, beta integrals and period phases are closed forms,
+and suite `elliptic` checks K against Carlson's R_F, so no package module
+imports `equilag.quadrature` (the tests' oracles do).  Every import sits at
+module level, and `iwasawa` builds on `immersion`, never the reverse.
 """
 
 import ast
@@ -41,13 +41,13 @@ def test_scan_sees_every_import_form():
     assert not _imports(ast.parse("from .elliptic import jacobi"), "quadrature")
 
 
-def test_only_verification_imports_quadrature():
+def test_no_package_module_imports_quadrature():
     importers = sorted(
         path.stem
         for path in PACKAGE.glob("*.py")
         if _imports(ast.parse(path.read_text()), "quadrature")
     )
-    assert importers == ["verification"]
+    assert importers == []
 
 
 def test_imports_at_module_level_and_immersion_below_iwasawa():
