@@ -14,8 +14,6 @@ from .immersion import (
     LiftSample,
     RegimeError,
     lift_at,
-    lift_nonreal,
-    lift_real,
     phase_integrals,
     project_chart,
     regime_of,
@@ -24,11 +22,10 @@ from .immersion import (
 )
 from .iwasawa import (
     FrameSample,
-    IwasawaFactors,
     SingularLocusError,
     beta_integrals,
     extended_frame,
-    iwasawa_factors,
+    iwasawa_frame,
     lift_via_frame,
     omega_matrix,
     q_factor,
@@ -52,7 +49,6 @@ from .potential import (
     SurfaceClassError,
     SurfaceParams,
     TotallyGeodesicError,
-    char_poly_eval,
     classify,
     derive_constants,
     eigensystem,
@@ -66,12 +62,12 @@ __all__ = [
     "SurfaceParams", "DerivedConstants", "EigenSystem", "SurfaceClass",
     "SurfaceClassError", "TotallyGeodesicError", "FlatCliffordError",
     "HyperplaneDegenerateError", "classify", "derive_constants",
-    "potential_matrix", "char_poly_eval", "eigensystem",
+    "potential_matrix", "eigensystem",
     "MetricSample", "metric_at", "first_integral_residual", "gauss_residual",
-    "SingularLocusError", "IwasawaFactors", "FrameSample", "omega_matrix",
-    "q_factor", "beta_integrals", "iwasawa_factors", "extended_frame",
+    "SingularLocusError", "FrameSample", "omega_matrix",
+    "q_factor", "beta_integrals", "extended_frame", "iwasawa_frame",
     "RegimeError", "ChartError", "LiftSample", "GridSample", "GeometryReport",
-    "regime_of", "lift_nonreal", "lift_real", "lift_at", "lift_via_frame",
+    "regime_of", "lift_at", "lift_via_frame",
     "phase_integrals", "project_chart", "sample_grid", "verify_geometry",
     "RationalCertificate", "MonodromyPhases", "PeriodVerdict",
     "rational_approx", "monodromy_phases", "classify_cylinder", "classify_torus",

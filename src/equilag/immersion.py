@@ -35,11 +35,11 @@ Both forms give |F| = 1 identically, F(0, 0) = e_3, and agree exactly with
 the third frame column of the explicit Iwasawa route wherever that route is
 defined.  The frames live in iwasawa, which builds on this module.
 
+`lift_at` is the one lift function and picks the regime itself.
 `phase_integrals` and the coefficient kernel `_coefficients` take a float y
 or a 1-D array of them; `sample_grid` makes one array pass per grid, one
-`jacobi` call for all rows.  The pointwise functions (`lift_at`, the regime
-lifts, `verify_geometry`, and iwasawa's `frame_from_lift`) keep the float
-path.
+`jacobi` call for all rows; `lift_at`, `verify_geometry` and iwasawa's
+`extended_frame` keep the float path.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ def _checked_regime(c: DerivedConstants, lam: complex) -> str:
             "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
         )
     return regime
-
-
-def _require(regime: str, c: DerivedConstants, lam: complex) -> None:
-    actual = _checked_regime(c, lam)
-    if actual != regime:
-        raise RegimeError(f"lambda^-3 psi is {actual}; use the {actual} route")
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +275,13 @@ def _coefficients(
 
 
 def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
-    """Regime-dispatching lift evaluation."""
+    """The closed-form lift F(x, y) in the regime of lambda^-3 psi; |F| = 1 identically.
+
+    Real regime: F(x, y + 4T) = F(x, y).  Raises HyperplaneDegenerateError
+    in the imaginary regime and RegimeError below the non-real gap floor.
+    """
     p, _ = _coefficients(c, es, y)
     return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)
-
-
-def lift_nonreal(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
-    """Closed-form lift for non-real cubic form; |F| = 1 identically."""
-    _require("nonreal", c, es.lam)
-    return lift_at(c, es, x, y)
-
-
-def lift_real(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
-    """Closed-form lift for real cubic form; satisfies F(x, y + 4T) = F(x, y)."""
-    _require("real", c, es.lam)
-    return lift_at(c, es, x, y)
 
 
 def project_chart(F: np.ndarray | LiftSample) -> ChartPoint:
@@ -345,7 +331,7 @@ def sample_grid(
     flags = np.abs(F[:, :, 2]) <= CHART_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         chart = F[:, :, :2] / F[:, :, 2:]
-    chart[flags] = np.nan
+    chart[flags] = complex(np.nan, np.nan)
     e_u = _from_jacobi(c, ys, jac).w
     return GridSample(lam=lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
 
@@ -363,11 +349,7 @@ class GeometryReport:
     laplace: float          # F_{z zbar} + e^u F
     cubic_form: float       # F_{zz} . conj(F_zbar) + i lambda^-3 psi
     x_ode: float            # d^3_x F + beta d_x F - 2i Re(lambda^-3 psi) F
-    factor_identity: float
     scalar_ode: float       # first-order ODE of the coefficients p_j
-    unit_norm: float
-    points: int
-    flagged: int
 
 
 def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport:
@@ -389,16 +371,10 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     rows = [
         (metric_at(c, y), *(_coefficients(c, es, t)[0] for t in (y - h, y, y + h))) for y in ys
     ]
-    rep = {f.name: 0.0 for f in fields(GeometryReport) if f.name not in ("points", "flagged")}
-    flagged = 0
-    points = 0
+    rep = {f.name: 0.0 for f in fields(GeometryReport)}
     for x in xs:
         for m, pm, p0, pp in rows:
-            points += 1
             F = ev(x, p0)
-            rep["unit_norm"] = max(rep["unit_norm"], abs(np.linalg.norm(F) - 1.0))
-            if abs(F[2]) <= CHART_TOL:
-                flagged += 1
             fxp, fxm = ev(x + h, p0), ev(x - h, p0)
             fyp, fym = ev(x, pp), ev(x, pm)
             Fx = (fxp - fxm) / (2 * h)
@@ -432,12 +408,8 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
                 rep["x_ode"], float(np.max(np.abs(d3 + c.beta * d1 - 2j * re0 * F)))
             )
 
-            lhs = (es.d * w - re0) * (es.d**2 * w + re0 * es.d - 2 * w**2)
-            rhs = (0.25 * m.u_prime**2 * w**2 + im0**2) * es.d
-            rep["factor_identity"] = max(rep["factor_identity"], float(np.max(np.abs(lhs - rhs))))
-
             dpj = (pp - pm) / (2 * h)
             ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * p0
             rep["scalar_ode"] = max(rep["scalar_ode"], float(np.max(np.abs(ode))))
 
-    return GeometryReport(points=points, flagged=flagged, **rep)
+    return GeometryReport(**rep)

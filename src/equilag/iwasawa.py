@@ -14,10 +14,11 @@ and beta1, beta2 are scalar integrals
     beta2(y) = int_0^y  2 e^u / cdet ds,
     cdet     = lam^3 conj(psi) - lam^-3 psi - e^u u'.
 
-The extended frame is then F(z, lambda) =
-exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), with the lift as third
-column (lift_via_frame); frame_from_lift, the default route, rebuilds it
-from immersion's closed-form lift.  Imports run from here to immersion only.
+The extended frame F(z, lambda) comes two ways: extended_frame rebuilds it
+from immersion's closed-form lift (its third column) and the lift's analytic
+derivatives, wherever the lift is defined; iwasawa_frame evaluates
+exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), and lift_via_frame takes
+its third column.  Imports run from here to immersion only.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -36,7 +37,7 @@ by continuity in y from Qtilde(0) = I (see _branch_ratio); principal
 branches are never used blindly.  The factors degenerate where cdet
 vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
-points callers at the eigenbasis route (see immersion), which stays valid.
+points callers at extended_frame and immersion.lift_at, which stay valid.
 Hyperplane-degenerate lambda are refused by immersion's one hyperplane gate.
 """
 
@@ -56,7 +57,6 @@ from .potential import (
     DerivedConstants,
     EigenSystem,
     _check_unit,
-    commutant_matrix,
     eigensystem,
 )
 
@@ -68,24 +68,13 @@ class SingularLocusError(ArithmeticError):
     - e^u u' bounded away from zero on the whole path 0 -> y; for
     |lambda| = 1 its minimum over y is |cdet(0)| = 2 |Im(lambda^-3 psi)|.
     Evaluate the frame or lift through the eigenbasis closed forms instead
-    (extended_frame(..., route="eigenbasis") or the immersion module).
+    (extended_frame or immersion.lift_at).
     """
 
-    HINT = "; evaluate through the eigenbasis closed forms (route='eigenbasis')"
+    HINT = "; evaluate through the eigenbasis closed forms (extended_frame, lift_at)"
 
     def __init__(self, message: str):
         super().__init__(message + self.HINT)
-
-
-@dataclass
-class IwasawaFactors:
-    y: float
-    lam: complex
-    Q0: np.ndarray
-    Qtilde: np.ndarray
-    beta1: complex
-    beta2: complex
-    L0: np.ndarray
 
 
 @dataclass
@@ -257,20 +246,13 @@ def beta_integrals(c: DerivedConstants, y: float, lam: complex) -> tuple[complex
     return _betas(c, eigensystem(c, lam), float(y))
 
 
-def iwasawa_factors(c: DerivedConstants, y: float, lam: complex) -> IwasawaFactors:
-    """All pieces of the explicit factorization at (y, lambda)."""
-    q0, qt = q_factor(c, y, lam)
-    b1, b2 = beta_integrals(c, y, lam)
-    return IwasawaFactors(
-        y=y, lam=lam, Q0=q0, Qtilde=qt, beta1=b1, beta2=b2, L0=commutant_matrix(c, lam)
-    )
-
-
-def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
-    """Extended frame rebuilt from the closed-form lift (eigenbasis route).
+def extended_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
+    """The extended frame F(z, lambda) in SU(3), F(0, lambda) = I, from the lift.
 
     F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
-    the derivatives of the lift F taken analytically from p_j and p_j'.
+    the derivatives of the closed-form lift F taken analytically from p_j
+    and p_j'; defined wherever the lift is (everything except the
+    hyperplane-degenerate lambda).
     """
     lam = _check_unit(lam)
     z = complex(z)
@@ -288,24 +270,14 @@ def frame_from_lift(c: DerivedConstants, z: complex, lam: complex) -> FrameSampl
     return FrameSample(z=z, lam=lam, matrix=np.stack(cols, axis=1))
 
 
-def extended_frame(
-    c: DerivedConstants, z: complex, lam: complex, route: str = "eigenbasis"
-) -> FrameSample:
-    """The extended frame F(z, lambda) in SU(3), F(0, lambda) = I.
+def iwasawa_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
+    """The extended frame by the explicit factorization exp((z - beta1) D - beta2 L0) Q^{-1}.
 
-    route="eigenbasis" (default) reconstructs the frame from the closed-form
-    horizontal lift and its analytic derivatives; it is defined wherever the
-    lift is (everything except the hyperplane-degenerate lambda).
-    route="iwasawa" evaluates exp((z - beta1) D - beta2 L0) Q^{-1} directly
-    and fails on the singular locus of the factorization.
+    Equal to extended_frame where both exist; raises SingularLocusError on
+    the singular locus of the factorization.
     """
     lam = _check_unit(lam)
     z = complex(z)
-    if route == "eigenbasis":
-        return frame_from_lift(c, z, lam)
-    if route != "iwasawa":
-        raise ValueError(f"unknown route {route!r}")
-
     es = eigensystem(c, lam)
     b1, b2 = _betas(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, lam)
@@ -313,14 +285,13 @@ def extended_frame(
 
 
 def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> immersion.LiftSample:
-    """Third frame column through the explicit Iwasawa route.
+    """Third column of iwasawa_frame.
 
     Requires (y, lambda) off the singular locus of the factorization;
-    projectively equal to the closed-form routes where both exist.
+    projectively equal to immersion.lift_at where both exist.
     """
-    z = complex(z)
-    frame = extended_frame(c, z, lam, route="iwasawa")
-    return immersion.LiftSample(x=z.real, y=z.imag, lam=complex(lam), F=frame.matrix[:, 2])
+    fr = iwasawa_frame(c, z, lam)
+    return immersion.LiftSample(x=fr.z.real, y=fr.z.imag, lam=fr.lam, F=fr.matrix[:, 2])
 
 
 def u_plus(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:

@@ -55,38 +55,24 @@ def sigma_algebra(x: np.ndarray) -> np.ndarray:
 
 
 def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
-    """Real roots of t^3 + p t + q = 0, sorted descending.
+    """Real roots of t^3 + p t + q = 0 for p < 0, sorted descending.
 
-    Returns (roots, multiple).  When the discriminant -4p^3 - 27q^2 is
-    positive the three distinct real roots come from the trigonometric
-    (Viete) form; otherwise `multiple` is set and the roots carry
-    multiplicity (for p > 0 only the single real root exists and is
-    replicated).  Roots are Newton-polished and re-centered so they sum
-    to zero, and a root below 1e-3 of the largest is taken from the
-    product of the roots, -q, to keep its relative accuracy.
+    Returns (roots, multiple), `multiple` set unless the discriminant
+    -4p^3 - 27q^2 is clearly positive.  The trigonometric (Viete) roots are
+    Newton-polished and re-centered to sum to zero, and a root below 1e-3
+    of the largest is taken from their product, -q.  p >= 0, never met by
+    the eigenvalue cubic d^3 - beta d + 2 Re, is refused with ValueError.
     """
+    if not p < 0.0:
+        raise ValueError(f"p < 0 required, got p = {p!r}")
     disc = -4.0 * p**3 - 27.0 * q * q
     scale = max(1.0, abs(p), abs(q))
     multiple = disc <= 1e-12 * scale**3
 
-    if p == 0.0 and q == 0.0:
-        return np.zeros(3), True
-    single = False
-    if p < 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        c3 = max(-1.0, min(1.0, -4.0 * q / m**3))
-        phi = math.acos(c3) / 3.0
-        roots = np.array(
-            [m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
-        )
-    else:
-        # single real root (Cardano); replicate so the shape is stable
-        s = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-        t = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-        t += math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-        roots = np.array([t, t, t])
-        multiple = True
-        single = True
+    m = 2.0 * math.sqrt(-p / 3.0)
+    c3 = max(-1.0, min(1.0, -4.0 * q / m**3))
+    phi = math.acos(c3) / 3.0
+    roots = np.array([m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)])
 
     for _ in range(2):  # Newton polish
         f = roots**3 + p * roots + q
@@ -94,13 +80,12 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
         safe = np.abs(df) > 1e-300
         roots = np.where(safe, roots - f / np.where(safe, df, 1.0), roots)
     roots = np.sort(roots)[::-1]
-    if not single:  # the three real roots of a depressed cubic sum to zero
-        roots = roots - roots.sum() / 3.0
-        # re-centring leaves an ulp of the largest root as absolute error: a
-        # far smaller root comes from -q / (product of the others) instead
-        j = int(np.argmin(np.abs(roots)))
-        if abs(roots[j]) < 1e-3 * np.max(np.abs(roots)):
-            roots[j] = -q / np.prod(np.delete(roots, j))
+    roots = roots - roots.sum() / 3.0  # the three real roots sum to zero
+    # re-centring leaves an ulp of the largest root as absolute error: a
+    # far smaller root comes from -q / (product of the others) instead
+    j = int(np.argmin(np.abs(roots)))
+    if abs(roots[j]) < 1e-3 * np.max(np.abs(roots)):
+        roots[j] = -q / np.prod(np.delete(roots, j))
     return roots, multiple
 
 

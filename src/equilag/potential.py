@@ -166,22 +166,6 @@ def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
     )
 
 
-def char_poly_eval(c: DerivedConstants, lam: complex, mu: complex) -> complex:
-    """det(mu I - D(lambda)) = mu^3 + beta mu - i (lam^3 conj(psi) + lam^-3 psi).
-
-    On |lambda| = 1 the constant term is -2i Re(lambda^-3 psi).
-    """
-    lam = complex(lam)
-    return mu**3 + c.beta * mu - 1j * (lam**3 * np.conj(c.psi) + c.psi / lam**3)
-
-
-def commutant_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
-    """L0 = D^2 - (1/3) tr(D^2) I, spanning the commutant of D with D itself."""
-    d = potential_matrix(c, lam)
-    d2 = d @ d
-    return d2 - (np.trace(d2) / 3.0) * np.eye(3)
-
-
 @dataclass
 class EigenSystem:
     """Eigendata of D(lambda) on the unit circle.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -297,10 +297,6 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
         if not any(abs(o.psi - c.psi) < 1e-12 and o.a1 == c.a1 for o in cases):
             cases.append(c)
     worst_norm = worst_geom = worst_cross = 0.0
-    geom_fields = (
-        "horizontality", "conformality_diag", "conformality_cross",
-        "laplace", "cubic_form", "x_ode", "scalar_ode",
-    )
     for c in cases:
         grid = immersion.sample_grid(c, 1.0, (0.0, 2.0), (0.0, 2.0 * c.T), 64, 64)
         worst_norm = max(
@@ -309,7 +305,7 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
         rep = immersion.verify_geometry(
             c, 1.0, np.linspace(0.1, 1.9, 3), np.linspace(0.1, 2.0 * c.T - 0.1, 3)
         )
-        worst_geom = max(worst_geom, *(getattr(rep, f) for f in geom_fields))
+        worst_geom = max(worst_geom, *astuple(rep))
         if immersion.regime_of(c, 1.0) == "nonreal":
             es = eigensystem(c, 1.0)
             rng = np.random.default_rng(23)

@@ -1,7 +1,8 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script, and README's quick start, runs to completion against src/."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,15 +12,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 def test_five_demos_found():
     assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = _python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (API)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = _python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Torus")

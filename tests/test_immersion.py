@@ -12,8 +12,6 @@ from equilag.immersion import (
     RegimeError,
     _coefficients,
     lift_at,
-    lift_nonreal,
-    lift_real,
     phase_integrals,
     project_chart,
     regime_of,
@@ -23,7 +21,7 @@ from equilag.immersion import (
 from equilag.iwasawa import (
     beta_integrals,
     extended_frame,
-    frame_from_lift,
+    iwasawa_frame,
     lift_via_frame,
     monodromy_data,
     u_plus,
@@ -50,14 +48,6 @@ class TestRegime:
         # rotating lambda moves psi = e^{i pi/4} onto the real ray
         assert regime_of(bench_nonreal, cmath.exp(1j * math.pi / 12)) == "real"
 
-    def test_wrong_route_raises(self, bench_nonreal, bench_sweep):
-        es = eigensystem(bench_nonreal, 1.0)
-        with pytest.raises(RegimeError):
-            lift_real(bench_nonreal, es, 0.0, 0.0)
-        es2 = eigensystem(bench_sweep, 1.0)
-        with pytest.raises(RegimeError):
-            lift_nonreal(bench_sweep, es2, 0.0, 0.0)
-
     def test_hyperplane_refused(self, bench_sweep):
         lam = cmath.exp(1j * math.pi / 6)
         es = eigensystem(bench_sweep, lam)
@@ -69,14 +59,11 @@ class TestRegime:
 HYPERPLANE_ROUTES = {
     "phase_integrals": lambda c, lam, es: phase_integrals(c, lam, 0.3),
     "lift_at": lambda c, lam, es: lift_at(c, es, 0.2, 0.3),
-    "lift_nonreal": lambda c, lam, es: lift_nonreal(c, es, 0.2, 0.3),
-    "lift_real": lambda c, lam, es: lift_real(c, es, 0.2, 0.3),
     "sample_grid": lambda c, lam, es: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
     "beta_integrals": lambda c, lam, es: beta_integrals(c, 0.3, lam),
     "u_plus": lambda c, lam, es: u_plus(c, 0.3, lam),
     "extended_frame_eigenbasis": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam),
-    "extended_frame_iwasawa": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam, "iwasawa"),
-    "frame_from_lift": lambda c, lam, es: frame_from_lift(c, 0.2 + 0.3j, lam),
+    "iwasawa_frame": lambda c, lam, es: iwasawa_frame(c, 0.2 + 0.3j, lam),
     "lift_via_frame": lambda c, lam, es: lift_via_frame(c, 0.2 + 0.3j, lam),
     "monodromy_data": lambda c, lam, es: monodromy_data(c, lam),
     "monodromy_phases": lambda c, lam, es: monodromy_phases(c, 1.0, 1, lam),
@@ -106,7 +93,7 @@ UNIT_ROUTES = {
     "sample_grid": lambda c, lam: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
     "beta_integrals": lambda c, lam: beta_integrals(c, 0.3, lam),
     "extended_frame_eigenbasis": lambda c, lam: extended_frame(c, 0.2 + 0.3j, lam),
-    "extended_frame_iwasawa": lambda c, lam: extended_frame(c, 0.2 + 0.3j, lam, "iwasawa"),
+    "iwasawa_frame": lambda c, lam: iwasawa_frame(c, 0.2 + 0.3j, lam),
 }
 
 
@@ -122,7 +109,7 @@ def test_non_finite_lambda_refused_by_every_route(bench_sweep, route, lam):
 class TestLiftNonreal:
     def test_origin_is_e3(self, bench_nonreal):
         es = eigensystem(bench_nonreal, 1.0)
-        F = lift_nonreal(bench_nonreal, es, 0.0, 0.0).F
+        F = lift_at(bench_nonreal, es, 0.0, 0.0).F
         assert np.max(np.abs(F - E3)) < 1e-12
 
     def test_h_squares_sum_to_one(self, bench_nonreal):
@@ -159,7 +146,7 @@ class TestLiftNonreal:
         es = eigensystem(bench_nonreal, 1.0)
         for _ in range(40):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            F = lift_nonreal(bench_nonreal, es, x, y).F
+            F = lift_at(bench_nonreal, es, x, y).F
             assert abs(np.linalg.norm(F) - 1.0) < 1e-10
 
     def test_g_sum_rule(self, bench_nonreal):
@@ -189,14 +176,14 @@ class TestLiftReal:
 
     def test_origin_is_e3(self, bench_real):
         es = eigensystem(bench_real, 1.0)
-        F = lift_real(bench_real, es, 0.0, 0.0).F
+        F = lift_at(bench_real, es, 0.0, 0.0).F
         assert np.max(np.abs(F - E3)) < 1e-12
 
     def test_unit_norm(self, bench_real):
         rng = np.random.default_rng(1)
         es = eigensystem(bench_real, 1.0)
         for _ in range(40):
-            F = lift_real(bench_real, es, rng.uniform(-3, 3), rng.uniform(-3, 3)).F
+            F = lift_at(bench_real, es, rng.uniform(-3, 3), rng.uniform(-3, 3)).F
             assert abs(np.linalg.norm(F) - 1.0) < 1e-12
 
     def test_4T_periodicity(self, bench_real):
@@ -204,14 +191,15 @@ class TestLiftReal:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            a = lift_real(bench_real, es, x, y).F
-            b = lift_real(bench_real, es, x, y + 4.0 * bench_real.T).F
+            a = lift_at(bench_real, es, x, y).F
+            b = lift_at(bench_real, es, x, y + 4.0 * bench_real.T).F
             assert np.max(np.abs(a - b)) < 1e-9
 
     def test_other_surface_real_at_rotated_lambda(self, bench_nonreal):
         lam = cmath.exp(1j * math.pi / 12)  # lambda^-3 psi = 1, real
+        assert regime_of(bench_nonreal, lam) == "real"
         es = eigensystem(bench_nonreal, lam)
-        F = lift_real(bench_nonreal, es, 0.3, 0.7).F
+        F = lift_at(bench_nonreal, es, 0.3, 0.7).F
         assert abs(np.linalg.norm(F) - 1.0) < 1e-12
 
 
@@ -242,9 +230,9 @@ class TestCrossRoute:
             assert abs(a[0] - b[0]) < 1e-8 and abs(a[1] - b[1]) < 1e-8
 
     def test_real_regime_frame_identity(self, bench_real):
-        fr = frame_from_lift(bench_real, 0j, 1.0)
+        fr = extended_frame(bench_real, 0j, 1.0)
         assert np.max(np.abs(fr.matrix - np.eye(3))) < 1e-12
-        fr2 = frame_from_lift(bench_real, 0.3 + 0.9j, 1.0)
+        fr2 = extended_frame(bench_real, 0.3 + 0.9j, 1.0)
         assert linalg3.unitary_residual(fr2.matrix) < 1e-10
 
 
@@ -333,14 +321,19 @@ class TestGrid:
             sample_grid(bench_sweep, hyperplane, (0.0, 1.0), (0.0, 1.0), 4, 6)
 
 
+def _points(c):
+    """The (xs, ys) of the geometry reports: three of each over one period."""
+    return np.linspace(0.15, 1.8, 3), np.linspace(0.12, 2.0 * c.T - 0.1, 3)
+
+
 @pytest.fixture(scope="module")
-def reports(bench_nonreal, bench_real):
-    out = {}
-    for name, c in (("nonreal", bench_nonreal), ("real", bench_real)):
-        out[name] = verify_geometry(
-            c, 1.0, np.linspace(0.15, 1.8, 3), np.linspace(0.12, 2.0 * c.T - 0.1, 3)
-        )
-    return out
+def surfaces(bench_nonreal, bench_real):
+    return {"nonreal": bench_nonreal, "real": bench_real}
+
+
+@pytest.fixture(scope="module")
+def reports(surfaces):
+    return {name: verify_geometry(c, 1.0, *_points(c)) for name, c in surfaces.items()}
 
 
 class TestGeometry:
@@ -364,12 +357,26 @@ class TestGeometry:
         assert rep.scalar_ode < 1e-6
 
     @pytest.mark.parametrize("regime", ["nonreal", "real"])
-    def test_factor_identity_pointwise(self, reports, regime):
-        assert reports[regime].factor_identity < 1e-9
+    def test_factor_identity_pointwise(self, surfaces, regime):
+        # (d_j w - Re)(d_j^2 w + Re d_j - 2 w^2) = (u'^2 w^2 / 4 + Im^2) d_j;
+        # suite identities checks it in the non-real regime only
+        c = surfaces[regime]
+        assert regime_of(c, 1.0) == regime
+        es = eigensystem(c, 1.0)
+        v = c.psi  # lambda = 1
+        for y in _points(c)[1]:
+            m = metric_at(c, y)
+            lhs = (es.d * m.w - v.real) * (es.d**2 * m.w + v.real * es.d - 2 * m.w**2)
+            rhs = (0.25 * m.u_prime**2 * m.w**2 + v.imag**2) * es.d
+            assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     @pytest.mark.parametrize("regime", ["nonreal", "real"])
-    def test_unit_norm(self, reports, regime):
-        assert reports[regime].unit_norm < 1e-10
+    def test_unit_norm(self, surfaces, regime):
+        c = surfaces[regime]
+        es = eigensystem(c, 1.0)
+        for x in _points(c)[0]:
+            for y in _points(c)[1]:
+                assert abs(np.linalg.norm(lift_at(c, es, x, y).F) - 1.0) < 1e-10
 
     def test_cubic_form_value(self, bench_nonreal):
         # the associated family carries cubic differential -i lambda^-3 psi:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from equilag import iwasawa, linalg3
 from equilag.iwasawa import (
@@ -12,7 +13,7 @@ from equilag.iwasawa import (
     b_matrix,
     beta_integrals,
     extended_frame,
-    iwasawa_factors,
+    iwasawa_frame,
     omega_matrix,
     q_factor,
     u_plus,
@@ -25,6 +26,7 @@ from equilag.potential import (
     derive_constants,
     potential_matrix,
 )
+from matrix_oracles import commutant_matrix
 from phase_oracles import beta_by_mpmath, beta_by_quadrature
 
 EPS6 = linalg3.EPS6
@@ -176,12 +178,15 @@ class TestBetaIntegrals:
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12 * scale
 
     def test_factors_record(self, bench_nonreal):
+        # the factors rebuild U_+ = Q0 Qtilde exp(beta1 D + beta2 L0) with the
+        # matrix L0 = D^2 - tr(D^2)/3 I, where the package uses its spectrum
         c = bench_nonreal
-        fac = iwasawa_factors(c, 0.7, cmath.exp(0.3j))
-        d = potential_matrix(c, fac.lam)
-        assert np.max(np.abs(fac.L0 @ d - d @ fac.L0)) < 1e-12
-        assert abs(np.trace(fac.L0)) < 1e-12
-        assert abs(np.linalg.det(fac.Qtilde) - 1.0) < 1e-11
+        lam = cmath.exp(0.3j)
+        q0, qt = q_factor(c, 0.7, lam)
+        b1, b2 = beta_integrals(c, 0.7, lam)
+        assert abs(np.linalg.det(qt) - 1.0) < 1e-11
+        gen = b1 * potential_matrix(c, lam) + b2 * commutant_matrix(c, lam)
+        assert np.max(np.abs(q0 @ qt @ expm(gen) - u_plus(c, 0.7, lam))) < 1e-11
 
 
 # arg psi = pi/4 on bench_nonreal: lambda^-3 psi is real at arg lambda = pi/12
@@ -212,7 +217,7 @@ class TestBetaDomainEdges:
         # the iwasawa frame and U_+ refuse exactly where beta does, alike
         for route in (
             lambda: u_plus(c, y, lam),
-            lambda: extended_frame(c, 0.3 + 1j * y, lam, route="iwasawa").matrix,
+            lambda: iwasawa_frame(c, 0.3 + 1j * y, lam).matrix,
         ):
             if refusal is None:
                 assert np.all(np.isfinite(route()))
@@ -229,7 +234,7 @@ class TestBetaDomainEdges:
         for call in (
             lambda: beta_integrals(c, 0.7, lam),
             lambda: u_plus(c, 0.7, lam),
-            lambda: extended_frame(c, 0.7j, lam, route="iwasawa"),
+            lambda: iwasawa_frame(c, 0.7j, lam),
             lambda: iwasawa.monodromy_data(c, lam),
         ):
             with pytest.raises(SingularLocusError, match="phase constants"):
@@ -266,10 +271,10 @@ class TestUPlusFlow:
 class TestExtendedFrame:
     def test_identity_at_zero(self, bench_nonreal, bench_real):
         for c in (bench_nonreal, bench_real):
-            for route in ("eigenbasis", "iwasawa"):
-                if route == "iwasawa" and c is bench_real:
+            for frame in (extended_frame, iwasawa_frame):
+                if frame is iwasawa_frame and c is bench_real:
                     continue  # singular locus
-                fr = extended_frame(c, 0j, 1.0, route=route)
+                fr = frame(c, 0j, 1.0)
                 assert np.max(np.abs(fr.matrix - I3)) < 1e-12
 
     def test_su3_membership(self, bench_nonreal):
@@ -286,8 +291,8 @@ class TestExtendedFrame:
     def test_routes_agree(self, bench_nonreal):
         lam = cmath.exp(0.3j)
         for z in (0.37 + 0.52j, -0.8 + 1.9j):
-            fa = extended_frame(bench_nonreal, z, lam, route="iwasawa").matrix
-            fb = extended_frame(bench_nonreal, z, lam, route="eigenbasis").matrix
+            fa = iwasawa_frame(bench_nonreal, z, lam).matrix
+            fb = extended_frame(bench_nonreal, z, lam).matrix
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_routes_agree_many_periods(self, bench_nonreal):
@@ -295,8 +300,8 @@ class TestExtendedFrame:
         lam = cmath.exp(0.3j)
         for y in (1.84, 7.3, -11.9, 23.456):
             z = 0.4 + 1j * y
-            fa = extended_frame(bench_nonreal, z, lam, route="iwasawa").matrix
-            fb = extended_frame(bench_nonreal, z, lam, route="eigenbasis").matrix
+            fa = iwasawa_frame(bench_nonreal, z, lam).matrix
+            fb = extended_frame(bench_nonreal, z, lam).matrix
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_qtilde_returns_to_identity_after_period(self, bench_nonreal):
@@ -335,9 +340,8 @@ class TestExtendedFrame:
         assert np.max(np.abs(fre - linalg3.sigma_group(fr))) < 1e-9
 
     def test_singular_route_raises_with_hint(self, bench_sweep):
-        with pytest.raises(SingularLocusError, match="eigenbasis"):
-            extended_frame(bench_sweep, 0.5 + 0.5j, 1.0, route="iwasawa")
-
-    def test_unknown_route(self, bench_nonreal):
-        with pytest.raises(ValueError):
-            extended_frame(bench_nonreal, 0j, 1.0, route="nope")
+        with pytest.raises(SingularLocusError, match=r"closed forms \(extended_frame, lift_at\)"):
+            iwasawa_frame(bench_sweep, 0.5 + 0.5j, 1.0)
+        # the frame the hint names is defined there
+        fr = extended_frame(bench_sweep, 0.5 + 0.5j, 1.0).matrix
+        assert linalg3.unitary_residual(fr) < 1e-10

@@ -109,9 +109,9 @@ class TestDepressedCubic:
         assert abs(0.5**3 + p * 0.5 + q) == 0.0
 
     def test_triple_root(self):
-        roots, multiple = solve_depressed_cubic(0.0, 0.0)
-        assert multiple
-        assert np.allclose(roots, 0.0)
+        # p = q = 0: the triple root 0 is refused like every p >= 0
+        with pytest.raises(ValueError, match="p < 0 required"):
+            solve_depressed_cubic(0.0, 0.0)
 
     def test_residuals_and_sum(self):
         rng = np.random.default_rng(6)
@@ -130,9 +130,22 @@ class TestDepressedCubic:
             assert roots[0] >= roots[1] >= roots[2]
 
     def test_single_real_root(self):
-        roots, multiple = solve_depressed_cubic(1.0, -2.0)
+        # p > 0 leaves one real root; the eigenvalue cubic has p = -beta < 0
+        with pytest.raises(ValueError, match="p < 0 required"):
+            solve_depressed_cubic(1.0, -2.0)
+
+    @pytest.mark.parametrize("p", [-0.0, 5e-324, math.inf, math.nan])
+    def test_refuses_p_not_negative(self, p):
+        # the edges next to the two cases above: signed zero, the smallest
+        # positive float, and non-finite p
+        with pytest.raises(ValueError, match="p < 0 required"):
+            solve_depressed_cubic(p, 1.0)
+
+    def test_double_root_flagged(self):
+        # t^3 - 3t + 2 = (t - 1)^2 (t + 2): p < 0, zero discriminant
+        roots, multiple = solve_depressed_cubic(-3.0, 2.0)
         assert multiple
-        assert abs(roots[0] ** 3 + roots[0] - 2.0) < 1e-12
+        assert np.allclose(roots, [1.0, 1.0, -2.0], atol=1e-7)
 
 
 class TestMatexp:

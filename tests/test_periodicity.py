@@ -17,11 +17,11 @@ from equilag.potential import (
     HyperplaneDegenerateError,
     SurfaceParams,
     _check_unit,
-    commutant_matrix,
     derive_constants,
     eigensystem,
     potential_matrix,
 )
+from matrix_oracles import commutant_matrix
 from phase_oracles import by_quadrature
 
 TWO_PI = 2.0 * math.pi

@@ -4,19 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from equilag import linalg3
+from equilag import iwasawa, linalg3
 from equilag.potential import (
     FlatCliffordError,
     SurfaceClass,
     SurfaceParams,
     TotallyGeodesicError,
-    char_poly_eval,
     classify,
-    commutant_matrix,
     derive_constants,
     eigensystem,
     potential_matrix,
 )
+from matrix_oracles import char_poly_eval, commutant_matrix
 
 EPS6 = linalg3.EPS6
 
@@ -256,8 +255,13 @@ class TestEigensystem:
             eigensystem(bench_nonreal, 0.5)
 
     def test_commutant_matrix(self, bench_nonreal):
+        # the package keeps L0 only as its spectrum on the eigenvectors of D
         lam = cmath.exp(0.9j)
         d = potential_matrix(bench_nonreal, lam)
         l0 = commutant_matrix(bench_nonreal, lam)
         assert np.max(np.abs(d @ l0 - l0 @ d)) < 1e-13
         assert abs(np.trace(l0)) < 1e-13
+        es = eigensystem(bench_nonreal, lam)
+        spectrum = iwasawa._l0_spectrum(bench_nonreal, es.d)
+        basis = es.vectors.T
+        assert np.max(np.abs(l0 @ basis - basis * spectrum)) < 1e-12
