@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
-import functools
 import json
 import math
 import sys
@@ -306,21 +305,21 @@ def _write_obj(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
 
 
 def _write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
-    """Complex values as [re, im] pairs; flagged chart cells as null."""
-    def pairs(a: np.ndarray) -> list:
-        return np.stack([a.real, a.imag], -1).tolist()
+    def c2l(z: complex) -> list[float]:
+        return [z.real, z.imag]
 
-    chart = pairs(grid.chart)
-    for iy, ix in zip(*np.nonzero(grid.flags)):
-        chart[iy][ix] = None
     payload = {
         "config": _config_dict(cfg),
-        "xs": grid.xs.tolist(),
-        "ys": grid.ys.tolist(),
-        "e_u": grid.e_u.tolist(),
-        "F": pairs(grid.F),
-        "chart": chart,
-        "flags": grid.flags.astype(int).tolist(),
+        "xs": list(grid.xs),
+        "ys": list(grid.ys),
+        "e_u": list(grid.e_u),
+        "F": [[[c2l(z) for z in cell] for cell in row] for row in grid.F],
+        "chart": [
+            [None if grid.flags[iy, ix] else [c2l(grid.chart[iy, ix, 0]), c2l(grid.chart[iy, ix, 1])]
+             for ix in range(len(grid.xs))]
+            for iy in range(len(grid.ys))
+        ],
+        "flags": [[int(v) for v in row] for row in grid.flags],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json_dumps(payload))
@@ -417,9 +416,7 @@ def _complex_flag(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from exc
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="equilag",
         description="Equivariant minimal Lagrangian surfaces in CP^2: "

@@ -3,12 +3,11 @@ import configparser
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
 
-from equilag import cli, immersion
+from equilag import immersion
 from equilag.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -19,7 +18,6 @@ from equilag.cli import (
     parse_config,
     render_config,
 )
-from equilag.potential import SurfaceParams, derive_constants
 
 TORUS_PSI = 1.0 / math.sqrt(3.0)
 
@@ -256,37 +254,6 @@ class TestSample:
         rows = [line.split(",") for line in self._sample(tmp_path, "csv", nx=2, ny=2)[1:]]
         assert all(row[8:12] == ["nan"] * 4 and row[13] == "1" for row in rows)
 
-    @pytest.mark.parametrize("flag", [False, True], ids=["plain", "flagged"])
-    def test_json_matches_cell_by_cell_builder(self, tmp_path, monkeypatch, flag):
-        # the whole-array writer against the former cell-by-cell one, byte for byte
-        if flag:
-            self._flag(monkeypatch, self.FLAGGED)
-        cfg = parse_config(BASE_CONFIG)
-        grid = immersion.sample_grid(
-            derive_constants(SurfaceParams(cfg.a1, cfg.psi)), cfg.lam,
-            (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max), cfg.nx, cfg.ny)
-        assert bool(grid.flags.any()) is flag
-
-        def c2l(z):
-            return [z.real, z.imag]
-
-        want = cli._json_dumps({
-            "config": cli._config_dict(cfg),
-            "xs": list(grid.xs),
-            "ys": list(grid.ys),
-            "e_u": list(grid.e_u),
-            "F": [[[c2l(z) for z in cell] for cell in row] for row in grid.F],
-            "chart": [
-                [None if grid.flags[iy, ix] else [c2l(w) for w in grid.chart[iy, ix]]
-                 for ix in range(len(grid.xs))]
-                for iy in range(len(grid.ys))
-            ],
-            "flags": [[int(v) for v in row] for row in grid.flags],
-        })
-        out = tmp_path / "grid.json"
-        cli._write_json(str(out), cfg, grid)
-        assert out.read_text(encoding="utf-8") == want
-
     def test_obj_export(self, tmp_path):
         cfg = BASE_CONFIG.replace("format = csv", "format = obj")
         path = tmp_path / "job.ini"
@@ -395,40 +362,6 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["suites"][0]["name"] == "elliptic"
-
-
-class TestOneParserPerProcess:
-    """main reuses one cached parser; every call must still act like a fresh one."""
-
-    CALLS = [
-        (["derive", "--a1", "2", "--psi", "1,0", "--json"], EXIT_OK),
-        (["derive", "--a1", "x"], 2),  # argparse error: SystemExit(2)
-        (["classify", "--a1", "1", "--psi", f"{TORUS_PSI!r},0"], EXIT_OK),
-        (["verify", "--a1", "2", "--psi", "1,1", "--suites", "elliptic"], EXIT_OK),
-    ]
-
-    @staticmethod
-    def _run(argv, capsys):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        out, err = capsys.readouterr()
-        # a suite's wall time, as in "(threshold 1e-12, 0.03s)", varies
-        return rc, re.sub(r", [0-9.]+s\)", ", s)", out), err
-
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_repeated_calls_match_fresh_calls(self, capsys):
-        fresh = []
-        for argv, code in self.CALLS:
-            cli.build_parser.cache_clear()
-            fresh.append(self._run(argv, capsys))
-            assert fresh[-1][0] == code
-        for _ in range(2):
-            for (argv, _), want in zip(self.CALLS, fresh):
-                assert self._run(argv, capsys) == want
 
 
 class TestRefusals:
