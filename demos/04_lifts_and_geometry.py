@@ -17,8 +17,8 @@ from equilag import (
     SurfaceParams,
     derive_constants,
     eigensystem,
+    iwasawa_frame,
     lift_at,
-    lift_via_frame,
     project_chart,
     regime_of,
     sample_grid,
@@ -52,7 +52,7 @@ print("== cross-route projective agreement (non-real) ==")
 es = eigensystem(nonreal, 1.0)
 for z in (0.3 + 0.4j, -0.7 + 1.2j):
     fa = lift_at(nonreal, es, z.real, z.imag).F
-    fb = lift_via_frame(nonreal, z, 1.0).F
+    fb = iwasawa_frame(nonreal, z, 1.0).matrix[:, 2]
     print(f"  z = {z}: |<F_closed, F_frame>| - 1 = {abs(herm_inner(fa, fb)) - 1:+.1e}")
 
 print("\n== 4T periodicity of the real-regime lift ==")

@@ -26,7 +26,6 @@ from .iwasawa import (
     beta_integrals,
     extended_frame,
     iwasawa_frame,
-    lift_via_frame,
     omega_matrix,
     q_factor,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "SingularLocusError", "FrameSample", "omega_matrix",
     "q_factor", "beta_integrals", "extended_frame", "iwasawa_frame",
     "RegimeError", "ChartError", "LiftSample", "GridSample", "GeometryReport",
-    "regime_of", "lift_at", "lift_via_frame",
+    "regime_of", "lift_at",
     "phase_integrals", "project_chart", "sample_grid", "verify_geometry",
     "RationalCertificate", "MonodromyPhases", "PeriodVerdict",
     "rational_approx", "monodromy_phases", "classify_cylinder", "classify_torus",

@@ -250,7 +250,7 @@ def cmd_verify(cfg: JobConfig, args) -> int:
             SurfaceParams(c.a1, c.psi), corrupt_kappa=args.debug_corrupt_kappa,
             names=args.suites.split(",") if args.suites else None,
         )
-    except ValueError as exc:
+    except verification.UnknownSuiteError as exc:
         raise ConfigError(str(exc)) from exc
     if args.json:
         sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "passed": report.passed,

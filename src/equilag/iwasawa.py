@@ -4,8 +4,9 @@ exp(z D(lambda)) splits as F(z, lambda) U_+(y, lambda) with F unitary.  For
 this family the positive factor is explicit: U_+ = Q exp(beta1 D + beta2 L0)
 where Q = Q0 Qtilde conjugates D into the x-connection matrix
 
-    Omega(y, lambda) = Q D Q^{-1},
+    Omega(y, lambda) = Q D Q^{-1} = lam^-1 U_{-1} + U_0 + V_0 + lam V_1,
 
+the x-part of F^-1 dF = (lam^-1 U_{-1} + U_0) dz + (V_0 + lam V_1) dzbar.
 Q0 = diag(i a^{-1} e^{u/2}, -i a e^{-u/2}, 1), Qtilde is an explicit matrix
 rational in (e^u, u', lambda) normalized to det Qtilde = 1, Qtilde(0) = I,
 and beta1, beta2 are scalar integrals
@@ -17,8 +18,8 @@ and beta1, beta2 are scalar integrals
 The extended frame F(z, lambda) comes two ways: extended_frame rebuilds it
 from immersion's closed-form lift (its third column) and the lift's analytic
 derivatives, wherever the lift is defined; iwasawa_frame evaluates
-exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), and lift_via_frame takes
-its third column.  Imports run from here to immersion only.
+exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), whose third column is the
+lift again.  Imports run from here to immersion only.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -52,7 +53,7 @@ import numpy as np
 from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger
-from .metric import _from_jacobi, metric_at
+from .metric import MetricSample, _from_jacobi, metric_at
 from .potential import (
     DerivedConstants,
     EigenSystem,
@@ -84,50 +85,35 @@ class FrameSample:
     matrix: np.ndarray  # the extended frame, in SU(3) for |lambda| = 1
 
 
+def _connection(c: DerivedConstants, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connection blocks (U_{-1}, U_0, V_1); V_0 = U_0 = diag(-iu'/4, iu'/4, 0)."""
+    m = metric_at(c, y)
+    eu2 = np.sqrt(m.w)
+    u_m1 = np.array([[0, 0, 1j * eu2], [-1j * c.psi / m.w, 0, 0], [0, 1j * eu2, 0]], dtype=complex)
+    v_p1 = np.array([[0, -1j * np.conj(c.psi) / m.w, 0], [0, 0, 1j * eu2], [1j * eu2, 0, 0]],
+                    dtype=complex)
+    return u_m1, np.diag([-0.25j * m.u_prime, 0.25j * m.u_prime, 0.0]), v_p1
+
+
 def omega_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
-    """x-connection matrix Omega(y, lambda); equals D(lambda) at y = 0."""
+    """x-connection matrix Omega = lam^-1 U_{-1} + 2 U_0 + lam V_1; equals D(lambda) at y = 0."""
     lam = complex(lam)
-    m = metric_at(c, y)
-    eu2 = np.sqrt(m.w)
-    psi = c.psi
-    return np.array(
-        [
-            [-0.5j * m.u_prime, -1j * lam * np.conj(psi) / m.w, 1j * eu2 / lam],
-            [-1j * psi / (lam * m.w), 0.5j * m.u_prime, 1j * lam * eu2],
-            [1j * lam * eu2, 1j * eu2 / lam, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-def _uv_blocks(c: DerivedConstants, y: float, lam: complex):
-    """Connection blocks (U_{-1}, U_0, V_0, V_1); here U_0 = V_0 = diag(-iu'/4, iu'/4, 0)."""
-    m = metric_at(c, y)
-    eu2 = np.sqrt(m.w)
-    psi = c.psi
-    u_m1 = np.array(
-        [[0, 0, 1j * eu2], [-1j * psi / m.w, 0, 0], [0, 1j * eu2, 0]], dtype=complex
-    )
-    v_p1 = np.array(
-        [[0, -1j * np.conj(psi) / m.w, 0], [0, 0, 1j * eu2], [1j * eu2, 0, 0]],
-        dtype=complex,
-    )
-    u0 = np.diag([-0.25j * m.u_prime, 0.25j * m.u_prime, 0.0])
-    return u_m1, u0, u0.copy(), v_p1
+    u_m1, u0, v_p1 = _connection(c, y)
+    return u_m1 / lam + 2.0 * u0 + lam * v_p1
 
 
 def b_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
     """y-connection matrix B(y, lambda) = i(lam^-1 U_{-1} - lam V_1)."""
     lam = complex(lam)
-    u_m1, _, _, v_p1 = _uv_blocks(c, y, lam)
+    u_m1, _, v_p1 = _connection(c, y)
     return 1j * (u_m1 / lam - lam * v_p1)
 
 
 def y_flow_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
     """Right-hand side 2i(lam V_1 + V_0) of the positive-factor flow dU+/dy U+^{-1}."""
     lam = complex(lam)
-    _, _, v0, v_p1 = _uv_blocks(c, y, lam)
-    return 2j * (lam * v_p1 + v0)
+    _, u0, v_p1 = _connection(c, y)
+    return 2j * (lam * v_p1 + u0)
 
 
 def _cdet_floor(c: DerivedConstants) -> float:
@@ -143,9 +129,38 @@ def _checked_c0(c: DerivedConstants, lam: complex) -> complex:
     return c0
 
 
-def _raw_factor(c: DerivedConstants, y: float, lam: complex):
-    """Unnormalized upper factor M and diagonal gauge Q0 at (y, lambda)."""
+def _cdet(c: DerivedConstants, y: float, lam: complex) -> tuple[MetricSample, complex, complex]:
+    """(metric sample at y, c0 = cdet(0), cdet(y) = c0 - w'(y)), refused below the cdet floor."""
+    c0 = _checked_c0(c, lam)
     m = metric_at(c, y)
+    cdet = c0 - m.w_prime
+    if abs(cdet) < _cdet_floor(c):
+        raise SingularLocusError(f"cdet vanishes at y = {y:.6g}")
+    return m, c0, cdet
+
+
+def _branch_ratio(c0: complex, cdet: complex) -> complex:
+    """zeta(y)^2, zeta the continuous cube root of cdet(y)/cdet(0) from zeta(0) = 1.
+
+    cdet(y)/cdet(0) = 1 - w'(y)/c0, so as y varies it moves along the
+    straight line through 1 with direction -1/c0 (a vertical line for
+    |lambda| = 1, where c0 is purely imaginary and w' real).  A line through
+    1 meets the negative real axis only when its direction is real, i.e.
+    only by passing through 0 -- the singular locus, which is rejected.  Off
+    that locus the continuous argument from arg(1) = 0 therefore never
+    reaches +-pi and the continuous branch of the cube root equals the
+    principal one; no numerical path tracking is needed, and the value is
+    exact for every y (in particular it returns to 1 after each full period).
+    """
+    ratio = cdet / c0
+    if ratio.real <= 0.0 and abs(ratio.imag) <= 1e-12 * abs(ratio):
+        raise SingularLocusError("cdet ratio reaches the negative real axis")
+    zeta = ratio ** (1.0 / 3.0)
+    return zeta * zeta
+
+
+def _raw_factor(c: DerivedConstants, m: MetricSample, lam: complex, cdet: complex):
+    """Unnormalized upper factor M and diagonal gauge Q0 at metric sample m; M[2, 2] = cdet."""
     w, up = m.w, m.u_prime
     eu2 = np.sqrt(w)
     a, psi = c.a, c.psi
@@ -157,34 +172,8 @@ def _raw_factor(c: DerivedConstants, y: float, lam: complex):
     tch = (1.0 / aa) * (-aa * up / 2.0 * w + l3 * np.conj(psi) * w - psi / l3 * aa)
     v1 = -2j / lam * a * (aa - w)
     v2 = -2j * lam / a * w * (aa - w)
-    cch = l3 * np.conj(psi) - psi / l3 - w * up
-    raw = np.array([[pch, qch, v1], [sch, tch, v2], [0.0, 0.0, cch]], dtype=complex)
-    q0 = np.diag([1j / a * eu2, -1j * a / eu2, 1.0 + 0j])
-    return raw, q0, cch
-
-
-def _branch_ratio(c: DerivedConstants, y: float, c0: complex) -> complex:
-    """zeta(y)^2, zeta the continuous cube root of cdet(y)/cdet(0) from zeta(0) = 1.
-
-    cdet(y)/cdet(0) = 1 - w'(y)/c0 with c0 = lam^3 conj(psi) - lam^-3 psi,
-    so as y varies it moves along the straight line through 1 with direction
-    -1/c0 (a vertical line for |lambda| = 1, where c0 is purely imaginary
-    and w' real).  A line through 1 meets the negative real axis only when
-    its direction is real, i.e. only by passing through 0 -- the singular
-    locus, which is rejected.  Off that locus the continuous argument from
-    arg(1) = 0 therefore never reaches +-pi and the continuous branch of
-    the cube root equals the principal one; no numerical path tracking is
-    needed, and the value is exact for every y (in particular it returns to
-    1 after each full period).
-    """
-    cch = c0 - metric_at(c, y).w_prime
-    if abs(cch) < _cdet_floor(c):
-        raise SingularLocusError(f"cdet vanishes at y = {y:.6g}")
-    w = cch / c0
-    if w.real <= 0.0 and abs(w.imag) <= 1e-12 * abs(w):
-        raise SingularLocusError("cdet ratio reaches the negative real axis")
-    zeta = w ** (1.0 / 3.0)
-    return zeta * zeta
+    raw = np.array([[pch, qch, v1], [sch, tch, v2], [0.0, 0.0, cdet]], dtype=complex)
+    return raw, np.diag([1j / a * eu2, -1j * a / eu2, 1.0 + 0j])
 
 
 def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +187,9 @@ def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, n
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    raw, q0, _ = _raw_factor(c, y, lam)
-    c0 = _checked_c0(c, lam)
-    return q0, raw / (c0 * _branch_ratio(c, y, c0))
+    m, c0, cdet = _cdet(c, y, lam)
+    raw, q0 = _raw_factor(c, m, lam, cdet)
+    return q0, raw / (c0 * _branch_ratio(c0, cdet))
 
 
 def _check_beta_domain(c: DerivedConstants, lam: complex) -> None:
@@ -282,16 +271,6 @@ def iwasawa_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
     b1, b2 = _betas(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, lam)
     return FrameSample(z=z, lam=lam, matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
-
-
-def lift_via_frame(c: DerivedConstants, z: complex, lam: complex) -> immersion.LiftSample:
-    """Third column of iwasawa_frame.
-
-    Requires (y, lambda) off the singular locus of the factorization;
-    projectively equal to immersion.lift_at where both exist.
-    """
-    fr = iwasawa_frame(c, z, lam)
-    return immersion.LiftSample(x=fr.z.real, y=fr.z.imag, lam=fr.lam, F=fr.matrix[:, 2])
 
 
 def u_plus(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:

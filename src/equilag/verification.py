@@ -18,6 +18,7 @@ from . import immersion, iwasawa, linalg3, periodicity
 from .elliptic import _carlson_rf, complete_K, jacobi
 from .metric import first_integral_residual, gauss_residual, metric_at
 from .potential import (
+    DerivedConstants,
     FlatCliffordError,
     SurfaceParams,
     derive_constants,
@@ -51,6 +52,26 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.suites)
+
+
+class UnknownSuiteError(ValueError):
+    """A requested suite name is not one of run_suites' suites."""
+
+
+def _nonreal_surface(params: SurfaceParams | None) -> tuple[DerivedConstants, str]:
+    """The surface and "", or BENCH_NONREAL and a note if it is not non-real at lambda = 1."""
+    c = derive_constants(params or BENCH_NONREAL)
+    regime = immersion.regime_of(c, 1.0)
+    if regime == "nonreal":
+        return c, ""
+    where = "on singular locus" if regime == "real" else "hyperplane-degenerate at lambda = 1"
+    return derive_constants(BENCH_NONREAL), f"surface {where}; ran the non-real benchmark instead"
+
+
+def _off_locus(c: DerivedConstants, lam: complex) -> bool:
+    """Non-real lambda 1e-3 |psi| off the real-cubic-form locus, near which accuracy degrades."""
+    return (immersion.regime_of(c, lam) == "nonreal"
+            and abs((c.psi / lam**3).imag) >= 1e-3 * abs(c.psi))
 
 
 def _finish(name, residuals, thresholds, t0, note=""):
@@ -136,20 +157,15 @@ def suite_metric(params: SurfaceParams | None = None) -> SuiteResult:
 def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = False) -> SuiteResult:
     """Conjugation, det/initial-value normalization, beta lemma, and the y-flow."""
     t0 = time.perf_counter()
-    params = params or BENCH_NONREAL
-    note = ""
-    c = derive_constants(params)
-    if immersion.regime_of(c, 1.0) != "nonreal":
-        # the factorization is singular on the real-cubic-form locus
-        c = derive_constants(BENCH_NONREAL)
-        note = "surface on singular locus; ran the non-real benchmark instead"
+    # the factorization is singular on the real-cubic-form locus
+    c, note = _nonreal_surface(params)
 
     def kappa(y: float, lam: complex) -> complex:
         """The negative control's error in the normalizer: the branch ratio rho,
         which a misplaced cube-root exponent applies twice; 1 otherwise."""
         if not corrupt_kappa:
             return 1.0
-        return iwasawa._branch_ratio(c, y, iwasawa._checked_c0(c, lam))
+        return iwasawa._branch_ratio(*iwasawa._cdet(c, y, lam)[1:])
 
     rng = np.random.default_rng(17)
     worst_conj = worst_det = worst_init = 0.0
@@ -157,9 +173,7 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
     while checked < 200:
         lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         y = rng.uniform(-2.0 * c.T, 2.0 * c.T)
-        # keep a margin from the singular locus, where the normalizer
-        # conditioning (not the factorization identities) degrades
-        if abs((c.psi / lam**3).imag) < 1e-3 * abs(c.psi):
+        if not _off_locus(c, lam):
             continue
         checked += 1
         try:
@@ -182,8 +196,10 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
             float(np.max(np.abs(q00 - np.eye(3)))),
         )
     worst_lemma = 0.0
-    for theta in (0.3, 1.1, 2.6):
-        lam = complex(np.exp(1j * theta))
+    # fixed lambda: the lemma and the flow keep at least two and one of them at any psi
+    for lam in (complex(np.exp(1j * theta)) for theta in (0.3, 1.1, 2.6)):
+        if not _off_locus(c, lam):
+            continue
         b1, b2 = iwasawa.beta_integrals(c, 2.0 * c.T, lam)
         b1e, b2e = iwasawa.beta_integrals(c, 2.0 * c.T, EPS6 * lam)
         worst_lemma = max(
@@ -197,6 +213,8 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
     h = 1e-4
     for theta, y in ((0.4, 0.3), (1.7, 1.0)):
         lam = complex(np.exp(1j * theta))
+        if not _off_locus(c, lam):
+            continue
         up, um, u0 = (iwasawa.u_plus(c, t, lam) / kappa(t, lam) for t in (y + h, y - h, y))
         flow = (up - um) / (2.0 * h) @ np.linalg.inv(u0)
         worst_flow = max(
@@ -287,11 +305,9 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
 def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
     """Unit norm on full-period grids in both regimes, FD geometry, cross-route."""
     t0 = time.perf_counter()
-    cases = []
-    if params is not None:
-        c = derive_constants(params)
-        if immersion.regime_of(c, 1.0) != "imaginary":
-            cases.append(c)
+    cases, note = [derive_constants(params)] if params is not None else [], ""
+    if cases and immersion.regime_of(cases[0], 1.0) == "imaginary":
+        cases, note = [], "surface hyperplane-degenerate at lambda = 1; checked the benchmarks only"
     for bench in (BENCH_NONREAL, BENCH_REAL):
         c = derive_constants(bench)
         if not any(abs(o.psi - c.psi) < 1e-12 and o.a1 == c.a1 for o in cases):
@@ -312,26 +328,22 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
             for _ in range(50):
                 z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * c.T))
                 fa = immersion.lift_at(c, es, z.real, z.imag).F
-                fb = iwasawa.lift_via_frame(c, z, 1.0).F
-                worst_cross = max(
-                    worst_cross, abs(abs(linalg3.herm_inner(fa, fb)) - 1.0)
-                )
+                fb = iwasawa.iwasawa_frame(c, z, 1.0).matrix[:, 2]
+                worst_cross = max(worst_cross, abs(abs(linalg3.herm_inner(fa, fb)) - 1.0))
     res = {"unit_norm": worst_norm, "fd_geometry": worst_geom, "cross_route": worst_cross}
     thr = {"unit_norm": 1e-10, "fd_geometry": 1e-6, "cross_route": 1e-8}
-    return _finish("lift", res, thr, t0)
+    return _finish("lift", res, thr, t0, note)
 
 
 def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
     """G_j sum rule, monodromy/G cancellation, and the factor identity."""
     t0 = time.perf_counter()
-    c = derive_constants(params or BENCH_NONREAL)
-    if immersion.regime_of(c, 1.0) != "nonreal":
-        c = derive_constants(BENCH_NONREAL)
+    c, note = _nonreal_surface(params)
     rng = np.random.default_rng(29)
     worst_sum = worst_cancel = worst_factor = 0.0
     for theta in (0.0, 0.35, 1.2, 2.2):
         lam = complex(np.exp(1j * theta))
-        if immersion.regime_of(c, lam) != "nonreal":
+        if not _off_locus(c, lam):
             continue
         es = eigensystem(c, lam)
         g = np.array(immersion._g_full_period(c, lam))
@@ -346,7 +358,7 @@ def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
             worst_factor = max(worst_factor, float(np.max(np.abs(lhs - rhs))))
     res = {"g_sum": worst_sum, "monodromy_g_cancel": worst_cancel, "factor_identity": worst_factor}
     thr = {"g_sum": 1e-8, "monodromy_g_cancel": 1e-8, "factor_identity": 1e-9}
-    return _finish("identities", res, thr, t0)
+    return _finish("identities", res, thr, t0, note)
 
 
 def suite_periodicity() -> SuiteResult:
@@ -427,7 +439,7 @@ def run_suites(
     else:
         unknown = sorted(set(names) - set(runners))
         if unknown:
-            raise ValueError(f"unknown suites: {', '.join(unknown)}")
+            raise UnknownSuiteError(f"unknown suites: {', '.join(unknown)}")
         selected = [n for n in runners if n in names]
     report = VerificationReport()
     for name in selected:

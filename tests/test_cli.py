@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from equilag import immersion
+from equilag import immersion, verification
 from equilag.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,6 +20,7 @@ from equilag.cli import (
     parse_config,
     render_config,
 )
+from equilag.potential import HyperplaneDegenerateError
 
 TORUS_PSI = 1.0 / math.sqrt(3.0)
 
@@ -362,6 +365,62 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["suites"][0]["name"] == "elliptic"
+
+    def test_substitutions_are_noted(self, capsys):
+        # the torus is real at lambda = 1: iwasawa and identities run BENCH_NONREAL
+        rc = main(["verify", "--a1", "1", "--psi", f"{TORUS_PSI!r},0",
+                   "--suites", "iwasawa,identities", "--json"])
+        assert rc == EXIT_OK
+        notes = {s["name"]: s["note"] for s in json.loads(capsys.readouterr().out)["suites"]}
+        for name in ("iwasawa", "identities"):
+            assert notes[name] == "surface on singular locus; ran the non-real benchmark instead"
+
+    def test_hyperplane_surface_dropped_with_note(self, capsys):
+        # psi = i is purely imaginary at lambda = 1: lift checks only its benchmarks
+        rc = main(["verify", "--a1", "2", "--psi", "0,1", "--suites", "lift,identities", "--json"])
+        assert rc == EXIT_OK
+        notes = {s["name"]: s["note"] for s in json.loads(capsys.readouterr().out)["suites"]}
+        assert notes["lift"] == (
+            "surface hyperplane-degenerate at lambda = 1; checked the benchmarks only")
+        assert notes["identities"].startswith("surface hyperplane-degenerate at lambda = 1;")
+
+    @pytest.mark.parametrize("error", [HyperplaneDegenerateError, immersion.RegimeError])
+    def test_library_value_error_in_suite_is_a_refusal(self, monkeypatch, capsys, error):
+        # only an unknown suite name is a config error (exit 2)
+        def refuse(*args, **kwargs):
+            raise error("refused inside a suite")
+
+        monkeypatch.setattr(verification, "suite_metric", refuse)
+        rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "metric"])
+        assert rc == EXIT_DEGENERATE
+        assert "refused inside a suite" in capsys.readouterr().err
+
+
+def _verify_iwasawa_identities(phi: float) -> int:
+    psi = cmath.exp(1j * phi)
+    return main(["verify", "--a1", "2", f"--psi={psi.real!r},{psi.imag!r}",
+                 "--suites", "iwasawa,identities", "--json"])
+
+
+# psi = e^{i phi}, a1 = 2: a fixed lambda of suite iwasawa lies on the singular
+# locus (0.9, 1.2, 3.3) or on a hyperplane point (the other two); it is skipped
+FIXED_LAMBDA_PHIS = (0.9, 1.2, 3.3, 0.9 + math.pi / 2, 1.2 + math.pi / 2)
+
+
+@pytest.mark.parametrize("phi", [p + d for p in FIXED_LAMBDA_PHIS for d in (-1e-7, 0.0, 1e-7)])
+def test_verify_skips_fixed_lambda_on_locus(phi):
+    assert _verify_iwasawa_identities(phi) == EXIT_OK
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+@example(FIXED_LAMBDA_PHIS[0])
+@example(FIXED_LAMBDA_PHIS[1])
+@example(FIXED_LAMBDA_PHIS[2])
+@example(FIXED_LAMBDA_PHIS[3])
+@example(FIXED_LAMBDA_PHIS[4])
+def test_verify_never_refuses_generic_psi(phi):
+    assert _verify_iwasawa_identities(phi) in (EXIT_OK, EXIT_VERIFY)
 
 
 class TestRefusals:

@@ -22,7 +22,6 @@ from equilag.iwasawa import (
     beta_integrals,
     extended_frame,
     iwasawa_frame,
-    lift_via_frame,
     monodromy_data,
     u_plus,
 )
@@ -64,7 +63,6 @@ HYPERPLANE_ROUTES = {
     "u_plus": lambda c, lam, es: u_plus(c, 0.3, lam),
     "extended_frame_eigenbasis": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam),
     "iwasawa_frame": lambda c, lam, es: iwasawa_frame(c, 0.2 + 0.3j, lam),
-    "lift_via_frame": lambda c, lam, es: lift_via_frame(c, 0.2 + 0.3j, lam),
     "monodromy_data": lambda c, lam, es: monodromy_data(c, lam),
     "monodromy_phases": lambda c, lam, es: monodromy_phases(c, 1.0, 1, lam),
     "classify_torus": lambda c, lam, es: classify_torus(c, lam),
@@ -205,7 +203,7 @@ class TestLiftReal:
 
 class TestCrossRoute:
     def test_via_frame_at_origin(self, bench_nonreal):
-        F = lift_via_frame(bench_nonreal, 0j, 1.0).F
+        F = iwasawa_frame(bench_nonreal, 0j, 1.0).matrix[:, 2]
         assert np.max(np.abs(F - E3)) < 1e-12
 
     def test_projective_agreement(self, bench_nonreal):
@@ -214,7 +212,7 @@ class TestCrossRoute:
         for _ in range(50):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
             fa = lift_at(bench_nonreal, es, z.real, z.imag).F
-            fb = lift_via_frame(bench_nonreal, z, 1.0).F
+            fb = iwasawa_frame(bench_nonreal, z, 1.0).matrix[:, 2]
             assert abs(abs(linalg3.herm_inner(fa, fb)) - 1.0) < 1e-8
             assert abs(np.linalg.norm(fb) - 1.0) < 1e-10
 

@@ -26,7 +26,7 @@ from equilag.potential import (
     derive_constants,
     potential_matrix,
 )
-from matrix_oracles import commutant_matrix
+from matrix_oracles import commutant_matrix, omega_entries
 from phase_oracles import beta_by_mpmath, beta_by_quadrature
 
 EPS6 = linalg3.EPS6
@@ -39,6 +39,14 @@ class TestOmega:
             lam = cmath.exp(1j * theta)
             diff = omega_matrix(bench_nonreal, 0.0, lam) - potential_matrix(bench_nonreal, lam)
             assert np.max(np.abs(diff)) < 1e-13
+
+    def test_blocks_match_entrywise_oracle(self, bench_nonreal, bench_sweep):
+        # Omega = lam^-1 U_{-1} + 2 U_0 + lam V_1, also off the unit circle
+        for c in (bench_nonreal, bench_sweep):
+            for lam in (1.0, cmath.exp(0.7j), cmath.exp(2.9j), 0.3, 1.7 - 0.4j, 0.5j):
+                for y in (-1.3, 0.0, 0.45, 2.2):
+                    diff = omega_matrix(c, y, lam) - omega_entries(c, y, lam)
+                    assert np.max(np.abs(diff)) < 1e-14
 
     def test_skew_hermitian_traceless(self, bench_nonreal):
         rng = np.random.default_rng(0)
@@ -87,7 +95,7 @@ class TestQFactor:
         # the negative control of suite iwasawa: the branch ratio applied twice
         lam = cmath.exp(0.3j)
         _, qt = q_factor(bench_nonreal, 0.6, lam)
-        rho = iwasawa._branch_ratio(bench_nonreal, 0.6, iwasawa._checked_c0(bench_nonreal, lam))
+        rho = iwasawa._branch_ratio(*iwasawa._cdet(bench_nonreal, 0.6, lam)[1:])
         assert abs(np.linalg.det(qt / rho) - 1.0) > 1e-3
 
 
