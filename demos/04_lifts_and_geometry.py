@@ -5,7 +5,9 @@ phase-twisted eigenbasis sum with phases G_j given by elliptic integrals of
 the third kind, or a pure sn/cn/dn combination that is 4T-periodic in y.
 This demo evaluates both, confirms unit norm, horizontality/conformality
 by finite differences, the third-order ODE in x, and the projective
-agreement with the Iwasawa-route frame column.
+agreement with the Iwasawa-route frame column.  The point evaluators
+(lift_at, iwasawa_frame) take the spectral object es = eigensystem(c,
+lambda); sample_grid and verify_geometry take lambda and build their own.
 """
 
 import cmath
@@ -20,7 +22,6 @@ from equilag import (
     iwasawa_frame,
     lift_at,
     project_chart,
-    regime_of,
     sample_grid,
     verify_geometry,
 )
@@ -30,8 +31,8 @@ nonreal = derive_constants(SurfaceParams(2.0, complex(cmath.exp(1j * math.pi / 4
 real = derive_constants(SurfaceParams(1.0, 1.0 / math.sqrt(3.0)))
 
 for tag, c in (("non-real", nonreal), ("real", real)):
-    print(f"== {tag} cubic form (regime {regime_of(c, 1.0)}) ==")
     es = eigensystem(c, 1.0)
+    print(f"== {tag} cubic form (regime {es.regime}) ==")
     F0 = lift_at(c, es, 0.0, 0.0).F
     print(f"  F(0,0) - e3 = {np.max(np.abs(F0 - np.array([0, 0, 1.0]))):.1e}")
     rng = np.random.default_rng(1)
@@ -52,7 +53,7 @@ print("== cross-route projective agreement (non-real) ==")
 es = eigensystem(nonreal, 1.0)
 for z in (0.3 + 0.4j, -0.7 + 1.2j):
     fa = lift_at(nonreal, es, z.real, z.imag).F
-    fb = iwasawa_frame(nonreal, z, 1.0).matrix[:, 2]
+    fb = iwasawa_frame(nonreal, es, z).matrix[:, 2]
     print(f"  z = {z}: |<F_closed, F_frame>| - 1 = {abs(herm_inner(fa, fb)) - 1:+.1e}")
 
 print("\n== 4T periodicity of the real-regime lift ==")

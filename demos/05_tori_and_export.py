@@ -2,7 +2,9 @@
 
 Monodromy phases decide whether a translation closes the immersion; rational
 certificates on the eigenvalue ratio and on the full-period phase data decide
-cylinder versus torus.  The classic torus here is a1 = 1, psi = 1/sqrt(3)
+cylinder versus torus.  classify_torus and classify_cylinder take lambda;
+monodromy_phases, a point evaluator, takes the spectral object
+es = eigensystem(c, lambda).  The classic torus here is a1 = 1, psi = 1/sqrt(3)
 with lattice 2 pi sqrt(3) Z + 4Ti Z.  The demo classifies a few surfaces and
 exports a one-period grid of the torus to CSV and OBJ through the CLI.
 """
@@ -11,7 +13,14 @@ import math
 import pathlib
 import tempfile
 
-from equilag import SurfaceParams, classify_cylinder, classify_torus, derive_constants, monodromy_phases
+from equilag import (
+    SurfaceParams,
+    classify_cylinder,
+    classify_torus,
+    derive_constants,
+    eigensystem,
+    monodromy_phases,
+)
 from equilag.cli import main
 
 torus = derive_constants(SurfaceParams(1.0, 1.0 / math.sqrt(3.0)))
@@ -30,7 +39,7 @@ for omega in (2 * math.pi * math.sqrt(3), 4j * torus.T, 1.0, 2j * torus.T):
     print(f"  omega = {omega}: {verdict.tag}")
 
 print("\n== monodromy phases for omega = p + 2Ti ==")
-ph = monodromy_phases(torus, 2 * math.pi * math.sqrt(3), 1, 1.0)
+ph = monodromy_phases(torus, eigensystem(torus, 1.0), 2 * math.pi * math.sqrt(3), 1)
 print(f"  theta / pi = {[f'{t / math.pi:.6f}' for t in ph.theta]}")
 
 print("\n== an aperiodic member of the family ==")

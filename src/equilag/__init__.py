@@ -16,7 +16,6 @@ from .immersion import (
     lift_at,
     phase_integrals,
     project_chart,
-    regime_of,
     sample_grid,
     verify_geometry,
 )
@@ -52,6 +51,7 @@ from .potential import (
     derive_constants,
     eigensystem,
     potential_matrix,
+    regime_of,
 )
 
 __version__ = "0.1.0"

@@ -224,16 +224,15 @@ _REAL_CONSTANTS = ("beta", "a1", "a2", "a3", "k", "q2", "r", "T")
 def cmd_derive(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg, cfg.lam)
     es = eigensystem(c, cfg.lam)
-    regime = immersion.regime_of(c, cfg.lam)
     if args.json:
         constants = {name: getattr(c, name) for name in _REAL_CONSTANTS}
         constants.update(a_re=c.a.real, a_im=c.a.imag, b_re=c.b.real, b_im=c.b.imag)
         sys.stdout.write(_json_dumps({
             "config": _config_dict(cfg), "classification": SurfaceClass.GENERIC.value,
-            "regime": regime, "constants": constants, "eigenvalues": list(es.d),
+            "regime": es.regime, "constants": constants, "eigenvalues": list(es.d),
         }))
         return EXIT_OK
-    print(f"classification : {SurfaceClass.GENERIC.value} (cubic form regime: {regime})")
+    print(f"classification : {SurfaceClass.GENERIC.value} (cubic form regime: {es.regime})")
     for name in _REAL_CONSTANTS:
         print(f"{name:<5} = {_fmt(getattr(c, name))}")
     print(f"a     = {_fmt(c.a.real)} + {_fmt(c.a.imag)}i")

@@ -35,7 +35,9 @@ Both forms give |F| = 1 identically, F(0, 0) = e_3, and agree exactly with
 the third frame column of the explicit Iwasawa route wherever that route is
 defined.  The frames live in iwasawa, which builds on this module.
 
-`lift_at` is the one lift function and picks the regime itself.
+Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
+regime; `sample_grid` and `verify_geometry` take lambda and build es once.
+`lift_at` is the one lift function.
 `phase_integrals` and the coefficient kernel `_coefficients` take a float y
 or a 1-D array of them; `sample_grid` makes one array pass per grid, one
 `jacobi` call for all rows; `lift_at`, `verify_geometry` and iwasawa's
@@ -55,12 +57,11 @@ from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import _from_jacobi, metric_at
 from .potential import (
-    CLASS_TOL,
     DerivedConstants,
     EigenSystem,
     HyperplaneDegenerateError,
-    _check_unit,
     eigensystem,
+    regime_of,  # noqa: F401  (re-exported)
 )
 
 
@@ -86,25 +87,13 @@ ChartPoint = tuple[complex, complex]
 CHART_TOL = 1e-8
 
 
-def regime_of(c: DerivedConstants, lam: complex) -> str:
-    """One of "nonreal", "real", "imaginary" for the cubic form lambda^-3 psi."""
-    v = c.psi / complex(lam) ** 3
-    scale = abs(c.psi)
-    if abs(v.imag) < CLASS_TOL * scale:
-        return "real"
-    if abs(v.real) < CLASS_TOL * scale:
-        return "imaginary"
-    return "nonreal"
-
-
-def _checked_regime(c: DerivedConstants, lam: complex) -> str:
-    """regime_of, refusing the hyperplane-degenerate lambda (imaginary regime)."""
-    regime = regime_of(c, lam)
-    if regime == "imaginary":
+def _checked_regime(es: EigenSystem) -> str:
+    """The regime of es, refusing the hyperplane-degenerate lambda (imaginary regime)."""
+    if es.regime == "imaginary":
         raise HyperplaneDegenerateError(
             "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
         )
-    return regime
+    return es.regime
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +126,10 @@ def _gaps(c: DerivedConstants, d: np.ndarray, re0: float, im0: float) -> np.ndar
 
 
 @lru_cache(maxsize=256)
-def _g_segment(c: DerivedConstants, lam: complex) -> _PhaseConstants:
-    """Constants of the phase integrals G_j within one period, per (c, lambda)."""
-    _checked_regime(c, lam)
-    v = c.psi / lam**3
-    d = eigensystem(c, lam).d
+def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
+    """Constants of the phase integrals G_j within one period, per spectral object."""
+    _checked_regime(es)
+    v, d = es.cubic, es.d
     gaps = _gaps(c, d, v.real, v.imag)
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
@@ -164,9 +152,9 @@ def _g_segment(c: DerivedConstants, lam: complex) -> _PhaseConstants:
 
 
 @lru_cache(maxsize=256)
-def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, float]:
+def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, float]:
     """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind."""
-    g = _g_segment(c, lam)
+    g = _g_segment(c, es)
     return tuple(
         2.0 * pre * _third_kind(n, omn, 1.0, 0.0, c.kp2, c.k2)
         for pre, n, omn in zip(g.pre, g.n, g.one_minus_n)
@@ -174,7 +162,7 @@ def _g_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float, flo
 
 
 def _phase_terms(
-    c: DerivedConstants, lam: complex, y: float | np.ndarray, sn, cn
+    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, sn, cn
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p_j, G_j) at y, both in closed form, from sn and cn of r y.
 
@@ -185,7 +173,7 @@ def _phase_terms(
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
     An array y of shape (ny,) gives rows of shape (ny, 3), with m per row.
     """
-    g = _g_segment(c, lam)
+    g = _g_segment(c, es)
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
     s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
@@ -196,17 +184,17 @@ def _phase_terms(
         pre * _third_kind(n, pj, s, c2, d2, c.k2) for pre, n, pj in zip(g.pre, g.n, p)
     ]).T
     if m.any() if array else m:
-        phases += np.multiply.outer(m, _g_full_period(c, lam))
+        phases += np.multiply.outer(m, _g_full_period(c, es))
     return np.array(p).T, phases
 
 
-def phase_integrals(c: DerivedConstants, lam: complex, y: float | np.ndarray) -> np.ndarray:
-    """G_j(y), ordered like eigensystem(c, lam).d; G_j(y+2mT) = G_j(y) + m G_j(2T).
+def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray) -> np.ndarray:
+    """G_j(y), ordered like es.d; G_j(y+2mT) = G_j(y) + m G_j(2T).
 
     An array y of shape (ny,) gives the phases as rows of shape (ny, 3).
     """
     sn, cn, _ = jacobi(c.r * y, c.k)
-    return _phase_terms(c, complex(lam), y, sn, cn)[1]
+    return _phase_terms(c, es, y, sn, cn)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +202,7 @@ def phase_integrals(c: DerivedConstants, lam: complex, y: float | np.ndarray) ->
 
 def _real_assignment(c: DerivedConstants, es: EigenSystem):
     """Indices of (sn, cn, dn) eigenvalues inside es.d, plus the c_j constants."""
-    psi0 = (c.psi / es.lam**3).real
+    psi0 = es.cubic.real
     targets = np.array([psi0 / c.a1, psi0 / c.a2, -psi0 / c.a3])
     idx = [int(np.argmin(np.abs(es.d - t))) for t in targets]
     if sorted(idx) != [0, 1, 2] or np.max(np.abs(es.d[idx] - targets)) > 1e-8 * max(
@@ -245,7 +233,7 @@ def _coefficients(
     jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
     as well.
     """
-    regime = _checked_regime(c, es.lam)
+    regime = _checked_regime(es)
     sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
     array = isinstance(y, np.ndarray)
     if regime == "real":
@@ -258,10 +246,10 @@ def _coefficients(
         dp[idx[1]] = -cs[1] * c.r * sn * dn
         dp[idx[2]] = -cs[2] * c.r * c.k**2 * sn * cn
         return p.T, dp.T
-    v = c.psi / es.lam**3
+    v = es.cubic
     m = _from_jacobi(c, y, (sn, cn, dn))
-    p, g = _phase_terms(c, es.lam, y, sn, cn)
-    den = np.array(_g_segment(c, es.lam).den0) * p
+    p, g = _phase_terms(c, es, y, sn, cn)
+    den = np.array(_g_segment(c, es).den0) * p
     h2 = den / (es.d**3 - v.real)
     if np.any(h2 < -1e-10):
         raise ArithmeticError(
@@ -275,7 +263,7 @@ def _coefficients(
 
 
 def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
-    """The closed-form lift F(x, y) in the regime of lambda^-3 psi; |F| = 1 identically.
+    """The closed-form lift F(x, y) in the regime of es; |F| = 1 identically.
 
     Real regime: F(x, y + 4T) = F(x, y).  Raises HyperplaneDegenerateError
     in the imaginary regime and RegimeError below the non-real gap floor.
@@ -320,7 +308,6 @@ def sample_grid(
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx >= 2 and ny >= 2")
-    lam = _check_unit(lam)
     es = eigensystem(c, lam)
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
@@ -333,7 +320,7 @@ def sample_grid(
         chart = F[:, :, :2] / F[:, :, 2:]
     chart[flags] = complex(np.nan, np.nan)
     e_u = _from_jacobi(c, ys, jac).w
-    return GridSample(lam=lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
+    return GridSample(lam=es.lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +345,8 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     Central differences of step 1e-4, and step 5e-3 for the fourth-order
     stencil of the third x-derivative.
     """
-    lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    v = c.psi / lam**3
+    v = es.cubic
     re0, im0 = v.real, v.imag
 
     def ev(x: float, p: np.ndarray) -> np.ndarray:

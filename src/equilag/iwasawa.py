@@ -21,6 +21,10 @@ derivatives, wherever the lift is defined; iwasawa_frame evaluates
 exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), whose third column is the
 lift again.  Imports run from here to immersion only.
 
+The beta integrals, both frames, U_+ and the monodromy data take the
+EigenSystem es = potential.eigensystem(c, lambda) and never build one;
+q_factor and the connection matrices, algebraic in lambda, take lambda.
+
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
 Re + i Im = lambda^-3 psi.  cdet = -2i Im - w', and the first integral gives
@@ -54,12 +58,7 @@ from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger
 from .metric import MetricSample, _from_jacobi, metric_at
-from .potential import (
-    DerivedConstants,
-    EigenSystem,
-    _check_unit,
-    eigensystem,
-)
+from .potential import DerivedConstants, EigenSystem
 
 
 class SingularLocusError(ArithmeticError):
@@ -116,9 +115,9 @@ def y_flow_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
     return 2j * (lam * v_p1 + u0)
 
 
-def _cdet_floor(c: DerivedConstants) -> float:
-    scale = 2.0 * abs(c.psi) + 2.0 * c.a1 * c.q2 * c.r
-    return 1e-8 * scale
+def _cdet_floor(c: DerivedConstants, w_prime: float = 0.0) -> float:
+    """Refusal floor of |cdet(y)| = |c0 - w'(y)|, and of |c0| at w' = 0: 1e-8 (2|psi| + |w'|)."""
+    return 1e-8 * (2.0 * abs(c.psi) + abs(w_prime))
 
 
 def _checked_c0(c: DerivedConstants, lam: complex) -> complex:
@@ -134,7 +133,7 @@ def _cdet(c: DerivedConstants, y: float, lam: complex) -> tuple[MetricSample, co
     c0 = _checked_c0(c, lam)
     m = metric_at(c, y)
     cdet = c0 - m.w_prime
-    if abs(cdet) < _cdet_floor(c):
+    if abs(cdet) < _cdet_floor(c, m.w_prime):
         raise SingularLocusError(f"cdet vanishes at y = {y:.6g}")
     return m, c0, cdet
 
@@ -192,16 +191,16 @@ def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, n
     return q0, raw / (c0 * _branch_ratio(c0, cdet))
 
 
-def _check_beta_domain(c: DerivedConstants, lam: complex) -> None:
+def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> None:
     """Refuse lambda off the closed forms' domain with this route's errors.
 
     For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
     check of c0 covers every y; the lift's gap floor may refuse first, and
     its phase constants refuse the hyperplane-degenerate lambda.
     """
-    _checked_c0(c, lam)
+    _checked_c0(c, es.lam)
     try:
-        immersion._g_segment(c, lam)
+        immersion._g_segment(c, es)
     except immersion.RegimeError as exc:
         raise SingularLocusError(f"lift phase constants refused ({exc})") from exc
 
@@ -212,18 +211,8 @@ def _partial_fractions(d: np.ndarray, g, log_p, y: float) -> tuple[complex, comp
     return complex(-(d * w) @ g, y - 0.5 * (d * w) @ log_p), complex(-0.5 * w @ log_p, w @ g)
 
 
-def _betas(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[complex, complex]:
-    """(beta1(y), beta2(y)) from the lift's p_j(y) and G_j(y), eigensystem es."""
-    _check_beta_domain(c, es.lam)
-    if y == 0.0:
-        return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
-    sn, cn, _ = jacobi(c.r * y, c.k)
-    p, g = immersion._phase_terms(c, es.lam, y, sn, cn)
-    return _partial_fractions(es.d, g, np.log(p), y)
-
-
-def beta_integrals(c: DerivedConstants, y: float, lam: complex) -> tuple[complex, complex]:
-    """The abelian-factor integrals (beta1(y), beta2(y)), |lambda| = 1.
+def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[complex, complex]:
+    """The abelian-factor integrals (beta1(y), beta2(y)) at the spectral object es.
 
     Closed forms in the lift's phase integrals G_j(y) and p_j(y) (module
     docstring), so beta(y + 2mT) = beta(y) + m beta(2T) and beta(0) = 0
@@ -231,11 +220,16 @@ def beta_integrals(c: DerivedConstants, y: float, lam: complex) -> tuple[complex
     factorization and HyperplaneDegenerateError where lambda^-3 psi is
     purely imaginary.
     """
-    lam = _check_unit(lam)
-    return _betas(c, eigensystem(c, lam), float(y))
+    _check_beta_domain(c, es)
+    y = float(y)
+    if y == 0.0:
+        return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
+    sn, cn, _ = jacobi(c.r * y, c.k)
+    p, g = immersion._phase_terms(c, es, y, sn, cn)
+    return _partial_fractions(es.d, g, np.log(p), y)
 
 
-def extended_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
+def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
     """The extended frame F(z, lambda) in SU(3), F(0, lambda) = I, from the lift.
 
     F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
@@ -243,9 +237,7 @@ def extended_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample
     and p_j'; defined wherever the lift is (everything except the
     hyperplane-degenerate lambda).
     """
-    lam = _check_unit(lam)
-    z = complex(z)
-    es = eigensystem(c, lam)
+    lam, z = es.lam, complex(z)
     jac = jacobi(c.r * z.imag, c.k)
     p, dp = immersion._coefficients(c, es, z.imag, jac)
     phase = np.exp(1j * es.d * z.real)
@@ -259,30 +251,27 @@ def extended_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample
     return FrameSample(z=z, lam=lam, matrix=np.stack(cols, axis=1))
 
 
-def iwasawa_frame(c: DerivedConstants, z: complex, lam: complex) -> FrameSample:
+def iwasawa_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
     """The extended frame by the explicit factorization exp((z - beta1) D - beta2 L0) Q^{-1}.
 
     Equal to extended_frame where both exist; raises SingularLocusError on
     the singular locus of the factorization.
     """
-    lam = _check_unit(lam)
     z = complex(z)
-    es = eigensystem(c, lam)
-    b1, b2 = _betas(c, es, z.imag)
-    q0, qt = q_factor(c, z.imag, lam)
-    return FrameSample(z=z, lam=lam, matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
+    b1, b2 = beta_integrals(c, es, z.imag)
+    q0, qt = q_factor(c, z.imag, es.lam)
+    return FrameSample(z=z, lam=es.lam,
+                       matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
 
 
-def u_plus(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
-    """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0), |lambda| = 1.
+def u_plus(c: DerivedConstants, es: EigenSystem, y: float) -> np.ndarray:
+    """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0) at es.
 
     Satisfies U_+ D U_+^{-1} = Omega and dU_+/dy U_+^{-1} = 2i(lam V_1 + V_0)
     on the admissible set.
     """
-    lam = _check_unit(lam)
-    es = eigensystem(c, lam)
-    b1, b2 = _betas(c, es, float(y))
-    q0, qt = q_factor(c, y, lam)
+    b1, b2 = beta_integrals(c, es, y)
+    q0, qt = q_factor(c, y, es.lam)
     return q0 @ qt @ _exp_d_l0(c, es, b1, b2)
 
 
@@ -299,22 +288,22 @@ def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s: complex, t: complex) -> n
 
 
 @lru_cache(maxsize=256)
-def _beta_full_period(c: DerivedConstants, lam: complex) -> tuple[float, float]:
-    """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per (c, lambda)."""
-    _check_beta_domain(c, lam)
-    g = np.array(immersion._g_full_period(c, lam))
-    b1, b2 = _partial_fractions(eigensystem(c, lam).d, g, np.zeros(3), 2.0 * c.T)
+def _beta_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float]:
+    """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per spectral object."""
+    _check_beta_domain(c, es)
+    g = np.array(immersion._g_full_period(c, es))
+    b1, b2 = _partial_fractions(es.d, g, np.zeros(3), 2.0 * c.T)
     return b1.real, b2.imag
 
 
-def monodromy_data(c: DerivedConstants, lam: complex) -> tuple[float, float]:
+def monodromy_data(c: DerivedConstants, es: EigenSystem) -> tuple[float, float]:
     """(Re beta1(2T), Im beta2(2T)), the only period data entering monodromy.
 
     Closed forms in the complete-integral phases G_j(2T) of the lift:
     Re beta1(2T) = -sum_j d_j G_j(2T) / f'(d_j) and
     Im beta2(2T) = sum_j G_j(2T) / f'(d_j).  Refused like beta_integrals.
     """
-    return _beta_full_period(c, _check_unit(lam))
+    return _beta_full_period(c, es)
 
 
 def full_period_phases(c: DerivedConstants, es: EigenSystem) -> np.ndarray:
@@ -326,5 +315,5 @@ def full_period_phases(c: DerivedConstants, es: EigenSystem) -> np.ndarray:
     checks the partial-fraction algebra and sum_j G_j(2T) = 0, not an
     independent integration.
     """
-    re_b1, im_b2 = monodromy_data(c, es.lam)
+    re_b1, im_b2 = monodromy_data(c, es)
     return -(re_b1 * es.d + im_b2 * _l0_spectrum(c, es.d))

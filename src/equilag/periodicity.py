@@ -13,14 +13,18 @@ whose eigenvalues are exp(i theta_j) with
 the second equality being the exact cancellation identity between the
 monodromy data and the lift phases.  The phases are taken from the lift's
 closed form G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)) with the complete
-integral of the third kind (immersion), computed once per (surface,
-lambda); iwasawa.full_period_phases gives them back from the monodromy
-data, themselves closed forms in the same G_j(2T), so suite `identities`
-checks the cancellation identity algebraically.  The surface closes up
-under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows
-since all three sum to zero).  Rationality of d-ratios and of the 2T phase data is
-certified with continued-fraction convergents under an explicit
-(max_denominator, tolerance) policy.
+integral of the third kind (immersion), computed once per spectral object
+es = potential.eigensystem(c, lambda); iwasawa.full_period_phases gives
+them back from the monodromy data, themselves closed forms in the same
+G_j(2T), so suite `identities` checks the cancellation identity
+algebraically.  The surface closes up under omega iff theta_1, theta_2
+are multiples of 2 pi (theta_3 follows since all three sum to zero).
+Rationality of d-ratios and of the 2T phase data is certified with
+continued-fraction convergents under an explicit (max_denominator,
+tolerance) policy.
+
+monodromy_phases takes es; classify_cylinder and classify_torus take lambda
+and build es once.
 
 In the real-cubic-form regime the beta integrals diverge, but sn and cn are
 antiperiodic over 2T, so theta_j = p d_j + m pi on the sn/cn labels and
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import immersion
-from .potential import DerivedConstants, _check_unit, eigensystem
+from .potential import DerivedConstants, EigenSystem, eigensystem
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,16 +104,14 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     return RationalCertificate(value=x0, num=h, den=k, residual=residual)
 
 
-def monodromy_phases(c: DerivedConstants, p: float, m: int, lam: complex) -> MonodromyPhases:
-    """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi.
+def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> MonodromyPhases:
+    """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi at es.
 
     Uses the closed-form G_j(2T) of the lift, and the closed
     antiperiodicity form in the real-cubic-form regime (where the
     integrals do not exist).
     """
-    lam = _check_unit(lam)
-    es = eigensystem(c, lam)
-    regime = immersion._checked_regime(c, lam)
+    regime = immersion._checked_regime(es)
     if m == 0:
         theta = p * es.d
     elif regime == "real":
@@ -119,8 +121,8 @@ def monodromy_phases(c: DerivedConstants, p: float, m: int, lam: complex) -> Mon
         flip[idx[0]] = flip[idx[1]] = 1.0
         theta = p * es.d + m * math.pi * flip
     else:
-        theta = p * es.d + m * np.array(immersion._g_full_period(c, lam))
-    return MonodromyPhases(p=p, m=m, lam=lam, theta=theta)
+        theta = p * es.d + m * np.array(immersion._g_full_period(c, es))
+    return MonodromyPhases(p=p, m=m, lam=es.lam, theta=theta)
 
 
 def _phase_defect(theta: float) -> float:
@@ -140,7 +142,7 @@ def classify_cylinder(
     preserves the metric).  Cylinder iff theta_1 and theta_2 are multiples
     of 2 pi within phase_tol; the third phase is implied and checked.
     """
-    lam = _check_unit(lam)
+    es = eigensystem(c, lam)
     omega = complex(omega)
     period = 2.0 * c.T
     m_real = omega.imag / period
@@ -149,15 +151,15 @@ def classify_cylinder(
         raise ValueError(
             f"Im(omega) = {omega.imag!r} is not an integer multiple of 2T = {period!r}"
         )
-    ph = monodromy_phases(c, omega.real, m, lam)
+    ph = monodromy_phases(c, es, omega.real, m)
     defects = [_phase_defect(t) for t in ph.theta]
     if defects[0] <= phase_tol and defects[1] <= phase_tol:
         if defects[2] > 10.0 * phase_tol:
             raise ArithmeticError(
                 "third monodromy phase inconsistent with the trace constraint"
             )
-        return PeriodVerdict(tag="Cylinder", lam=lam, omega=omega)
-    return PeriodVerdict(tag="NoPeriodFound", lam=lam, omega=omega)
+        return PeriodVerdict(tag="Cylinder", lam=es.lam, omega=omega)
+    return PeriodVerdict(tag="NoPeriodFound", lam=es.lam, omega=omega)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -182,9 +184,8 @@ def classify_torus(
     is the normal form (p_f, omega_f) with p_f the smallest positive real
     period and omega_f the period of smallest positive height.
     """
-    lam = _check_unit(lam)
     es = eigensystem(c, lam)
-    regime = immersion._checked_regime(c, lam)
+    regime = immersion._checked_regime(es)
     certs: dict[str, RationalCertificate] = {}
 
     if regime == "real":
@@ -194,7 +195,7 @@ def classify_torus(
         if cert is None:
             # no certified real period; the imaginary period 4Ti still exists
             # in this regime and classify_cylinder(..., 4Ti) confirms it
-            return PeriodVerdict(tag="NoPeriodFound", lam=lam)
+            return PeriodVerdict(tag="NoPeriodFound", lam=es.lam)
         certs["d_ratio"] = cert
         n_sn, n_cn = cert.num, cert.den
         gamma = d_sn / n_sn
@@ -204,22 +205,22 @@ def classify_torus(
         else:
             omega_f = 4.0 * c.T * 1j
         return PeriodVerdict(
-            tag="Torus", lam=lam, lattice=(complex(p_f), omega_f), certificates=certs
+            tag="Torus", lam=es.lam, lattice=(complex(p_f), omega_f), certificates=certs
         )
 
     # non-real regime
     cert = rational_approx(float(es.d[1] / es.d[0]), max_den, tol)
     if cert is None:
-        return PeriodVerdict(tag="NoPeriodFound", lam=lam)
+        return PeriodVerdict(tag="NoPeriodFound", lam=es.lam)
     certs["d_ratio"] = cert
     n1, n2 = cert.den, cert.num  # d1/d2 = n1/n2, gcd 1, n1 > 0
     p_f = TWO_PI * n1 / float(es.d[0])
 
-    g = immersion._g_full_period(c, lam)
+    g = immersion._g_full_period(c, es)
     s = (n2 * g[0] - n1 * g[1]) / TWO_PI
     cert_s = rational_approx(float(s), max_den, tol)
     if cert_s is None:
-        return PeriodVerdict(tag="Cylinder", lam=lam, omega=complex(p_f), certificates=certs)
+        return PeriodVerdict(tag="Cylinder", lam=es.lam, omega=complex(p_f), certificates=certs)
     certs["phase"] = cert_s
 
     m_f, u = cert_s.den, cert_s.num
@@ -228,7 +229,7 @@ def classify_torus(
     p0 = (TWO_PI * l1 - m_f * g[0]) / float(es.d[0])
     p0 -= p_f * math.floor(p0 / p_f)
     omega_f = p0 + 2.0 * m_f * c.T * 1j
-    ph = monodromy_phases(c, p0, m_f, lam)
+    ph = monodromy_phases(c, es, p0, m_f)
     if max(_phase_defect(t) for t in ph.theta) > 10.0 * phase_tol:
         raise ArithmeticError("constructed lattice generator fails the phase check")
-    return PeriodVerdict(tag="Torus", lam=lam, lattice=(complex(p_f), omega_f), certificates=certs)
+    return PeriodVerdict(tag="Torus", lam=es.lam, lattice=(complex(p_f), omega_f), certificates=certs)

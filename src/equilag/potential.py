@@ -89,9 +89,23 @@ class DerivedConstants:
     kp2: float
 
 
-# relative tolerance of the flat and hyperplane tests here and of the real and
-# imaginary regimes of immersion.regime_of: one hyperplane decision for both
+# relative tolerance of the flat test and of _regime, the one hyperplane decision
 CLASS_TOL = 1e-9
+
+
+def _regime(psi: complex, cubic: complex) -> str:
+    """One of "nonreal", "real", "imaginary" for the cubic form value lambda^-3 psi."""
+    scale = abs(psi)
+    if abs(cubic.imag) < CLASS_TOL * scale:
+        return "real"
+    if abs(cubic.real) < CLASS_TOL * scale:
+        return "imaginary"
+    return "nonreal"
+
+
+def regime_of(c: DerivedConstants, lam: complex) -> str:
+    """One of "nonreal", "real", "imaginary" for the cubic form lambda^-3 psi."""
+    return _regime(c.psi, c.psi / complex(lam) ** 3)
 
 
 def classify(params: SurfaceParams, lam: complex | None = None) -> SurfaceClass:
@@ -106,7 +120,7 @@ def classify(params: SurfaceParams, lam: complex | None = None) -> SurfaceClass:
         return SurfaceClass.TOTALLY_GEODESIC
     if abs(params.a1 - apsi ** (2.0 / 3.0)) < CLASS_TOL * params.a1:
         return SurfaceClass.FLAT_CLIFFORD
-    if lam is not None and abs((params.psi / lam**3).real) < CLASS_TOL * apsi:
+    if lam is not None and _regime(params.psi, params.psi / lam**3) == "imaginary":
         return SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
     return SurfaceClass.GENERIC
 
@@ -166,19 +180,21 @@ def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigendata of D(lambda) on the unit circle.
+    """The spectral object of one (surface, lambda), |lambda| = 1, taken by every point evaluator.
 
-    d holds the three real numbers with eigenvalues i*d_j, sorted descending
-    (d1 + d2 + d3 = 0, pair sums -beta, product -2 Re(lambda^-3 psi));
-    vectors[j] is the orthonormal eigenvector l_j, phased so that its third
-    component (the coefficient against e_3 = Q^{-1}(y=0) e_3) is real and
-    nonnegative, falling back to a real-positive largest component when the
-    third vanishes.
+    cubic = lambda^-3 psi, regime its regime ("nonreal", "real", "imaginary");
+    i*d_j are the eigenvalues of D(lambda), d descending (sum 0, pair sums
+    -beta, product -2 Re(cubic)), and vectors[j] the orthonormal l_j with
+    its third component (against e_3 = Q^{-1}(0) e_3) real and nonnegative,
+    else its largest one real-positive.  Hashed by identity, so the memos of
+    immersion and iwasawa are per object, never keyed on the float lambda.
     """
 
     lam: complex
+    cubic: complex
+    regime: str
     d: np.ndarray
     vectors: np.ndarray  # shape (3, 3); vectors[j] is l_j
 
@@ -217,10 +233,13 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
         s_mu = (|a|^2 + mu^2, b mu / lam + lam^2 conj(a)^2,
                 a b / lam^2 - lam conj(a) mu),     mu = i d_j,
 
-    with a rank-2 cross-product fallback when s_mu degenerates.
+    with a rank-2 cross-product fallback when s_mu degenerates.  The one place
+    where lambda is checked (ValueError unless |lambda| = 1), lambda^-3 psi
+    formed and the regime decided.
     """
     lam = _check_unit(lam)
-    q = 2.0 * (c.psi / lam**3).real
+    cubic = c.psi / lam**3
+    q = 2.0 * cubic.real
     roots, multiple = linalg3.solve_depressed_cubic(-c.beta, q)
     if multiple:
         raise FlatCliffordError("multiple eigenvalues of D: flat configuration")
@@ -252,5 +271,5 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
             vecs[j] = vecs[j] - linalg3.herm_inner(vecs[j], vecs[i]) * vecs[i]
         vecs[j] /= np.linalg.norm(vecs[j])
         vecs[j] = _fix_phase(vecs[j], lam)
-    return EigenSystem(lam=lam, d=roots, vectors=vecs)
+    return EigenSystem(lam=lam, cubic=cubic, regime=_regime(c.psi, cubic), d=roots, vectors=vecs)
 

@@ -115,10 +115,10 @@ def suite_potential() -> SuiteResult:
     worst_viete = 0.0
     for theta in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False):
         lam = complex(np.exp(1j * theta))
-        re0 = (c.psi / lam**3).real
+        es = eigensystem(c, lam)
+        re0 = es.cubic.real
         if abs(re0) < 1e-6 * abs(c.psi):  # hyperplane-degenerate lambda
             continue
-        es = eigensystem(c, lam)
         d1, d2, d3 = es.d
         worst_viete = max(
             worst_viete,
@@ -200,8 +200,8 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
     for lam in (complex(np.exp(1j * theta)) for theta in (0.3, 1.1, 2.6)):
         if not _off_locus(c, lam):
             continue
-        b1, b2 = iwasawa.beta_integrals(c, 2.0 * c.T, lam)
-        b1e, b2e = iwasawa.beta_integrals(c, 2.0 * c.T, EPS6 * lam)
+        b1, b2 = iwasawa.beta_integrals(c, eigensystem(c, lam), 2.0 * c.T)
+        b1e, b2e = iwasawa.beta_integrals(c, eigensystem(c, EPS6 * lam), 2.0 * c.T)
         worst_lemma = max(
             worst_lemma,
             abs(b1.imag - 2.0 * c.T),
@@ -215,7 +215,8 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
         lam = complex(np.exp(1j * theta))
         if not _off_locus(c, lam):
             continue
-        up, um, u0 = (iwasawa.u_plus(c, t, lam) / kappa(t, lam) for t in (y + h, y - h, y))
+        es = eigensystem(c, lam)
+        up, um, u0 = (iwasawa.u_plus(c, es, t) / kappa(t, lam) for t in (y + h, y - h, y))
         flow = (up - um) / (2.0 * h) @ np.linalg.inv(u0)
         worst_flow = max(
             worst_flow, float(np.max(np.abs(flow - iwasawa.y_flow_matrix(c, y, lam))))
@@ -249,13 +250,14 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
     for c in surfaces:
         for _ in range(6):
             lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-            if immersion.regime_of(c, lam) == "imaginary":
+            es = eigensystem(c, lam)
+            if es.regime == "imaginary":
                 continue
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
-            fr = iwasawa.extended_frame(c, z, lam).matrix
+            fr = iwasawa.extended_frame(c, es, z).matrix
             worst_id = max(
                 worst_id,
-                float(np.max(np.abs(iwasawa.extended_frame(c, 0j, lam).matrix - np.eye(3)))),
+                float(np.max(np.abs(iwasawa.extended_frame(c, es, 0j).matrix - np.eye(3)))),
             )
             worst_su3 = max(
                 worst_su3, linalg3.unitary_residual(fr), abs(np.linalg.det(fr) - 1.0)
@@ -264,15 +266,15 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
             chi = linalg3.matexp_skew(potential_matrix(c, lam), x)
             worst_equiv = max(
                 worst_equiv,
-                float(np.max(np.abs(iwasawa.extended_frame(c, z + x, lam).matrix - chi @ fr))),
+                float(np.max(np.abs(iwasawa.extended_frame(c, es, z + x).matrix - chi @ fr))),
             )
             dfx = (
-                iwasawa.extended_frame(c, z + h, lam).matrix
-                - iwasawa.extended_frame(c, z - h, lam).matrix
+                iwasawa.extended_frame(c, es, z + h).matrix
+                - iwasawa.extended_frame(c, es, z - h).matrix
             ) / (2.0 * h)
             dfy = (
-                iwasawa.extended_frame(c, z + 1j * h, lam).matrix
-                - iwasawa.extended_frame(c, z - 1j * h, lam).matrix
+                iwasawa.extended_frame(c, es, z + 1j * h).matrix
+                - iwasawa.extended_frame(c, es, z - 1j * h).matrix
             ) / (2.0 * h)
             fi = np.linalg.inv(fr)
             worst_mc = max(
@@ -280,8 +282,9 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
                 float(np.max(np.abs(fi @ dfx - iwasawa.omega_matrix(c, z.imag, lam)))),
                 float(np.max(np.abs(fi @ dfy - iwasawa.b_matrix(c, z.imag, lam)))),
             )
-            if immersion.regime_of(c, EPS6 * lam) == "nonreal" == immersion.regime_of(c, lam):
-                twisted = iwasawa.extended_frame(c, z, EPS6 * lam).matrix
+            twist = eigensystem(c, EPS6 * lam)
+            if twist.regime == "nonreal" == es.regime:
+                twisted = iwasawa.extended_frame(c, twist, z).matrix
                 worst_twist = max(
                     worst_twist, float(np.max(np.abs(twisted - linalg3.sigma_group(fr))))
                 )
@@ -328,7 +331,7 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
             for _ in range(50):
                 z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * c.T))
                 fa = immersion.lift_at(c, es, z.real, z.imag).F
-                fb = iwasawa.iwasawa_frame(c, z, 1.0).matrix[:, 2]
+                fb = iwasawa.iwasawa_frame(c, es, z).matrix[:, 2]
                 worst_cross = max(worst_cross, abs(abs(linalg3.herm_inner(fa, fb)) - 1.0))
     res = {"unit_norm": worst_norm, "fd_geometry": worst_geom, "cross_route": worst_cross}
     thr = {"unit_norm": 1e-10, "fd_geometry": 1e-6, "cross_route": 1e-8}
@@ -346,11 +349,11 @@ def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
         if not _off_locus(c, lam):
             continue
         es = eigensystem(c, lam)
-        g = np.array(immersion._g_full_period(c, lam))
+        g = np.array(immersion._g_full_period(c, es))
         worst_sum = max(worst_sum, abs(float(g.sum())))
         cancel = g - iwasawa.full_period_phases(c, es)
         worst_cancel = max(worst_cancel, float(np.max(np.abs(cancel))))
-        v = c.psi / lam**3
+        v = es.cubic
         for y in rng.uniform(0.0, 2.0 * c.T, 30):
             m = metric_at(c, y)
             lhs = (es.d * m.w - v.real) * (es.d**2 * m.w + v.real * es.d - 2.0 * m.w**2)
@@ -366,12 +369,12 @@ def suite_periodicity() -> SuiteResult:
     t0 = time.perf_counter()
     c = derive_constants(TORUS_BENCH)
     verdict = periodicity.classify_torus(c, 1.0)
+    es = eigensystem(c, 1.0)
     p_f_err = math.inf
     lift_per = math.inf
     if verdict.tag == "Torus" and verdict.lattice is not None:
         p_f, omega_f = verdict.lattice
         p_f_err = abs(p_f.real - 2.0 * math.pi * math.sqrt(3.0))
-        es = eigensystem(c, 1.0)
         rng = np.random.default_rng(31)
         lift_per = 0.0
         for omega in (p_f, omega_f):
@@ -385,7 +388,6 @@ def suite_periodicity() -> SuiteResult:
                     lift_per, abs(w1[0] - w0[0]), abs(w1[1] - w0[1])
                 )
     # 4Ti periodicity of the real-regime lift, componentwise
-    es = eigensystem(c, 1.0)
     four_t = 0.0
     for x, y in ((0.2, 0.1), (-0.7, 1.3), (1.1, 2.9)):
         f0 = immersion.lift_at(c, es, x, y).F

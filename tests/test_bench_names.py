@@ -43,3 +43,12 @@ def test_metrics_read_existing_functions(layertrace):
         if name == "integrand" or key in private:
             continue
         assert inspect.isfunction(getattr(mods[layer], name, None)), key
+
+
+def test_tracer_reads_every_package_cache(layertrace):
+    # a memo the tracer does not list would hide its cost and its key from
+    # the per-layer hit ratios
+    mods = layertrace.package_modules()
+    named = [getattr(mods[layer], name)
+             for layer, names in layertrace.CACHES.values() for name in names]
+    assert set(layertrace.package_caches()) == set(named)

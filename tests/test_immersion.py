@@ -54,17 +54,18 @@ class TestRegime:
             lift_at(bench_sweep, es, 0.1, 0.1)
 
 
-# every route at the hyperplane lambda, called as route(c, lam, es)
+# every route at the hyperplane lambda, called as route(c, lam, es): point
+# evaluators take the spectral object, job-level operations lambda
 HYPERPLANE_ROUTES = {
-    "phase_integrals": lambda c, lam, es: phase_integrals(c, lam, 0.3),
+    "phase_integrals": lambda c, lam, es: phase_integrals(c, es, 0.3),
     "lift_at": lambda c, lam, es: lift_at(c, es, 0.2, 0.3),
     "sample_grid": lambda c, lam, es: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
-    "beta_integrals": lambda c, lam, es: beta_integrals(c, 0.3, lam),
-    "u_plus": lambda c, lam, es: u_plus(c, 0.3, lam),
-    "extended_frame_eigenbasis": lambda c, lam, es: extended_frame(c, 0.2 + 0.3j, lam),
-    "iwasawa_frame": lambda c, lam, es: iwasawa_frame(c, 0.2 + 0.3j, lam),
-    "monodromy_data": lambda c, lam, es: monodromy_data(c, lam),
-    "monodromy_phases": lambda c, lam, es: monodromy_phases(c, 1.0, 1, lam),
+    "beta_integrals": lambda c, lam, es: beta_integrals(c, es, 0.3),
+    "u_plus": lambda c, lam, es: u_plus(c, es, 0.3),
+    "extended_frame_eigenbasis": lambda c, lam, es: extended_frame(c, es, 0.2 + 0.3j),
+    "iwasawa_frame": lambda c, lam, es: iwasawa_frame(c, es, 0.2 + 0.3j),
+    "monodromy_data": lambda c, lam, es: monodromy_data(c, es),
+    "monodromy_phases": lambda c, lam, es: monodromy_phases(c, es, 1.0, 1),
     "classify_torus": lambda c, lam, es: classify_torus(c, lam),
 }
 
@@ -84,14 +85,15 @@ def test_hyperplane_refused_alike_by_every_route(bench_sweep, route):
     )
 
 
-# routes that take lambda, called as route(c, lam)
+# every way in from a lambda, called as route(c, lam): a point evaluator is
+# reached only through the spectral object, so eigensystem refuses for it
 UNIT_ROUTES = {
     "eigensystem": lambda c, lam: eigensystem(c, lam),
     "lift_at": lambda c, lam: lift_at(c, eigensystem(c, lam), 0.2, 0.3),
     "sample_grid": lambda c, lam: sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 4, 4),
-    "beta_integrals": lambda c, lam: beta_integrals(c, 0.3, lam),
-    "extended_frame_eigenbasis": lambda c, lam: extended_frame(c, 0.2 + 0.3j, lam),
-    "iwasawa_frame": lambda c, lam: iwasawa_frame(c, 0.2 + 0.3j, lam),
+    "beta_integrals": lambda c, lam: beta_integrals(c, eigensystem(c, lam), 0.3),
+    "extended_frame_eigenbasis": lambda c, lam: extended_frame(c, eigensystem(c, lam), 0.2 + 0.3j),
+    "iwasawa_frame": lambda c, lam: iwasawa_frame(c, eigensystem(c, lam), 0.2 + 0.3j),
 }
 
 
@@ -118,7 +120,7 @@ class TestLiftNonreal:
         assert h2.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_integrals_vanish_at_origin(self, bench_nonreal):
-        g = phase_integrals(bench_nonreal, 1.0, 0.0)
+        g = phase_integrals(bench_nonreal, eigensystem(bench_nonreal, 1.0), 0.0)
         assert np.max(np.abs(g)) == 0.0
 
     @pytest.mark.parametrize("offset", [1e-3, 1e-4, 1e-5, 1e-6])
@@ -126,10 +128,11 @@ class TestLiftNonreal:
         # lambda^-3 psi = e^{-3i offset}: one d_j a_i - Re is of order offset^2
         c = bench_nonreal
         lam = cmath.exp(1j * (math.pi / 12 + offset))
-        assert regime_of(c, lam) == "nonreal"
+        es = eigensystem(c, lam)
+        assert es.regime == "nonreal"
         for y in (0.6 * c.T, c.T, 1.3 * c.T, 4.5 * c.T):  # n_j -> 1 bites at y = T
             want = by_ellippi(c.a1, c.psi, lam, y)
-            g = phase_integrals(c, lam, y)
+            g = phase_integrals(c, es, y)
             assert np.all(np.abs(g - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_refused_closer_to_real_locus(self, bench_nonreal):
@@ -150,7 +153,7 @@ class TestLiftNonreal:
     def test_g_sum_rule(self, bench_nonreal):
         c = bench_nonreal
         for theta in (0.0, 0.35, 1.2):
-            g = phase_integrals(c, cmath.exp(1j * theta), 2.0 * c.T)
+            g = phase_integrals(c, eigensystem(c, cmath.exp(1j * theta)), 2.0 * c.T)
             assert abs(g.sum()) < 1e-8
 
     def test_phase_integrals_match_quadrature(self, bench_nonreal):
@@ -158,8 +161,9 @@ class TestLiftNonreal:
         c = bench_nonreal
         for theta in (0.0, 0.35, 1.2):
             lam = cmath.exp(1j * theta)
+            es = eigensystem(c, lam)
             for y in (0.3 * c.T, 1.4 * c.T, 2.0 * c.T, 3.7 * c.T, -0.9 * c.T):
-                g = phase_integrals(c, lam, y)
+                g = phase_integrals(c, es, y)
                 assert np.max(np.abs(g - by_quadrature(c, lam, y))) < 1e-10
 
 
@@ -203,7 +207,7 @@ class TestLiftReal:
 
 class TestCrossRoute:
     def test_via_frame_at_origin(self, bench_nonreal):
-        F = iwasawa_frame(bench_nonreal, 0j, 1.0).matrix[:, 2]
+        F = iwasawa_frame(bench_nonreal, eigensystem(bench_nonreal, 1.0), 0j).matrix[:, 2]
         assert np.max(np.abs(F - E3)) < 1e-12
 
     def test_projective_agreement(self, bench_nonreal):
@@ -212,7 +216,7 @@ class TestCrossRoute:
         for _ in range(50):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
             fa = lift_at(bench_nonreal, es, z.real, z.imag).F
-            fb = iwasawa_frame(bench_nonreal, z, 1.0).matrix[:, 2]
+            fb = iwasawa_frame(bench_nonreal, es, z).matrix[:, 2]
             assert abs(abs(linalg3.herm_inner(fa, fb)) - 1.0) < 1e-8
             assert abs(np.linalg.norm(fb) - 1.0) < 1e-10
 
@@ -228,9 +232,10 @@ class TestCrossRoute:
             assert abs(a[0] - b[0]) < 1e-8 and abs(a[1] - b[1]) < 1e-8
 
     def test_real_regime_frame_identity(self, bench_real):
-        fr = extended_frame(bench_real, 0j, 1.0)
+        es = eigensystem(bench_real, 1.0)
+        fr = extended_frame(bench_real, es, 0j)
         assert np.max(np.abs(fr.matrix - np.eye(3))) < 1e-12
-        fr2 = extended_frame(bench_real, 0.3 + 0.9j, 1.0)
+        fr2 = extended_frame(bench_real, es, 0.3 + 0.9j)
         assert linalg3.unitary_residual(fr2.matrix) < 1e-10
 
 
@@ -410,12 +415,12 @@ def test_scalar_ode_identity_closed_form(bench_nonreal):
         m = metric_at(c, y)
         hp = np.sqrt((es.d * metric_at(c, y + h).w - v.real) / (es.d**3 - v.real))
         hm = np.sqrt((es.d * metric_at(c, y - h).w - v.real) / (es.d**3 - v.real))
-        gp = phase_integrals(c, 1.0, y + h)
-        gm = phase_integrals(c, 1.0, y - h)
+        gp = phase_integrals(c, es, y + h)
+        gm = phase_integrals(c, es, y - h)
         pj_p = hp * np.exp(1j * gp)
         pj_m = hm * np.exp(1j * gm)
         pj = np.sqrt((es.d * m.w - v.real) / (es.d**3 - v.real)) * np.exp(
-            1j * phase_integrals(c, 1.0, y)
+            1j * phase_integrals(c, es, y)
         )
         dpj = (pj_p - pj_m) / (2 * h)
         lhs = (es.d * m.w - v.real) * dpj
@@ -449,10 +454,10 @@ def test_coefficient_rows_match_float_calls(bench_nonreal, bench_real, regime):
         assert np.max(np.abs(p[i] - p1)) < 1e-14
         assert np.max(np.abs(dp[i] - dp1)) < 1e-14 * max(1.0, float(np.max(np.abs(dp1))))
     if regime == "nonreal":
-        g = phase_integrals(c, 1.0, ys)
+        g = phase_integrals(c, es, ys)
         assert g.shape == (29, 3)
         for i, y in enumerate(ys):
-            assert np.max(np.abs(g[i] - phase_integrals(c, 1.0, float(y)))) < 1e-13
+            assert np.max(np.abs(g[i] - phase_integrals(c, es, float(y)))) < 1e-13
 
 
 def _a1_for_modulus(k: float) -> float:
@@ -480,6 +485,6 @@ def test_phase_integrals_match_ellippi(k, delta, quadrant, y_over_t):
     lam = cmath.exp(-1j * arg / 3.0)
     c = derive_constants(SurfaceParams(_a1_for_modulus(k), 1.0))
     y = y_over_t * c.T
-    g = phase_integrals(c, lam, y)
+    g = phase_integrals(c, eigensystem(c, lam), y)
     want = by_ellippi(c.a1, c.psi, lam, y)
     assert np.all(np.abs(g - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))

@@ -24,6 +24,7 @@ from equilag.potential import (
     HyperplaneDegenerateError,
     SurfaceParams,
     derive_constants,
+    eigensystem,
     potential_matrix,
 )
 from matrix_oracles import commutant_matrix, omega_entries
@@ -91,6 +92,21 @@ class TestQFactor:
         with pytest.raises(SingularLocusError):
             q_factor(bench_sweep, 0.3, 1.0)
 
+    def test_floor_scales_with_its_terms(self):
+        # a1 = 1e4, psi = 1: w' reaches ~1e6, so a floor scaled by a1 q^2 r
+        # (2.8e-2) would refuse Im(lambda^-3 psi) = 2.5e-3, outside verify's
+        # 1e-3 margin; c0 = -2i Im is floored by 2|psi| alone
+        c = derive_constants(SurfaceParams(1e4, 1.0))
+        lam = cmath.exp(-1j * math.asin(2.5e-3) / 3.0)
+        assert (c.psi / lam**3).imag == pytest.approx(2.5e-3)
+        for y in (0.0, 0.3 * c.T, 0.7 * c.T, 1.6 * c.T):
+            q0, qt = q_factor(c, y, lam)
+            assert np.all(np.isfinite(q0)) and abs(np.linalg.det(qt) - 1.0) < 1e-6
+            # beta_integrals passes the cdet floor too; the lift's own gap
+            # d_1 a1 - Re (~3e-18 here) is what refuses it
+            with pytest.raises(SingularLocusError, match="phase constants"):
+                beta_integrals(c, eigensystem(c, lam), y)
+
     def test_wrong_normalizer_breaks_det(self, bench_nonreal):
         # the negative control of suite iwasawa: the branch ratio applied twice
         lam = cmath.exp(0.3j)
@@ -101,34 +117,34 @@ class TestQFactor:
 
 class TestBetaIntegrals:
     def test_zero_at_origin(self, bench_nonreal):
-        b1, b2 = beta_integrals(bench_nonreal, 0.0, cmath.exp(0.3j))
+        b1, b2 = beta_integrals(bench_nonreal, eigensystem(bench_nonreal, cmath.exp(0.3j)), 0.0)
         assert b1 == 0.0 and b2 == 0.0
         # exactly, although log p_j(0) = log((1 - n_j) + n_j) may round off 0
         c = derive_constants(SurfaceParams(3.1, cmath.rect(0.7, 2.0)))
         for theta in np.linspace(0.1, 6.0, 12):
-            assert beta_integrals(c, 0.0, cmath.exp(1j * theta)) == (0j, 0j)
+            assert beta_integrals(c, eigensystem(c, cmath.exp(1j * theta)), 0.0) == (0j, 0j)
 
     def test_full_period_lemma(self, bench_nonreal):
         c = bench_nonreal
         for theta in (0.3, 1.0, 2.4):
-            b1, b2 = beta_integrals(c, 2.0 * c.T, cmath.exp(1j * theta))
+            b1, b2 = beta_integrals(c, eigensystem(c, cmath.exp(1j * theta)), 2.0 * c.T)
             assert b1.imag - 2.0 * c.T == pytest.approx(0.0, abs=1e-9)
             assert b2.real == pytest.approx(0.0, abs=1e-9)
 
     def test_epsilon_symmetries(self, bench_nonreal):
         c = bench_nonreal
         lam = cmath.exp(0.5j)
-        b1, b2 = beta_integrals(c, 2.0 * c.T, lam)
-        b1e, b2e = beta_integrals(c, 2.0 * c.T, EPS6 * lam)
+        b1, b2 = beta_integrals(c, eigensystem(c, lam), 2.0 * c.T)
+        b1e, b2e = beta_integrals(c, eigensystem(c, EPS6 * lam), 2.0 * c.T)
         assert b1e.real == pytest.approx(b1.real, abs=1e-9)
         assert b2e.imag == pytest.approx(-b2.imag, abs=1e-9)
 
     def test_translation_additivity(self, bench_nonreal):
         c = bench_nonreal
-        lam = cmath.exp(0.3j)
-        full = beta_integrals(c, 2.0 * c.T, lam)
-        part = beta_integrals(c, 0.4, lam)
-        both = beta_integrals(c, 0.4 + 2.0 * c.T, lam)
+        es = eigensystem(c, cmath.exp(0.3j))
+        full = beta_integrals(c, es, 2.0 * c.T)
+        part = beta_integrals(c, es, 0.4)
+        both = beta_integrals(c, es, 0.4 + 2.0 * c.T)
         assert abs(both[0] - part[0] - full[0]) < 1e-10
         assert abs(both[1] - part[1] - full[1]) < 1e-10
 
@@ -152,17 +168,18 @@ class TestBetaIntegrals:
                              for part in (np.real, np.imag)))
 
         y = 1.1
-        b1, b2 = beta_integrals(c, y, lam)
+        b1, b2 = beta_integrals(c, eigensystem(c, lam), y)
         assert abs(b1 - integral(f1, y)) < 1e-10
         assert abs(b2 - integral(f2, y)) < 1e-10
 
     def test_singular_locus(self, bench_sweep):
         with pytest.raises(SingularLocusError):
-            beta_integrals(bench_sweep, 1.0, 1.0)
+            beta_integrals(bench_sweep, eigensystem(bench_sweep, 1.0), 1.0)
 
     def test_unit_lambda_required(self, bench_nonreal):
-        with pytest.raises(ValueError):
-            beta_integrals(bench_nonreal, 0.5, 0.3)
+        # beta_integrals takes the spectral object; eigensystem refuses lambda = 0.3
+        with pytest.raises(ValueError, match=r"\|lambda\| = 1 required"):
+            eigensystem(bench_nonreal, 0.3)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -180,7 +197,7 @@ class TestBetaIntegrals:
         c = derive_constants(SurfaceParams(ratio * apsi ** (2.0 / 3.0), psi))
         lam = cmath.exp(1j * (arg_psi + locus * math.pi / 2 + gap) / 3.0)
         y = y_periods * c.T
-        got = beta_integrals(c, y, lam)
+        got = beta_integrals(c, eigensystem(c, lam), y)
         want = beta_by_quadrature(c, lam, y)
         scale = max(1.0, *map(abs, want))
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12 * scale
@@ -190,11 +207,12 @@ class TestBetaIntegrals:
         # matrix L0 = D^2 - tr(D^2)/3 I, where the package uses its spectrum
         c = bench_nonreal
         lam = cmath.exp(0.3j)
+        es = eigensystem(c, lam)
         q0, qt = q_factor(c, 0.7, lam)
-        b1, b2 = beta_integrals(c, 0.7, lam)
+        b1, b2 = beta_integrals(c, es, 0.7)
         assert abs(np.linalg.det(qt) - 1.0) < 1e-11
         gen = b1 * potential_matrix(c, lam) + b2 * commutant_matrix(c, lam)
-        assert np.max(np.abs(q0 @ qt @ expm(gen) - u_plus(c, 0.7, lam))) < 1e-11
+        assert np.max(np.abs(q0 @ qt @ expm(gen) - u_plus(c, es, 0.7))) < 1e-11
 
 
 # arg psi = pi/4 on bench_nonreal: lambda^-3 psi is real at arg lambda = pi/12
@@ -212,9 +230,10 @@ class TestBetaDomainEdges:
     def test_ladder(self, bench_nonreal, locus, offset):
         c = bench_nonreal
         lam = cmath.exp(1j * (LOCI[locus] + offset))
+        es = eigensystem(c, lam)
         y = 1.3 * c.T
         try:
-            got = beta_integrals(c, y, lam)
+            got = beta_integrals(c, es, y)
         except self.REFUSALS as exc:
             refusal = type(exc)
         else:
@@ -224,8 +243,8 @@ class TestBetaDomainEdges:
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
         # the iwasawa frame and U_+ refuse exactly where beta does, alike
         for route in (
-            lambda: u_plus(c, y, lam),
-            lambda: iwasawa_frame(c, 0.3 + 1j * y, lam).matrix,
+            lambda: u_plus(c, es, y),
+            lambda: iwasawa_frame(c, es, 0.3 + 1j * y).matrix,
         ):
             if refusal is None:
                 assert np.all(np.isfinite(route()))
@@ -239,21 +258,22 @@ class TestBetaDomainEdges:
         c = bench_nonreal
         lam = cmath.exp(1j * (LOCI["real"] + 3e-8))
         assert abs(2.0 * (c.psi / lam**3).imag) > iwasawa._cdet_floor(c)
+        es = eigensystem(c, lam)
         for call in (
-            lambda: beta_integrals(c, 0.7, lam),
-            lambda: u_plus(c, 0.7, lam),
-            lambda: iwasawa_frame(c, 0.7j, lam),
-            lambda: iwasawa.monodromy_data(c, lam),
+            lambda: beta_integrals(c, es, 0.7),
+            lambda: u_plus(c, es, 0.7),
+            lambda: iwasawa_frame(c, es, 0.7j),
+            lambda: iwasawa.monodromy_data(c, es),
         ):
             with pytest.raises(SingularLocusError, match="phase constants"):
                 call()
 
     def test_hyperplane_refused(self, bench_nonreal):
-        lam = cmath.exp(1j * LOCI["hyperplane"])
+        es = eigensystem(bench_nonreal, cmath.exp(1j * LOCI["hyperplane"]))
         with pytest.raises(HyperplaneDegenerateError):
-            beta_integrals(bench_nonreal, 0.7, lam)
+            beta_integrals(bench_nonreal, es, 0.7)
         with pytest.raises(HyperplaneDegenerateError):
-            iwasawa.monodromy_data(bench_nonreal, lam)
+            iwasawa.monodromy_data(bench_nonreal, es)
 
 
 class TestUPlusFlow:
@@ -262,16 +282,17 @@ class TestUPlusFlow:
         h = 1e-4
         for theta, y in ((0.4, 0.3), (1.9, 0.9)):
             lam = cmath.exp(1j * theta)
-            up = u_plus(c, y + h, lam)
-            um = u_plus(c, y - h, lam)
-            u0 = u_plus(c, y, lam)
+            es = eigensystem(c, lam)
+            up = u_plus(c, es, y + h)
+            um = u_plus(c, es, y - h)
+            u0 = u_plus(c, es, y)
             flow = (up - um) / (2 * h) @ np.linalg.inv(u0)
             assert np.max(np.abs(flow - y_flow_matrix(c, y, lam))) < 1e-6
 
     def test_u_plus_conjugates_potential(self, bench_nonreal):
         c = bench_nonreal
         lam = cmath.exp(0.8j)
-        u = u_plus(c, 0.55, lam)
+        u = u_plus(c, eigensystem(c, lam), 0.55)
         lhs = u @ potential_matrix(c, lam) @ np.linalg.inv(u)
         assert np.max(np.abs(lhs - omega_matrix(c, 0.55, lam))) < 1e-9
 
@@ -282,7 +303,7 @@ class TestExtendedFrame:
             for frame in (extended_frame, iwasawa_frame):
                 if frame is iwasawa_frame and c is bench_real:
                     continue  # singular locus
-                fr = frame(c, 0j, 1.0)
+                fr = frame(c, eigensystem(c, 1.0), 0j)
                 assert np.max(np.abs(fr.matrix - I3)) < 1e-12
 
     def test_su3_membership(self, bench_nonreal):
@@ -292,24 +313,24 @@ class TestExtendedFrame:
             if abs((bench_nonreal.psi / lam**3).real) < 1e-3:
                 continue
             z = complex(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
-            fr = extended_frame(bench_nonreal, z, lam)
+            fr = extended_frame(bench_nonreal, eigensystem(bench_nonreal, lam), z)
             assert linalg3.unitary_residual(fr.matrix) < 1e-9
             assert abs(np.linalg.det(fr.matrix) - 1.0) < 1e-9
 
     def test_routes_agree(self, bench_nonreal):
-        lam = cmath.exp(0.3j)
+        es = eigensystem(bench_nonreal, cmath.exp(0.3j))
         for z in (0.37 + 0.52j, -0.8 + 1.9j):
-            fa = iwasawa_frame(bench_nonreal, z, lam).matrix
-            fb = extended_frame(bench_nonreal, z, lam).matrix
+            fa = iwasawa_frame(bench_nonreal, es, z).matrix
+            fb = extended_frame(bench_nonreal, es, z).matrix
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_routes_agree_many_periods(self, bench_nonreal):
         # the normalizer branch must return to 1 after each full period
-        lam = cmath.exp(0.3j)
+        es = eigensystem(bench_nonreal, cmath.exp(0.3j))
         for y in (1.84, 7.3, -11.9, 23.456):
             z = 0.4 + 1j * y
-            fa = iwasawa_frame(bench_nonreal, z, lam).matrix
-            fb = extended_frame(bench_nonreal, z, lam).matrix
+            fa = iwasawa_frame(bench_nonreal, es, z).matrix
+            fb = extended_frame(bench_nonreal, es, z).matrix
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_qtilde_returns_to_identity_after_period(self, bench_nonreal):
@@ -319,22 +340,24 @@ class TestExtendedFrame:
 
     def test_equivariance(self, bench_nonreal):
         lam = cmath.exp(0.3j)
+        es = eigensystem(bench_nonreal, lam)
         z = 0.2 + 0.9j
-        fr = extended_frame(bench_nonreal, z, lam).matrix
+        fr = extended_frame(bench_nonreal, es, z).matrix
         chi = linalg3.matexp_skew(potential_matrix(bench_nonreal, lam), 0.83)
-        fr2 = extended_frame(bench_nonreal, z + 0.83, lam).matrix
+        fr2 = extended_frame(bench_nonreal, es, z + 0.83).matrix
         assert np.max(np.abs(fr2 - chi @ fr)) < 1e-9
 
     def test_maurer_cartan(self, bench_nonreal):
         c = bench_nonreal
         lam = cmath.exp(0.3j)
+        es = eigensystem(c, lam)
         z = 0.3 + 0.6j
         h = 1e-4
-        f0 = extended_frame(c, z, lam).matrix
-        dfx = (extended_frame(c, z + h, lam).matrix - extended_frame(c, z - h, lam).matrix) / (2 * h)
+        f0 = extended_frame(c, es, z).matrix
+        dfx = (extended_frame(c, es, z + h).matrix - extended_frame(c, es, z - h).matrix) / (2 * h)
         dfy = (
-            extended_frame(c, z + 1j * h, lam).matrix
-            - extended_frame(c, z - 1j * h, lam).matrix
+            extended_frame(c, es, z + 1j * h).matrix
+            - extended_frame(c, es, z - 1j * h).matrix
         ) / (2 * h)
         fi = np.linalg.inv(f0)
         assert np.max(np.abs(fi @ dfx - omega_matrix(c, z.imag, lam))) < 1e-6
@@ -343,13 +366,14 @@ class TestExtendedFrame:
     def test_frame_twisting(self, bench_nonreal):
         lam = cmath.exp(0.41j)
         z = 0.3 + 0.7j
-        fr = extended_frame(bench_nonreal, z, lam).matrix
-        fre = extended_frame(bench_nonreal, z, EPS6 * lam).matrix
+        fr = extended_frame(bench_nonreal, eigensystem(bench_nonreal, lam), z).matrix
+        fre = extended_frame(bench_nonreal, eigensystem(bench_nonreal, EPS6 * lam), z).matrix
         assert np.max(np.abs(fre - linalg3.sigma_group(fr))) < 1e-9
 
     def test_singular_route_raises_with_hint(self, bench_sweep):
+        es = eigensystem(bench_sweep, 1.0)
         with pytest.raises(SingularLocusError, match=r"closed forms \(extended_frame, lift_at\)"):
-            iwasawa_frame(bench_sweep, 0.5 + 0.5j, 1.0)
+            iwasawa_frame(bench_sweep, es, 0.5 + 0.5j)
         # the frame the hint names is defined there
-        fr = extended_frame(bench_sweep, 0.5 + 0.5j, 1.0).matrix
+        fr = extended_frame(bench_sweep, es, 0.5 + 0.5j).matrix
         assert linalg3.unitary_residual(fr) < 1e-10

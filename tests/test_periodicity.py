@@ -16,7 +16,6 @@ from equilag.periodicity import (
 from equilag.potential import (
     HyperplaneDegenerateError,
     SurfaceParams,
-    _check_unit,
     derive_constants,
     eigensystem,
     potential_matrix,
@@ -29,8 +28,9 @@ TWO_PI = 2.0 * math.pi
 
 def monodromy_matrix(c, p, m, lam):
     """The monodromy matrix itself, by exponentiating the loop-algebra element."""
-    lam = _check_unit(lam)
-    re_b1, im_b2 = iwasawa.monodromy_data(c, lam)
+    es = eigensystem(c, lam)
+    re_b1, im_b2 = iwasawa.monodromy_data(c, es)
+    lam = es.lam
     gen = (p - m * re_b1) * potential_matrix(c, lam) - 1j * m * im_b2 * commutant_matrix(c, lam)
     return matexp_skew(gen, 1.0)
 
@@ -85,12 +85,12 @@ class TestRationalApprox:
 
 class TestMonodromyPhases:
     def test_zero_translation(self, bench_nonreal):
-        ph = monodromy_phases(bench_nonreal, 0.0, 0, 1.0)
+        ph = monodromy_phases(bench_nonreal, eigensystem(bench_nonreal, 1.0), 0.0, 0)
         assert np.max(np.abs(ph.theta)) == 0.0
 
     def test_pure_x_translation(self, bench_nonreal):
         es = eigensystem(bench_nonreal, 1.0)
-        ph = monodromy_phases(bench_nonreal, 0.37, 0, 1.0)
+        ph = monodromy_phases(bench_nonreal, es, 0.37, 0)
         assert np.allclose(ph.theta, 0.37 * es.d)
 
     def test_g_identity(self, bench_nonreal):
@@ -98,7 +98,7 @@ class TestMonodromyPhases:
         c = bench_nonreal
         for theta0 in (0.0, 0.35, 1.2):
             lam = cmath.exp(1j * theta0)
-            ph = monodromy_phases(c, 0.0, 1, lam)
+            ph = monodromy_phases(c, eigensystem(c, lam), 0.0, 1)
             g = by_quadrature(c, lam, 2.0 * c.T)
             assert np.max(np.abs(ph.theta - g)) < 1e-8
 
@@ -106,9 +106,9 @@ class TestMonodromyPhases:
         es = eigensystem(bench_nonreal, 1.0)
         g = iwasawa.full_period_phases(bench_nonreal, es)
         for theta in (
-            monodromy_phases(bench_nonreal, 1.3, 2, 1.0).theta,
+            monodromy_phases(bench_nonreal, es, 1.3, 2).theta,
             1.3 * es.d + 2 * g,  # the same phases from the beta integrals
-            monodromy_phases(bench_real, 1.3, 2, 1.0).theta,
+            monodromy_phases(bench_real, eigensystem(bench_real, 1.0), 1.3, 2).theta,
         ):
             s = theta.sum() / TWO_PI
             assert abs(s - round(s)) < 1e-9
@@ -116,15 +116,16 @@ class TestMonodromyPhases:
     def test_matrix_eigenvalues_cross_check(self, bench_nonreal):
         c = bench_nonreal
         lam = cmath.exp(0.3j)
-        ph = monodromy_phases(c, 0.7, 1, lam)
+        ph = monodromy_phases(c, eigensystem(c, lam), 0.7, 1)
         mm = monodromy_matrix(c, 0.7, 1, lam)
         got = np.sort(np.angle(np.linalg.eigvals(mm)))
         want = np.sort(np.angle(np.exp(1j * ph.theta)))
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_hyperplane_refused(self, bench_sweep):
+        es = eigensystem(bench_sweep, cmath.exp(1j * math.pi / 6))
         with pytest.raises(HyperplaneDegenerateError):
-            monodromy_phases(bench_sweep, 1.0, 1, cmath.exp(1j * math.pi / 6))
+            monodromy_phases(bench_sweep, es, 1.0, 1)
 
 
 class TestClassifyCylinder:
@@ -196,11 +197,12 @@ class TestClassifyTorus:
             psi = cmath.rect(rng.uniform(0.1, 0.8) * a1**1.5, rng.uniform(0.2, 1.3))
             lam = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             c = derive_constants(SurfaceParams(a1, psi))
-            if immersion.regime_of(c, lam) != "nonreal":
+            es = eigensystem(c, lam)
+            if es.regime != "nonreal":
                 continue
             done += 1
-            g_beta = iwasawa.full_period_phases(c, eigensystem(c, lam))
-            g = np.array(immersion._g_full_period(c, lam))
+            g_beta = iwasawa.full_period_phases(c, es)
+            g = np.array(immersion._g_full_period(c, es))
             assert np.max(np.abs(g_beta - g)) < 1e-8
 
     def test_half_shift_lattice_form(self):
