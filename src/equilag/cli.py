@@ -6,8 +6,9 @@ Exit codes: 0 ok, 2 config error, 3 degenerate surface class or refused
 input (lambda too close to the real locus, on the singular locus of the
 Iwasawa factorization, or a failed certificate), 4 verification failure.
 
-All numeric output is formatted to 17 significant digits, so identical
-configurations reproduce byte-identical files.
+Numbers are printed to 17 significant digits, except in JSON, which prints
+each float's shortest round-trip repr; identical configurations reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -274,6 +275,16 @@ def cmd_sample(cfg: JobConfig, args) -> int:
     return EXIT_OK
 
 
+_BLOCK = 512  # table rows per % pass: enough to amortize the call, few enough to keep memory flat
+
+
+def _rows(fh, fmt: str, table: np.ndarray) -> None:
+    """Write `fmt % row` and a newline per table row, as np.savetxt does, one % per block of rows."""
+    for start in range(0, len(table), _BLOCK):
+        block = table[start:start + _BLOCK]
+        fh.write(((fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _write_csv(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
     """One row per cell, x fastest; complex columns as (re, im) pairs."""
     x, y = np.meshgrid(grid.xs, grid.ys)
@@ -282,8 +293,8 @@ def _write_csv(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
     F, w = (np.ascontiguousarray(a).reshape(x.size, -1).view(float) for a in (grid.F, grid.chart))
     table = np.column_stack([x.ravel(), y.ravel(), F, w, e_u.ravel(), grid.flags.ravel()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", comments="",
-                   header="x,y,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,re_w1,im_w1,re_w2,im_w2,e_u,flag")
+        fh.write("x,y,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,re_w1,im_w1,re_w2,im_w2,e_u,flag\n")
+        _rows(fh, ",".join(["%.17g"] * table.shape[1]), table)
 
 
 def _quads(a: np.ndarray) -> np.ndarray:
@@ -299,29 +310,64 @@ def _write_obj(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
     faces = _quads(index)[~_quads(grid.flags).any(axis=-1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# equilag surface sample\n")
-        np.savetxt(fh, verts.reshape(-1, 3), fmt="v %.17g %.17g %.17g")
-        np.savetxt(fh, faces, fmt="f %d %d %d %d")
+        _rows(fh, "v %.17g %.17g %.17g", verts.reshape(-1, 3))
+        _rows(fh, "f %d %d %d %d", faces)
+
+
+def _list(items, depth: int) -> str:
+    """json.dumps(indent=2) text of a list of already laid-out items, at this nesting depth."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _layout(shape: tuple[int, ...], depth: int) -> str:
+    """The `_list` text of a nested list of this shape, with a %r in place of each number."""
+    return _list([_layout(shape[1:], depth + 1)] * shape[0], depth) if shape else "%r"
+
+
+def _numbers(layout: str, values: np.ndarray) -> str:
+    """layout filled with the values' reprs, NaN and +-inf as json's NaN and Infinity."""
+    text = layout % tuple(values.ravel().tolist())
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _json_rows(fh, key: str, rows) -> None:
+    """A top-level array member of the payload, written one row text at a time."""
+    sep = "\n    "
+    fh.write(f'  "{key}": [')
+    for text in rows:
+        fh.write(sep)
+        fh.write(text)
+        sep = ",\n    "
+    fh.write("\n  ],\n")
 
 
 def _write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
-    def c2l(z: complex) -> list[float]:
-        return [z.real, z.imag]
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), laid out by hand row by row.
 
-    payload = {
-        "config": _config_dict(cfg),
-        "xs": list(grid.xs),
-        "ys": list(grid.ys),
-        "e_u": list(grid.e_u),
-        "F": [[[c2l(z) for z in cell] for cell in row] for row in grid.F],
-        "chart": [
-            [None if grid.flags[iy, ix] else [c2l(grid.chart[iy, ix, 0]), c2l(grid.chart[iy, ix, 1])]
-             for ix in range(len(grid.xs))]
-            for iy in range(len(grid.ys))
-        ],
-        "flags": [[int(v) for v in row] for row in grid.flags],
-    }
+    Members in key order: F, chart (null on a flagged cell), config, e_u,
+    flags, xs, ys; numbers are float reprs, as json writes them.
+    """
+    ny, nx = grid.flags.shape
+    F = np.ascontiguousarray(grid.F).view(float)          # (ny, nx, 6)
+    chart = np.ascontiguousarray(grid.chart).view(float)  # (ny, nx, 4)
+    f_row, flag_row = _layout((nx, 3, 2), 2), _layout((nx,), 2)
+    cells = (_layout((2, 2), 3), "null")                  # indexed by the flag
+
+    def chart_row(iy: int) -> str:
+        flags = grid.flags[iy]
+        return _numbers(_list(map(cells.__getitem__, flags.tolist()), 2), chart[iy][~flags])
+
+    # json escapes newlines inside strings, so every newline here is layout
+    config = json.dumps(_config_dict(cfg), indent=2, sort_keys=True).replace("\n", "\n  ")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_dumps(payload))
+        fh.write("{\n")
+        _json_rows(fh, "F", (_numbers(f_row, row) for row in F))
+        _json_rows(fh, "chart", map(chart_row, range(ny)))
+        fh.write(f'  "config": {config},\n  "e_u": {_numbers(_layout((ny,), 1), grid.e_u)},\n')
+        _json_rows(fh, "flags", (_numbers(flag_row, row) for row in grid.flags.astype(int)))
+        fh.write(f'  "xs": {_numbers(_layout((nx,), 1), grid.xs)},\n'
+                 f'  "ys": {_numbers(_layout((ny,), 1), grid.ys)}\n}}\n')
 
 
 _WRITERS = {"csv": _write_csv, "obj": _write_obj, "json": _write_json}

@@ -195,13 +195,15 @@ class TestSample:
         assert len(lines) == 1 + 4  # header + 2x2 grid
         assert all(len(line.split(",")) == 14 for line in lines[1:])
 
-    def test_deterministic_reruns(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+    def test_deterministic_reruns(self, tmp_path, fmt):
         path = tmp_path / "job.ini"
-        path.write_text(BASE_CONFIG)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sample", "--config", str(path), "--out", str(out1)]) == EXIT_OK
-        assert main(["sample", "--config", str(path), "--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+        path.write_text(BASE_CONFIG.replace("format = csv", f"format = {fmt}"))
+        out = tmp_path / f"grid.{fmt}"  # one path: the json config echo includes it
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        first = out.read_bytes()
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == first
 
     @staticmethod
     def _flag(monkeypatch, cells):
