@@ -17,7 +17,11 @@ as k -> 1.
 also take numpy arrays in their varying arguments (the argument z; the
 integrals' x, y, z, p and the amplitude's sines) and then act elementwise
 with numpy's elementary functions; the modulus, n and k^2 stay scalars.
-Python floats keep the `math` path and return floats.  A duplication loop
+Python floats keep the `math` path and return floats.  A numpy scalar
+(np.float64) is no array: it is accepted, takes the `math` path and gives
+the same bits, but its arithmetic runs at about half the speed of Python
+floats, so callers hand floats in (immersion's per-object phase constants
+are Python floats).  A duplication loop
 over an array runs until every element meets Carlson's stop rule, and each
 element stops where it meets it, so the integrals agree bit for bit with
 the float path.

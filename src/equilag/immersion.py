@@ -38,10 +38,12 @@ defined.  The frames live in iwasawa, which builds on this module.
 Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
 `lift_at` is the one lift function.
-`phase_integrals` and the coefficient kernel `_coefficients` take a float y
-or a 1-D array of them; `sample_grid` makes one array pass per grid, one
-`jacobi` call for all rows; `lift_at`, `verify_geometry` and iwasawa's
-`extended_frame` keep the float path.
+`phase_integrals` and the coefficient kernels `_coefficients` (p_j) and
+`_coefficients_and_derivatives` (p_j and p_j', for iwasawa's
+`extended_frame`) take a float y or a 1-D array of them; `sample_grid`
+makes one array pass per grid, one `jacobi` call for all rows; `lift_at`,
+`verify_geometry` and `extended_frame` keep the float path, on which the
+per-object phase constants are Python floats.
 """
 
 from __future__ import annotations
@@ -108,46 +110,49 @@ class _PhaseConstants(NamedTuple):
     pre: tuple[float, float, float]          # d_j Im / (r (d_j a1 - Re))
 
 
-def _gaps(c: DerivedConstants, d: np.ndarray, re0: float, im0: float) -> np.ndarray:
-    """d_j a_i - Re for a_i = a1, a2 (shape (3, 2)), free of cancellation.
+def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float) -> list[list[float]]:
+    """[d_j a1 - Re, d_j a2 - Re] per root d_j, free of cancellation.
 
     Towards the real locus one d_j tends to e = Re / a_i and the plain
     difference loses every digit.  The cubic f(d) = d^3 - beta d + 2 Re of
     the d_j has f(e) = -Re Im^2 / a_i^3, so for the root nearest e
     d_j a_i - Re = Re Im^2 / (a_i^2 (d_j^2 + d_j e + e^2 - beta)).
     """
-    a = np.array([c.a1, c.a2])
-    gaps = np.outer(d, a) - re0
-    for i, ai in enumerate(a):
+    gaps = [[dj * c.a1 - re0, dj * c.a2 - re0] for dj in d]
+    for i, ai in enumerate((c.a1, c.a2)):
         e = re0 / ai
-        j = int(np.argmin(np.abs(d - e)))
-        gaps[j, i] = re0 * im0**2 / (ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta))
+        j = min(range(3), key=lambda jj: abs(d[jj] - e))
+        gaps[j][i] = re0 * im0**2 / (ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta))
     return gaps
 
 
 @lru_cache(maxsize=256)
 def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
-    """Constants of the phase integrals G_j within one period, per spectral object."""
+    """Constants of the phase integrals G_j within one period, per spectral object.
+
+    Python floats, so that the scalar kernels run on the `math` path at its
+    own speed and never on numpy scalars.
+    """
     _checked_regime(es)
-    v, d = es.cubic, es.d
+    v, d = es.cubic, es.d.tolist()
     gaps = _gaps(c, d, v.real, v.imag)
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
     # below the floor double precision cannot certify the sign any more
-    if np.min(np.abs(gaps)) < 1e-15 * max(1.0, abs(c.psi)):
+    if min(abs(g) for row in gaps for g in row) < 1e-15 * max(1.0, abs(c.psi)):
         raise RegimeError(
             "G_j denominator vanishes: cubic form too close to real; "
             "evaluate at the nearby real-regime lambda instead"
         )
-    den0 = gaps[:, 0]
-    one_minus_n = gaps[:, 1] / den0
-    if np.any(one_minus_n <= 0.0):
+    den0 = tuple(g0 for g0, _ in gaps)
+    one_minus_n = tuple(g1 / g0 for g0, g1 in gaps)
+    if any(omn <= 0.0 for omn in one_minus_n):
         raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
     return _PhaseConstants(
-        den0=tuple(den0),
-        n=tuple(d * c.a1 * c.q2 / den0),
-        one_minus_n=tuple(one_minus_n),
-        pre=tuple(d * v.imag / (c.r * den0)),
+        den0=den0,
+        n=tuple(dj * c.a1 * c.q2 / den for dj, den in zip(d, den0)),
+        one_minus_n=one_minus_n,
+        pre=tuple(dj * v.imag / (c.r * den) for dj, den in zip(d, den0)),
     )
 
 
@@ -223,42 +228,66 @@ def _real_assignment(c: DerivedConstants, es: EigenSystem):
 # ---------------------------------------------------------------------------
 # shared machinery
 
+def _real_rows(y: float | np.ndarray, idx: list[int], vals) -> np.ndarray:
+    """Real-regime coefficients with vals[i] at eigensystem index idx[i].
+
+    Rows j first, so that a float y writes scalar elements; a float y gives
+    shape (3,), an array y of shape (ny,) rows of shape (ny, 3).
+    """
+    rows = np.zeros((3, *y.shape) if isinstance(y, np.ndarray) else 3)
+    rows[idx[0]], rows[idx[1]], rows[idx[2]] = vals
+    return rows.T
+
+
+def _nonreal_terms(
+    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, sn, cn
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_j, d_j e^u - Re) in the non-real regime, from sn and cn of r y."""
+    ratio, g = _phase_terms(c, es, y, sn, cn)
+    den = np.array(_g_segment(c, es).den0) * ratio
+    h2 = den / (es.d**3 - es.cubic.real)
+    if (h2 < -1e-10).any():
+        raise ArithmeticError(
+            "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
+        )
+    return np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g), den
+
+
 def _coefficients(
     c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, jac: JacobiTriple | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j(y), p_j'(y)) of the eigenbasis expansion F(0, y) = sum_j p_j l_j.
+) -> np.ndarray:
+    """p_j(y) of the eigenbasis expansion F(0, y) = sum_j p_j l_j.
 
-    A float y gives two arrays of shape (3,) by the math path; an array y
-    of shape (ny,) gives rows of shape (ny, 3) from one `jacobi` call.
+    A float y gives an array of shape (3,) by the math path; an array y of
+    shape (ny,) gives rows of shape (ny, 3) from one `jacobi` call.
     jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
     as well.
     """
     regime = _checked_regime(es)
     sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
-    array = isinstance(y, np.ndarray)
     if regime == "real":
         idx, cs = _real_assignment(c, es)
-        # rows j first, so that a float y writes scalar elements
-        p = np.zeros((3, *y.shape) if array else 3)
-        dp = np.zeros(p.shape)
-        p[idx[0]], p[idx[1]], p[idx[2]] = cs[0] * sn, cs[1] * cn, cs[2] * dn
-        dp[idx[0]] = cs[0] * c.r * cn * dn
-        dp[idx[1]] = -cs[1] * c.r * sn * dn
-        dp[idx[2]] = -cs[2] * c.r * c.k**2 * sn * cn
-        return p.T, dp.T
-    v = es.cubic
+        return _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
+    return _nonreal_terms(c, es, y, sn, cn)[0]
+
+
+def _coefficients_and_derivatives(
+    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, jac: JacobiTriple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_j(y), p_j'(y)), shaped like `_coefficients`; p_j is the same to the bit."""
+    regime = _checked_regime(es)
+    sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
+    if regime == "real":
+        idx, cs = _real_assignment(c, es)
+        p = _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
+        dp = _real_rows(y, idx, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
+                                 -cs[2] * c.r * c.k**2 * sn * cn))
+        return p, dp
+    p, den = _nonreal_terms(c, es, y, sn, cn)
     m = _from_jacobi(c, y, (sn, cn, dn))
-    p, g = _phase_terms(c, es, y, sn, cn)
-    den = np.array(_g_segment(c, es).den0) * p
-    h2 = den / (es.d**3 - v.real)
-    if np.any(h2 < -1e-10):
-        raise ArithmeticError(
-            "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
-        )
-    p = np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g)
     # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
-    rate = m.u_prime * m.w + 2j * v.imag
-    dp = es.d * p * (rate[..., None] if array else rate) / (2.0 * den)
+    rate = m.u_prime * m.w + 2j * es.cubic.imag
+    dp = es.d * p * (rate[..., None] if isinstance(y, np.ndarray) else rate) / (2.0 * den)
     return p, dp
 
 
@@ -268,7 +297,7 @@ def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSam
     Real regime: F(x, y + 4T) = F(x, y).  Raises HyperplaneDegenerateError
     in the imaginary regime and RegimeError below the non-real gap floor.
     """
-    p, _ = _coefficients(c, es, y)
+    p = _coefficients(c, es, y)
     return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)
 
 
@@ -312,7 +341,7 @@ def sample_grid(
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     jac = jacobi(c.r * ys, c.k)
-    p, _ = _coefficients(c, es, ys, jac)                     # (ny, 3)
+    p = _coefficients(c, es, ys, jac)                        # (ny, 3)
     phase = np.exp(1j * np.outer(xs, es.d))                  # (nx, 3)
     F = (p[:, None, :] * phase) @ es.vectors                 # (ny, nx, 3)
     flags = np.abs(F[:, :, 2]) <= CHART_TOL
@@ -355,10 +384,11 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     # every stencil needs p_j only at y - h, y and y + h: once per y
     h = 1e-4
     rows = [
-        (metric_at(c, y), *(_coefficients(c, es, t)[0] for t in (y - h, y, y + h))) for y in ys
+        (metric_at(c, y), *(_coefficients(c, es, t) for t in (y - h, y, y + h)))
+        for y in np.asarray(ys, dtype=float).tolist()
     ]
     rep = {f.name: 0.0 for f in fields(GeometryReport)}
-    for x in xs:
+    for x in np.asarray(xs, dtype=float).tolist():
         for m, pm, p0, pp in rows:
             F = ev(x, p0)
             fxp, fxm = ev(x + h, p0), ev(x - h, p0)

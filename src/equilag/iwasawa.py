@@ -87,7 +87,7 @@ class FrameSample:
 def _connection(c: DerivedConstants, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Connection blocks (U_{-1}, U_0, V_1); V_0 = U_0 = diag(-iu'/4, iu'/4, 0)."""
     m = metric_at(c, y)
-    eu2 = np.sqrt(m.w)
+    eu2 = math.sqrt(m.w)
     u_m1 = np.array([[0, 0, 1j * eu2], [-1j * c.psi / m.w, 0, 0], [0, 1j * eu2, 0]], dtype=complex)
     v_p1 = np.array([[0, -1j * np.conj(c.psi) / m.w, 0], [0, 0, 1j * eu2], [1j * eu2, 0, 0]],
                     dtype=complex)
@@ -161,14 +161,16 @@ def _branch_ratio(c0: complex, cdet: complex) -> complex:
 def _raw_factor(c: DerivedConstants, m: MetricSample, lam: complex, cdet: complex):
     """Unnormalized upper factor M and diagonal gauge Q0 at metric sample m; M[2, 2] = cdet."""
     w, up = m.w, m.u_prime
-    eu2 = np.sqrt(w)
+    eu2 = math.sqrt(w)
     a, psi = c.a, c.psi
     aa = abs(a) ** 2  # = a1
     l3 = lam**3
-    pch = -aa * up / 2.0 + l3 * np.conj(psi) * aa / w - psi / l3
-    qch = (a / (lam**2 * np.conj(a))) * (up / 2.0 * aa - l3 * np.conj(psi) / w * (aa - w))
+    # a numpy complex: its products and quotients round as numpy's do
+    l3_psic = l3 * np.conj(psi)
+    pch = -aa * up / 2.0 + l3_psic * aa / w - psi / l3
+    qch = (a / (lam**2 * np.conj(a))) * (up / 2.0 * aa - l3_psic / w * (aa - w))
     sch = (lam**2 / a**2) * (aa * up / 2.0 * w + psi / l3 * (aa - w))
-    tch = (1.0 / aa) * (-aa * up / 2.0 * w + l3 * np.conj(psi) * w - psi / l3 * aa)
+    tch = (1.0 / aa) * (-aa * up / 2.0 * w + l3_psic * w - psi / l3 * aa)
     v1 = -2j / lam * a * (aa - w)
     v2 = -2j * lam / a * w * (aa - w)
     raw = np.array([[pch, qch, v1], [sch, tch, v2], [0.0, 0.0, cdet]], dtype=complex)
@@ -239,7 +241,7 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSam
     """
     lam, z = es.lam, complex(z)
     jac = jacobi(c.r * z.imag, c.k)
-    p, dp = immersion._coefficients(c, es, z.imag, jac)
+    p, dp = immersion._coefficients_and_derivatives(c, es, z.imag, jac)
     phase = np.exp(1j * es.d * z.real)
     F = (p * phase) @ es.vectors
     Fx = (1j * es.d * p * phase) @ es.vectors

@@ -74,19 +74,23 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
     phi = math.acos(c3) / 3.0
     roots = np.array([m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)])
 
-    for _ in range(2):  # Newton polish
+    # Newton polish on the array: numpy's roots**3 differs from pow() in
+    # the last bit now and then, so the polished roots depend on it
+    for _ in range(2):
         f = roots**3 + p * roots + q
         df = 3.0 * roots**2 + p
         safe = np.abs(df) > 1e-300
         roots = np.where(safe, roots - f / np.where(safe, df, 1.0), roots)
-    roots = np.sort(roots)[::-1]
-    roots = roots - roots.sum() / 3.0  # the three real roots sum to zero
+    r = sorted(roots.tolist(), reverse=True)
+    mean = (r[0] + r[1] + r[2]) / 3.0  # the three real roots sum to zero
+    r = [t - mean for t in r]
     # re-centring leaves an ulp of the largest root as absolute error: a
     # far smaller root comes from -q / (product of the others) instead
-    j = int(np.argmin(np.abs(roots)))
-    if abs(roots[j]) < 1e-3 * np.max(np.abs(roots)):
-        roots[j] = -q / np.prod(np.delete(roots, j))
-    return roots, multiple
+    j = min(range(3), key=lambda i: abs(r[i]))
+    if abs(r[j]) < 1e-3 * max(abs(t) for t in r):
+        others = [t for i, t in enumerate(r) if i != j]
+        r[j] = -q / (others[0] * others[1])
+    return np.array(r), multiple
 
 
 def _kernel_vector(a: np.ndarray) -> np.ndarray | None:

@@ -243,22 +243,22 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     roots, multiple = linalg3.solve_depressed_cubic(-c.beta, q)
     if multiple:
         raise FlatCliffordError("multiple eigenvalues of D: flat configuration")
-    dmat = potential_matrix(c, lam)
     a, b = c.a, c.b
+    ac = a.conjugate()
     vectors = []
-    for dj in roots:
+    for dj in roots.tolist():
         mu = 1j * dj
         s = np.array(
             [
                 abs(a) ** 2 + mu**2,
-                b * mu / lam + lam**2 * np.conj(a) ** 2,
-                a * b / lam**2 - lam * np.conj(a) * mu,
+                b * mu / lam + lam**2 * ac**2,
+                a * b / lam**2 - lam * ac * mu,
             ],
             dtype=complex,
         )
         ns = float(np.linalg.norm(s))
         if ns < 1e-10 * max(1.0, abs(a) ** 2):
-            v = linalg3._kernel_vector(dmat - mu * np.eye(3))
+            v = linalg3._kernel_vector(potential_matrix(c, lam) - mu * np.eye(3))
             if v is None:
                 raise ArithmeticError("eigenvector extraction failed")
         else:

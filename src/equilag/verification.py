@@ -145,10 +145,10 @@ def suite_metric(params: SurfaceParams | None = None) -> SuiteResult:
     t0 = time.perf_counter()
     c = derive_constants(params or BENCH_NONREAL)
     rng = np.random.default_rng(13)
-    ys = rng.uniform(-3.0 * c.T, 3.0 * c.T, 200)
+    ys = rng.uniform(-3.0 * c.T, 3.0 * c.T, 200).tolist()
     first = max(first_integral_residual(c, y) for y in ys)
     per = max(abs(metric_at(c, y + 2.0 * c.T).w - metric_at(c, y).w) for y in ys[:100])
-    gauss = max(gauss_residual(c, y) for y in rng.uniform(0.0, 2.0 * c.T, 25))
+    gauss = max(gauss_residual(c, y) for y in rng.uniform(0.0, 2.0 * c.T, 25).tolist())
     res = {"first_integral": first, "periodicity": per, "gauss_fd": gauss}
     thr = {"first_integral": 1e-9, "periodicity": 1e-10, "gauss_fd": 1e-5}
     return _finish("metric", res, thr, t0)
@@ -354,7 +354,7 @@ def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
         cancel = g - iwasawa.full_period_phases(c, es)
         worst_cancel = max(worst_cancel, float(np.max(np.abs(cancel))))
         v = es.cubic
-        for y in rng.uniform(0.0, 2.0 * c.T, 30):
+        for y in rng.uniform(0.0, 2.0 * c.T, 30).tolist():
             m = metric_at(c, y)
             lhs = (es.d * m.w - v.real) * (es.d**2 * m.w + v.real * es.d - 2.0 * m.w**2)
             rhs = (0.25 * m.u_prime**2 * m.w**2 + v.imag**2) * es.d
