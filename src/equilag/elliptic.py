@@ -11,7 +11,9 @@ integrals with Carlson's symmetric forms R_F, R_C and R_J by duplication
 (https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26).
 All routes are independent of each other up to the shared AGM scale, and
 accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
-as k -> 1.
+as k -> 1.  The AGM memo per modulus (`_agm_scheme`) also holds the phase
+tables of `jacobi` (4K, 2^N a_N and the ratios c_n / a_n), so a call
+derives nothing from the scheme again.
 
 `jacobi`, `_carlson_rf`, `_carlson_rc`, `_carlson_rj` and `_third_kind`
 also take numpy arrays in their varying arguments (the argument z; the
@@ -49,9 +51,6 @@ def _largest(*vs: np.ndarray) -> np.ndarray:
 # (sqrt, largest) of the float path and of the array path
 _CARLSON_MATH = (math.sqrt, max)
 _CARLSON_NUMPY = (np.sqrt, _largest)
-# (sin, cos, asin, sqrt, round, largest, smallest), in the same way
-_JACOBI_MATH = (math.sin, math.cos, math.asin, math.sqrt, round, max, min)
-_JACOBI_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt, np.round, _largest, np.minimum)
 
 
 class JacobiTriple(NamedTuple):
@@ -70,9 +69,25 @@ def _check_modulus(k: float, allow_one: bool = False) -> None:
         raise ValueError(f"modulus must satisfy k {hi}, got {k}")
 
 
+class _AgmScheme(NamedTuple):
+    """The AGM scheme of one modulus and the phase tables `jacobi` reads from it."""
+
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    c: tuple[float, ...]
+    four_K: float                # 4K = 2 pi / a_N, formed as 4 (pi / (2 a_N))
+    scale: float                 # 2^N a_N, the first phase per unit argument
+    ratios: tuple[float, ...]    # c_n / a_n for n = N, ..., 1
+
+
 @lru_cache(maxsize=512)
-def _agm_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """AGM sequences a_n, b_n, c_n starting from (1, k', k)."""
+def _agm_scheme(k: float) -> _AgmScheme:
+    """AGM sequences a_n, b_n, c_n starting from (1, k', k), and jacobi's phase tables.
+
+    The memo per modulus holds, besides the sequences, what every `jacobi`
+    call at this k would derive from them again: the period 4K, the scale
+    2^N a_N of the first phase and the ratios c_n / a_n of the descent.
+    """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a: list[float] = [1.0]
     b: list[float] = [kp]
@@ -85,7 +100,13 @@ def _agm_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...], tuple[f
         c.append(0.5 * (a[-1] - b[-1]))
         a.append(an)
         b.append(bn)
-    return tuple(a), tuple(b), tuple(c)
+    n_last = len(a) - 1
+    return _AgmScheme(
+        tuple(a), tuple(b), tuple(c),
+        four_K=4.0 * (math.pi / (2.0 * a[-1])),
+        scale=(2.0**n_last) * a[-1],
+        ratios=tuple(c[n] / a[n] for n in range(n_last, 0, -1)),
+    )
 
 
 def _keep_done(go, after: tuple, before: tuple) -> tuple:
@@ -104,8 +125,7 @@ def complete_K(k: float) -> float:
     k -> 1, so k = 1 is a domain error.
     """
     _check_modulus(k, allow_one=False)
-    a, _, _ = _agm_scheme(k)
-    return math.pi / (2.0 * a[-1])
+    return math.pi / (2.0 * _agm_scheme(k).a[-1])
 
 
 def _carlson_rf(x: _Real, y: _Real, z: _Real) -> _Real:
@@ -273,32 +293,42 @@ def jacobi(z: _Real, k: float) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn at real argument z.
 
     Uses the AGM phase recursion after reducing z modulo the real period
-    4K(k).  The limits k = 0 (circular) and k = 1 (hyperbolic) are exact
-    closed forms.  Inverts incomplete_J: sn(J(theta, k), k) = sin(theta).
+    4K(k), with the phase tables of the modulus read from its AGM memo.
+    The limits k = 0 (circular) and k = 1 (hyperbolic) are exact closed
+    forms.  Inverts incomplete_J: sn(J(theta, k), k) = sin(theta).
     z may be an array: the AGM scheme of k is shared and the phase
     recursion runs elementwise, giving a triple of arrays.
     """
     _check_modulus(k, allow_one=True)
     array = isinstance(z, _ndarray)
-    sin, cos, asin, sqrt, rnd, largest, smallest = _JACOBI_NUMPY if array else _JACOBI_MATH
     if not (np.isfinite(z).all() if array else math.isfinite(z)):
         raise ValueError(f"argument must be finite, got {z}")
     if k == 0.0:
-        return JacobiTriple(sin(z), cos(z), np.ones_like(z) if array else 1.0)
+        if array:
+            return JacobiTriple(np.sin(z), np.cos(z), np.ones_like(z))
+        return JacobiTriple(math.sin(z), math.cos(z), 1.0)
     if k == 1.0:
         sech = 1.0 / (np.cosh if array else math.cosh)(z)
         return JacobiTriple((np.tanh if array else math.tanh)(z), sech, sech)
 
-    a, _, c = _agm_scheme(k)
-    n_last = len(a) - 1
-    K = math.pi / (2.0 * a[-1])
-    z = z - 4.0 * K * rnd(z / (4.0 * K))
+    _, _, _, four_k, scale, ratios = _agm_scheme(k)
+    if array:
+        phi = scale * (z - four_k * np.round(z / four_k))
+        for ratio in ratios:
+            phi = 0.5 * (phi + np.arcsin(np.maximum(-1.0, np.minimum(1.0, ratio * np.sin(phi)))))
+        sn = np.sin(phi)
+        return JacobiTriple(sn, np.cos(phi), np.sqrt(np.maximum(0.0, 1.0 - (k * sn) * (k * sn))))
 
-    phi = (2.0**n_last) * a[-1] * z
-    for n in range(n_last, 0, -1):
-        s = c[n] / a[n] * sin(phi)
-        phi = 0.5 * (phi + asin(largest(-1.0, smallest(1.0, s))))
+    sin, asin = math.sin, math.asin
+    phi = scale * (z - four_k * round(z / four_k))
+    for ratio in ratios:
+        s = ratio * sin(phi)
+        # max(-1, min(1, s)) by comparisons; NaN goes to 1 there as here
+        if not s <= 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        phi = 0.5 * (phi + asin(s))
     sn = sin(phi)
-    cn = cos(phi)
-    dn = sqrt(largest(0.0, 1.0 - (k * sn) * (k * sn)))
-    return JacobiTriple(sn, cn, dn)
+    dn2 = 1.0 - (k * sn) * (k * sn)
+    return JacobiTriple(sn, math.cos(phi), math.sqrt(dn2) if dn2 > 0.0 else 0.0)

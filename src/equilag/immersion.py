@@ -39,11 +39,11 @@ Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
 `lift_at` is the one lift function.
 `phase_integrals` and the coefficient kernels `_coefficients` (p_j) and
-`_coefficients_and_derivatives` (p_j and p_j', for iwasawa's
-`extended_frame`) take a float y or a 1-D array of them; `sample_grid`
-makes one array pass per grid, one `jacobi` call for all rows; `lift_at`,
-`verify_geometry` and `extended_frame` keep the float path, on which the
-per-object phase constants are Python floats.
+`_coefficients_and_derivatives` (p_j, p_j' and the metric sample, for
+iwasawa's `extended_frame`) take a float y or a 1-D array of them;
+`sample_grid` makes one array pass per grid, one `jacobi` call for all
+rows; `lift_at`, `verify_geometry` and `extended_frame` keep the float
+path, on which the per-object phase constants are Python floats.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
-from .metric import _from_jacobi, metric_at
+from .metric import MetricSample, _from_jacobi, metric_at
 from .potential import (
     DerivedConstants,
     EigenSystem,
@@ -167,9 +167,9 @@ def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, 
 
 
 def _phase_terms(
-    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, sn, cn
+    c: DerivedConstants, es: EigenSystem, g: _PhaseConstants, y: float | np.ndarray, sn, cn
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j, G_j) at y, both in closed form, from sn and cn of r y.
+    """(p_j, G_j) at y, both in closed form, from g = _g_segment(c, es) and sn, cn of r y.
 
     p_j = (d_j e^u - Re) / (d_j a1 - Re) = 1 - n_j sn^2(r y).  With
     m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
@@ -177,8 +177,8 @@ def _phase_terms(
     G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
     An array y of shape (ny,) gives rows of shape (ny, 3), with m per row.
+    The caller looks g up, once per point.
     """
-    g = _g_segment(c, es)
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
     s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
@@ -199,7 +199,7 @@ def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray)
     An array y of shape (ny,) gives the phases as rows of shape (ny, 3).
     """
     sn, cn, _ = jacobi(c.r * y, c.k)
-    return _phase_terms(c, es, y, sn, cn)[1]
+    return _phase_terms(c, es, _g_segment(c, es), y, sn, cn)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +243,15 @@ def _nonreal_terms(
     c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, sn, cn
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p_j, d_j e^u - Re) in the non-real regime, from sn and cn of r y."""
-    ratio, g = _phase_terms(c, es, y, sn, cn)
-    den = np.array(_g_segment(c, es).den0) * ratio
+    g = _g_segment(c, es)
+    ratio, phases = _phase_terms(c, es, g, y, sn, cn)
+    den = np.array(g.den0) * ratio
     h2 = den / (es.d**3 - es.cubic.real)
     if (h2 < -1e-10).any():
         raise ArithmeticError(
             "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
         )
-    return np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * g), den
+    return np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * phases), den
 
 
 def _coefficients(
@@ -272,23 +273,28 @@ def _coefficients(
 
 
 def _coefficients_and_derivatives(
-    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, jac: JacobiTriple | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j(y), p_j'(y)), shaped like `_coefficients`; p_j is the same to the bit."""
+    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, MetricSample]:
+    """(p_j(y), p_j'(y), the metric sample at y), p_j shaped and valued like `_coefficients`.
+
+    The metric sample serves p_j' in the non-real regime and is returned in
+    both, so that a caller needing e^u as well does not form it again.
+    """
     regime = _checked_regime(es)
-    sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
+    jac = jacobi(c.r * y, c.k)
+    sn, cn, dn = jac
+    m = _from_jacobi(c, y, jac)
     if regime == "real":
         idx, cs = _real_assignment(c, es)
         p = _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
         dp = _real_rows(y, idx, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
                                  -cs[2] * c.r * c.k**2 * sn * cn))
-        return p, dp
+        return p, dp, m
     p, den = _nonreal_terms(c, es, y, sn, cn)
-    m = _from_jacobi(c, y, (sn, cn, dn))
     # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
     rate = m.u_prime * m.w + 2j * es.cubic.imag
     dp = es.d * p * (rate[..., None] if isinstance(y, np.ndarray) else rate) / (2.0 * den)
-    return p, dp
+    return p, dp, m
 
 
 def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
@@ -343,10 +349,13 @@ def sample_grid(
     jac = jacobi(c.r * ys, c.k)
     p = _coefficients(c, es, ys, jac)                        # (ny, 3)
     phase = np.exp(1j * np.outer(xs, es.d))                  # (nx, 3)
-    F = (p[:, None, :] * phase) @ es.vectors                 # (ny, nx, 3)
-    flags = np.abs(F[:, :, 2]) <= CHART_TOL
+    F = ((p[:, None, :] * phase).reshape(ny * nx, 3) @ es.vectors).reshape(ny, nx, 3)
+    f3 = F[:, :, 2].copy()  # contiguous, read by the flag test and both quotients
+    flags = np.abs(f3) <= CHART_TOL
+    chart = np.empty((ny, nx, 2), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        chart = F[:, :, :2] / F[:, :, 2:]
+        np.divide(F[:, :, 0], f3, out=chart[:, :, 0])
+        np.divide(F[:, :, 1], f3, out=chart[:, :, 1])
     chart[flags] = complex(np.nan, np.nan)
     e_u = _from_jacobi(c, ys, jac).w
     return GridSample(lam=es.lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)

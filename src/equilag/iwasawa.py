@@ -57,7 +57,7 @@ import numpy as np
 from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger
-from .metric import MetricSample, _from_jacobi, metric_at
+from .metric import MetricSample, metric_at
 from .potential import DerivedConstants, EigenSystem
 
 
@@ -193,16 +193,17 @@ def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, n
     return q0, raw / (c0 * _branch_ratio(c0, cdet))
 
 
-def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> None:
-    """Refuse lambda off the closed forms' domain with this route's errors.
+def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> immersion._PhaseConstants:
+    """The lift's phase constants of es, refusing lambda off the closed forms' domain.
 
     For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
     check of c0 covers every y; the lift's gap floor may refuse first, and
-    its phase constants refuse the hyperplane-degenerate lambda.
+    its phase constants refuse the hyperplane-degenerate lambda.  Refusals
+    carry this route's errors.
     """
     _checked_c0(c, es.lam)
     try:
-        immersion._g_segment(c, es)
+        return immersion._g_segment(c, es)
     except immersion.RegimeError as exc:
         raise SingularLocusError(f"lift phase constants refused ({exc})") from exc
 
@@ -222,13 +223,13 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[comp
     factorization and HyperplaneDegenerateError where lambda^-3 psi is
     purely imaginary.
     """
-    _check_beta_domain(c, es)
+    g = _check_beta_domain(c, es)
     y = float(y)
     if y == 0.0:
         return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
     sn, cn, _ = jacobi(c.r * y, c.k)
-    p, g = immersion._phase_terms(c, es, y, sn, cn)
-    return _partial_fractions(es.d, g, np.log(p), y)
+    p, phases = immersion._phase_terms(c, es, g, y, sn, cn)
+    return _partial_fractions(es.d, phases, np.log(p), y)
 
 
 def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
@@ -240,15 +241,14 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSam
     hyperplane-degenerate lambda).
     """
     lam, z = es.lam, complex(z)
-    jac = jacobi(c.r * z.imag, c.k)
-    p, dp = immersion._coefficients_and_derivatives(c, es, z.imag, jac)
+    p, dp, m = immersion._coefficients_and_derivatives(c, es, z.imag)
     phase = np.exp(1j * es.d * z.real)
     F = (p * phase) @ es.vectors
     Fx = (1j * es.d * p * phase) @ es.vectors
     Fy = (dp * phase) @ es.vectors
     fz = (Fx - 1j * Fy) / 2.0
     fzb = (Fx + 1j * Fy) / 2.0
-    eu2 = math.sqrt(_from_jacobi(c, z.imag, jac).w)
+    eu2 = math.sqrt(m.w)
     cols = (-1j * lam * fz / eu2, fzb / (1j * lam * eu2), F)
     return FrameSample(z=z, lam=lam, matrix=np.stack(cols, axis=1))
 

@@ -31,6 +31,12 @@ def herm_inner(z: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.dot(z, np.conj(w)))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector: np.linalg.norm's own operations, without its wrapper."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(m).T
@@ -72,16 +78,19 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
     m = 2.0 * math.sqrt(-p / 3.0)
     c3 = max(-1.0, min(1.0, -4.0 * q / m**3))
     phi = math.acos(c3) / 3.0
-    roots = np.array([m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)])
+    roots = [m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
 
-    # Newton polish on the array: numpy's roots**3 differs from pow() in
-    # the last bit now and then, so the polished roots depend on it
+    # Newton polish on floats, each step the array polish's operations in
+    # its order; only the cube is numpy's, which differs from pow() and
+    # from t*t*t in the last bit now and then, and the roots depend on it
     for _ in range(2):
-        f = roots**3 + p * roots + q
-        df = 3.0 * roots**2 + p
-        safe = np.abs(df) > 1e-300
-        roots = np.where(safe, roots - f / np.where(safe, df, 1.0), roots)
-    r = sorted(roots.tolist(), reverse=True)
+        cubes = np.power(roots, 3).tolist()
+        polished = []
+        for t, t3 in zip(roots, cubes):
+            df = 3.0 * (t * t) + p
+            polished.append(t - (t3 + p * t + q) / df if abs(df) > 1e-300 else t)
+        roots = polished
+    r = sorted(roots, reverse=True)
     mean = (r[0] + r[1] + r[2]) / 3.0  # the three real roots sum to zero
     r = [t - mean for t in r]
     # re-centring leaves an ulp of the largest root as absolute error: a

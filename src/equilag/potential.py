@@ -216,12 +216,16 @@ def _fix_phase(v: np.ndarray, lam: complex) -> np.ndarray:
     lam*e_2 - lam^{-1}*e_1; anchoring against that direction keeps the
     reconstructed frame equal to the identity at z = 0.
     """
-    anchor = v[2]
+    anchor = complex(v[2])
     if abs(anchor) < 1e-9:
-        anchor = -v[0] * lam + v[1] / lam
+        anchor = complex(-v[0] * lam + v[1] / lam)  # numpy's complex division, kept
     if abs(anchor) < 1e-9:
-        anchor = v[int(np.argmax(np.abs(v)))]
-    return v * (np.conj(anchor) / abs(anchor))
+        anchor = complex(v[int(np.argmax(np.abs(v)))])
+    # conj(anchor) / |anchor| as numpy divides by the complex (r + 0i):
+    # rat = 0 / r and scl = 1 / r, the zero terms kept for their signs
+    r = abs(anchor)
+    re, im, scl = anchor.real, -anchor.imag, 1.0 / r
+    return v * complex((re + im * 0.0) * scl, (im - re * 0.0) * scl)
 
 
 def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
@@ -256,7 +260,7 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
             ],
             dtype=complex,
         )
-        ns = float(np.linalg.norm(s))
+        ns = linalg3._norm(s)
         if ns < 1e-10 * max(1.0, abs(a) ** 2):
             v = linalg3._kernel_vector(potential_matrix(c, lam) - mu * np.eye(3))
             if v is None:
@@ -269,7 +273,7 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     for j in range(1, 3):
         for i in range(j):
             vecs[j] = vecs[j] - linalg3.herm_inner(vecs[j], vecs[i]) * vecs[i]
-        vecs[j] /= np.linalg.norm(vecs[j])
+        vecs[j] /= linalg3._norm(vecs[j])
         vecs[j] = _fix_phase(vecs[j], lam)
     return EigenSystem(lam=lam, cubic=cubic, regime=_regime(c.psi, cubic), d=roots, vectors=vecs)
 

@@ -5,7 +5,9 @@ also accepts numpy scalars, at about half the speed, so a numpy scalar
 that leaks out of the per-object constants slows every point evaluation
 without changing a bit.  These tests pin the boundary: the constants are
 Python floats, the kernels see only Python floats, and a numpy scalar
-would give the same value.
+would give the same value.  They also count the work of one point: a lift
+point looks its phase constants up once, and a frame point samples the
+metric once.
 """
 
 import cmath
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilag import elliptic, immersion
+from equilag import elliptic, immersion, iwasawa, metric
 from equilag.iwasawa import beta_integrals, extended_frame, monodromy_data
 from equilag.potential import SurfaceParams, derive_constants, eigensystem
 
@@ -81,3 +83,49 @@ def test_numpy_scalar_n_and_p_give_the_same_bits(n, phi, k2):
     got = elliptic._third_kind(np.float64(n), np.float64(p), s, c2, d2, k2)
     assert type(want) is float
     assert float(got).hex() == want.hex()
+
+
+# One memo lookup and one metric sample per point: each repeat is a hash of
+# the 13-field DerivedConstants, or a jacobi-free but allocating sample.
+
+@pytest.fixture
+def metric_samples(monkeypatch):
+    """The list of y of every `_from_jacobi` call, through every module that binds it."""
+    calls = []
+    sample = metric._from_jacobi
+
+    def counted(c, y, jac):
+        calls.append(y)
+        return sample(c, y, jac)
+
+    for mod in (metric, immersion, iwasawa):
+        if hasattr(mod, "_from_jacobi"):
+            monkeypatch.setattr(mod, "_from_jacobi", counted)
+    return calls
+
+
+def test_extended_frame_samples_the_metric_once(spectral, metric_samples):
+    c, es = spectral
+    assert es.regime == "nonreal"
+    zs = [complex(0.1, 0.3 * c.T), complex(-0.4, 1.7 * c.T), complex(0.2, 3.3 * c.T)]
+    for z in zs:
+        extended_frame(c, es, z)
+    assert metric_samples == [z.imag for z in zs]
+
+
+def test_lift_point_looks_its_phase_constants_up_once(spectral):
+    c, es = spectral
+    immersion.lift_at(c, es, 0.3, 0.6 * c.T)  # warm every memo of es
+    immersion.lift_at(c, es, 0.3, 1.6 * c.T)
+    ys = [0.0, 0.3 * c.T, 0.9 * c.T, 1.5 * c.T, 1.9 * c.T, -0.7 * c.T]
+    info = immersion._g_segment.cache_info()
+    for y in ys:
+        immersion.lift_at(c, es, 0.3, y)
+    after = immersion._g_segment.cache_info()
+    assert (after.hits + after.misses) - (info.hits + info.misses) == len(ys)
+    assert after.misses == info.misses
+    # beta_integrals, whose domain check hands its constants on, likewise
+    for y in ys[1:]:
+        beta_integrals(c, es, y)
+    final = immersion._g_segment.cache_info()
+    assert (final.hits + final.misses) - (after.hits + after.misses) == len(ys) - 1

@@ -437,7 +437,7 @@ def test_coefficient_derivative_matches_central_difference(bench_nonreal, bench_
     assert regime_of(c, 1.0) == regime
     h = 1e-5
     for y in (-0.7, 0.3, 0.9, 1.5, 2.0 * c.T + 0.4):
-        _, dp = _coefficients_and_derivatives(c, es, y)
+        _, dp, _ = _coefficients_and_derivatives(c, es, y)
         fd = (_coefficients(c, es, y + h) - _coefficients(c, es, y - h)) / (2 * h)
         assert np.max(np.abs(dp - fd)) < 1e-8
 
@@ -448,10 +448,10 @@ def test_coefficient_rows_match_float_calls(bench_nonreal, bench_real, regime):
     c = bench_nonreal if regime == "nonreal" else bench_real
     es = eigensystem(c, 1.0)
     ys = np.linspace(-2.5 * c.T, 4.5 * c.T, 29)
-    p, dp = _coefficients_and_derivatives(c, es, ys)
+    p, dp, _ = _coefficients_and_derivatives(c, es, ys)
     assert p.shape == dp.shape == (29, 3)
     for i, y in enumerate(ys):
-        p1, dp1 = _coefficients_and_derivatives(c, es, float(y))
+        p1, dp1, _ = _coefficients_and_derivatives(c, es, float(y))
         assert np.max(np.abs(p[i] - p1)) < 1e-14
         assert np.max(np.abs(dp[i] - dp1)) < 1e-14 * max(1.0, float(np.max(np.abs(dp1))))
     if regime == "nonreal":
