@@ -162,16 +162,6 @@ def _sections(cfg: JobConfig) -> dict[str, dict]:
     return out
 
 
-def render_config(cfg: JobConfig) -> str:
-    """Serialize a JobConfig back to the config grammar (round-trip stable)."""
-    lines = []
-    for section, values in _sections(cfg).items():
-        lines.append(f"[{section}]")
-        lines += [f"{key} = {_text(v)}" for key, v in values.items()]
-        lines.append("")
-    return "\n".join(lines)
-
-
 def _config_dict(cfg: JobConfig) -> dict:
     """The JSON config echo: the [surface] keys at the top level, other sections nested."""
     sections = _sections(cfg)
@@ -428,7 +418,6 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
             if verdict.lattice is not None:
                 row["p_f"] = verdict.lattice[0].real
         except SurfaceClassError as exc:
-            row["regime"] = "imaginary"
             row["error"] = type(exc).__name__
         except ArithmeticError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -25,7 +25,9 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
       F = c1 sn(ry) e^{i d_sn x} l_sn + c2 cn(ry) e^{i d_cn x} l_cn
         + c3 dn(ry) e^{i d_dn x} l_dn,
   with positive constants c_j fixed by |F| = 1 and conformality; F is then
-  4T-periodic in y.
+  4T-periodic in y.  The sn, cn, dn labels come from the root order of
+  es.d and the sign of psi0 (`_real_assignment`), never from matching
+  eigenvalues numerically.
 
 * lambda^-3 psi purely imaginary: the lift degenerates into a hyperplane
   and is refused by `_checked_regime`, the one hyperplane gate that every
@@ -206,21 +208,18 @@ def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray)
 # real regime
 
 def _real_assignment(c: DerivedConstants, es: EigenSystem):
-    """Indices of (sn, cn, dn) eigenvalues inside es.d, plus the c_j constants."""
-    psi0 = es.cubic.real
-    targets = np.array([psi0 / c.a1, psi0 / c.a2, -psi0 / c.a3])
-    idx = [int(np.argmin(np.abs(es.d - t))) for t in targets]
-    if sorted(idx) != [0, 1, 2] or np.max(np.abs(es.d[idx] - targets)) > 1e-8 * max(
-        1.0, float(np.max(np.abs(es.d)))
-    ):
-        raise ArithmeticError("eigenvalues do not match the real-regime pattern psi0/a_j")
+    """Indices of the (sn, cn, dn) eigenvalues inside es.d, plus the c_j constants.
+
+    The eigenvalues are psi0/a1, psi0/a2 and -psi0/a3 with a1 > a2 > 0 and
+    a3 > 0, so in the descending es.d the sn eigenvalue psi0/a1 is always the
+    middle one, and the sign of psi0 orders the other two.
+    """
+    idx = (1, 0, 2) if es.cubic.real > 0.0 else (1, 2, 0)
     apsi2 = abs(c.psi) ** 2
-    cs = np.array(
-        [
-            c.a1 * math.sqrt((c.a1 - c.a2) / (c.a1**3 - apsi2)),
-            c.a2 * math.sqrt((c.a1 - c.a2) / (apsi2 - c.a2**3)),
-            c.a3 * math.sqrt((c.a1 + c.a3) / (apsi2 + c.a3**3)),
-        ]
+    cs = (
+        c.a1 * math.sqrt((c.a1 - c.a2) / (c.a1**3 - apsi2)),
+        c.a2 * math.sqrt((c.a1 - c.a2) / (apsi2 - c.a2**3)),
+        c.a3 * math.sqrt((c.a1 + c.a3) / (apsi2 + c.a3**3)),
     )
     return idx, cs
 
@@ -228,7 +227,7 @@ def _real_assignment(c: DerivedConstants, es: EigenSystem):
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _real_rows(y: float | np.ndarray, idx: list[int], vals) -> np.ndarray:
+def _real_rows(y: float | np.ndarray, idx: tuple[int, int, int], vals) -> np.ndarray:
     """Real-regime coefficients with vals[i] at eigensystem index idx[i].
 
     Rows j first, so that a float y writes scalar elements; a float y gives

@@ -17,14 +17,14 @@ class QuadratureError(ArithmeticError):
     """The adaptive rule could not certify the requested accuracy."""
 
 
+# recursion depth, evaluation budget and cap on the error of unconverged leaves
+MAX_DEPTH = 30
+MAX_EVALS = 200_000
+ERR_CAP = 1e-6
+
+
 def adaptive_simpson(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float = 1e-11,
-    max_depth: int = 30,
-    max_evals: int = 200_000,
-    err_cap: float = 1e-6,
+    f: Callable[[float], complex], a: float, b: float, tol: float = 1e-11
 ) -> complex:
     """Integral of f over [a, b] to absolute tolerance tol.
 
@@ -32,14 +32,14 @@ def adaptive_simpson(
     intended for analytic integrands (all uses here are elliptic-function
     expressions whose denominators stay bounded away from zero).  Leaves
     that exhaust the recursion depth contribute their residual estimate to
-    an error budget; if that budget passes err_cap, or the evaluation
+    an error budget; if that budget passes ERR_CAP, or the evaluation
     budget runs out, a QuadratureError is raised instead of returning a
     silently inaccurate value (this happens only towards the singular loci,
     where the integrands develop near-poles).
     """
     if a == b:
         return 0.0
-    state = [max_evals, 0.0]  # remaining evaluations, unconverged error
+    state = [MAX_EVALS, 0.0]  # remaining evaluations, unconverged error
 
     def ev(t: float) -> complex:
         if state[0] <= 0:
@@ -49,8 +49,8 @@ def adaptive_simpson(
 
     fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total = _simpson_step(ev, a, b, fa, fm, fb, whole, tol, max_depth, state)
-    if state[1] > err_cap:
+    total = _simpson_step(ev, a, b, fa, fm, fb, whole, tol, MAX_DEPTH, state)
+    if state[1] > ERR_CAP:
         raise QuadratureError(
             f"quadrature on [{a:g}, {b:g}] converged only to ~{state[1]:.1e}"
         )

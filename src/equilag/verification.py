@@ -116,15 +116,14 @@ def suite_potential() -> SuiteResult:
     for theta in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False):
         lam = complex(np.exp(1j * theta))
         es = eigensystem(c, lam)
-        re0 = es.cubic.real
-        if abs(re0) < 1e-6 * abs(c.psi):  # hyperplane-degenerate lambda
+        if es.regime == "imaginary":
             continue
         d1, d2, d3 = es.d
         worst_viete = max(
             worst_viete,
             abs(d1 + d2 + d3),
             abs(d1 * d2 + d2 * d3 + d3 * d1 + c.beta),
-            abs(d1 * d2 * d3 + 2.0 * re0),
+            abs(d1 * d2 * d3 + 2.0 * es.cubic.real),
         )
     rng = np.random.default_rng(5)
     worst_twist = 0.0

@@ -9,7 +9,8 @@ import json
 import math
 
 from equilag import verification
-from equilag.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VERIFY, main, parse_config, render_config
+from equilag.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VERIFY, main, parse_config
+from test_cli import render_config
 
 
 def _report(result):

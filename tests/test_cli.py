@@ -1,5 +1,6 @@
 import cmath
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -16,13 +17,32 @@ from equilag.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     JobConfig,
+    _sections,
+    _text,
     main,
     parse_config,
-    render_config,
 )
-from equilag.potential import HyperplaneDegenerateError
+from equilag.iwasawa import extended_frame
+from equilag.periodicity import classify_torus, monodromy_phases
+from equilag.potential import (
+    HyperplaneDegenerateError,
+    SurfaceParams,
+    derive_constants,
+    eigensystem,
+)
 
 TORUS_PSI = 1.0 / math.sqrt(3.0)
+
+
+def render_config(cfg: JobConfig) -> str:
+    """Serialize a JobConfig back to the config grammar (round-trip stable)."""
+    lines = []
+    for section, values in _sections(cfg).items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_text(v)}" for key, v in values.items()]
+        lines.append("")
+    return "\n".join(lines)
+
 
 BASE_CONFIG = """
 [surface]
@@ -330,6 +350,20 @@ path = catalog.csv
         flagged = [line for line in lines[1:] if "HyperplaneDegenerateError" in line]
         assert len(flagged) == 6  # 36 samples hit all six degenerate angles
 
+    def test_near_flat_rows_keep_their_regime(self, tmp_path):
+        # a1 1e-8 above the flat point: the six real lambda have near-multiple
+        # roots (FlatCliffordError) and stay "real"; the other six are hyperplanes
+        path = tmp_path / "job.ini"
+        out = tmp_path / "catalog.csv"
+        path.write_text("[surface]\na1 = 1.00000001\npsi_re = 1.0\n[lambda]\ncount = 12\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 12
+        for i, row in enumerate(rows):  # theta = i pi / 6
+            want = ("real", "FlatCliffordError") if i % 2 == 0 else (
+                "imaginary", "HyperplaneDegenerateError")
+            assert (row["regime"], row["error"]) == want, row
+
     def test_sweep_without_count(self, tmp_path, capsys):
         rc = main(["sweep", "--a1", "2", "--psi", "1,0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
@@ -462,3 +496,26 @@ class TestRefusals:
     def test_lambda_within_the_library_gate_runs(self):
         # |lambda| - 1 = 5e-9: inside the 1e-8 that every library route accepts
         assert main(["derive", "--a1", "2", "--psi", "1,0", "--lambda", "1.000000005,0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_real_lambda_within_the_gate_runs_every_command(self, command, tmp_path):
+        # the real lambda = 1 + 5e-9 of a1 = 2, psi = 1: accepted like derive accepts it
+        out = ["--out", str(tmp_path / "grid.csv")] if command == "sample" else []
+        flags = ["--a1", "2", "--psi", "1,0", "--lambda", "1.000000005,0", *out]
+        assert main([command, *flags]) == EXIT_OK
+
+    @pytest.mark.parametrize("offset", [5e-9, -5e-9, 9.9e-9, -9.9e-9])
+    @pytest.mark.parametrize("a1, psi", [(2.0, 1.0), (2.0, -1.0), (1.0, TORUS_PSI)],
+                             ids=["psi+1", "psi-1", "torus"])
+    def test_real_lambda_within_the_gate_runs_every_route(self, a1, psi, offset):
+        # the six real lambda scaled to |lambda| = 1 + offset, inside the 1e-8 gate
+        c = derive_constants(SurfaceParams(a1, complex(psi)))
+        for branch in range(6):
+            lam = (1.0 + offset) * cmath.exp(1j * (cmath.phase(psi) + branch * math.pi) / 3.0)
+            es = eigensystem(c, lam)
+            assert es.regime == "real"
+            immersion.lift_at(c, es, 0.3, 0.2)
+            extended_frame(c, es, 0.3 + 0.2j)
+            immersion.sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 3, 3)
+            classify_torus(c, lam)
+            monodromy_phases(c, es, 1.0, 1)

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equilag import linalg3
+from equilag.elliptic import jacobi
 from equilag.immersion import (
     ChartError,
     RegimeError,
     _coefficients,
     _coefficients_and_derivatives,
+    _real_assignment,
     lift_at,
     phase_integrals,
     project_chart,
@@ -29,12 +31,14 @@ from equilag.iwasawa import (
 from equilag.metric import metric_at
 from equilag.periodicity import classify_torus, monodromy_phases
 from equilag.potential import (
+    FlatCliffordError,
     HyperplaneDegenerateError,
     SurfaceParams,
     derive_constants,
     eigensystem,
     potential_matrix,
 )
+from label_oracles import nearest_target_assignment, rows_at
 from phase_oracles import by_ellippi, by_quadrature
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -489,3 +493,41 @@ def test_phase_integrals_match_ellippi(k, delta, quadrant, y_over_t):
     g = phase_integrals(c, eigensystem(c, lam), y)
     want = by_ellippi(c.a1, c.psi, lam, y)
     assert np.all(np.abs(g - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flatness=st.floats(-7.0, 3.0),   # log10(a1 / |psi|^(2/3) - 1)
+    log_psi=st.floats(-2.0, 2.0),
+    arg_psi=st.floats(0.0, 2.0 * math.pi),
+    branch=st.integers(0, 5),        # the six real lambda; psi0 = (-1)^branch |psi|
+)
+@example(flatness=-7.0, log_psi=0.0, arg_psi=0.0, branch=0)
+@example(flatness=-5.0, log_psi=-2.0, arg_psi=math.pi, branch=1)
+@example(flatness=3.0, log_psi=2.0, arg_psi=0.0, branch=5)
+def test_real_labels_match_nearest_targets(flatness, log_psi, arg_psi, branch):
+    # the sn, cn, dn labels read off the root order against nearest-target
+    # matching, and the coefficient rows of both to the last bit, at unit lambda
+    apsi = 10.0**log_psi
+    psi = cmath.rect(apsi, arg_psi)
+    c = derive_constants(SurfaceParams((1.0 + 10.0**flatness) * apsi ** (2.0 / 3.0), psi))
+    lam = cmath.exp(1j * (arg_psi + branch * math.pi) / 3.0)
+    try:
+        es = eigensystem(c, lam)
+    except FlatCliffordError:
+        assume(False)  # roots too close to tell apart: refused before any label
+    assert es.regime == "real"
+    idx, _ = _real_assignment(c, es)
+    want_idx, want_cs, deviation = nearest_target_assignment(c, es)
+    assert list(idx) == want_idx
+    # at unit lambda every root sits within 1e-8 of its target psi0/a_j
+    assert deviation <= 1e-8 * max(1.0, float(np.max(np.abs(es.d))))
+    for y in [*np.linspace(-3.0 * c.T, 5.0 * c.T, 9).tolist(), np.linspace(-c.T, 3.0 * c.T, 7)]:
+        sn, cn, dn = jacobi(c.r * y, c.k)
+        p, dp, _ = _coefficients_and_derivatives(c, es, y)
+        want_p = rows_at(want_idx, (want_cs[0] * sn, want_cs[1] * cn, want_cs[2] * dn), y)
+        want_dp = rows_at(want_idx, (want_cs[0] * c.r * cn * dn, -want_cs[1] * c.r * sn * dn,
+                                     -want_cs[2] * c.r * c.k**2 * sn * cn), y)
+        assert _coefficients(c, es, y).tobytes() == want_p.tobytes()
+        assert p.tobytes() == want_p.tobytes()
+        assert dp.tobytes() == want_dp.tobytes()
