@@ -17,8 +17,8 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
   n_j < 1: n_j in [-1e-8, 1) takes DLMF 19.25.14, n_j < -1e-8 (where that
   form cancels) an R_C form with terms of one sign.  Near the real locus one
   d_j a_i - Re (i = 1, 2) tends to zero like Im^2; these gaps come from the
-  cubic of d_j without cancellation, and below 1e-15 max(1, |psi|) the
-  lift is refused with a RegimeError.
+  cubic of d_j without cancellation (es.gaps), and below 1e-15 max(1, |psi|)
+  the lift is refused with a RegimeError.
 
 * lambda^-3 psi real (value psi0): the eigenvalues are psi0/a1, psi0/a2,
   -psi0/a3 and
@@ -112,22 +112,6 @@ class _PhaseConstants(NamedTuple):
     pre: tuple[float, float, float]          # d_j Im / (r (d_j a1 - Re))
 
 
-def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float) -> list[list[float]]:
-    """[d_j a1 - Re, d_j a2 - Re] per root d_j, free of cancellation.
-
-    Towards the real locus one d_j tends to e = Re / a_i and the plain
-    difference loses every digit.  The cubic f(d) = d^3 - beta d + 2 Re of
-    the d_j has f(e) = -Re Im^2 / a_i^3, so for the root nearest e
-    d_j a_i - Re = Re Im^2 / (a_i^2 (d_j^2 + d_j e + e^2 - beta)).
-    """
-    gaps = [[dj * c.a1 - re0, dj * c.a2 - re0] for dj in d]
-    for i, ai in enumerate((c.a1, c.a2)):
-        e = re0 / ai
-        j = min(range(3), key=lambda jj: abs(d[jj] - e))
-        gaps[j][i] = re0 * im0**2 / (ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta))
-    return gaps
-
-
 @lru_cache(maxsize=256)
 def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     """Constants of the phase integrals G_j within one period, per spectral object.
@@ -136,8 +120,7 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     own speed and never on numpy scalars.
     """
     _checked_regime(es)
-    v, d = es.cubic, es.d.tolist()
-    gaps = _gaps(c, d, v.real, v.imag)
+    v, d, gaps = es.cubic, es.d.tolist(), es.gaps
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
     # below the floor double precision cannot certify the sign any more

@@ -1,9 +1,9 @@
 """Complex 3x3 linear algebra for the su(3) loop-group machinery.
 
 Provides the Hermitian inner product, the order-6 outer automorphism sigma,
-a trigonometric depressed-cubic solver with the rank-2 kernel vector that
-potential.eigensystem builds on, and the exponential of a 3x3
-skew-Hermitian matrix from LAPACK's Hermitian eigensolver.
+the trigonometric depressed-cubic solver that potential.eigensystem builds
+on, and the exponential of a 3x3 skew-Hermitian matrix from LAPACK's
+Hermitian eigensolver.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
 dtype, plain value semantics.  Everything here is pure and re-entrant.
@@ -29,12 +29,6 @@ _I3 = np.eye(3, dtype=complex)
 def herm_inner(z: np.ndarray, w: np.ndarray) -> complex:
     """Hermitian inner product sum_k z_k * conj(w_k) (linear in z)."""
     return complex(np.dot(z, np.conj(w)))
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a complex vector: np.linalg.norm's own operations, without its wrapper."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -100,19 +94,6 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
         others = [t for i, t in enumerate(r) if i != j]
         r[j] = -q / (others[0] * others[1])
     return np.array(r), multiple
-
-
-def _kernel_vector(a: np.ndarray) -> np.ndarray | None:
-    """Unit kernel vector of a rank-2 matrix via row cross products."""
-    best, best_norm = None, 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        v = np.cross(a[i], a[j])
-        nv = float(np.linalg.norm(v))
-        if nv > best_norm:
-            best, best_norm = v, nv
-    if best is None or best_norm < 1e-12 * max(1.0, float(np.linalg.norm(a))):
-        return None
-    return best / best_norm
 
 
 def matexp_skew(d: np.ndarray, t: float = 1.0) -> np.ndarray:

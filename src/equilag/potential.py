@@ -15,6 +15,13 @@ with a = i e^{u(0)/2}, b = -i psi e^{-u(0)}.  For |lambda| = 1, D is
 skew-Hermitian and trace free with characteristic polynomial
 mu^3 + beta mu - 2i Re(lambda^{-3} psi); its eigenvalues i*d_j and
 orthonormal eigenvectors l_j drive all closed-form evaluation routes.
+With Re + i Im = lambda^-3 psi, g_j = d_j a1 - Re and f'_j = prod_{i != j}
+(d_j - d_i), l_j is the third adjugate column of D - i d_j, scaled by the
+eigenvector-eigenvalue identity (Denton, Parke, Tao and Zhang, Bull. AMS 59
+(2022)) t_j^2 = |l_j[2]|^2 = (d_j^2 - |b|^2) / f'_j:
+
+    l_j = ((g_j + i Im) / lam, lam (g_j - i Im), sqrt(a1) f'_j t_j^2)
+          / (sqrt(a1) f'_j t_j),   a1^2 f'_j t_j^2 = g_j (g_j + 2 Re) - Im^2.
 """
 
 from __future__ import annotations
@@ -184,12 +191,13 @@ def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
 class EigenSystem:
     """The spectral object of one (surface, lambda), |lambda| = 1, taken by every point evaluator.
 
-    cubic = lambda^-3 psi, regime its regime ("nonreal", "real", "imaginary");
-    i*d_j are the eigenvalues of D(lambda), d descending (sum 0, pair sums
-    -beta, product -2 Re(cubic)), and vectors[j] the orthonormal l_j with
-    its third component (against e_3 = Q^{-1}(0) e_3) real and nonnegative,
-    else its largest one real-positive.  Hashed by identity, so the memos of
-    immersion and iwasawa are per object, never keyed on the float lambda.
+    lam is the unit lambda, cubic = lambda^-3 psi, regime its regime
+    ("nonreal", "real", "imaginary"); i*d_j are the eigenvalues, d
+    descending (sum 0, pair sums -beta, product -2 Re(cubic)), vectors[j]
+    the orthonormal l_j with l_j[2] (against e_3 = Q^{-1}(0) e_3) real and
+    nonnegative, or, below 1e-9 (the real regime's sn mode), its component
+    along lambda e_2 - lambda^-1 e_1 real-positive, and gaps[j] = (d_j a1 -
+    Re, d_j a2 - Re).  Hashed by identity: memos are per object.
     """
 
     lam: complex
@@ -197,83 +205,77 @@ class EigenSystem:
     regime: str
     d: np.ndarray
     vectors: np.ndarray  # shape (3, 3); vectors[j] is l_j
+    gaps: tuple[tuple[float, float], ...]
 
 
 def _check_unit(lam: complex) -> complex:
+    """lambda / |lambda| for ||lambda| - 1| <= 1e-8; a lambda of modulus 1.0 keeps its bits."""
     lam = complex(lam)
-    if not abs(abs(lam) - 1.0) <= 1e-8:  # written so that NaN fails it too
-        raise ValueError(f"|lambda| = 1 required, got |lambda| = {abs(lam)!r}")
-    return lam
+    r = abs(lam)
+    if not abs(r - 1.0) <= 1e-8:  # written so that NaN fails it too
+        raise ValueError(f"|lambda| = 1 required, got |lambda| = {r!r}")
+    return lam if r == 1.0 else complex(lam.real / r, lam.imag / r)
 
 
-def _fix_phase(v: np.ndarray, lam: complex) -> np.ndarray:
-    """Positive-coefficient phase convention for an eigenvector.
+def _near_root(c: DerivedConstants, d: list[float], re0: float, ai: float) -> tuple[int, float]:
+    """The root d_j nearest e = Re / a_i, as (j, a_i^2 (d_j^2 + d_j e + e^2 - beta)).
 
-    The third component (the expansion coefficient against e_3 at the
-    origin) is made real and nonnegative.  When it vanishes -- the sn-mode
-    of the real-cubic-form regime -- the coefficient seen first is the one
-    in the y-derivative of the lift at the origin, which points along
-    lam*e_2 - lam^{-1}*e_1; anchoring against that direction keeps the
-    reconstructed frame equal to the identity at z = 0.
+    f(d) = d^3 - beta d + 2 Re has f(e) = -Re Im^2 / a_i^3, so d_j a_i - Re =
+    Re Im^2 / (the second value), free of the cancellation as d_j tends to e.
     """
-    anchor = complex(v[2])
-    if abs(anchor) < 1e-9:
-        anchor = complex(-v[0] * lam + v[1] / lam)  # numpy's complex division, kept
-    if abs(anchor) < 1e-9:
-        anchor = complex(v[int(np.argmax(np.abs(v)))])
-    # conj(anchor) / |anchor| as numpy divides by the complex (r + 0i):
-    # rat = 0 / r and scl = 1 / r, the zero terms kept for their signs
-    r = abs(anchor)
-    re, im, scl = anchor.real, -anchor.imag, 1.0 / r
-    return v * complex((re + im * 0.0) * scl, (im - re * 0.0) * scl)
+    e = re0 / ai
+    j = min(range(3), key=lambda jj: abs(d[jj] - e))
+    return j, ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta)
+
+
+def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float) -> tuple[tuple[float, float], ...]:
+    """(d_j a1 - Re, d_j a2 - Re) per root d_j, the one nearest Re / a_i by `_near_root`."""
+    gaps = [[dj * c.a1 - re0, dj * c.a2 - re0] for dj in d]
+    for i, ai in enumerate((c.a1, c.a2)):
+        j, den = _near_root(c, d, re0, ai)
+        gaps[j][i] = re0 * im0**2 / den
+    return tuple(map(tuple, gaps))
 
 
 def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     """Eigenvalues i*d_j and orthonormal eigenvectors l_j of D(lambda), |lambda|=1.
 
-    d_j are the descending roots of d^3 - beta d + 2 Re(lambda^-3 psi) = 0.
-    Eigenvectors come from the closed form
-
-        s_mu = (|a|^2 + mu^2, b mu / lam + lam^2 conj(a)^2,
-                a b / lam^2 - lam conj(a) mu),     mu = i d_j,
-
-    with a rank-2 cross-product fallback when s_mu degenerates.  The one place
-    where lambda is checked (ValueError unless |lambda| = 1), lambda^-3 psi
+    d_j are the descending roots of d^3 - beta d + 2 Re(lambda^-3 psi), and
+    l_j the closed form of the module docstring.  Only the root nearest
+    e = Re / a1 has a small t_j, at the real locus: there g_j = rho Im^2,
+    rho = Re / (a1^2 (d_j^2 + d_j e + e^2 - beta)), and t_j = tau |Im|,
+    a1^2 f'_j tau^2 = rho (g_j + 2 Re) - 1; below t_j = 1e-9 the y-derivative
+    anchor takes over, l_j = ((i rho Im - 1) / lam, lam (i rho Im + 1),
+    i sgn(f'_j) sqrt(a1) |f'_j| tau^2 Im) / (sqrt(a1) |f'_j| tau), which is
+    (-conj(lam), lam, 0) / sqrt(2) on the locus.  The one place where lambda
+    is checked (ValueError unless |lambda| = 1) and normalised, lambda^-3 psi
     formed and the regime decided.
     """
     lam = _check_unit(lam)
     cubic = c.psi / lam**3
-    q = 2.0 * cubic.real
-    roots, multiple = linalg3.solve_depressed_cubic(-c.beta, q)
+    re0, im0 = cubic.real, cubic.imag
+    roots, multiple = linalg3.solve_depressed_cubic(-c.beta, 2.0 * re0)
     if multiple:
         raise FlatCliffordError("multiple eigenvalues of D: flat configuration")
-    a, b = c.a, c.b
-    ac = a.conjugate()
+    d = roots.tolist()
+    gaps = _gaps(c, d, re0, im0)
+    near, den = _near_root(c, d, re0, c.a1)
+    sqrt_a1, a1sq, lamc = math.sqrt(c.a1), c.a1 * c.a1, lam.conjugate()
     vectors = []
-    for dj in roots.tolist():
-        mu = 1j * dj
-        s = np.array(
-            [
-                abs(a) ** 2 + mu**2,
-                b * mu / lam + lam**2 * ac**2,
-                a * b / lam**2 - lam * ac * mu,
-            ],
-            dtype=complex,
-        )
-        ns = linalg3._norm(s)
-        if ns < 1e-10 * max(1.0, abs(a) ** 2):
-            v = linalg3._kernel_vector(potential_matrix(c, lam) - mu * np.eye(3))
-            if v is None:
-                raise ArithmeticError("eigenvector extraction failed")
+    for j, (dj, (g, _)) in enumerate(zip(d, gaps)):
+        fp = (dj - d[j - 1]) * (dj - d[j - 2])
+        if j != near:
+            t = math.sqrt((g * (g + 2.0 * re0) - im0 * im0) / (a1sq * fp))
         else:
-            v = s / ns
-        vectors.append(_fix_phase(v, lam))
-    vecs = np.array(vectors)
-    # orthonormal by the spectral theorem; polish cross terms
-    for j in range(1, 3):
-        for i in range(j):
-            vecs[j] = vecs[j] - linalg3.herm_inner(vecs[j], vecs[i]) * vecs[i]
-        vecs[j] /= linalg3._norm(vecs[j])
-        vecs[j] = _fix_phase(vecs[j], lam)
-    return EigenSystem(lam=lam, cubic=cubic, regime=_regime(c.psi, cubic), d=roots, vectors=vecs)
-
+            rho = re0 / den
+            tau = math.sqrt((rho * (g + 2.0 * re0) - 1.0) / (a1sq * fp))
+            t = tau * abs(im0)
+            if t < 1e-9:
+                n = sqrt_a1 * abs(fp) * tau
+                vectors.append((complex(-1.0, rho * im0) * lamc / n, lam * complex(1.0, rho * im0) / n,
+                                complex(0.0, math.copysign(tau, fp) * im0)))
+                continue
+        n = sqrt_a1 * fp * t
+        vectors.append((complex(g, im0) * lamc / n, lam * complex(g, -im0) / n, t))
+    return EigenSystem(lam=lam, cubic=cubic, regime=_regime(c.psi, cubic), d=roots,
+                       vectors=np.array(vectors, dtype=complex), gaps=gaps)

@@ -8,6 +8,7 @@ are part of the library contract and are not calibrated at run time.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import astuple, dataclass, field
@@ -238,7 +239,10 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
 
 
 def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
-    """Frame normalization, unitarity, equivariance, Maurer-Cartan and twisting."""
+    """Frame normalization, unitarity, equivariance, Maurer-Cartan and twisting.
+
+    Six random lambda per surface, then the six real lambda^3 = +-psi/|psi| of the last.
+    """
     t0 = time.perf_counter()
     surfaces = [derive_constants(params or BENCH_NONREAL)]
     if immersion.regime_of(surfaces[0], 1.0) != "real":
@@ -247,8 +251,10 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
     worst_id = worst_su3 = worst_equiv = worst_mc = worst_twist = 0.0
     h = 1e-5
     for c in surfaces:
-        for _ in range(6):
-            lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        real = [cmath.exp(1j * (cmath.phase(c.psi) + k * math.pi) / 3.0) for k in range(6)]
+        for lam in [None] * 6 + (real if c is surfaces[-1] else []):
+            if lam is None:
+                lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
             es = eigensystem(c, lam)
             if es.regime == "imaginary":
                 continue

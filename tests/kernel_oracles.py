@@ -1,12 +1,11 @@
 """Reference scalar kernels: the bodies the table-driven `jacobi` and the float polish replaced.
 
 Test-only.  `jacobi` used to derive 4K, 2^N a_N and every ratio c_n / a_n
-from the AGM scheme on each call, and clamp with max/min;
-`solve_depressed_cubic` used to Newton-polish the trigonometric roots as a
-numpy array, and `potential._fix_phase` used to divide by the anchor's
-modulus in numpy scalars.  These are those bodies, the same operations in
-the same order (the AGM scheme uncached), and `tests/test_kernel_bits.py`
-requires the package kernels to give exactly their bits.
+from the AGM scheme on each call, and clamp with max/min,
+and `solve_depressed_cubic` used to Newton-polish the trigonometric roots
+as a numpy array.  These are those bodies, the same operations in the same
+order (the AGM scheme uncached), and `tests/test_kernel_bits.py` requires
+the package kernels to give exactly their bits.
 """
 
 from __future__ import annotations
@@ -106,12 +105,3 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
         r[j] = -q / (others[0] * others[1])
     return np.array(r), multiple
 
-
-def fix_phase(v: np.ndarray, lam: complex) -> np.ndarray:
-    """Phase convention of an eigenvector, in numpy scalar arithmetic."""
-    anchor = v[2]
-    if abs(anchor) < 1e-9:
-        anchor = -v[0] * lam + v[1] / lam
-    if abs(anchor) < 1e-9:
-        anchor = v[int(np.argmax(np.abs(v)))]
-    return v * (np.conj(anchor) / abs(anchor))

@@ -497,6 +497,16 @@ class TestRefusals:
         # |lambda| - 1 = 5e-9: inside the 1e-8 that every library route accepts
         assert main(["derive", "--a1", "2", "--psi", "1,0", "--lambda", "1.000000005,0"]) == EXIT_OK
 
+    @pytest.mark.parametrize("lam", ["1,0", "1.000000005,0", "0.999999991,0"])
+    def test_lambda_band_is_one_surface(self, lam, capsys):
+        # lambda means lambda / |lambda| across the gate's band: one torus, one certificate
+        rc = main(["classify", "--a1", "1", "--psi", "0.57735026918962584,0", "--lambda", lam, "--json"])
+        assert rc == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["tag"] == "Torus"
+        cert = verdict["certificates"]["d_ratio"]
+        assert (cert["num"], cert["den"]) == (1, 2)
+
     @pytest.mark.parametrize("command", ["classify", "sample"])
     def test_real_lambda_within_the_gate_runs_every_command(self, command, tmp_path):
         # the real lambda = 1 + 5e-9 of a1 = 2, psi = 1: accepted like derive accepts it

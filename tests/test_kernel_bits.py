@@ -1,11 +1,9 @@
 """The scalar hot kernels keep the bits of the bodies they replaced.
 
 `jacobi` reads its phase tables from the AGM memo and clamps by
-comparisons, `solve_depressed_cubic` polishes on Python floats with numpy's
-cube, and `eigensystem` takes its norms through `linalg3._norm` and its
-phases from Python complex arithmetic that divides as numpy does.  Each must
-give exactly the old result: every lift, frame and CLI file is built on
-them.  The old bodies are in `kernel_oracles`.
+comparisons, and `solve_depressed_cubic` polishes on Python floats with
+numpy's cube.  Each must give exactly the old result: every lift, frame and
+CLI file is built on them.  The old bodies are in `kernel_oracles`.
 """
 
 import math
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 import test_elliptic
-from equilag import elliptic, linalg3, potential
+from equilag import elliptic, linalg3
 
 # moduli whose AGM chain once ran to its cap, and both closed-form limits
 CAPPED = test_elliptic.TestAgmScheme.FORMERLY_CAPPED
@@ -71,29 +69,6 @@ def test_cubic_polish_keeps_its_bits(beta, t):
     want, want_multiple = oracle.solve_depressed_cubic(-beta, q)
     assert roots.tobytes() == want.tobytes()
     assert multiple == want_multiple
-
-
-@settings(max_examples=300, deadline=None)
-@given(parts=st.lists(st.floats(-1e3, 1e3), min_size=18, max_size=18))
-def test_norm_is_numpys_norm(parts):
-    m = (np.array(parts[:9]) + 1j * np.array(parts[9:])).reshape(3, 3)
-    for v in (m[1], m[:, 2], m[0] * 1e-200):  # a row, a strided column, tiny entries
-        assert linalg3._norm(v).hex() == float(np.linalg.norm(v)).hex()
-
-
-# components with exact and signed zeros, and below the 1e-9 anchor floor,
-# so that all three anchors of the phase convention are taken
-COMPONENTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0, 1e-10, -3e-10)))
-
-
-@settings(max_examples=400, deadline=None)
-@given(parts=st.lists(COMPONENTS, min_size=6, max_size=6), theta=st.floats(-3.2, 3.2))
-def test_fix_phase_keeps_its_bits(parts, theta):
-    v = np.array(parts[:3]) + 1j * np.array(parts[3:])
-    if np.abs(v).max() < 1e-9:
-        return  # no anchor at all: never an eigenvector
-    lam = complex(math.cos(theta), math.sin(theta))
-    assert potential._fix_phase(v, lam).tobytes() == oracle.fix_phase(v, lam).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

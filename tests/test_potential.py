@@ -1,10 +1,14 @@
 import cmath
 import math
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equilag import iwasawa, linalg3
+from equilag import iwasawa, linalg3, potential
 from equilag.potential import (
     FlatCliffordError,
     SurfaceClass,
@@ -15,7 +19,7 @@ from equilag.potential import (
     eigensystem,
     potential_matrix,
 )
-from matrix_oracles import char_poly_eval, commutant_matrix
+from matrix_oracles import char_poly_eval, commutant_matrix, eigenvectors_mp
 
 EPS6 = linalg3.EPS6
 
@@ -265,3 +269,78 @@ class TestEigensystem:
         spectrum = iwasawa._l0_spectrum(bench_nonreal, es.d)
         basis = es.vectors.T
         assert np.max(np.abs(l0 @ basis - basis * spectrum)) < 1e-12
+
+
+def _misses(c, lam) -> tuple[float, float]:
+    """(max |l_j - l_j(mpmath)|, max |Gram - I|) of eigensystem(c, lam)."""
+    es = eigensystem(c, lam)
+    miss = float(np.max(np.abs(es.vectors - eigenvectors_mp(c.a1, c.psi, lam))))
+    gram = float(np.max(np.abs(np.conj(es.vectors) @ es.vectors.T - np.eye(3))))
+    return miss, gram
+
+
+class TestEigenvectorAccuracy:
+    """The closed-form l_j against mpmath at 40 digits, raw: no common phase is fitted."""
+
+    @pytest.mark.parametrize("psi", [1.0 + 0j, cmath.exp(1j * math.pi / 4)], ids=["psi=1", "psi=e^ipi/4"])
+    @pytest.mark.parametrize("a1", [2.0, 1e3])
+    def test_ladder_to_the_real_locus(self, a1, psi):
+        # arg lambda = arg(psi) / 3 + offset, offset = +-1e-1 ... +-1e-12 rad:
+        # the sn mode's third component falls like the offset and hands its
+        # phase to the y-derivative anchor below 1e-9
+        c = derive_constants(SurfaceParams(a1, psi))
+        for k in range(1, 13):
+            for sign in (1.0, -1.0):
+                lam = cmath.exp(1j * (cmath.phase(psi) / 3.0 + sign * 10.0**-k))
+                miss, gram = _misses(c, lam)
+                assert miss <= 1e-14 and gram <= 1e-14, (k, sign, miss, gram)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        flat=st.floats(-2.0, 3.0),      # log10(a1 / |psi|^(2/3) - 1)
+        size=st.floats(-2.0, 2.0),      # log10 |psi|
+        arg=st.floats(0.0, 2.0 * math.pi),
+        theta=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_generic_surfaces(self, flat, size, arg, theta):
+        apsi = 10.0**size
+        c = derive_constants(SurfaceParams(apsi ** (2.0 / 3.0) * (1.0 + 10.0**flat), cmath.rect(apsi, arg)))
+        miss, gram = _misses(c, cmath.exp(1j * theta))
+        bound = 1e-14 if flat >= -1.0 else 2e-12  # near flat the roots crowd together
+        assert miss <= bound and gram <= bound, (miss, gram)
+
+
+def test_eigensystem_uses_only_the_cubic_solver(bench_nonreal, bench_real, monkeypatch):
+    # closed form: no kernel vectors, polish or D(lambda) on this path
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    for name, f in inspect.getmembers(linalg3, inspect.isfunction):
+        monkeypatch.setattr(linalg3, name, spy(name, f))
+    monkeypatch.setattr(potential, "potential_matrix", spy("potential_matrix", potential_matrix))
+    for c, lam in ((bench_nonreal, cmath.exp(0.4j)), (bench_real, 1.0),
+                   (bench_nonreal, cmath.exp(1j * (math.pi / 12 + 1e-12)))):
+        eigensystem(c, lam)
+    assert calls == ["solve_depressed_cubic"] * 3
+
+
+class TestUnitLambda:
+    def test_lambda_is_normalised(self, bench_real):
+        # |lambda| = 1 + 5e-9 is inside the gate and means lambda / |lambda|
+        es = eigensystem(bench_real, 1.000000005)
+        assert es.lam == 1.0 and es.cubic == bench_real.psi
+        lam = 0.6 + 0.8000000001j
+        assert abs(abs(eigensystem(bench_real, lam).lam) - 1.0) <= 2.3e-16
+
+    def test_unit_lambda_keeps_its_bits(self):
+        rng = np.random.default_rng(8)
+        for theta in rng.uniform(0.0, 2.0 * math.pi, 200):
+            lam = cmath.exp(1j * theta)
+            if abs(lam) == 1.0:
+                got = potential._check_unit(lam)
+                assert (got.real.hex(), got.imag.hex()) == (lam.real.hex(), lam.imag.hex())
