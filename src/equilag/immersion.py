@@ -25,13 +25,13 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
       F = c1 sn(ry) e^{i d_sn x} l_sn + c2 cn(ry) e^{i d_cn x} l_cn
         + c3 dn(ry) e^{i d_dn x} l_dn,
   with positive constants c_j fixed by |F| = 1 and conformality; F is then
-  4T-periodic in y.  The sn, cn, dn labels come from the root order of
-  es.d and the sign of psi0 (`_real_assignment`), never from matching
-  eigenvalues numerically.
+  4T-periodic in y.  The sn, cn, dn labels es.labels come from the root
+  order of es.d and the sign of psi0, never from matching eigenvalues
+  numerically; the c_j depend on the surface alone (`_real_amplitudes`).
 
-* lambda^-3 psi purely imaginary: the lift degenerates into a hyperplane
-  and is refused by `_checked_regime`, the one hyperplane gate that every
-  lift, frame, beta-integral and monodromy route passes.
+* lambda^-3 psi purely imaginary: the lift degenerates into a hyperplane.
+  potential.eigensystem refuses such a lambda, so no spectral object, and
+  no lift, frame, beta-integral or monodromy route, exists there.
 
 Both forms give |F| = 1 identically, F(0, 0) = e_3, and agree exactly with
 the third frame column of the explicit Iwasawa route wherever that route is
@@ -60,13 +60,7 @@ import numpy as np
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import MetricSample, _from_jacobi, metric_at
-from .potential import (
-    DerivedConstants,
-    EigenSystem,
-    HyperplaneDegenerateError,
-    eigensystem,
-    regime_of,  # noqa: F401  (re-exported)
-)
+from .potential import DerivedConstants, EigenSystem, eigensystem, regime_of  # noqa: F401  (regime_of re-exported)
 
 
 class RegimeError(ValueError):
@@ -91,15 +85,6 @@ ChartPoint = tuple[complex, complex]
 CHART_TOL = 1e-8
 
 
-def _checked_regime(es: EigenSystem) -> str:
-    """The regime of es, refusing the hyperplane-degenerate lambda (imaginary regime)."""
-    if es.regime == "imaginary":
-        raise HyperplaneDegenerateError(
-            "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
-        )
-    return es.regime
-
-
 # ---------------------------------------------------------------------------
 # non-real regime
 
@@ -119,7 +104,6 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     Python floats, so that the scalar kernels run on the `math` path at its
     own speed and never on numpy scalars.
     """
-    _checked_regime(es)
     v, d, gaps = es.cubic, es.d.tolist(), es.gaps
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
@@ -190,21 +174,14 @@ def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray)
 # ---------------------------------------------------------------------------
 # real regime
 
-def _real_assignment(c: DerivedConstants, es: EigenSystem):
-    """Indices of the (sn, cn, dn) eigenvalues inside es.d, plus the c_j constants.
-
-    The eigenvalues are psi0/a1, psi0/a2 and -psi0/a3 with a1 > a2 > 0 and
-    a3 > 0, so in the descending es.d the sn eigenvalue psi0/a1 is always the
-    middle one, and the sign of psi0 orders the other two.
-    """
-    idx = (1, 0, 2) if es.cubic.real > 0.0 else (1, 2, 0)
+def _real_amplitudes(c: DerivedConstants) -> tuple[float, float, float]:
+    """The constants c_j of the sn, cn and dn modes, fixed by |F| = 1 and conformality."""
     apsi2 = abs(c.psi) ** 2
-    cs = (
+    return (
         c.a1 * math.sqrt((c.a1 - c.a2) / (c.a1**3 - apsi2)),
         c.a2 * math.sqrt((c.a1 - c.a2) / (apsi2 - c.a2**3)),
         c.a3 * math.sqrt((c.a1 + c.a3) / (apsi2 + c.a3**3)),
     )
-    return idx, cs
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +223,10 @@ def _coefficients(
     jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
     as well.
     """
-    regime = _checked_regime(es)
     sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
-    if regime == "real":
-        idx, cs = _real_assignment(c, es)
-        return _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
+    if es.regime == "real":
+        cs = _real_amplitudes(c)
+        return _real_rows(y, es.labels, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
     return _nonreal_terms(c, es, y, sn, cn)[0]
 
 
@@ -262,12 +238,11 @@ def _coefficients_and_derivatives(
     The metric sample serves p_j' in the non-real regime and is returned in
     both, so that a caller needing e^u as well does not form it again.
     """
-    regime = _checked_regime(es)
     jac = jacobi(c.r * y, c.k)
     sn, cn, dn = jac
     m = _from_jacobi(c, y, jac)
-    if regime == "real":
-        idx, cs = _real_assignment(c, es)
+    if es.regime == "real":
+        idx, cs = es.labels, _real_amplitudes(c)
         p = _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
         dp = _real_rows(y, idx, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
                                  -cs[2] * c.r * c.k**2 * sn * cn))
@@ -282,8 +257,8 @@ def _coefficients_and_derivatives(
 def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
     """The closed-form lift F(x, y) in the regime of es; |F| = 1 identically.
 
-    Real regime: F(x, y + 4T) = F(x, y).  Raises HyperplaneDegenerateError
-    in the imaginary regime and RegimeError below the non-real gap floor.
+    Real regime: F(x, y + 4T) = F(x, y).  Raises RegimeError below the
+    non-real gap floor; es is never hyperplane-degenerate.
     """
     p = _coefficients(c, es, y)
     return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)

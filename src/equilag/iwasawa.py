@@ -34,8 +34,8 @@ integrands into G_j' = d_j Im / (d_j w - Re) and (log p_j)' = d_j w' / (d_j w - 
     Re beta1 = -sum_j d_j G_j / f'(d_j),  Im beta1 = y - sum_j d_j log p_j / (2 f'(d_j)),
     Re beta2 = -sum_j log p_j / (2 f'(d_j)),  Im beta2 = sum_j G_j / f'(d_j),
 
-f'(d_j) = prod_{l != j} (d_j - d_l).  p_j is 2T-periodic, so whole periods
-enter through G_j(2T); no quadrature is involved.
+f'(d_j) = prod_{l != j} (d_j - d_l) = es.fprime[j].  p_j is 2T-periodic, so
+whole periods enter through G_j(2T); no quadrature is involved.
 
 The scalar normalizer of Qtilde involves a cube root whose branch is fixed
 by continuity in y from Qtilde(0) = I (see _branch_ratio); principal
@@ -43,7 +43,7 @@ branches are never used blindly.  The factors degenerate where cdet
 vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
 points callers at extended_frame and immersion.lift_at, which stay valid.
-Hyperplane-degenerate lambda are refused by immersion's one hyperplane gate.
+Hyperplane-degenerate lambda have no EigenSystem: eigensystem refuses them.
 """
 
 from __future__ import annotations
@@ -193,13 +193,13 @@ def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, n
     return q0, raw / (c0 * _branch_ratio(c0, cdet))
 
 
-def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> immersion._PhaseConstants:
+def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:
     """The lift's phase constants of es, refusing lambda off the closed forms' domain.
 
     For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
-    check of c0 covers every y; the lift's gap floor may refuse first, and
-    its phase constants refuse the hyperplane-degenerate lambda.  Refusals
-    carry this route's errors.
+    check of c0 covers every y; the lift's gap floor may refuse as well.
+    Refusals carry this route's errors.  es is never hyperplane-degenerate:
+    eigensystem refuses such a lambda.
     """
     _checked_c0(c, es.lam)
     try:
@@ -208,9 +208,9 @@ def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> immersion._Phase
         raise SingularLocusError(f"lift phase constants refused ({exc})") from exc
 
 
-def _partial_fractions(d: np.ndarray, g, log_p, y: float) -> tuple[complex, complex]:
-    """(beta1, beta2) from G_j and log p_j, f'(d_j) = prod_{l != j} (d_j - d_l)."""
-    w = 1.0 / np.prod(np.subtract.outer(d, d) + np.eye(3), axis=1)
+def _partial_fractions(es: EigenSystem, g, log_p, y: float) -> tuple[complex, complex]:
+    """(beta1, beta2) from G_j and log p_j, with the weights 1 / f'(d_j) of es.fprime."""
+    d, w = es.d, 1.0 / np.array(es.fprime)
     return complex(-(d * w) @ g, y - 0.5 * (d * w) @ log_p), complex(-0.5 * w @ log_p, w @ g)
 
 
@@ -220,8 +220,7 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[comp
     Closed forms in the lift's phase integrals G_j(y) and p_j(y) (module
     docstring), so beta(y + 2mT) = beta(y) + m beta(2T) and beta(0) = 0
     exactly.  Raises SingularLocusError on the singular locus of the
-    factorization and HyperplaneDegenerateError where lambda^-3 psi is
-    purely imaginary.
+    factorization.
     """
     g = _check_beta_domain(c, es)
     y = float(y)
@@ -229,7 +228,7 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[comp
         return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
     sn, cn, _ = jacobi(c.r * y, c.k)
     p, phases = immersion._phase_terms(c, es, g, y, sn, cn)
-    return _partial_fractions(es.d, phases, np.log(p), y)
+    return _partial_fractions(es, phases, np.log(p), y)
 
 
 def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
@@ -237,8 +236,7 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSam
 
     F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
     the derivatives of the closed-form lift F taken analytically from p_j
-    and p_j'; defined wherever the lift is (everything except the
-    hyperplane-degenerate lambda).
+    and p_j'; defined wherever the lift is (every es).
     """
     lam, z = es.lam, complex(z)
     p, dp, m = immersion._coefficients_and_derivatives(c, es, z.imag)
@@ -294,7 +292,7 @@ def _beta_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, floa
     """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per spectral object."""
     _check_beta_domain(c, es)
     g = np.array(immersion._g_full_period(c, es))
-    b1, b2 = _partial_fractions(es.d, g, np.zeros(3), 2.0 * c.T)
+    b1, b2 = _partial_fractions(es, g, np.zeros(3), 2.0 * c.T)
     return b1.real, b2.imag
 
 

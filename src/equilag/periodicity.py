@@ -19,16 +19,17 @@ them back from the monodromy data, themselves closed forms in the same
 G_j(2T), so suite `identities` checks the cancellation identity
 algebraically.  The surface closes up under omega iff theta_1, theta_2
 are multiples of 2 pi (theta_3 follows since all three sum to zero).
-Rationality of d-ratios and of the 2T phase data is certified with
-continued-fraction convergents under an explicit (max_denominator,
-tolerance) policy.
+Rationality of d-ratios and of the 2T phase data is certified under an
+explicit (max_denominator, tolerance) policy: the fraction nearest the
+value with denominator <= max_denominator (`Fraction.limit_denominator`),
+accepted when it is within the tolerance.
 
 monodromy_phases takes es; classify_cylinder and classify_torus take lambda
-and build es once.
+and build es once, which refuses a hyperplane-degenerate lambda.
 
 In the real-cubic-form regime the beta integrals diverge, but sn and cn are
-antiperiodic over 2T, so theta_j = p d_j + m pi on the sn/cn labels and
-p d_j on the dn label; the possible torus lattices there are
+antiperiodic over 2T, so theta_j = p d_j + m pi on the sn/cn labels
+es.labels[:2] and p d_j on the dn label; the possible torus lattices there are
 p_f Z + 4Ti Z and p_f Z + (p_f/2 + 2Ti) Z.
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,35 +75,21 @@ class PeriodVerdict:
 
 
 def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate | None:
-    """Best continued-fraction convergent of x with denominator <= max_den.
+    """The fraction nearest x with denominator <= max_den, `Fraction.limit_denominator`.
 
-    Returns None when even the best convergent misses x by more than tol.
-    Increasing max_den never loses a certificate (later convergents only
-    improve).
+    Returns None when it misses x by more than tol.  Increasing max_den
+    never loses a certificate (the nearest fraction only comes nearer).
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    x0 = x
-    h_prev, k_prev = 1, 0
-    a = math.floor(x)
-    h, k = int(a), 1
-    for _ in range(64):
-        frac = x - a
-        if frac < 1e-15 * max(1.0, abs(x0)):
-            break
-        x = 1.0 / frac
-        a = math.floor(x)
-        h_next = int(a) * h + h_prev
-        k_next = int(a) * k + k_prev
-        if k_next > max_den:
-            break
-        h_prev, k_prev, h, k = h, k, h_next, k_next
-    residual = abs(x0 - h / k)
+    frac = Fraction(x).limit_denominator(max_den)
+    num, den = frac.numerator, frac.denominator
+    residual = abs(x - num / den)
     if residual > tol:
         return None
-    return RationalCertificate(value=x0, num=h, den=k, residual=residual)
+    return RationalCertificate(value=x, num=num, den=den, residual=residual)
 
 
 def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> MonodromyPhases:
@@ -111,14 +99,12 @@ def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> 
     antiperiodicity form in the real-cubic-form regime (where the
     integrals do not exist).
     """
-    regime = immersion._checked_regime(es)
     if m == 0:
         theta = p * es.d
-    elif regime == "real":
+    elif es.regime == "real":
         # sn, cn pick up a sign over 2T; dn does not
-        idx, _ = immersion._real_assignment(c, es)
         flip = np.zeros(3)
-        flip[idx[0]] = flip[idx[1]] = 1.0
+        flip[es.labels[0]] = flip[es.labels[1]] = 1.0
         theta = p * es.d + m * math.pi * flip
     else:
         theta = p * es.d + m * np.array(immersion._g_full_period(c, es))
@@ -185,12 +171,10 @@ def classify_torus(
     period and omega_f the period of smallest positive height.
     """
     es = eigensystem(c, lam)
-    regime = immersion._checked_regime(es)
     certs: dict[str, RationalCertificate] = {}
 
-    if regime == "real":
-        idx, _ = immersion._real_assignment(c, es)
-        d_sn, d_cn = float(es.d[idx[0]]), float(es.d[idx[1]])
+    if es.regime == "real":
+        d_sn, d_cn = (float(es.d[j]) for j in es.labels[:2])
         cert = rational_approx(d_sn / d_cn, max_den, tol)  # = a2/a1 in (0, 1)
         if cert is None:
             # no certified real period; the imaginary period 4Ti still exists

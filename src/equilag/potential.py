@@ -22,6 +22,10 @@ eigenvector-eigenvalue identity (Denton, Parke, Tao and Zhang, Bull. AMS 59
 
     l_j = ((g_j + i Im) / lam, lam (g_j - i Im), sqrt(a1) f'_j t_j^2)
           / (sqrt(a1) f'_j t_j),   a1^2 f'_j t_j^2 = g_j (g_j + 2 Re) - Im^2.
+
+eigensystem decides every per-lambda fact once: it refuses the at most six
+hyperplane lambda (Re = 0) before any root is solved, and its EigenSystem
+carries the regime ("nonreal" or "real"), f'_j and the real-regime labels.
 """
 
 from __future__ import annotations
@@ -96,38 +100,41 @@ class DerivedConstants:
     kp2: float
 
 
-# relative tolerance of the flat test and of _regime, the one hyperplane decision
+# relative tolerance of the flat test and of _spectral_point, the one regime decision
 CLASS_TOL = 1e-9
 
 
-def _regime(psi: complex, cubic: complex) -> str:
-    """One of "nonreal", "real", "imaginary" for the cubic form value lambda^-3 psi."""
-    scale = abs(psi)
-    if abs(cubic.imag) < CLASS_TOL * scale:
-        return "real"
-    if abs(cubic.real) < CLASS_TOL * scale:
-        return "imaginary"
-    return "nonreal"
+def _spectral_point(psi: complex, lam: complex) -> tuple[complex, complex, str]:
+    """(lambda / |lambda|, lambda^-3 psi there, its regime "nonreal", "real" or "imaginary").
+
+    ValueError unless ||lambda| - 1| <= 1e-8 (`_check_unit`); `regime_of`,
+    `classify` and `eigensystem` all decide here.
+    """
+    lam = _check_unit(lam)
+    cubic, tol = psi / lam**3, CLASS_TOL * abs(psi)
+    regime = "real" if abs(cubic.imag) < tol else "imaginary" if abs(cubic.real) < tol else "nonreal"
+    return lam, cubic, regime
 
 
 def regime_of(c: DerivedConstants, lam: complex) -> str:
-    """One of "nonreal", "real", "imaginary" for the cubic form lambda^-3 psi."""
-    return _regime(c.psi, c.psi / complex(lam) ** 3)
+    """One of "nonreal", "real", "imaginary" for the cubic form lambda^-3 psi, |lambda| = 1."""
+    return _spectral_point(c.psi, lam)[2]
 
 
 def classify(params: SurfaceParams, lam: complex | None = None) -> SurfaceClass:
-    """Classify the input, optionally at a spectral parameter lambda.
+    """Classify the input, optionally at a spectral parameter lambda, |lambda| = 1.
 
     TotallyGeodesic (psi = 0) and FlatClifford (a1 = |psi|^(2/3)) do not
     depend on lambda; HyperplaneDegenerateLambda flags the at most six unit
-    lambda with Re(lambda^-3 psi) = 0 where the canonical lift degenerates.
+    lambda with Re(lambda^-3 psi) = 0 where the canonical lift degenerates,
+    the lambda that `eigensystem` refuses.
     """
     apsi = abs(params.psi)
     if apsi == 0.0:
         return SurfaceClass.TOTALLY_GEODESIC
     if abs(params.a1 - apsi ** (2.0 / 3.0)) < CLASS_TOL * params.a1:
         return SurfaceClass.FLAT_CLIFFORD
-    if lam is not None and _regime(params.psi, params.psi / lam**3) == "imaginary":
+    if lam is not None and _spectral_point(params.psi, lam)[2] == "imaginary":
         return SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
     return SurfaceClass.GENERIC
 
@@ -191,13 +198,17 @@ def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
 class EigenSystem:
     """The spectral object of one (surface, lambda), |lambda| = 1, taken by every point evaluator.
 
-    lam is the unit lambda, cubic = lambda^-3 psi, regime its regime
-    ("nonreal", "real", "imaginary"); i*d_j are the eigenvalues, d
+    It exists only off the hyperplane: `eigensystem` refuses the lambda where
+    Re(lambda^-3 psi) = 0.  lam is the unit lambda, cubic = lambda^-3 psi,
+    regime its regime ("nonreal" or "real"); i*d_j are the eigenvalues, d
     descending (sum 0, pair sums -beta, product -2 Re(cubic)), vectors[j]
     the orthonormal l_j with l_j[2] (against e_3 = Q^{-1}(0) e_3) real and
     nonnegative, or, below 1e-9 (the real regime's sn mode), its component
-    along lambda e_2 - lambda^-1 e_1 real-positive, and gaps[j] = (d_j a1 -
-    Re, d_j a2 - Re).  Hashed by identity: memos are per object.
+    along lambda e_2 - lambda^-1 e_1 real-positive, gaps[j] = (d_j a1 -
+    Re, d_j a2 - Re) and fprime[j] = f'(d_j) = prod_{i != j} (d_j - d_i).
+    In the real regime labels holds the indices in d of psi0/a1, psi0/a2
+    and -psi0/a3 (the sn, cn, dn modes), None otherwise.  Hashed by
+    identity: memos are per object.
     """
 
     lam: complex
@@ -206,6 +217,8 @@ class EigenSystem:
     d: np.ndarray
     vectors: np.ndarray  # shape (3, 3); vectors[j] is l_j
     gaps: tuple[tuple[float, float], ...]
+    fprime: tuple[float, float, float]
+    labels: tuple[int, int, int] | None
 
 
 def _check_unit(lam: complex) -> complex:
@@ -228,13 +241,13 @@ def _near_root(c: DerivedConstants, d: list[float], re0: float, ai: float) -> tu
     return j, ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta)
 
 
-def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float) -> tuple[tuple[float, float], ...]:
-    """(d_j a1 - Re, d_j a2 - Re) per root d_j, the one nearest Re / a_i by `_near_root`."""
+def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float):
+    """((d_j a1 - Re, d_j a2 - Re) per d_j, `_near_root` at a1); the nearest roots' gaps in its form."""
     gaps = [[dj * c.a1 - re0, dj * c.a2 - re0] for dj in d]
-    for i, ai in enumerate((c.a1, c.a2)):
-        j, den = _near_root(c, d, re0, ai)
+    near = [_near_root(c, d, re0, ai) for ai in (c.a1, c.a2)]
+    for i, (j, den) in enumerate(near):
         gaps[j][i] = re0 * im0**2 / den
-    return tuple(map(tuple, gaps))
+    return tuple(map(tuple, gaps)), near[0]
 
 
 def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
@@ -249,21 +262,24 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     i sgn(f'_j) sqrt(a1) |f'_j| tau^2 Im) / (sqrt(a1) |f'_j| tau), which is
     (-conj(lam), lam, 0) / sqrt(2) on the locus.  The one place where lambda
     is checked (ValueError unless |lambda| = 1) and normalised, lambda^-3 psi
-    formed and the regime decided.
+    formed and the regime decided: HyperplaneDegenerateError where it is
+    "imaginary", before any root is solved.
     """
-    lam = _check_unit(lam)
-    cubic = c.psi / lam**3
+    lam, cubic, regime = _spectral_point(c.psi, lam)
+    if regime == "imaginary":
+        raise HyperplaneDegenerateError(
+            "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane")
     re0, im0 = cubic.real, cubic.imag
     roots, multiple = linalg3.solve_depressed_cubic(-c.beta, 2.0 * re0)
     if multiple:
         raise FlatCliffordError("multiple eigenvalues of D: flat configuration")
     d = roots.tolist()
-    gaps = _gaps(c, d, re0, im0)
-    near, den = _near_root(c, d, re0, c.a1)
+    gaps, (near, den) = _gaps(c, d, re0, im0)
     sqrt_a1, a1sq, lamc = math.sqrt(c.a1), c.a1 * c.a1, lam.conjugate()
-    vectors = []
+    vectors, fprime = [], []
     for j, (dj, (g, _)) in enumerate(zip(d, gaps)):
         fp = (dj - d[j - 1]) * (dj - d[j - 2])
+        fprime.append(fp)
         if j != near:
             t = math.sqrt((g * (g + 2.0 * re0) - im0 * im0) / (a1sq * fp))
         else:
@@ -277,5 +293,8 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
                 continue
         n = sqrt_a1 * fp * t
         vectors.append((complex(g, im0) * lamc / n, lam * complex(g, -im0) / n, t))
-    return EigenSystem(lam=lam, cubic=cubic, regime=_regime(c.psi, cubic), d=roots,
-                       vectors=np.array(vectors, dtype=complex), gaps=gaps)
+    # psi0/a1 is the middle root; the sign of psi0 orders psi0/a2 and -psi0/a3
+    labels = ((1, 0, 2) if re0 > 0.0 else (1, 2, 0)) if regime == "real" else None
+    return EigenSystem(lam=lam, cubic=cubic, regime=regime, d=roots,
+                       vectors=np.array(vectors, dtype=complex), gaps=gaps,
+                       fprime=tuple(fprime), labels=labels)

@@ -326,6 +326,32 @@ class TestClassify:
         assert rc == EXIT_OK
         assert "NoPeriodFound" in capsys.readouterr().out
 
+    def test_nonreal_torus_text(self, capsys):
+        # a1 bisected along d2/d1 = 1/3 until the phase s = 33/16
+        a1, lam = 1.4111732121241283, complex(0.9742259663451993, -0.2255743037199995)
+        rc = main(["classify", "--a1", repr(a1), "--psi", "1,0", "--lambda", f"{lam.real!r},{lam.imag!r}"])
+        assert rc == EXIT_OK
+        p_f, omega_f = classify_torus(derive_constants(SurfaceParams(a1, 1.0)), lam).lattice
+        assert capsys.readouterr().out.splitlines() == [
+            "verdict: Torus",
+            f"p_f     = {p_f.real:.17g}",
+            f"omega_f = {omega_f.real:.17g} + {omega_f.imag:.17g}i",
+            "certificate d_ratio: 1/3 (residual 0.000e+00)",
+            "certificate phase: 33/16 (residual 0.000e+00)",
+        ]
+
+    def test_cylinder_json(self, capsys):
+        # d2/d1 = 1/3 at a phase with no certificate: the real period alone
+        lam = complex(0.9853769606339636, -0.17038851326240284)
+        rc = main(["classify", "--a1", "1.6", "--psi", "1,0", "--lambda", f"{lam.real!r},{lam.imag!r}",
+                   "--json"])
+        assert rc == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["tag"] == "Cylinder" and "p_f" not in verdict
+        assert {k: (v["num"], v["den"]) for k, v in verdict["certificates"].items()} == {"d_ratio": (1, 3)}
+        es = eigensystem(derive_constants(SurfaceParams(1.6, 1.0)), lam)
+        assert verdict["omega"] == [2.0 * math.pi * 3 / es.d[0], 0.0]
+
 
 class TestSweep:
     def test_catalog(self, tmp_path):
@@ -364,6 +390,21 @@ path = catalog.csv
                 "imaginary", "HyperplaneDegenerateError")
             assert (row["regime"], row["error"]) == want, row
 
+    def test_json_catalog(self, tmp_path):
+        out = tmp_path / "catalog.json"
+        path = tmp_path / "job.ini"
+        path.write_text("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = 12\n[output]\nformat = json\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["config"]["output"]["format"] == "json"
+        rows = payload["samples"]
+        assert [row["index"] for row in rows] == list(range(12))
+        for i, row in enumerate(rows):  # theta = i pi / 6
+            want = ("real", "NoPeriodFound", "") if i % 2 == 0 else (
+                "imaginary", "", "HyperplaneDegenerateError")
+            assert (row["regime"], row["verdict"], row["error"]) == want, row
+            assert row["theta"] == pytest.approx(i * math.pi / 6)
+
     def test_sweep_without_count(self, tmp_path, capsys):
         rc = main(["sweep", "--a1", "2", "--psi", "1,0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
@@ -387,6 +428,14 @@ class TestVerify:
         ])
         assert rc == EXIT_VERIFY
         assert "[suite:iwasawa] FAIL" in capsys.readouterr().out
+
+    def test_every_suite_by_default(self, capsys):
+        rc = main(["verify", "--a1", "2", "--psi", "0.70710678118654746,0.70710678118654757", "--json"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [s["name"] for s in payload["suites"]] == [
+            "elliptic", "potential", "metric", "iwasawa", "frame", "lift", "identities", "periodicity"]
+        assert payload["passed"] is True
 
     def test_unknown_suite(self, capsys):
         rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "nope"])

@@ -13,7 +13,6 @@ from equilag.immersion import (
     RegimeError,
     _coefficients,
     _coefficients_and_derivatives,
-    _real_assignment,
     lift_at,
     phase_integrals,
     project_chart,
@@ -54,9 +53,8 @@ class TestRegime:
 
     def test_hyperplane_refused(self, bench_sweep):
         lam = cmath.exp(1j * math.pi / 6)
-        es = eigensystem(bench_sweep, lam)
         with pytest.raises(HyperplaneDegenerateError):
-            lift_at(bench_sweep, es, 0.1, 0.1)
+            lift_at(bench_sweep, eigensystem(bench_sweep, lam), 0.1, 0.1)
 
 
 # every route at the hyperplane lambda, called as route(c, lam, es): point
@@ -517,9 +515,8 @@ def test_real_labels_match_nearest_targets(flatness, log_psi, arg_psi, branch):
     except FlatCliffordError:
         assume(False)  # roots too close to tell apart: refused before any label
     assert es.regime == "real"
-    idx, _ = _real_assignment(c, es)
     want_idx, want_cs, deviation = nearest_target_assignment(c, es)
-    assert list(idx) == want_idx
+    assert list(es.labels) == want_idx
     # at unit lambda every root sits within 1e-8 of its target psi0/a_j
     assert deviation <= 1e-8 * max(1.0, float(np.max(np.abs(es.d))))
     for y in [*np.linspace(-3.0 * c.T, 5.0 * c.T, 9).tolist(), np.linspace(-c.T, 3.0 * c.T, 7)]:

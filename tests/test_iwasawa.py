@@ -230,10 +230,9 @@ class TestBetaDomainEdges:
     def test_ladder(self, bench_nonreal, locus, offset):
         c = bench_nonreal
         lam = cmath.exp(1j * (LOCI[locus] + offset))
-        es = eigensystem(c, lam)
         y = 1.3 * c.T
         try:
-            got = beta_integrals(c, es, y)
+            got = beta_integrals(c, eigensystem(c, lam), y)
         except self.REFUSALS as exc:
             refusal = type(exc)
         else:
@@ -243,8 +242,8 @@ class TestBetaDomainEdges:
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
         # the iwasawa frame and U_+ refuse exactly where beta does, alike
         for route in (
-            lambda: u_plus(c, es, y),
-            lambda: iwasawa_frame(c, es, 0.3 + 1j * y).matrix,
+            lambda: u_plus(c, eigensystem(c, lam), y),
+            lambda: iwasawa_frame(c, eigensystem(c, lam), 0.3 + 1j * y).matrix,
         ):
             if refusal is None:
                 assert np.all(np.isfinite(route()))
@@ -269,11 +268,11 @@ class TestBetaDomainEdges:
                 call()
 
     def test_hyperplane_refused(self, bench_nonreal):
-        es = eigensystem(bench_nonreal, cmath.exp(1j * LOCI["hyperplane"]))
+        lam = cmath.exp(1j * LOCI["hyperplane"])
         with pytest.raises(HyperplaneDegenerateError):
-            beta_integrals(bench_nonreal, es, 0.7)
+            beta_integrals(bench_nonreal, eigensystem(bench_nonreal, lam), 0.7)
         with pytest.raises(HyperplaneDegenerateError):
-            iwasawa.monodromy_data(bench_nonreal, es)
+            iwasawa.monodromy_data(bench_nonreal, eigensystem(bench_nonreal, lam))
 
 
 class TestUPlusFlow:

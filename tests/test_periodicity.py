@@ -1,8 +1,11 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equilag import immersion, iwasawa
 from equilag.immersion import lift_at, project_chart
@@ -24,6 +27,22 @@ from matrix_oracles import commutant_matrix
 from phase_oracles import by_quadrature
 
 TWO_PI = 2.0 * math.pi
+
+# a non-real torus: a1 bisected along d2/d1 = 1/3 until the phase s = 33/16
+NONREAL_TORUS = SurfaceParams(1.4111732121241283, 1.0)
+NONREAL_TORUS_LAM = complex(0.9742259663451993, -0.2255743037199995)  # abs(lambda) == 1.0
+
+
+def convergents(x: Fraction) -> set[tuple[int, int]]:
+    """The continued-fraction convergents (p, q) of the rational x."""
+    out, (h0, h1), (k0, k1) = set(), (0, 1), (1, 0)
+    while True:
+        a = math.floor(x)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        out.add((h1, k1))
+        if x == a:
+            return out
+        x = 1 / (x - a)
 
 
 def monodromy_matrix(c, p, m, lam):
@@ -76,6 +95,26 @@ class TestRationalApprox:
             assert cert is not None
             assert math.gcd(abs(cert.num), cert.den) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        max_den=st.sampled_from([64, 1000, 7000]),
+        den=st.integers(1, 8000),
+        num=st.integers(-40000, 40000),
+        eps=st.floats(-2e-8, 2e-8),
+    )
+    def test_nearest_fraction_is_a_convergent(self, max_den, den, num, eps):
+        # the policy is Fraction.limit_denominator within tol; as tol = 1e-8 <
+        # 1 / (2 max_den^2), an accepted fraction is a convergent (Legendre)
+        x = num / den + eps
+        cert = rational_approx(x, max_den, 1e-8)
+        want = Fraction(x).limit_denominator(max_den)
+        if abs(x - want.numerator / want.denominator) > 1e-8:
+            assert cert is None
+            return
+        assert (cert.num, cert.den) == (want.numerator, want.denominator)
+        assert cert.residual == abs(x - cert.num / cert.den) and cert.value == x
+        assert (cert.num, cert.den) in convergents(Fraction(x))
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             rational_approx(0.5, 0, 1e-9)
@@ -123,9 +162,8 @@ class TestMonodromyPhases:
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_hyperplane_refused(self, bench_sweep):
-        es = eigensystem(bench_sweep, cmath.exp(1j * math.pi / 6))
         with pytest.raises(HyperplaneDegenerateError):
-            monodromy_phases(bench_sweep, es, 1.0, 1)
+            monodromy_phases(bench_sweep, eigensystem(bench_sweep, cmath.exp(1j * math.pi / 6)), 1.0, 1)
 
 
 class TestClassifyCylinder:
@@ -226,6 +264,22 @@ class TestClassifyTorus:
             lift_at(c, es, 0.23 + omega_f.real, 0.31 + omega_f.imag).F
         )
         assert abs(w1[0] - w0[0]) < 1e-7 and abs(w1[1] - w0[1]) < 1e-7
+
+    def test_nonreal_torus_pinned(self):
+        c = derive_constants(NONREAL_TORUS)
+        v = classify_torus(c, NONREAL_TORUS_LAM)
+        assert v.tag == "Torus"
+        assert {name: (cert.num, cert.den) for name, cert in v.certificates.items()} == {
+            "d_ratio": (1, 3), "phase": (33, 16)}
+        es = eigensystem(c, NONREAL_TORUS_LAM)
+        assert es.regime == "nonreal"
+        rng = np.random.default_rng(5)
+        for omega in v.lattice:
+            for _ in range(10):
+                x, y = rng.uniform(-1, 1), rng.uniform(0, 2 * c.T)
+                w0 = project_chart(lift_at(c, es, x, y).F)
+                w1 = project_chart(lift_at(c, es, x + omega.real, y + omega.imag).F)
+                assert abs(w1[0] - w0[0]) < 1e-7 and abs(w1[1] - w0[1]) < 1e-7
 
     def test_nonreal_torus_constructed(self):
         # find a non-real case certified as a torus by scanning lambda for a

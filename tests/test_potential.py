@@ -5,12 +5,13 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equilag import iwasawa, linalg3, potential
 from equilag.potential import (
     FlatCliffordError,
+    HyperplaneDegenerateError,
     SurfaceClass,
     SurfaceParams,
     TotallyGeodesicError,
@@ -18,6 +19,7 @@ from equilag.potential import (
     derive_constants,
     eigensystem,
     potential_matrix,
+    regime_of,
 )
 from matrix_oracles import char_poly_eval, commutant_matrix, eigenvectors_mp
 
@@ -344,3 +346,86 @@ class TestUnitLambda:
             if abs(lam) == 1.0:
                 got = potential._check_unit(lam)
                 assert (got.real.hex(), got.imag.hex()) == (lam.real.hex(), lam.imag.hex())
+
+
+class TestSpectralFacts:
+    """eigensystem decides the hyperplane, the real-regime labels and f'(d_j) once."""
+
+    def test_hyperplane_refused_before_the_cubic(self, bench_sweep, monkeypatch):
+        # psi = 1, lambda = e^{i pi/6}: lambda^-3 psi = -i
+        solves = []
+        monkeypatch.setattr(linalg3, "solve_depressed_cubic", lambda *args: solves.append(args))
+        with pytest.raises(HyperplaneDegenerateError) as exc:
+            eigensystem(bench_sweep, cmath.exp(1j * math.pi / 6))
+        assert str(exc.value) == "lambda^-3 psi is purely imaginary: surface degenerates to a hyperplane"
+        assert solves == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flat=st.floats(-2.0, 3.0),      # log10(a1 / |psi|^(2/3) - 1)
+        size=st.floats(-2.0, 2.0),      # log10 |psi|
+        arg=st.floats(0.0, 2.0 * math.pi),
+        branch=st.none() | st.integers(0, 5),  # one of the six real lambda, or theta
+        theta=st.floats(0.0, 2.0 * math.pi),
+    )
+    @example(flat=0.0, size=0.0, arg=0.0, branch=0, theta=0.0)
+    @example(flat=0.0, size=0.0, arg=0.0, branch=1, theta=0.0)
+    def test_fprime_and_labels(self, flat, size, arg, branch, theta):
+        apsi = 10.0**size
+        c = derive_constants(SurfaceParams(apsi ** (2.0 / 3.0) * (1.0 + 10.0**flat), cmath.rect(apsi, arg)))
+        lam = cmath.exp(1j * (theta if branch is None else (arg + branch * math.pi) / 3.0))
+        try:
+            es = eigensystem(c, lam)
+        except HyperplaneDegenerateError:
+            assume(False)
+        # the weights iwasawa's partial fractions took before es carried them
+        d = es.d
+        want = np.prod(np.subtract.outer(d, d) + np.eye(3), axis=1)
+        assert np.array(es.fprime).tobytes() == want.tobytes()
+        assert all(type(fp) is float for fp in es.fprime)
+        if es.regime == "real":
+            assert es.labels == ((1, 0, 2) if es.cubic.real > 0.0 else (1, 2, 0))
+        else:
+            assert es.regime == "nonreal" and es.labels is None
+        if branch is not None:
+            assert es.regime == "real"
+
+
+class TestOneRegimeDecision:
+    """regime_of, classify and eigensystem decide on lambda / |lambda| alike."""
+
+    def test_reproducer(self):
+        # |lambda| = 1 - 9e-9 and Im(lambda^-3 psi) just above 1e-9 |psi| on
+        # the raw lambda, just below it on lambda / |lambda|
+        params = SurfaceParams(2.0, 1.0)
+        c = derive_constants(params)
+        lam = cmath.rect(1 - 9e-9, 9.9999999e-10 / 3)
+        assert regime_of(c, lam) == eigensystem(c, lam).regime == "real"
+        assert classify(params, lam) is SurfaceClass.GENERIC
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.floats(-2.0, 2.0),       # log10 |psi|
+        arg=st.floats(0.0, 2.0 * math.pi),
+        locus=st.integers(0, 11),        # even: a real lambda; odd: a hyperplane lambda
+        side=st.sampled_from([-1.0, 1.0]),
+        near=st.floats(-1e-7, 1e-7),     # relative distance from the 1e-9 threshold
+        stretch=st.floats(-9e-9, 9e-9),  # |lambda| - 1
+    )
+    def test_agree_inside_the_unit_gate(self, size, arg, locus, side, near, stretch):
+        # 3 arg(lambda) = arg(psi) + locus pi/2 + 3 delta puts the part of
+        # lambda^-3 psi that vanishes on the locus at |psi| |lambda|^-3 sin(3 delta),
+        # within 1e-7 relative of the regime threshold
+        apsi = 10.0**size
+        params = SurfaceParams(2.0 * apsi ** (2.0 / 3.0), cmath.rect(apsi, arg))
+        c = derive_constants(params)
+        delta = side * math.asin(1e-9 * (1.0 + near)) / 3.0
+        lam = cmath.rect(1.0 + stretch, (arg + locus * math.pi / 2.0) / 3.0 + delta)
+        regime = regime_of(c, lam)
+        if regime == "imaginary":
+            assert classify(params, lam) is SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
+            with pytest.raises(HyperplaneDegenerateError):
+                eigensystem(c, lam)
+        else:
+            assert classify(params, lam) is SurfaceClass.GENERIC
+            assert eigensystem(c, lam).regime == regime

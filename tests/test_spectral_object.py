@@ -108,3 +108,28 @@ def test_memos_are_keyed_on_the_spectral_object(bench_nonreal):
         immersion._g_full_period(bench_nonreal, es)
     info = immersion._g_full_period.cache_info()
     assert (info.hits, info.misses) == (2, 2)
+
+
+# the private names of immersion and iwasawa that other package modules
+# may still reach; every per-lambda fact is read off the EigenSystem
+SHARED_PRIVATES = {"_g_segment", "_g_full_period", "_phase_terms",
+                   "_coefficients_and_derivatives", "_cdet", "_branch_ratio"}
+
+
+def _private_references() -> set[tuple[str, str, str]]:
+    """(module, target, name) of every immersion._x / iwasawa._x reached from another module."""
+    refs = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("immersion", "iwasawa") and node.attr.startswith("_")):
+                refs.add((path.stem, node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("immersion", "iwasawa"):
+                refs |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
+    return {ref for ref in refs if ref[0] != ref[1]}
+
+
+def test_private_references_between_modules():
+    refs = _private_references()
+    assert {name for _, _, name in refs} <= SHARED_PRIVATES, refs
+    assert {name for module, _, name in refs if module == "periodicity"} == {"_g_full_period"}
