@@ -1,7 +1,11 @@
 """Command-line front end: derive | verify | sample | classify | sweep.
 
+One argparse parser reads the command and the flags, in any order;
+`--suites` and `--debug-corrupt-kappa` are refused on any command but verify.
 Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
+Degenerate input is refused by the library alone (`derive_constants`,
+`eigensystem`), and the error's type is reported.
 Exit codes: 0 ok, 2 config error, 3 degenerate surface class or refused
 input (lambda too close to the real locus, on the singular locus of the
 Iwasawa factorization, or a failed certificate), 4 verification failure.
@@ -26,7 +30,7 @@ import numpy as np
 from . import immersion, periodicity, verification
 from .immersion import RegimeError
 from .potential import (DerivedConstants, SurfaceClass, SurfaceClassError, SurfaceParams,
-                        _check_unit, classify, derive_constants, eigensystem)
+                        _check_unit, derive_constants, eigensystem, regime_of)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,10 +40,6 @@ EXIT_VERIFY = 4
 
 class ConfigError(ValueError):
     pass
-
-
-class DegenerateSurface(Exception):
-    """The configured surface, or lambda, is a degenerate member of the family."""
 
 
 def _fmt(x: float) -> str:
@@ -193,18 +193,13 @@ def _load(args) -> JobConfig:
     return cfg
 
 
-def _generic_constants(cfg: JobConfig, lam: complex | None = None) -> DerivedConstants:
-    """Derived constants of the configured surface, generic at lam when given.
-
-    Raises DegenerateSurface for a degenerate class, and ConfigError for
-    a1 < |psi|^(2/3) or a modulus k too close to 1 (derive_constants).
-    """
-    params = SurfaceParams(cfg.a1, cfg.psi)
-    tag = classify(params, lam)
-    if tag is not SurfaceClass.GENERIC:
-        raise DegenerateSurface(tag.value)
+def _generic_constants(cfg: JobConfig) -> DerivedConstants:
+    """derive_constants of the configured surface: a SurfaceClassError propagates,
+    any other ValueError (a1 < |psi|^(2/3), k too close to 1) is a ConfigError."""
     try:
-        return derive_constants(params)
+        return derive_constants(SurfaceParams(cfg.a1, cfg.psi))
+    except SurfaceClassError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -213,7 +208,7 @@ _REAL_CONSTANTS = ("beta", "a1", "a2", "a3", "k", "q2", "r", "T")
 
 
 def cmd_derive(cfg: JobConfig, args) -> int:
-    c = _generic_constants(cfg, cfg.lam)
+    c = _generic_constants(cfg)
     es = eigensystem(c, cfg.lam)
     if args.json:
         constants = {name: getattr(c, name) for name in _REAL_CONSTANTS}
@@ -256,7 +251,7 @@ def cmd_verify(cfg: JobConfig, args) -> int:
 
 
 def cmd_sample(cfg: JobConfig, args) -> int:
-    c = _generic_constants(cfg, cfg.lam)
+    c = _generic_constants(cfg)
     if not cfg.out_path:
         raise ConfigError("sample requires an output path ([output] path or --out)")
     grid = immersion.sample_grid(c, cfg.lam, (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max),
@@ -380,7 +375,7 @@ def _verdict_dict(v: periodicity.PeriodVerdict) -> dict:
 
 
 def cmd_classify(cfg: JobConfig, args) -> int:
-    verdict = _verdict(cfg, _generic_constants(cfg, cfg.lam), cfg.lam)
+    verdict = _verdict(cfg, _generic_constants(cfg), cfg.lam)
     if args.json:
         sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "verdict": _verdict_dict(verdict)}))
         return EXIT_OK
@@ -412,7 +407,7 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
         row: dict = {"index": i, "theta": float(theta), "lam_re": lam.real, "lam_im": lam.imag,
                      "verdict": "", "error": ""}
         try:
-            row["regime"] = immersion.regime_of(c, lam)
+            row["regime"] = regime_of(c, lam)
             verdict = _verdict(cfg, c, lam)
             row["verdict"] = verdict.tag
             if verdict.lattice is not None:
@@ -432,7 +427,7 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
     return EXIT_OK
 
 
-# name: (command, help); drives both the subparsers and the dispatch
+# name: (command, help); drives the parser's choices, its epilog and the dispatch
 _COMMANDS = {
     "derive": (cmd_derive, "print derived constants and the eigenvalue table"),
     "verify": (cmd_verify, "run the residual verification suites"),
@@ -453,40 +448,40 @@ def _complex_flag(text: str) -> complex:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="equilag",
-        description="Equivariant minimal Lagrangian surfaces in CP^2: "
+        description="Equivariant minimal Lagrangian surfaces in CP^2:\n"
         "derive constants, verify identities, sample lifts, classify periods.",
+        epilog="commands:\n" + "\n".join(f"  {name:<9} {help_}"
+                                          for name, (_, help_) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, help_) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", help="path to an INI config file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", help="output file path (overrides [output] path)")
-        p.add_argument("--lambda", dest="lam", type=_complex_flag, metavar="RE,IM",
-                       help="spectral parameter on the unit circle")
-        p.add_argument("--a1", type=float, help="metric scale e^{u(0)}")
-        p.add_argument("--psi", type=_complex_flag, metavar="RE,IM",
-                       help="cubic form coefficient")
-        p.add_argument("--max-den", dest="max_den", type=int,
-                       help="rational certificate denominator cap")
-        p.add_argument("--tol", type=float, help="rational certificate tolerance")
-        if name == "verify":
-            p.add_argument("--debug-corrupt-kappa", action="store_true",
-                           help="negative control: mis-normalize the Iwasawa factor")
-            p.add_argument("--suites", help="comma-separated subset of suites to run")
+    ap.add_argument("command", choices=_COMMANDS, help="the command to run (see below)")
+    ap.add_argument("--config", help="path to an INI config file")
+    ap.add_argument("--json", action="store_true", help="machine-readable output")
+    ap.add_argument("--out", help="output file path (overrides [output] path)")
+    ap.add_argument("--lambda", dest="lam", type=_complex_flag, metavar="RE,IM",
+                    help="spectral parameter on the unit circle")
+    ap.add_argument("--a1", type=float, help="metric scale e^{u(0)}")
+    ap.add_argument("--psi", type=_complex_flag, metavar="RE,IM", help="cubic form coefficient")
+    ap.add_argument("--max-den", dest="max_den", type=int,
+                    help="rational certificate denominator cap")
+    ap.add_argument("--tol", type=float, help="rational certificate tolerance")
+    verify = ap.add_argument_group("verify only")
+    verify.add_argument("--debug-corrupt-kappa", action="store_true",
+                        help="negative control: mis-normalize the Iwasawa factor")
+    verify.add_argument("--suites", help="comma-separated subset of suites to run")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command != "verify" and (args.suites is not None or args.debug_corrupt_kappa):
+        ap.error(f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
     try:
         return _COMMANDS[args.command][0](_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateSurface as exc:
-        print(f"degenerate surface class: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except SurfaceClassError as exc:
         print(f"degenerate surface class: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -60,7 +60,7 @@ import numpy as np
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import MetricSample, _from_jacobi, metric_at
-from .potential import DerivedConstants, EigenSystem, eigensystem, regime_of  # noqa: F401  (regime_of re-exported)
+from .potential import DerivedConstants, EigenSystem, eigensystem
 
 
 class RegimeError(ValueError):

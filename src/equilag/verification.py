@@ -26,6 +26,7 @@ from .potential import (
     derive_constants,
     eigensystem,
     potential_matrix,
+    regime_of,
 )
 
 EPS6 = linalg3.EPS6
@@ -63,7 +64,7 @@ class UnknownSuiteError(ValueError):
 def _nonreal_surface(params: SurfaceParams | None) -> tuple[DerivedConstants, str]:
     """The surface and "", or BENCH_NONREAL and a note if it is not non-real at lambda = 1."""
     c = derive_constants(params or BENCH_NONREAL)
-    regime = immersion.regime_of(c, 1.0)
+    regime = regime_of(c, 1.0)
     if regime == "nonreal":
         return c, ""
     where = "on singular locus" if regime == "real" else "hyperplane-degenerate at lambda = 1"
@@ -72,7 +73,7 @@ def _nonreal_surface(params: SurfaceParams | None) -> tuple[DerivedConstants, st
 
 def _off_locus(c: DerivedConstants, lam: complex) -> bool:
     """Non-real lambda 1e-3 |psi| off the real-cubic-form locus, near which accuracy degrades."""
-    return (immersion.regime_of(c, lam) == "nonreal"
+    return (regime_of(c, lam) == "nonreal"
             and abs((c.psi / lam**3).imag) >= 1e-3 * abs(c.psi))
 
 
@@ -246,7 +247,7 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
     """
     t0 = time.perf_counter()
     surfaces = [derive_constants(params or BENCH_NONREAL)]
-    if immersion.regime_of(surfaces[0], 1.0) != "real":
+    if regime_of(surfaces[0], 1.0) != "real":
         surfaces.append(derive_constants(BENCH_REAL))
     rng = np.random.default_rng(19)
     worst_id = worst_su3 = worst_equiv = worst_mc = worst_twist = 0.0
@@ -313,7 +314,7 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
     """Unit norm on full-period grids in both regimes, FD geometry, cross-route."""
     t0 = time.perf_counter()
     cases, note = [derive_constants(params)] if params is not None else [], ""
-    if cases and immersion.regime_of(cases[0], 1.0) == "imaginary":
+    if cases and regime_of(cases[0], 1.0) == "imaginary":
         cases, note = [], "surface hyperplane-degenerate at lambda = 1; checked the benchmarks only"
     for bench in (BENCH_NONREAL, BENCH_REAL):
         c = derive_constants(bench)
@@ -329,7 +330,7 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
             c, 1.0, np.linspace(0.1, 1.9, 3), np.linspace(0.1, 2.0 * c.T - 0.1, 3)
         )
         worst_geom = max(worst_geom, *astuple(rep))
-        if immersion.regime_of(c, 1.0) == "nonreal":
+        if regime_of(c, 1.0) == "nonreal":
             es = eigensystem(c, 1.0)
             rng = np.random.default_rng(23)
             for _ in range(50):

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import configparser
 import csv
@@ -17,6 +18,7 @@ from equilag.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     JobConfig,
+    _COMMANDS,
     _sections,
     _text,
     main,
@@ -26,6 +28,7 @@ from equilag.iwasawa import extended_frame
 from equilag.periodicity import classify_torus, monodromy_phases
 from equilag.potential import (
     HyperplaneDegenerateError,
+    SurfaceClassError,
     SurfaceParams,
     derive_constants,
     eigensystem,
@@ -578,3 +581,78 @@ class TestRefusals:
             immersion.sample_grid(c, lam, (0.0, 1.0), (0.0, 1.0), 3, 3)
             classify_torus(c, lam)
             monodromy_phases(c, es, 1.0, 1)
+
+
+class TestParser:
+    def test_one_parser_per_call(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["classify", "--a1", "2", "--psi", "1,0", "--json"]) == EXIT_OK
+        assert len(built) == 1
+
+    def test_flags_before_or_after_the_command(self, capsys):
+        flags = ["--a1", "2", "--psi", "1,0", "--json"]
+        assert main(["derive", *flags]) == EXIT_OK
+        after = capsys.readouterr().out
+        assert main([*flags, "derive"]) == EXIT_OK
+        assert capsys.readouterr().out == after
+
+    @pytest.mark.parametrize("flag", [["--suites", "metric"], ["--debug-corrupt-kappa"]],
+                             ids=["suites", "corrupt-kappa"])
+    @pytest.mark.parametrize("command", ["derive", "sample", "classify", "sweep"])
+    def test_verify_only_flags_refused_elsewhere(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--a1", "2", "--psi", "1,0", *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "apply to verify only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["--a1", "2", "--psi", "1,0"], ["plot", "--a1", "2"]],
+                             ids=["empty", "flags-only", "unknown"])
+    def test_missing_or_unknown_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "command" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert list(_COMMANDS) == ["derive", "verify", "sample", "classify", "sweep"]
+        for name, (_, help_) in _COMMANDS.items():
+            assert f"  {name:<9} {help_}\n" in out
+
+
+HYPERPLANE_LAMBDA = cmath.exp(1j * math.pi / 6)  # lambda^-3 psi = -i for psi = 1
+
+
+@pytest.mark.parametrize("command", ["derive", "sample", "classify"])
+@pytest.mark.parametrize("a1, psi, lam, error", [
+    (2.0, 0j, 1 + 0j, "TotallyGeodesicError"),
+    (1.0, 1 + 0j, 1 + 0j, "FlatCliffordError"),
+    (2.0, 1 + 0j, HYPERPLANE_LAMBDA, "HyperplaneDegenerateError"),
+], ids=["psi0", "flat", "hyperplane"])
+def test_degenerate_input_reports_the_library_refusal(command, a1, psi, lam, error, tmp_path, capsys):
+    assert main([command, f"--a1={a1!r}", f"--psi={psi.real!r},{psi.imag!r}",
+                 f"--lambda={lam.real!r},{lam.imag!r}", "--out", str(tmp_path / "grid.csv")]
+                ) == EXIT_DEGENERATE
+    with pytest.raises(SurfaceClassError) as exc:  # the library's own refusal
+        eigensystem(derive_constants(SurfaceParams(a1, psi)), lam)
+    assert type(exc.value).__name__ == error
+    assert capsys.readouterr().err == f"degenerate surface class: {error}: {exc.value}\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_sample_without_path_at_a_hyperplane_lambda(capsys):
+    # the missing path is found before sample_grid builds the eigensystem that refuses lambda
+    lam = HYPERPLANE_LAMBDA
+    assert main(["sample", "--a1", "2", "--psi", "1,0",
+                 f"--lambda={lam.real!r},{lam.imag!r}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: sample requires an output path")

@@ -1,8 +1,9 @@
-"""Each demo script, and README's quick start, runs to completion against src/."""
+"""Each demo script, README's quick start and its command lines run to completion against src/."""
 
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -36,3 +37,26 @@ def test_readme_quick_start_runs(tmp_path):
     proc = _python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("Torus")
+
+
+def _readme_command(name: str) -> list[str]:
+    """The arguments of README's `equilag <name> ...` line in its "Command line" block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    (words,) = [w for w in lines if w[:2] == ["equilag", name]]
+    return words[1:]
+
+
+@pytest.mark.parametrize("name", ["derive", "classify"])
+def test_readme_command_line_runs(name, tmp_path):
+    proc = _python(["-m", "equilag", *_readme_command(name)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_module_entry_point_without_arguments(tmp_path):
+    proc = _python(["-m", "equilag"], tmp_path)
+    assert proc.returncode == 2
+    assert "required: command" in proc.stderr

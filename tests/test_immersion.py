@@ -16,7 +16,6 @@ from equilag.immersion import (
     lift_at,
     phase_integrals,
     project_chart,
-    regime_of,
     sample_grid,
     verify_geometry,
 )
@@ -36,6 +35,7 @@ from equilag.potential import (
     derive_constants,
     eigensystem,
     potential_matrix,
+    regime_of,
 )
 from label_oracles import nearest_target_assignment, rows_at
 from phase_oracles import by_ellippi, by_quadrature
