@@ -17,10 +17,10 @@ from equilag import (
     SurfaceParams,
     TotallyGeodesicError,
     FlatCliffordError,
-    classify,
     derive_constants,
     eigensystem,
     potential_matrix,
+    regime_of,
 )
 from equilag.linalg3 import EPS6, sigma_algebra
 
@@ -50,7 +50,7 @@ print(f"  residual = {resid:.2e}")
 print("\n== the six hyperplane-degenerate lambda ==")
 degenerate = [
     theta for theta in np.linspace(0.0, 2 * math.pi, 360, endpoint=False)
-    if classify(params, cmath.exp(1j * theta)).value == "HyperplaneDegenerateLambda"
+    if regime_of(c, cmath.exp(1j * theta)) == "imaginary"  # where eigensystem refuses
 ]
 print(f"  found {len(degenerate)} angles: {[f'{t:.4f}' for t in degenerate]}")
 

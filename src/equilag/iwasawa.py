@@ -24,6 +24,12 @@ lift again.  Imports run from here to immersion only.
 The beta integrals, both frames, U_+ and the monodromy data take the
 EigenSystem es = potential.eigensystem(c, lambda) and never build one;
 q_factor and the connection matrices, algebraic in lambda, take lambda.
+These (q_factor, omega_matrix, b_matrix, y_flow_matrix) take a float y and
+lambda or arrays of them: each formula builds a (..., 3, 3) stack with
+linalg3.stack3, a single 3x3 matrix at floats, so that a verification
+suite checks many points with one metric_at call.  On arrays
+the refusals fire where any point falls below its floor and name the first
+such (y, lambda).  The frames, U_+ and the beta integrals stay per point.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -56,9 +62,9 @@ import numpy as np
 
 from . import immersion
 from .elliptic import jacobi
-from .linalg3 import dagger
+from .linalg3 import dagger, first_point, per_matrix, stack3
 from .metric import MetricSample, metric_at
-from .potential import DerivedConstants, EigenSystem
+from .potential import DerivedConstants, EigenSystem, nonzero_lambda
 
 
 class SingularLocusError(ArithmeticError):
@@ -84,33 +90,41 @@ class FrameSample:
     matrix: np.ndarray  # the extended frame, in SU(3) for |lambda| = 1
 
 
-def _connection(c: DerivedConstants, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sqrt(w):
+    """math.sqrt at a float, np.sqrt at an array (both correctly rounded)."""
+    return math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
+
+
+def _connection(c: DerivedConstants, y: float | np.ndarray) -> tuple[np.ndarray, ...]:
     """Connection blocks (U_{-1}, U_0, V_1); V_0 = U_0 = diag(-iu'/4, iu'/4, 0)."""
     m = metric_at(c, y)
-    eu2 = math.sqrt(m.w)
-    u_m1 = np.array([[0, 0, 1j * eu2], [-1j * c.psi / m.w, 0, 0], [0, 1j * eu2, 0]], dtype=complex)
-    v_p1 = np.array([[0, -1j * np.conj(c.psi) / m.w, 0], [0, 0, 1j * eu2], [1j * eu2, 0, 0]],
-                    dtype=complex)
-    return u_m1, np.diag([-0.25j * m.u_prime, 0.25j * m.u_prime, 0.0]), v_p1
+    eu2 = _sqrt(m.w)
+    u_m1 = stack3([[0, 0, 1j * eu2], [-1j * c.psi / m.w, 0, 0], [0, 1j * eu2, 0]], m.w)
+    v_p1 = stack3([[0, -1j * np.conj(c.psi) / m.w, 0], [0, 0, 1j * eu2], [1j * eu2, 0, 0]], m.w)
+    u0 = stack3([[-0.25j * m.u_prime, 0, 0], [0, 0.25j * m.u_prime, 0], [0, 0, 0]], m.w)
+    return u_m1, u0, v_p1
 
 
-def omega_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
+def omega_matrix(c: DerivedConstants, y: float | np.ndarray,
+                 lam: complex | np.ndarray) -> np.ndarray:
     """x-connection matrix Omega = lam^-1 U_{-1} + 2 U_0 + lam V_1; equals D(lambda) at y = 0."""
-    lam = complex(lam)
+    lam = per_matrix(nonzero_lambda(lam))
     u_m1, u0, v_p1 = _connection(c, y)
     return u_m1 / lam + 2.0 * u0 + lam * v_p1
 
 
-def b_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
+def b_matrix(c: DerivedConstants, y: float | np.ndarray,
+             lam: complex | np.ndarray) -> np.ndarray:
     """y-connection matrix B(y, lambda) = i(lam^-1 U_{-1} - lam V_1)."""
-    lam = complex(lam)
+    lam = per_matrix(nonzero_lambda(lam))
     u_m1, _, v_p1 = _connection(c, y)
     return 1j * (u_m1 / lam - lam * v_p1)
 
 
-def y_flow_matrix(c: DerivedConstants, y: float, lam: complex) -> np.ndarray:
+def y_flow_matrix(c: DerivedConstants, y: float | np.ndarray,
+                  lam: complex | np.ndarray) -> np.ndarray:
     """Right-hand side 2i(lam V_1 + V_0) of the positive-factor flow dU+/dy U+^{-1}."""
-    lam = complex(lam)
+    lam = per_matrix(nonzero_lambda(lam))
     _, u0, v_p1 = _connection(c, y)
     return 2j * (lam * v_p1 + u0)
 
@@ -120,21 +134,22 @@ def _cdet_floor(c: DerivedConstants, w_prime: float = 0.0) -> float:
     return 1e-8 * (2.0 * abs(c.psi) + abs(w_prime))
 
 
-def _checked_c0(c: DerivedConstants, lam: complex) -> complex:
+def _checked_c0(c: DerivedConstants, lam: complex | np.ndarray) -> complex | np.ndarray:
     """cdet(0) = lam^3 conj(psi) - lam^-3 psi, refused below the cdet floor."""
     c0 = lam**3 * np.conj(c.psi) - c.psi / lam**3
-    if abs(c0) < _cdet_floor(c):
-        raise SingularLocusError("cdet vanishes at y = 0 (lambda^-3 psi is real up to tolerance)")
+    if (at := first_point(abs(c0) < _cdet_floor(c), lam)) is not None:
+        raise SingularLocusError(f"cdet vanishes at y = 0 for lambda = {at[0]:.6g} "
+                                 "(lambda^-3 psi is real up to tolerance)")
     return c0
 
 
-def _cdet(c: DerivedConstants, y: float, lam: complex) -> tuple[MetricSample, complex, complex]:
+def _cdet(c: DerivedConstants, y, lam) -> tuple[MetricSample, complex, complex]:
     """(metric sample at y, c0 = cdet(0), cdet(y) = c0 - w'(y)), refused below the cdet floor."""
     c0 = _checked_c0(c, lam)
     m = metric_at(c, y)
     cdet = c0 - m.w_prime
-    if abs(cdet) < _cdet_floor(c, m.w_prime):
-        raise SingularLocusError(f"cdet vanishes at y = {y:.6g}")
+    if (at := first_point(abs(cdet) < _cdet_floor(c, m.w_prime), y, lam)) is not None:
+        raise SingularLocusError(f"cdet vanishes at y = {at[0]:.6g}, lambda = {at[1]:.6g}")
     return m, c0, cdet
 
 
@@ -152,16 +167,17 @@ def _branch_ratio(c0: complex, cdet: complex) -> complex:
     exact for every y (in particular it returns to 1 after each full period).
     """
     ratio = cdet / c0
-    if ratio.real <= 0.0 and abs(ratio.imag) <= 1e-12 * abs(ratio):
-        raise SingularLocusError("cdet ratio reaches the negative real axis")
+    negative = (ratio.real <= 0.0) & (abs(ratio.imag) <= 1e-12 * abs(ratio))
+    if (at := first_point(negative, ratio)) is not None:
+        raise SingularLocusError(f"cdet ratio reaches the negative real axis at {at[0]:.6g}")
     zeta = ratio ** (1.0 / 3.0)
     return zeta * zeta
 
 
-def _raw_factor(c: DerivedConstants, m: MetricSample, lam: complex, cdet: complex):
+def _raw_factor(c: DerivedConstants, m: MetricSample, lam, cdet):
     """Unnormalized upper factor M and diagonal gauge Q0 at metric sample m; M[2, 2] = cdet."""
     w, up = m.w, m.u_prime
-    eu2 = math.sqrt(w)
+    eu2 = _sqrt(w)
     a, psi = c.a, c.psi
     aa = abs(a) ** 2  # = a1
     l3 = lam**3
@@ -173,24 +189,25 @@ def _raw_factor(c: DerivedConstants, m: MetricSample, lam: complex, cdet: comple
     tch = (1.0 / aa) * (-aa * up / 2.0 * w + l3_psic * w - psi / l3 * aa)
     v1 = -2j / lam * a * (aa - w)
     v2 = -2j * lam / a * w * (aa - w)
-    raw = np.array([[pch, qch, v1], [sch, tch, v2], [0.0, 0.0, cdet]], dtype=complex)
-    return raw, np.diag([1j / a * eu2, -1j * a / eu2, 1.0 + 0j])
+    raw = stack3([[pch, qch, v1], [sch, tch, v2], [0.0, 0.0, cdet]], cdet)
+    q0 = stack3([[1j / a * eu2, 0, 0], [0, -1j * a / eu2, 0], [0, 0, 1.0]], w)
+    return raw, q0
 
 
-def q_factor(c: DerivedConstants, y: float, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+def q_factor(c: DerivedConstants, y: float | np.ndarray,
+             lam: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair (Q0, Qtilde) with Q = Q0 Qtilde solving Q D Q^{-1} = Omega.
 
     det Qtilde = 1 and Qtilde(0) = Q0(0) = I; the scalar normalizer carries
     the cube-root branch that is continuous in y from the identity (see
     _branch_ratio).  Raises SingularLocusError on the singular locus of the
-    factorization.
+    factorization, naming the first point (y, lambda) that reaches it.
+    Takes floats or arrays of y and lambda, like the connection matrices.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
+    lam = nonzero_lambda(lam)
     m, c0, cdet = _cdet(c, y, lam)
     raw, q0 = _raw_factor(c, m, lam, cdet)
-    return q0, raw / (c0 * _branch_ratio(c0, cdet))
+    return q0, raw / per_matrix(c0 * _branch_ratio(c0, cdet))
 
 
 def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:

@@ -2,11 +2,14 @@
 
 Provides the Hermitian inner product, the order-6 outer automorphism sigma,
 the trigonometric depressed-cubic solver that potential.eigensystem builds
-on, and the exponential of a 3x3 skew-Hermitian matrix from LAPACK's
-Hermitian eigensolver.
+on, the exponential of a 3x3 skew-Hermitian matrix from LAPACK's
+Hermitian eigensolver, and the three helpers (`stack3`, `per_matrix`,
+`first_point`) that let one matrix formula take a single point or arrays of
+points.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
-dtype, plain value semantics.  Everything here is pure and re-entrant.
+dtype, plain value semantics; a formula evaluated on arrays of points gives
+a stack of shape (..., 3, 3).  Everything here is pure and re-entrant.
 """
 
 from __future__ import annotations
@@ -24,6 +27,41 @@ _ALPHA = cmath.exp(2j * math.pi / 3)
 P_SIGMA = np.array([[0, _ALPHA, 0], [_ALPHA**2, 0, 0], [0, 0, 1]], dtype=complex)
 
 _I3 = np.eye(3, dtype=complex)
+
+
+def stack3(rows, points=None) -> np.ndarray:
+    """The complex matrix with these three rows of three entries.
+
+    One 3x3 matrix when `points` is not an array; a stack of shape
+    (*points.shape, 3, 3) when it is, each entry a scalar or an array that
+    broadcasts to that shape.
+    """
+    if not isinstance(points, np.ndarray):
+        return np.array(rows, dtype=complex)
+    m = np.empty(points.shape + (3, 3), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            m[..., i, j] = v
+    return m
+
+
+def per_matrix(s):
+    """A per-point scalar s broadcast against a (..., 3, 3) stack: an array gains two unit axes."""
+    return s[..., None, None] if isinstance(s, np.ndarray) else s
+
+
+def first_point(mask, *coords) -> tuple | None:
+    """coords at the first point where mask holds, or None where it holds nowhere.
+
+    mask is a bool at a single point or a boolean array over the points;
+    each coordinate is a scalar or an array broadcasting to mask's shape.
+    """
+    if not isinstance(mask, np.ndarray):
+        return coords if mask else None
+    if not mask.any():
+        return None
+    i = int(mask.argmax())
+    return tuple(np.broadcast_to(x, mask.shape).flat[i] for x in coords)
 
 
 def herm_inner(z: np.ndarray, w: np.ndarray) -> complex:

@@ -59,7 +59,6 @@ class SurfaceClass(enum.Enum):
     GENERIC = "Generic"
     FLAT_CLIFFORD = "FlatClifford"
     TOTALLY_GEODESIC = "TotallyGeodesic"
-    HYPERPLANE_DEGENERATE_LAMBDA = "HyperplaneDegenerateLambda"
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ CLASS_TOL = 1e-9
 def _spectral_point(psi: complex, lam: complex) -> tuple[complex, complex, str]:
     """(lambda / |lambda|, lambda^-3 psi there, its regime "nonreal", "real" or "imaginary").
 
-    ValueError unless ||lambda| - 1| <= 1e-8 (`_check_unit`); `regime_of`,
-    `classify` and `eigensystem` all decide here.
+    ValueError unless ||lambda| - 1| <= 1e-8 (`_check_unit`); `regime_of`
+    and `eigensystem` both decide here.
     """
     lam = _check_unit(lam)
     cubic, tol = psi / lam**3, CLASS_TOL * abs(psi)
@@ -121,21 +120,19 @@ def regime_of(c: DerivedConstants, lam: complex) -> str:
     return _spectral_point(c.psi, lam)[2]
 
 
-def classify(params: SurfaceParams, lam: complex | None = None) -> SurfaceClass:
-    """Classify the input, optionally at a spectral parameter lambda, |lambda| = 1.
+def classify(params: SurfaceParams) -> SurfaceClass:
+    """Classify the surface: TotallyGeodesic (psi = 0), FlatClifford (a1 = |psi|^(2/3)) or Generic.
 
-    TotallyGeodesic (psi = 0) and FlatClifford (a1 = |psi|^(2/3)) do not
-    depend on lambda; HyperplaneDegenerateLambda flags the at most six unit
-    lambda with Re(lambda^-3 psi) = 0 where the canonical lift degenerates,
-    the lambda that `eigensystem` refuses.
+    Neither degenerate class depends on lambda.  The at most six unit lambda
+    with Re(lambda^-3 psi) = 0, where the canonical lift degenerates to a
+    hyperplane, are a per-lambda fact: `regime_of` calls them "imaginary"
+    and `eigensystem` refuses them with HyperplaneDegenerateError.
     """
     apsi = abs(params.psi)
     if apsi == 0.0:
         return SurfaceClass.TOTALLY_GEODESIC
     if abs(params.a1 - apsi ** (2.0 / 3.0)) < CLASS_TOL * params.a1:
         return SurfaceClass.FLAT_CLIFFORD
-    if lam is not None and _spectral_point(params.psi, lam)[2] == "imaginary":
-        return SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
     return SurfaceClass.GENERIC
 
 
@@ -178,19 +175,33 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
     return DerivedConstants(a1, psi, beta, a2, a3, k, q2, r, T, a, b, k2, kp2)
 
 
-def potential_matrix(c: DerivedConstants, lam: complex) -> np.ndarray:
-    """The constant potential D(lambda), lambda in C^* (unit circle for su(3))."""
-    lam = complex(lam)
-    if lam == 0:
+def nonzero_lambda(lam: complex | np.ndarray) -> complex | np.ndarray:
+    """lambda as a Python complex, or an array of them as a complex array; ValueError at 0."""
+    if isinstance(lam, np.ndarray):
+        lam = lam.astype(complex, copy=False)
+        zero = (lam == 0).any()
+    else:
+        lam = complex(lam)
+        zero = lam == 0
+    if zero:
         raise ValueError("lambda must be nonzero")
+    return lam
+
+
+def potential_matrix(c: DerivedConstants, lam: complex | np.ndarray) -> np.ndarray:
+    """The constant potential D(lambda), lambda in C^* (unit circle for su(3)).
+
+    lambda may be an array of them: the result is then the stack (..., 3, 3).
+    """
+    lam = nonzero_lambda(lam)
     a, b = c.a, c.b
-    return np.array(
+    return linalg3.stack3(
         [
             [0, -lam * np.conj(b), a / lam],
             [b / lam, 0, -lam * np.conj(a)],
             [-lam * np.conj(a), a / lam, 0],
         ],
-        dtype=complex,
+        lam,
     )
 
 

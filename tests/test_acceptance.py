@@ -52,6 +52,31 @@ def test_criterion_8_periodicity():
     _report(verification.suite_periodicity())
 
 
+# residual names and thresholds of every suite, in run order; a change here
+# loosens or tightens the library contract and needs its own review
+PINNED_THRESHOLDS = {
+    "elliptic": {"sn2_cn2": 1e-12, "k2sn2_dn2": 1e-12, "K_vs_carlson": 1e-12},
+    "potential": {"viete": 1e-10, "twisting": 1e-12},
+    "metric": {"first_integral": 1e-09, "periodicity": 1e-10, "gauss_fd": 1e-05},
+    "iwasawa": {"conjugation": 1e-10, "det_qtilde": 1e-10, "initial_value": 1e-12,
+                "beta_lemma": 1e-09, "y_flow": 1e-06},
+    "frame": {"frame_at_zero": 1e-09, "su3": 1e-09, "equivariance": 1e-09,
+              "maurer_cartan": 1e-06, "twisting": 1e-09},
+    "lift": {"unit_norm": 1e-10, "fd_geometry": 1e-06, "cross_route": 1e-08},
+    "identities": {"g_sum": 1e-08, "monodromy_g_cancel": 1e-08, "factor_identity": 1e-09},
+    "periodicity": {"torus_p_f": 1e-09, "lift_periodic": 1e-07, "real_4T": 1e-09,
+                    "no_period": 0.5, "flat_rejected": 0.5},
+}
+
+
+def test_thresholds_pinned():
+    report = verification.run_suites()
+    assert [s.name for s in report.suites] == list(PINNED_THRESHOLDS)
+    for s in report.suites:
+        assert list(s.residuals) == list(PINNED_THRESHOLDS[s.name]), s.name
+        assert list(s.thresholds.items()) == list(PINNED_THRESHOLDS[s.name].items()), s.name
+
+
 class TestCriterion9Cli:
     """Determinism, config round-trip, and the exit-code contract."""
 

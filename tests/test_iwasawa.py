@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from equilag import iwasawa, linalg3
+from equilag import iwasawa, linalg3, metric, verification
 from equilag.iwasawa import (
     SingularLocusError,
     b_matrix,
@@ -376,3 +377,110 @@ class TestExtendedFrame:
         # the frame the hint names is defined there
         fr = extended_frame(bench_sweep, es, 0.5 + 0.5j).matrix
         assert linalg3.unitary_residual(fr) < 1e-10
+
+
+# the functions that take a float or arrays of y and lambda, each giving a
+# tuple of its matrices (q_factor: Q0 and Qtilde)
+ARRAY_FUNCTIONS = {
+    "q_factor": q_factor,
+    "omega_matrix": lambda c, y, lam: (omega_matrix(c, y, lam),),
+    "b_matrix": lambda c, y, lam: (b_matrix(c, y, lam),),
+    "y_flow_matrix": lambda c, y, lam: (y_flow_matrix(c, y, lam),),
+    "potential_matrix": lambda c, y, lam: (potential_matrix(c, lam),),
+}
+
+
+class TestArrayPath:
+    """On arrays of (y, lambda) each function is its scalar call, point by point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ratio=st.floats(1.05, 50.0),           # a1 / |psi|^(2/3)
+        apsi=st.floats(0.2, 3.0),
+        arg_psi=st.floats(0.0, 2.0 * math.pi),
+        points=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),  # y in half periods
+                st.integers(0, 3),                              # the locus below lambda
+                st.floats(3e-3, math.pi / 2 - 3e-3),            # 3 arg(lambda) above it
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_matches_scalar_calls(self, ratio, apsi, arg_psi, points):
+        psi = cmath.rect(apsi, arg_psi)
+        c = derive_constants(SurfaceParams(ratio * apsi ** (2.0 / 3.0), psi))
+        ys = np.array([t * c.T for t, _, _ in points])
+        lams = np.array([cmath.exp(1j * (arg_psi + locus * math.pi / 2 + gap) / 3.0)
+                         for _, locus, gap in points])
+        for name, f in ARRAY_FUNCTIONS.items():
+            stacks = f(c, ys, lams)
+            for i, (y, lam) in enumerate(zip(ys.tolist(), lams.tolist())):
+                for got, want in zip(stacks, f(c, y, lam)):
+                    assert got.shape == (len(points), 3, 3) and want.shape == (3, 3)
+                    # to rounding, y = 0 included: the float path divides
+                    # complex scalars in Python's arithmetic, which rounds
+                    # unlike numpy's (a quotient, not a reciprocal's product)
+                    err = np.max(np.abs(got[i] - want))
+                    assert err <= 1e-13 * np.max(np.abs(want)), (name, i, err)
+
+    def test_one_singular_lambda_is_named(self, bench_nonreal):
+        # lambda^-3 psi is real at lam_real and at -lam_real: the refusal
+        # names the first of them, whichever path the array takes
+        c = bench_nonreal
+        lam_real = cmath.exp(1j * LOCI["real"])
+        lams = np.exp(1j * np.array([0.3, 1.0, 2.0, 2.5, 4.0, 5.0]))
+        lams[2], lams[4] = lam_real, -lam_real
+        ys = np.linspace(-1.0, 1.0, lams.size)
+        with pytest.raises(SingularLocusError, match=re.escape(f"lambda = {lam_real:.6g}")):
+            q_factor(c, ys, lams)
+        with pytest.raises(SingularLocusError, match=re.escape(f"lambda = {lam_real:.6g}")):
+            q_factor(c, 0.0, lams)
+        # its omission leaves the others factorable
+        keep = np.abs((c.psi / lams**3).imag) > 1e-3
+        assert np.all(np.isfinite(q_factor(c, ys[keep], lams[keep])[1]))
+
+    def test_zero_lambda_refused_in_an_array(self, bench_nonreal):
+        for f in ARRAY_FUNCTIONS.values():
+            with pytest.raises(ValueError, match="lambda must be nonzero"):
+                f(bench_nonreal, np.zeros(3), np.array([1.0, 0.0, 1j]))
+
+
+class TestSuiteArrayPass:
+    """suite_iwasawa checks its 200 points in one array pass."""
+
+    @pytest.mark.parametrize("call", ["points", "origin"])
+    @pytest.mark.parametrize("k", [0, 117, 199])
+    def test_one_planted_error_fails_the_suite(self, monkeypatch, call, k):
+        # one entry of one of the 200 Qtilde is off by 1e-6: a reduction over
+        # the wrong axis, or over a slice of the points, would miss it
+        real = iwasawa.q_factor
+
+        def planted(c, y, lam):
+            q0, qt = real(c, y, lam)
+            if isinstance(lam, np.ndarray) and (call == "points") == isinstance(y, np.ndarray):
+                assert qt.shape == (200, 3, 3)
+                qt = qt.copy()
+                qt[k, 0, 1] += 1e-6
+            return q0, qt
+
+        monkeypatch.setattr(iwasawa, "q_factor", planted)
+        result = verification.suite_iwasawa()
+        assert not result.passed
+        failing = {name for name, v in result.residuals.items() if v >= result.thresholds[name]}
+        assert failing == ({"conjugation", "det_qtilde"} if call == "points" else {"initial_value"})
+
+    def test_metric_samples(self, monkeypatch):
+        # every metric_at call is one jacobi call from the metric module: 608
+        # per-point samples become 3 array samples plus the flow's 8 floats
+        calls = []
+        real = metric.jacobi
+
+        def spy(z, k):
+            calls.append(np.shape(z))
+            return real(z, k)
+
+        monkeypatch.setattr(metric, "jacobi", spy)
+        assert verification.suite_iwasawa().passed
+        assert len(calls) <= 16
+        assert calls.count((200,)) == 2

@@ -113,12 +113,15 @@ class TestClassify:
     def test_examples(self):
         assert classify(SurfaceParams(1.0, 0.0)) is SurfaceClass.TOTALLY_GEODESIC
         assert classify(SurfaceParams(1.0, 1.0)) is SurfaceClass.FLAT_CLIFFORD
-        assert classify(SurfaceParams(2.0, 1.0), 1.0) is SurfaceClass.GENERIC
+        assert classify(SurfaceParams(2.0, 1.0)) is SurfaceClass.GENERIC
+        # the hyperplane is a per-lambda fact, decided by eigensystem alone
+        c = derive_constants(SurfaceParams(2.0, 1.0))
+        assert eigensystem(c, 1.0).regime == "real"
         lam = cmath.exp(1j * math.pi / 6)  # lambda^-3 = -i, purely imaginary form
-        assert (
-            classify(SurfaceParams(2.0, 1.0), lam)
-            is SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
-        )
+        assert regime_of(c, lam) == "imaginary"
+        with pytest.raises(HyperplaneDegenerateError):
+            eigensystem(c, lam)
+        assert [member.value for member in SurfaceClass] == ["Generic", "FlatClifford", "TotallyGeodesic"]
 
     def test_six_degenerate_lambdas(self, bench_sweep):
         # sign changes of Re(lambda^-3 psi) over a fine sweep count the zeros
@@ -392,16 +395,14 @@ class TestSpectralFacts:
 
 
 class TestOneRegimeDecision:
-    """regime_of, classify and eigensystem decide on lambda / |lambda| alike."""
+    """regime_of and eigensystem decide on lambda / |lambda| alike."""
 
     def test_reproducer(self):
         # |lambda| = 1 - 9e-9 and Im(lambda^-3 psi) just above 1e-9 |psi| on
         # the raw lambda, just below it on lambda / |lambda|
-        params = SurfaceParams(2.0, 1.0)
-        c = derive_constants(params)
+        c = derive_constants(SurfaceParams(2.0, 1.0))
         lam = cmath.rect(1 - 9e-9, 9.9999999e-10 / 3)
         assert regime_of(c, lam) == eigensystem(c, lam).regime == "real"
-        assert classify(params, lam) is SurfaceClass.GENERIC
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -417,15 +418,12 @@ class TestOneRegimeDecision:
         # lambda^-3 psi that vanishes on the locus at |psi| |lambda|^-3 sin(3 delta),
         # within 1e-7 relative of the regime threshold
         apsi = 10.0**size
-        params = SurfaceParams(2.0 * apsi ** (2.0 / 3.0), cmath.rect(apsi, arg))
-        c = derive_constants(params)
+        c = derive_constants(SurfaceParams(2.0 * apsi ** (2.0 / 3.0), cmath.rect(apsi, arg)))
         delta = side * math.asin(1e-9 * (1.0 + near)) / 3.0
         lam = cmath.rect(1.0 + stretch, (arg + locus * math.pi / 2.0) / 3.0 + delta)
         regime = regime_of(c, lam)
         if regime == "imaginary":
-            assert classify(params, lam) is SurfaceClass.HYPERPLANE_DEGENERATE_LAMBDA
             with pytest.raises(HyperplaneDegenerateError):
                 eigensystem(c, lam)
         else:
-            assert classify(params, lam) is SurfaceClass.GENERIC
             assert eigensystem(c, lam).regime == regime
