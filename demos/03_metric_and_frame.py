@@ -7,9 +7,9 @@ the metric profile, checks the conjugation Q D Q^{-1} = Omega and the beta
 lemma at the full period, and then drives that frame (iwasawa_frame): value
 I at the origin, unitarity, translation equivariance, and the Maurer-Cartan
 form.  It ends by comparing it with extended_frame, the same frame rebuilt
-from the closed-form lift.  Both frames and the beta integrals take the
-spectral object es = eigensystem(c, lambda), built once; q_factor and the
-connection matrices take lambda itself.
+from the closed-form lift.  Both frames return the 3x3 matrix itself; they
+and the beta integrals take the spectral object es = eigensystem(c, lambda),
+built once; q_factor and the connection matrices take lambda itself.
 """
 
 import cmath
@@ -62,21 +62,21 @@ print(f"  Re beta2(2T)      = {b2.real:+.1e}")
 print("\n== the extended frame ==")
 z = 0.37 + 0.52j
 fr = iwasawa_frame(c, es, z)
-print(f"  F(0) - I          = {np.max(np.abs(iwasawa_frame(c, es, 0j).matrix - np.eye(3))):.1e}")
-print(f"  unitarity residual = {unitary_residual(fr.matrix):.1e}")
-print(f"  det - 1            = {np.linalg.det(fr.matrix) - 1:+.1e}")
+print(f"  F(0) - I          = {np.max(np.abs(iwasawa_frame(c, es, 0j) - np.eye(3))):.1e}")
+print(f"  unitarity residual = {unitary_residual(fr):.1e}")
+print(f"  det - 1            = {np.linalg.det(fr) - 1:+.1e}")
 
 chi = matexp_skew(potential_matrix(c, lam), 0.81)
-equiv = np.max(np.abs(iwasawa_frame(c, es, z + 0.81).matrix - chi @ fr.matrix))
+equiv = np.max(np.abs(iwasawa_frame(c, es, z + 0.81) - chi @ fr))
 print(f"  equivariance F(x + z) = e^(xD) F(z): residual = {equiv:.1e}")
 
 h = 1e-5
-dfx = (iwasawa_frame(c, es, z + h).matrix - iwasawa_frame(c, es, z - h).matrix) / (2 * h)
-dfy = (iwasawa_frame(c, es, z + 1j * h).matrix - iwasawa_frame(c, es, z - 1j * h).matrix) / (2 * h)
-fi = np.linalg.inv(fr.matrix)
+dfx = (iwasawa_frame(c, es, z + h) - iwasawa_frame(c, es, z - h)) / (2 * h)
+dfy = (iwasawa_frame(c, es, z + 1j * h) - iwasawa_frame(c, es, z - 1j * h)) / (2 * h)
+fi = np.linalg.inv(fr)
 print(f"  Maurer-Cartan in x: |F^-1 dF/dx - Omega| = {np.max(np.abs(fi @ dfx - omega_matrix(c, z.imag, lam))):.1e}")
 print(f"  Maurer-Cartan in y: |F^-1 dF/dy - B|     = {np.max(np.abs(fi @ dfy - b_matrix(c, z.imag, lam))):.1e}")
 
 print("\n== the factorization and the lift give the same frame ==")
-fb = extended_frame(c, es, z).matrix
-print(f"  max |iwasawa_frame - extended_frame| = {np.max(np.abs(fr.matrix - fb)):.1e}")
+fb = extended_frame(c, es, z)
+print(f"  max |iwasawa_frame - extended_frame| = {np.max(np.abs(fr - fb)):.1e}")

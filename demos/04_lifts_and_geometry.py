@@ -5,9 +5,10 @@ phase-twisted eigenbasis sum with phases G_j given by elliptic integrals of
 the third kind, or a pure sn/cn/dn combination that is 4T-periodic in y.
 This demo evaluates both, confirms unit norm, horizontality/conformality
 by finite differences, the third-order ODE in x, and the projective
-agreement with the Iwasawa-route frame column.  The point evaluators
-(lift_at, iwasawa_frame) take the spectral object es = eigensystem(c,
-lambda); sample_grid and verify_geometry take lambda and build their own.
+agreement with the Iwasawa-route frame column (iwasawa_frame(...)[:, 2]).
+The point evaluators (lift_at, iwasawa_frame) take the spectral object
+es = eigensystem(c, lambda); sample_grid and verify_geometry take lambda
+and build their own.
 """
 
 import cmath
@@ -53,7 +54,7 @@ print("== cross-route projective agreement (non-real) ==")
 es = eigensystem(nonreal, 1.0)
 for z in (0.3 + 0.4j, -0.7 + 1.2j):
     fa = lift_at(nonreal, es, z.real, z.imag).F
-    fb = iwasawa_frame(nonreal, es, z).matrix[:, 2]
+    fb = iwasawa_frame(nonreal, es, z)[:, 2]
     print(f"  z = {z}: |<F_closed, F_frame>| - 1 = {abs(herm_inner(fa, fb)) - 1:+.1e}")
 
 print("\n== 4T periodicity of the real-regime lift ==")

@@ -6,7 +6,7 @@ explicit Iwasawa factorization of the degree-one potential, closed-form
 horizontal lifts to S^5, and cylinder/torus periodicity certificates.
 """
 
-from .elliptic import JacobiTriple, complete_K, incomplete_J, jacobi
+from .elliptic import JacobiTriple, complete_K, jacobi
 from .immersion import (
     ChartError,
     GeometryReport,
@@ -20,7 +20,6 @@ from .immersion import (
     verify_geometry,
 )
 from .iwasawa import (
-    FrameSample,
     SingularLocusError,
     beta_integrals,
     extended_frame,
@@ -30,7 +29,6 @@ from .iwasawa import (
 )
 from .metric import MetricSample, first_integral_residual, gauss_residual, metric_at
 from .periodicity import (
-    MonodromyPhases,
     PeriodVerdict,
     RationalCertificate,
     classify_cylinder,
@@ -57,18 +55,18 @@ from .potential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "JacobiTriple", "complete_K", "incomplete_J", "jacobi",
+    "JacobiTriple", "complete_K", "jacobi",
     "SurfaceParams", "DerivedConstants", "EigenSystem", "SurfaceClass",
     "SurfaceClassError", "TotallyGeodesicError", "FlatCliffordError",
     "HyperplaneDegenerateError", "classify", "derive_constants",
     "potential_matrix", "eigensystem",
     "MetricSample", "metric_at", "first_integral_residual", "gauss_residual",
-    "SingularLocusError", "FrameSample", "omega_matrix",
+    "SingularLocusError", "omega_matrix",
     "q_factor", "beta_integrals", "extended_frame", "iwasawa_frame",
     "RegimeError", "ChartError", "LiftSample", "GridSample", "GeometryReport",
     "regime_of", "lift_at",
     "phase_integrals", "project_chart", "sample_grid", "verify_geometry",
-    "RationalCertificate", "MonodromyPhases", "PeriodVerdict",
+    "RationalCertificate", "PeriodVerdict",
     "rational_approx", "monodromy_phases", "classify_cylinder", "classify_torus",
     "__version__",
 ]

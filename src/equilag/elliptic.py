@@ -7,7 +7,7 @@ Pi(n; phi, k) = int_0^phi dalpha / ((1 - n sin^2 alpha) sqrt(1 - k^2 sin^2 alpha
 The complete integral K(k) = J(pi/2, k) is computed with the
 arithmetic-geometric mean, sn/cn/dn with the AGM phase recursion
 (descending Landen chain, https://dlmf.nist.gov/22.20), and the incomplete
-integrals with Carlson's symmetric forms R_F, R_C and R_J by duplication
+integral Pi with Carlson's symmetric forms R_F, R_C and R_J by duplication
 (https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26).
 All routes are independent of each other up to the shared AGM scale, and
 accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
@@ -269,33 +269,13 @@ def _third_kind(n: float, p: _Real, s: _Real, c2: _Real, d2: _Real, k2: float) -
     return np.where(s == 0.0, 0.0, val) if array else val
 
 
-def incomplete_J(theta: float, k: float) -> float:
-    """Incomplete elliptic integral of the first kind J(theta, k).
-
-    Computed as sin(theta) * R_F(cos^2 theta, 1 - k^2 sin^2 theta, 1) on the
-    fundamental strip, extended by the quasi-periodicity
-    J(theta + n*pi, k) = J(theta, k) + 2n*K(k).
-    """
-    _check_modulus(k, allow_one=False)
-    n = round(theta / math.pi)
-    t0 = theta - n * math.pi
-    st = math.sin(t0)
-    ct = math.cos(t0)
-    val = 0.0
-    if st != 0.0:
-        val = st * _carlson_rf(ct * ct, 1.0 - (k * st) * (k * st), 1.0)
-    if n != 0:
-        val += 2.0 * n * complete_K(k)
-    return val
-
-
 def jacobi(z: _Real, k: float) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn at real argument z.
 
     Uses the AGM phase recursion after reducing z modulo the real period
     4K(k), with the phase tables of the modulus read from its AGM memo.
     The limits k = 0 (circular) and k = 1 (hyperbolic) are exact closed
-    forms.  Inverts incomplete_J: sn(J(theta, k), k) = sin(theta).
+    forms.  sn(J(theta, k), k) = sin(theta) for the integral J of the first kind.
     z may be an array: the AGM scheme of k is shared and the phase
     recursion runs elementwise, giving a triple of arrays.
     """

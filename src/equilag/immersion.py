@@ -39,13 +39,16 @@ defined.  The frames live in iwasawa, which builds on this module.
 
 Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
-`lift_at` is the one lift function.
+`lift_at` is the one lift function; its record holds the vector F alone,
+and `project_chart` takes that vector.
 `phase_integrals` and the coefficient kernels `_coefficients` (p_j) and
 `_coefficients_and_derivatives` (p_j, p_j' and the metric sample, for
 iwasawa's `extended_frame`) take a float y or a 1-D array of them;
 `sample_grid` makes one array pass per grid, one `jacobi` call for all
 rows; `lift_at`, `verify_geometry` and `extended_frame` keep the float
-path, on which the per-object phase constants are Python floats.
+path, on which the per-object phase constants are Python floats.  Each
+builds p_j(y) once per y, with the metric sample from the same `jacobi`
+call where it needs one.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
-from .metric import MetricSample, _from_jacobi, metric_at
+from .metric import MetricSample, _from_jacobi
 from .potential import DerivedConstants, EigenSystem, eigensystem
 
 
@@ -73,9 +76,12 @@ class ChartError(ValueError):
 
 @dataclass
 class LiftSample:
-    x: float
-    y: float
-    lam: complex
+    """The lift vector F of `lift_at`.
+
+    A record only because the benchmark's worker reads `lift_at(...).F`;
+    `lift_at` can return the bare array once the benchmark reads that.
+    """
+
     F: np.ndarray  # unit vector in C^3
 
 
@@ -240,13 +246,12 @@ def _coefficients_and_derivatives(
     """
     jac = jacobi(c.r * y, c.k)
     sn, cn, dn = jac
-    m = _from_jacobi(c, y, jac)
+    m = _from_jacobi(c, jac)
     if es.regime == "real":
-        idx, cs = es.labels, _real_amplitudes(c)
-        p = _real_rows(y, idx, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
-        dp = _real_rows(y, idx, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
-                                 -cs[2] * c.r * c.k**2 * sn * cn))
-        return p, dp, m
+        cs = _real_amplitudes(c)
+        dp = _real_rows(y, es.labels, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
+                                       -cs[2] * c.r * c.k**2 * sn * cn))
+        return _coefficients(c, es, y, jac), dp, m
     p, den = _nonreal_terms(c, es, y, sn, cn)
     # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
     rate = m.u_prime * m.w + 2j * es.cubic.imag
@@ -261,12 +266,12 @@ def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSam
     non-real gap floor; es is never hyperplane-degenerate.
     """
     p = _coefficients(c, es, y)
-    return LiftSample(x=x, y=y, lam=es.lam, F=(p * np.exp(1j * es.d * x)) @ es.vectors)
+    return LiftSample(F=(p * np.exp(1j * es.d * x)) @ es.vectors)
 
 
-def project_chart(F: np.ndarray | LiftSample) -> ChartPoint:
-    """Affine chart (F1/F3, F2/F3) of the projective point."""
-    v = F.F if isinstance(F, LiftSample) else np.asarray(F)
+def project_chart(F: np.ndarray) -> ChartPoint:
+    """Affine chart (F1/F3, F2/F3) of the projective point F in C^3."""
+    v = np.asarray(F)
     if abs(v[2]) <= CHART_TOL:
         raise ChartError(f"|F_3| = {abs(v[2]):.3e} <= {CHART_TOL:g}: chart undefined")
     return complex(v[0] / v[2]), complex(v[1] / v[2])
@@ -274,7 +279,6 @@ def project_chart(F: np.ndarray | LiftSample) -> ChartPoint:
 
 @dataclass
 class GridSample:
-    lam: complex
     xs: np.ndarray
     ys: np.ndarray
     F: np.ndarray       # (ny, nx, 3)
@@ -314,8 +318,8 @@ def sample_grid(
         np.divide(F[:, :, 0], f3, out=chart[:, :, 0])
         np.divide(F[:, :, 1], f3, out=chart[:, :, 1])
     chart[flags] = complex(np.nan, np.nan)
-    e_u = _from_jacobi(c, ys, jac).w
-    return GridSample(lam=es.lam, xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
+    e_u = _from_jacobi(c, jac).w
+    return GridSample(xs=xs, ys=ys, F=F, e_u=e_u, chart=chart, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +351,16 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     def ev(x: float, p: np.ndarray) -> np.ndarray:
         return (p * np.exp(1j * es.d * x)) @ es.vectors
 
-    # every stencil needs p_j only at y - h, y and y + h: once per y
+    # every stencil needs p_j only at y - h, y and y + h: once per y, and
+    # the metric sample and p_j(y) from one jacobi call
     h = 1e-4
-    rows = [
-        (metric_at(c, y), *(_coefficients(c, es, t) for t in (y - h, y, y + h)))
-        for y in np.asarray(ys, dtype=float).tolist()
-    ]
+
+    def row(y: float) -> tuple:
+        jac = jacobi(c.r * y, c.k)
+        return (_from_jacobi(c, jac), _coefficients(c, es, y - h),
+                _coefficients(c, es, y, jac), _coefficients(c, es, y + h))
+
+    rows = [row(y) for y in np.asarray(ys, dtype=float).tolist()]
     rep = {f.name: 0.0 for f in fields(GeometryReport)}
     for x in np.asarray(xs, dtype=float).tolist():
         for m, pm, p0, pp in rows:

@@ -15,11 +15,12 @@ and beta1, beta2 are scalar integrals
     beta2(y) = int_0^y  2 e^u / cdet ds,
     cdet     = lam^3 conj(psi) - lam^-3 psi - e^u u'.
 
-The extended frame F(z, lambda) comes two ways: extended_frame rebuilds it
-from immersion's closed-form lift (its third column) and the lift's analytic
-derivatives, wherever the lift is defined; iwasawa_frame evaluates
-exp((z - beta1) D - beta2 L0) Q^{-1}(y, lambda), whose third column is the
-lift again.  Imports run from here to immersion only.
+The extended frame F(z, lambda) comes two ways, each as the 3x3 complex
+matrix itself: extended_frame rebuilds it from immersion's closed-form lift
+(its third column) and the lift's analytic derivatives, wherever the lift
+is defined; iwasawa_frame evaluates exp((z - beta1) D - beta2 L0)
+Q^{-1}(y, lambda), whose third column is the lift again.  Imports run from
+here to immersion only.
 
 The beta integrals, both frames, U_+ and the monodromy data take the
 EigenSystem es = potential.eigensystem(c, lambda) and never build one;
@@ -55,7 +56,6 @@ Hyperplane-degenerate lambda have no EigenSystem: eigensystem refuses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -81,13 +81,6 @@ class SingularLocusError(ArithmeticError):
 
     def __init__(self, message: str):
         super().__init__(message + self.HINT)
-
-
-@dataclass
-class FrameSample:
-    z: complex
-    lam: complex
-    matrix: np.ndarray  # the extended frame, in SU(3) for |lambda| = 1
 
 
 def _sqrt(w):
@@ -248,8 +241,8 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[comp
     return _partial_fractions(es, phases, np.log(p), y)
 
 
-def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
-    """The extended frame F(z, lambda) in SU(3), F(0, lambda) = I, from the lift.
+def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarray:
+    """The extended frame F(z, lambda), a 3x3 matrix in SU(3), F(0, lambda) = I, from the lift.
 
     F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
     the derivatives of the closed-form lift F taken analytically from p_j
@@ -265,10 +258,10 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSam
     fzb = (Fx + 1j * Fy) / 2.0
     eu2 = math.sqrt(m.w)
     cols = (-1j * lam * fz / eu2, fzb / (1j * lam * eu2), F)
-    return FrameSample(z=z, lam=lam, matrix=np.stack(cols, axis=1))
+    return np.stack(cols, axis=1)
 
 
-def iwasawa_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSample:
+def iwasawa_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarray:
     """The extended frame by the explicit factorization exp((z - beta1) D - beta2 L0) Q^{-1}.
 
     Equal to extended_frame where both exist; raises SingularLocusError on
@@ -277,8 +270,7 @@ def iwasawa_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> FrameSamp
     z = complex(z)
     b1, b2 = beta_integrals(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, es.lam)
-    return FrameSample(z=z, lam=es.lam,
-                       matrix=_exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt))
+    return _exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt)
 
 
 def u_plus(c: DerivedConstants, es: EigenSystem, y: float) -> np.ndarray:

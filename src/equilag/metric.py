@@ -7,7 +7,9 @@ equation, w = e^u, is solved in closed form by
 
 an even function of y with period 2T, ranging over [a2, a1].  The derivative
 follows from d/dz sn = cn dn.  `metric_at` takes a float y or an array of
-them; an array gives a MetricSample of arrays from one `jacobi` call.
+them; an array gives a MetricSample of arrays from one `jacobi` call.  A
+sample holds w, w', u and u' only; `_from_jacobi` builds it from the
+(sn, cn, dn) of r y for a caller that holds them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .potential import DerivedConstants
 class MetricSample:
     """Floats at a float y, arrays of y's shape at an array."""
 
-    y: float | np.ndarray
     w: float | np.ndarray        # e^{u(y)}
     w_prime: float | np.ndarray
     u: float | np.ndarray
@@ -34,16 +35,16 @@ class MetricSample:
 
 def metric_at(c: DerivedConstants, y: float | np.ndarray) -> MetricSample:
     """Conformal factor and derivatives at coordinate y."""
-    return _from_jacobi(c, y, jacobi(c.r * y, c.k))
+    return _from_jacobi(c, jacobi(c.r * y, c.k))
 
 
-def _from_jacobi(c: DerivedConstants, y: float | np.ndarray, jac: JacobiTriple) -> MetricSample:
+def _from_jacobi(c: DerivedConstants, jac: JacobiTriple) -> MetricSample:
     """metric_at(c, y) from jac = jacobi(c.r * y, c.k), for callers that hold it."""
     sn, cn, dn = jac
     w = c.a1 * (1.0 - c.q2 * sn * sn)
     wp = -2.0 * c.a1 * c.q2 * c.r * sn * cn * dn
     log = math.log if isinstance(w, float) else np.log
-    return MetricSample(y=y, w=w, w_prime=wp, u=log(w), u_prime=wp / w)
+    return MetricSample(w=w, w_prime=wp, u=log(w), u_prime=wp / w)
 
 
 def first_integral_residual(c: DerivedConstants, y: float) -> float:

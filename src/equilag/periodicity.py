@@ -24,8 +24,9 @@ explicit (max_denominator, tolerance) policy: the fraction nearest the
 value with denominator <= max_denominator (`Fraction.limit_denominator`),
 accepted when it is within the tolerance.
 
-monodromy_phases takes es; classify_cylinder and classify_torus take lambda
-and build es once, which refuses a hyperplane-degenerate lambda.
+monodromy_phases takes es and returns the theta_j as a float array in
+eigensystem order; classify_cylinder and classify_torus take lambda and
+build es once, which refuses a hyperplane-degenerate lambda.
 
 In the real-cubic-form regime the beta integrals diverge, but sn and cn are
 antiperiodic over 2T, so theta_j = p d_j + m pi on the sn/cn labels
@@ -58,14 +59,6 @@ class RationalCertificate:
 
 
 @dataclass
-class MonodromyPhases:
-    p: float
-    m: int
-    lam: complex
-    theta: np.ndarray  # phases of the monodromy eigenvalues, eigensystem order
-
-
-@dataclass
 class PeriodVerdict:
     tag: str  # "Torus" | "Cylinder" | "NoPeriodFound"
     lam: complex
@@ -92,23 +85,21 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     return RationalCertificate(value=x, num=num, den=den, residual=residual)
 
 
-def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> MonodromyPhases:
+def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> np.ndarray:
     """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi at es.
 
-    Uses the closed-form G_j(2T) of the lift, and the closed
-    antiperiodicity form in the real-cubic-form regime (where the
-    integrals do not exist).
+    A float array of shape (3,) in eigensystem order.  Uses the closed-form
+    G_j(2T) of the lift, and the closed antiperiodicity form in the
+    real-cubic-form regime (where the integrals do not exist).
     """
     if m == 0:
-        theta = p * es.d
-    elif es.regime == "real":
+        return p * es.d
+    if es.regime == "real":
         # sn, cn pick up a sign over 2T; dn does not
         flip = np.zeros(3)
         flip[es.labels[0]] = flip[es.labels[1]] = 1.0
-        theta = p * es.d + m * math.pi * flip
-    else:
-        theta = p * es.d + m * np.array(immersion._g_full_period(c, es))
-    return MonodromyPhases(p=p, m=m, lam=es.lam, theta=theta)
+        return p * es.d + m * math.pi * flip
+    return p * es.d + m * np.array(immersion._g_full_period(c, es))
 
 
 def _phase_defect(theta: float) -> float:
@@ -137,8 +128,8 @@ def classify_cylinder(
         raise ValueError(
             f"Im(omega) = {omega.imag!r} is not an integer multiple of 2T = {period!r}"
         )
-    ph = monodromy_phases(c, es, omega.real, m)
-    defects = [_phase_defect(t) for t in ph.theta]
+    theta = monodromy_phases(c, es, omega.real, m)
+    defects = [_phase_defect(t) for t in theta]
     if defects[0] <= phase_tol and defects[1] <= phase_tol:
         if defects[2] > 10.0 * phase_tol:
             raise ArithmeticError(
@@ -213,7 +204,6 @@ def classify_torus(
     p0 = (TWO_PI * l1 - m_f * g[0]) / float(es.d[0])
     p0 -= p_f * math.floor(p0 / p_f)
     omega_f = p0 + 2.0 * m_f * c.T * 1j
-    ph = monodromy_phases(c, es, p0, m_f)
-    if max(_phase_defect(t) for t in ph.theta) > 10.0 * phase_tol:
+    if max(_phase_defect(t) for t in monodromy_phases(c, es, p0, m_f)) > 10.0 * phase_tol:
         raise ArithmeticError("constructed lattice generator fails the phase check")
     return PeriodVerdict(tag="Torus", lam=es.lam, lattice=(complex(p_f), omega_f), certificates=certs)

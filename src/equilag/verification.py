@@ -19,6 +19,7 @@ import cmath
 import math
 import time
 from dataclasses import astuple, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -264,28 +265,17 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
                 lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
             es = eigensystem(c, lam)
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
-            fr = iwasawa.extended_frame(c, es, z).matrix
-            worst_id = max(
-                worst_id,
-                float(np.max(np.abs(iwasawa.extended_frame(c, es, 0j).matrix - np.eye(3)))),
-            )
+            frame = partial(iwasawa.extended_frame, c, es)
+            fr = frame(z)
+            worst_id = max(worst_id, float(np.max(np.abs(frame(0j) - np.eye(3)))))
             worst_su3 = max(
                 worst_su3, linalg3.unitary_residual(fr), abs(np.linalg.det(fr) - 1.0)
             )
             x = rng.uniform(-1.0, 1.0)
             chi = linalg3.matexp_skew(potential_matrix(c, lam), x)
-            worst_equiv = max(
-                worst_equiv,
-                float(np.max(np.abs(iwasawa.extended_frame(c, es, z + x).matrix - chi @ fr))),
-            )
-            dfx = (
-                iwasawa.extended_frame(c, es, z + h).matrix
-                - iwasawa.extended_frame(c, es, z - h).matrix
-            ) / (2.0 * h)
-            dfy = (
-                iwasawa.extended_frame(c, es, z + 1j * h).matrix
-                - iwasawa.extended_frame(c, es, z - 1j * h).matrix
-            ) / (2.0 * h)
+            worst_equiv = max(worst_equiv, float(np.max(np.abs(frame(z + x) - chi @ fr))))
+            dfx = (frame(z + h) - frame(z - h)) / (2.0 * h)
+            dfy = (frame(z + 1j * h) - frame(z - 1j * h)) / (2.0 * h)
             fi = np.linalg.inv(fr)
             worst_mc = max(
                 worst_mc,
@@ -294,7 +284,7 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
             )
             twist = eigensystem(c, EPS6 * lam)
             if twist.regime == "nonreal" == es.regime:
-                twisted = iwasawa.extended_frame(c, twist, z).matrix
+                twisted = iwasawa.extended_frame(c, twist, z)
                 worst_twist = max(
                     worst_twist, float(np.max(np.abs(twisted - linalg3.sigma_group(fr))))
                 )
@@ -341,7 +331,7 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
             for _ in range(50):
                 z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * c.T))
                 fa = immersion.lift_at(c, es, z.real, z.imag).F
-                fb = iwasawa.iwasawa_frame(c, es, z).matrix[:, 2]
+                fb = iwasawa.iwasawa_frame(c, es, z)[:, 2]
                 worst_cross = max(worst_cross, abs(abs(linalg3.herm_inner(fa, fb)) - 1.0))
     res = {"unit_norm": worst_norm, "fd_geometry": worst_geom, "cross_route": worst_cross}
     thr = {"unit_norm": 1e-10, "fd_geometry": 1e-6, "cross_route": 1e-8}

@@ -5,7 +5,8 @@ from the AGM scheme on each call, and clamp with max/min,
 and `solve_depressed_cubic` used to Newton-polish the trigonometric roots
 as a numpy array.  These are those bodies, the same operations in the same
 order (the AGM scheme uncached), and `tests/test_kernel_bits.py` requires
-the package kernels to give exactly their bits.
+the package kernels to give exactly their bits.  `incomplete_J`, which no
+package module uses, lives here as well, for `tests/test_elliptic.py`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import reduce
 
 import numpy as np
 
+from equilag import elliptic
 from equilag.elliptic import JacobiTriple, _check_modulus
 
 
@@ -76,6 +78,26 @@ def jacobi(z, k: float) -> JacobiTriple:
     cn = cos(phi)
     dn = sqrt(largest(0.0, 1.0 - (k * sn) * (k * sn)))
     return JacobiTriple(sn, cn, dn)
+
+
+def incomplete_J(theta: float, k: float) -> float:
+    """Incomplete elliptic integral of the first kind J(theta, k).
+
+    Computed as sin(theta) * R_F(cos^2 theta, 1 - k^2 sin^2 theta, 1) on the
+    fundamental strip, extended by the quasi-periodicity
+    J(theta + n*pi, k) = J(theta, k) + 2n*K(k).
+    """
+    _check_modulus(k, allow_one=False)
+    n = round(theta / math.pi)
+    t0 = theta - n * math.pi
+    st = math.sin(t0)
+    ct = math.cos(t0)
+    val = 0.0
+    if st != 0.0:
+        val = st * elliptic._carlson_rf(ct * ct, 1.0 - (k * st) * (k * st), 1.0)
+    if n != 0:
+        val += 2.0 * n * elliptic.complete_K(k)
+    return val
 
 
 def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:

@@ -14,9 +14,9 @@ from equilag.elliptic import (
     _carlson_rj,
     _third_kind,
     complete_K,
-    incomplete_J,
     jacobi,
 )
+from kernel_oracles import incomplete_J
 
 
 def oracle_J(theta: float, k: float) -> float:

@@ -90,13 +90,13 @@ def test_numpy_scalar_n_and_p_give_the_same_bits(n, phi, k2):
 
 @pytest.fixture
 def metric_samples(monkeypatch):
-    """The list of y of every `_from_jacobi` call, through every module that binds it."""
+    """The (sn, cn, dn) of every `_from_jacobi` call, through every module that binds it."""
     calls = []
     sample = metric._from_jacobi
 
-    def counted(c, y, jac):
-        calls.append(y)
-        return sample(c, y, jac)
+    def counted(c, jac):
+        calls.append(tuple(jac))
+        return sample(c, jac)
 
     for mod in (metric, immersion, iwasawa):
         if hasattr(mod, "_from_jacobi"):
@@ -110,7 +110,8 @@ def test_extended_frame_samples_the_metric_once(spectral, metric_samples):
     zs = [complex(0.1, 0.3 * c.T), complex(-0.4, 1.7 * c.T), complex(0.2, 3.3 * c.T)]
     for z in zs:
         extended_frame(c, es, z)
-    assert metric_samples == [z.imag for z in zs]
+    # sn alone repeats (sn(r y) is even about y = T); the triple tells each y apart
+    assert metric_samples == [tuple(elliptic.jacobi(c.r * z.imag, c.k)) for z in zs]
 
 
 def test_lift_point_looks_its_phase_constants_up_once(spectral):

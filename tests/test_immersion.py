@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from equilag import linalg3
+import equilag
+from equilag import iwasawa, linalg3
 from equilag.elliptic import jacobi
 from equilag.immersion import (
     ChartError,
+    GridSample,
+    LiftSample,
     RegimeError,
     _coefficients,
     _coefficients_and_derivatives,
@@ -24,9 +28,10 @@ from equilag.iwasawa import (
     extended_frame,
     iwasawa_frame,
     monodromy_data,
+    q_factor,
     u_plus,
 )
-from equilag.metric import metric_at
+from equilag.metric import MetricSample, metric_at
 from equilag.periodicity import classify_torus, monodromy_phases
 from equilag.potential import (
     FlatCliffordError,
@@ -210,7 +215,7 @@ class TestLiftReal:
 
 class TestCrossRoute:
     def test_via_frame_at_origin(self, bench_nonreal):
-        F = iwasawa_frame(bench_nonreal, eigensystem(bench_nonreal, 1.0), 0j).matrix[:, 2]
+        F = iwasawa_frame(bench_nonreal, eigensystem(bench_nonreal, 1.0), 0j)[:, 2]
         assert np.max(np.abs(F - E3)) < 1e-12
 
     def test_projective_agreement(self, bench_nonreal):
@@ -219,7 +224,7 @@ class TestCrossRoute:
         for _ in range(50):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
             fa = lift_at(bench_nonreal, es, z.real, z.imag).F
-            fb = iwasawa_frame(bench_nonreal, es, z).matrix[:, 2]
+            fb = iwasawa_frame(bench_nonreal, es, z)[:, 2]
             assert abs(abs(linalg3.herm_inner(fa, fb)) - 1.0) < 1e-8
             assert abs(np.linalg.norm(fb) - 1.0) < 1e-10
 
@@ -237,9 +242,34 @@ class TestCrossRoute:
     def test_real_regime_frame_identity(self, bench_real):
         es = eigensystem(bench_real, 1.0)
         fr = extended_frame(bench_real, es, 0j)
-        assert np.max(np.abs(fr.matrix - np.eye(3))) < 1e-12
+        assert np.max(np.abs(fr - np.eye(3))) < 1e-12
         fr2 = extended_frame(bench_real, es, 0.3 + 0.9j)
-        assert linalg3.unitary_residual(fr2.matrix) < 1e-10
+        assert linalg3.unitary_residual(fr2) < 1e-10
+
+
+def test_results_hold_only_what_they_compute(bench_nonreal, bench_real):
+    """Frames are bare 3x3 matrices, monodromy phases a bare array, records echo no input."""
+    for c in (bench_nonreal, bench_real):
+        es = eigensystem(c, 1.0)
+        z = complex(0.37, 1.3 * c.T)
+        frame = extended_frame(c, es, z)
+        assert type(frame) is np.ndarray and frame.shape == (3, 3) and frame.dtype == complex
+        assert frame[:, 2].tobytes() == lift_at(c, es, z.real, z.imag).F.tobytes()
+        for m in (0, 1, -2):
+            theta = monodromy_phases(c, es, 0.8, m)
+            assert type(theta) is np.ndarray and theta.shape == (3,) and theta.dtype == float
+    c, es = bench_nonreal, eigensystem(bench_nonreal, 1.0)
+    z = complex(0.37, 1.3 * c.T)
+    frame = iwasawa_frame(c, es, z)
+    assert type(frame) is np.ndarray and frame.shape == (3, 3) and frame.dtype == complex
+    b1, b2 = beta_integrals(c, es, z.imag)
+    q0, qt = q_factor(c, z.imag, es.lam)
+    assert frame.tobytes() == (iwasawa._exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt)).tobytes()
+    assert [f.name for f in dataclasses.fields(LiftSample)] == ["F"]
+    assert [f.name for f in dataclasses.fields(MetricSample)] == ["w", "w_prime", "u", "u_prime"]
+    assert [f.name for f in dataclasses.fields(GridSample)] == ["xs", "ys", "F", "e_u", "chart", "flags"]
+    for gone in ("FrameSample", "MonodromyPhases", "incomplete_J"):
+        assert not hasattr(equilag, gone) and gone not in equilag.__all__
 
 
 class TestChart:

@@ -244,7 +244,7 @@ class TestBetaDomainEdges:
         # the iwasawa frame and U_+ refuse exactly where beta does, alike
         for route in (
             lambda: u_plus(c, eigensystem(c, lam), y),
-            lambda: iwasawa_frame(c, eigensystem(c, lam), 0.3 + 1j * y).matrix,
+            lambda: iwasawa_frame(c, eigensystem(c, lam), 0.3 + 1j * y),
         ):
             if refusal is None:
                 assert np.all(np.isfinite(route()))
@@ -304,7 +304,7 @@ class TestExtendedFrame:
                 if frame is iwasawa_frame and c is bench_real:
                     continue  # singular locus
                 fr = frame(c, eigensystem(c, 1.0), 0j)
-                assert np.max(np.abs(fr.matrix - I3)) < 1e-12
+                assert np.max(np.abs(fr - I3)) < 1e-12
 
     def test_su3_membership(self, bench_nonreal):
         rng = np.random.default_rng(2)
@@ -314,14 +314,14 @@ class TestExtendedFrame:
                 continue
             z = complex(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
             fr = extended_frame(bench_nonreal, eigensystem(bench_nonreal, lam), z)
-            assert linalg3.unitary_residual(fr.matrix) < 1e-9
-            assert abs(np.linalg.det(fr.matrix) - 1.0) < 1e-9
+            assert linalg3.unitary_residual(fr) < 1e-9
+            assert abs(np.linalg.det(fr) - 1.0) < 1e-9
 
     def test_routes_agree(self, bench_nonreal):
         es = eigensystem(bench_nonreal, cmath.exp(0.3j))
         for z in (0.37 + 0.52j, -0.8 + 1.9j):
-            fa = iwasawa_frame(bench_nonreal, es, z).matrix
-            fb = extended_frame(bench_nonreal, es, z).matrix
+            fa = iwasawa_frame(bench_nonreal, es, z)
+            fb = extended_frame(bench_nonreal, es, z)
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_routes_agree_many_periods(self, bench_nonreal):
@@ -329,8 +329,8 @@ class TestExtendedFrame:
         es = eigensystem(bench_nonreal, cmath.exp(0.3j))
         for y in (1.84, 7.3, -11.9, 23.456):
             z = 0.4 + 1j * y
-            fa = iwasawa_frame(bench_nonreal, es, z).matrix
-            fb = extended_frame(bench_nonreal, es, z).matrix
+            fa = iwasawa_frame(bench_nonreal, es, z)
+            fb = extended_frame(bench_nonreal, es, z)
             assert np.max(np.abs(fa - fb)) < 1e-9
 
     def test_qtilde_returns_to_identity_after_period(self, bench_nonreal):
@@ -342,9 +342,9 @@ class TestExtendedFrame:
         lam = cmath.exp(0.3j)
         es = eigensystem(bench_nonreal, lam)
         z = 0.2 + 0.9j
-        fr = extended_frame(bench_nonreal, es, z).matrix
+        fr = extended_frame(bench_nonreal, es, z)
         chi = linalg3.matexp_skew(potential_matrix(bench_nonreal, lam), 0.83)
-        fr2 = extended_frame(bench_nonreal, es, z + 0.83).matrix
+        fr2 = extended_frame(bench_nonreal, es, z + 0.83)
         assert np.max(np.abs(fr2 - chi @ fr)) < 1e-9
 
     def test_maurer_cartan(self, bench_nonreal):
@@ -353,11 +353,11 @@ class TestExtendedFrame:
         es = eigensystem(c, lam)
         z = 0.3 + 0.6j
         h = 1e-4
-        f0 = extended_frame(c, es, z).matrix
-        dfx = (extended_frame(c, es, z + h).matrix - extended_frame(c, es, z - h).matrix) / (2 * h)
+        f0 = extended_frame(c, es, z)
+        dfx = (extended_frame(c, es, z + h) - extended_frame(c, es, z - h)) / (2 * h)
         dfy = (
-            extended_frame(c, es, z + 1j * h).matrix
-            - extended_frame(c, es, z - 1j * h).matrix
+            extended_frame(c, es, z + 1j * h)
+            - extended_frame(c, es, z - 1j * h)
         ) / (2 * h)
         fi = np.linalg.inv(f0)
         assert np.max(np.abs(fi @ dfx - omega_matrix(c, z.imag, lam))) < 1e-6
@@ -366,8 +366,8 @@ class TestExtendedFrame:
     def test_frame_twisting(self, bench_nonreal):
         lam = cmath.exp(0.41j)
         z = 0.3 + 0.7j
-        fr = extended_frame(bench_nonreal, eigensystem(bench_nonreal, lam), z).matrix
-        fre = extended_frame(bench_nonreal, eigensystem(bench_nonreal, EPS6 * lam), z).matrix
+        fr = extended_frame(bench_nonreal, eigensystem(bench_nonreal, lam), z)
+        fre = extended_frame(bench_nonreal, eigensystem(bench_nonreal, EPS6 * lam), z)
         assert np.max(np.abs(fre - linalg3.sigma_group(fr))) < 1e-9
 
     def test_singular_route_raises_with_hint(self, bench_sweep):
@@ -375,7 +375,7 @@ class TestExtendedFrame:
         with pytest.raises(SingularLocusError, match=r"closed forms \(extended_frame, lift_at\)"):
             iwasawa_frame(bench_sweep, es, 0.5 + 0.5j)
         # the frame the hint names is defined there
-        fr = extended_frame(bench_sweep, es, 0.5 + 0.5j).matrix
+        fr = extended_frame(bench_sweep, es, 0.5 + 0.5j)
         assert linalg3.unitary_residual(fr) < 1e-10
 
 
