@@ -41,6 +41,7 @@ from .potential import (
     EigenSystem,
     FlatCliffordError,
     HyperplaneDegenerateError,
+    Refusal,
     SurfaceClass,
     SurfaceClassError,
     SurfaceParams,
@@ -56,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JacobiTriple", "complete_K", "jacobi",
-    "SurfaceParams", "DerivedConstants", "EigenSystem", "SurfaceClass",
+    "Refusal", "SurfaceParams", "DerivedConstants", "EigenSystem", "SurfaceClass",
     "SurfaceClassError", "TotallyGeodesicError", "FlatCliffordError",
     "HyperplaneDegenerateError", "classify", "derive_constants",
     "potential_matrix", "eigensystem",

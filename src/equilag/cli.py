@@ -4,11 +4,11 @@ One argparse parser reads the command and the flags, in any order;
 `--suites` and `--debug-corrupt-kappa` are refused on any command but verify.
 Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
-Degenerate input is refused by the library alone (`derive_constants`,
-`eigensystem`), and the error's type is reported.
-Exit codes: 0 ok, 2 config error, 3 degenerate surface class or refused
-input (lambda too close to the real locus, on the singular locus of the
-Iwasawa factorization, or a failed certificate), 4 verification failure.
+Input is refused by the library alone, where each `equilag.Refusal` is
+raised; the refusal's type is reported.  Exit codes: 0 ok, 2 config error,
+3 refused input (a degenerate surface or lambda, a surface out of float
+range, lambda too near the real locus or on the Iwasawa singular locus),
+4 verification failure, 5 internal error (a failed consistency check).
 
 Numbers are printed to 17 significant digits, except in JSON, which prints
 each float's shortest round-trip repr; identical configurations reproduce
@@ -28,14 +28,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import immersion, periodicity, verification
-from .immersion import RegimeError
-from .potential import (DerivedConstants, SurfaceClass, SurfaceClassError, SurfaceParams,
-                        _check_unit, derive_constants, eigensystem, regime_of)
+from .potential import (DerivedConstants, Refusal, SurfaceClass, SurfaceParams, _check_unit,
+                        derive_constants, eigensystem, regime_of)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -194,11 +194,11 @@ def _load(args) -> JobConfig:
 
 
 def _generic_constants(cfg: JobConfig) -> DerivedConstants:
-    """derive_constants of the configured surface: a SurfaceClassError propagates,
-    any other ValueError (a1 < |psi|^(2/3), k too close to 1) is a ConfigError."""
+    """derive_constants of the configured surface: a Refusal propagates,
+    any other ValueError (a1 < |psi|^(2/3)) is a ConfigError."""
     try:
         return derive_constants(SurfaceParams(cfg.a1, cfg.psi))
-    except SurfaceClassError:
+    except Refusal:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -412,10 +412,8 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
             row["verdict"] = verdict.tag
             if verdict.lattice is not None:
                 row["p_f"] = verdict.lattice[0].real
-        except SurfaceClassError as exc:
+        except Refusal as exc:
             row["error"] = type(exc).__name__
-        except ArithmeticError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg.out_format == "json":
@@ -482,14 +480,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SurfaceClassError as exc:
-        print(f"degenerate surface class: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (RegimeError, ArithmeticError) as exc:
-        # RegimeError: lambda too close to the real locus for the non-real
-        # route; ArithmeticError covers SingularLocusError and failed certificates
+    except Refusal as exc:
         print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ArithmeticError as exc:  # a failed consistency check: a fault, not a refusal
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1

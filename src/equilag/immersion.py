@@ -63,14 +63,14 @@ import numpy as np
 from .elliptic import JacobiTriple, _third_kind, jacobi
 from .linalg3 import herm_inner
 from .metric import MetricSample, _from_jacobi
-from .potential import DerivedConstants, EigenSystem, eigensystem
+from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
 
 
-class RegimeError(ValueError):
+class RegimeError(Refusal):
     """Closed form requested outside its regime of lambda^-3 psi."""
 
 
-class ChartError(ValueError):
+class ChartError(Refusal):
     """Affine chart undefined: third lift component too close to zero."""
 
 

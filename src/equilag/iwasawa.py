@@ -49,7 +49,9 @@ by continuity in y from Qtilde(0) = I (see _branch_ratio); principal
 branches are never used blindly.  The factors degenerate where cdet
 vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
-points callers at extended_frame and immersion.lift_at, which stay valid.
+points callers at extended_frame and immersion.lift_at, which stay valid
+there.  Where the lift's gap floor refuses a lambda near that locus, these
+routes refuse it alike, with the lift's RegimeError; both are Refusals.
 Hyperplane-degenerate lambda have no EigenSystem: eigensystem refuses them.
 """
 
@@ -64,17 +66,15 @@ from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger, first_point, per_matrix, stack3
 from .metric import MetricSample, metric_at
-from .potential import DerivedConstants, EigenSystem, nonzero_lambda
+from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda
 
 
-class SingularLocusError(ArithmeticError):
+class SingularLocusError(Refusal, ArithmeticError):
     """(y, lambda) is on the singular locus of the explicit factorization.
 
     The Iwasawa-route formulas need cdet = lam^3 conj(psi) - lam^-3 psi
     - e^u u' bounded away from zero on the whole path 0 -> y; for
     |lambda| = 1 its minimum over y is |cdet(0)| = 2 |Im(lambda^-3 psi)|.
-    Evaluate the frame or lift through the eigenbasis closed forms instead
-    (extended_frame or immersion.lift_at).
     """
 
     HINT = "; evaluate through the eigenbasis closed forms (extended_frame, lift_at)"
@@ -207,15 +207,12 @@ def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:
     """The lift's phase constants of es, refusing lambda off the closed forms' domain.
 
     For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
-    check of c0 covers every y; the lift's gap floor may refuse as well.
-    Refusals carry this route's errors.  es is never hyperplane-degenerate:
-    eigensystem refuses such a lambda.
+    check of c0 covers every y (SingularLocusError); the lift's gap floor,
+    which may refuse farther from the real locus, raises its own RegimeError.
+    es is never hyperplane-degenerate: eigensystem refuses such a lambda.
     """
     _checked_c0(c, es.lam)
-    try:
-        return immersion._g_segment(c, es)
-    except immersion.RegimeError as exc:
-        raise SingularLocusError(f"lift phase constants refused ({exc})") from exc
+    return immersion._g_segment(c, es)
 
 
 def _partial_fractions(es: EigenSystem, g, log_p, y: float) -> tuple[complex, complex]:
@@ -230,7 +227,7 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[comp
     Closed forms in the lift's phase integrals G_j(y) and p_j(y) (module
     docstring), so beta(y + 2mT) = beta(y) + m beta(2T) and beta(0) = 0
     exactly.  Raises SingularLocusError on the singular locus of the
-    factorization.
+    factorization and RegimeError where the lift refuses es.
     """
     g = _check_beta_domain(c, es)
     y = float(y)

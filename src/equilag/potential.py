@@ -39,7 +39,11 @@ import numpy as np
 from . import elliptic, linalg3
 
 
-class SurfaceClassError(ValueError):
+class Refusal(ValueError):
+    """Base of every refusal in the package: an input declined where it is decided."""
+
+
+class SurfaceClassError(Refusal):
     """Raised when a degenerate member of the family is rejected."""
 
 
@@ -142,9 +146,9 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
     Raises TotallyGeodesicError for psi = 0, FlatCliffordError at the Clifford
     point, and ValueError when a1 is below |psi|^(2/3) (the origin convention
     requires e^{u(0)} to be the maximum of the conformal factor; the surface
-    with e^{u(0)} at the minimum is the same one reparametrized) or where
-    k'^2 = 1 - k^2 falls below 2^-26, as k = sqrt(k^2) then rounds away
-    more than half the digits of k'.
+    with e^{u(0)} at the minimum is the same one reparametrized).  Refuses
+    (Refusal) a beta out of float range and k'^2 = 1 - k^2 below 2^-26, as
+    k = sqrt(k^2) then rounds away more than half the digits of k'.
     """
     tag = classify(params)
     if tag is SurfaceClass.TOTALLY_GEODESIC:
@@ -154,16 +158,17 @@ def derive_constants(params: SurfaceParams) -> DerivedConstants:
     a1 = params.a1
     psi = complex(params.psi)
     if a1 < abs(psi) ** (2.0 / 3.0):
-        raise ValueError(
-            "a1 must be the maximum of the conformal factor: a1 > |psi|^(2/3)"
-        )
-    beta = 2.0 * a1 + abs(psi) ** 2 / a1**2
+        raise ValueError("a1 must be the maximum of the conformal factor: a1 > |psi|^(2/3)")
+    try:
+        beta = 2.0 * a1 + abs(psi) ** 2 / a1**2
+    except ArithmeticError as exc:  # a1^2 or |psi|^2 overflows, or a1^2 underflows to 0
+        raise Refusal(f"beta out of float range: {type(exc).__name__}") from exc
     s = abs(psi) ** 2 / (2.0 * a1**2)  # = beta / 2 - a1, which cancels as a1 grows
     root = math.sqrt(s * s + 4.0 * a1 * s)
     a2 = (s + root) / 2.0
     a3 = (-s + root) / 2.0
     if (kp2 := (a2 + a3) / (a1 + a3)) < 2.0**-26:
-        raise ValueError(
+        raise Refusal(
             f"modulus too close to 1: k'^2 = {kp2:.3g} would keep under half its digits in k")
     k2 = (a1 - a2) / (a1 + a3)
     q2 = (a1 - a2) / a1

@@ -9,7 +9,8 @@ import json
 import math
 
 from equilag import verification
-from equilag.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VERIFY, main, parse_config
+from equilag.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main,
+                         parse_config)
 from test_cli import render_config
 
 
@@ -124,6 +125,9 @@ path = unused.csv
             "hyperplane_lambda": main(
                 ["derive", "--a1", "2", "--psi", "1,0", "--lambda", f"{lam[0]},{lam[1]}"]
             ),
+            "k_near_one": main(["derive", "--a1", "1e6", "--psi", "1,0"]),
+            "internal_fault": main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", "0.8,0.6",
+                                    "--max-den", "100000"]),
             "verify_failure": main(
                 ["verify", "--a1", "2", "--psi", "0.70710678118654746,0.70710678118654757",
                  "--suites", "iwasawa", "--debug-corrupt-kappa"]
@@ -136,6 +140,8 @@ path = unused.csv
             "totally_geodesic": EXIT_DEGENERATE,
             "flat_clifford": EXIT_DEGENERATE,
             "hyperplane_lambda": EXIT_DEGENERATE,
+            "k_near_one": EXIT_DEGENERATE,
+            "internal_fault": EXIT_INTERNAL,
             "verify_failure": EXIT_VERIFY,
             "ok": EXIT_OK,
         }

@@ -3,18 +3,23 @@ import cmath
 import configparser
 import csv
 import dataclasses
+import importlib
+import itertools
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import equilag
 from equilag import immersion, verification
 from equilag.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
     JobConfig,
@@ -24,10 +29,11 @@ from equilag.cli import (
     main,
     parse_config,
 )
-from equilag.iwasawa import extended_frame
+from equilag.iwasawa import SingularLocusError, extended_frame
 from equilag.periodicity import classify_torus, monodromy_phases
 from equilag.potential import (
     HyperplaneDegenerateError,
+    Refusal,
     SurfaceClassError,
     SurfaceParams,
     derive_constants,
@@ -408,6 +414,18 @@ path = catalog.csv
             assert (row["regime"], row["verdict"], row["error"]) == want, row
             assert row["theta"] == pytest.approx(i * math.pi / 6)
 
+    def test_near_real_rows_refused_with_regime_error(self, tmp_path):
+        # theta 1e-9 .. 3.25e-9 off the real locus of the torus surface: non-real
+        # by regime_of, but below the lift's gap floor; each row names the refusal
+        path = tmp_path / "job.ini"
+        out = tmp_path / "catalog.csv"
+        path.write_text(f"[surface]\na1 = 1\npsi_re = {TORUS_PSI!r}\n"
+                        "[lambda]\ncount = 4\narc_start = 1e-9\narc_end = 4e-9\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(row["regime"], row["verdict"], row["error"]) for row in rows] == [
+            ("nonreal", "", "RegimeError")] * 4
+
     def test_sweep_without_count(self, tmp_path, capsys):
         rc = main(["sweep", "--a1", "2", "--psi", "1,0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
@@ -472,16 +490,24 @@ class TestVerify:
             "surface hyperplane-degenerate at lambda = 1; checked the benchmarks only")
         assert notes["identities"].startswith("surface hyperplane-degenerate at lambda = 1;")
 
-    @pytest.mark.parametrize("error", [HyperplaneDegenerateError, immersion.RegimeError])
+    @pytest.mark.parametrize("error", [HyperplaneDegenerateError, immersion.RegimeError,
+                                       SingularLocusError, ArithmeticError])
     def test_library_value_error_in_suite_is_a_refusal(self, monkeypatch, capsys, error):
-        # only an unknown suite name is a config error (exit 2)
+        # only an unknown suite name is a config error (exit 2); a Refusal is
+        # exit 3, a bare ArithmeticError (a failed consistency check) exit 5
         def refuse(*args, **kwargs):
             raise error("refused inside a suite")
 
         monkeypatch.setattr(verification, "suite_metric", refuse)
         rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "metric"])
-        assert rc == EXIT_DEGENERATE
-        assert "refused inside a suite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if error is ArithmeticError:
+            assert rc == EXIT_INTERNAL
+            assert err == "internal error: ArithmeticError: refused inside a suite\n"
+        else:
+            assert rc == EXIT_DEGENERATE
+            assert err.startswith(f"refused: {error.__name__}: refused inside a suite")
+            assert err.count("\n") == 1
 
 
 def _verify_iwasawa_identities(phi: float) -> int:
@@ -511,6 +537,9 @@ def test_verify_never_refuses_generic_psi(phi):
     assert _verify_iwasawa_identities(phi) in (EXIT_OK, EXIT_VERIFY)
 
 
+K_NEAR_ONE = ["--a1", "1e6", "--psi", "1,0"]  # k'^2 = 1.4e-9: derive_constants refuses it
+
+
 class TestRefusals:
     def test_sample_near_real_locus(self, tmp_path, capsys):
         # lambda 1e-8 rad off the real locus: regime_of calls it non-real, but
@@ -528,22 +557,35 @@ class TestRefusals:
     def test_classify_failed_lattice_check(self, capsys):
         rc = main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", "0.8,0.6",
                    "--max-den", "100000"])
-        assert rc == EXIT_DEGENERATE
+        # the constructed lattice generator fails its phase check: a fault, not a refusal
+        assert rc == EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err.startswith("refused: ArithmeticError:") and err.count("\n") == 1
+        assert err.startswith("internal error: ArithmeticError:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [
         ["--a1", "-1", "--psi", "1,0"],
         ["--a1", "0.5", "--psi", "1,0"],      # a1 below |psi|^(2/3)
         ["--a1", "2", "--psi", "nan,0"],
         ["--a1", "2", "--psi", "1,0", "--lambda", "nan,0"],
-        ["--a1", "1e6", "--psi", "1,0"],      # k too close to 1
+        K_NEAR_ONE,
         ["--a1", "2", "--psi", "1,0", "--lambda", "1.0000001,0"],  # |lambda| 1e-7 off 1
     ])
     def test_out_of_domain_surface(self, flags, capsys):
-        assert main(["derive", *flags]) == EXIT_CONFIG
+        # malformed input is a config error; k too close to 1 is derive_constants' refusal
+        refused = flags == K_NEAR_ONE
+        assert main(["derive", *flags]) == (EXIT_DEGENERATE if refused else EXIT_CONFIG)
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert err.startswith("refused: Refusal: modulus too close to 1" if refused
+                              else "config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("a1, psi, cause", [
+        ("1e300", "1,0", "OverflowError"),             # a1^2 overflows
+        ("1e150", "1e200,0", "OverflowError"),         # |psi|^2 overflows
+        ("1e-170", "0,1e-300", "ZeroDivisionError"),   # a1^2 underflows to 0
+    ])
+    def test_surface_out_of_float_range_refused(self, a1, psi, cause, capsys):
+        assert main(["derive", "--a1", a1, "--psi", psi]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == f"refused: Refusal: beta out of float range: {cause}\n"
 
     def test_lambda_within_the_library_gate_runs(self):
         # |lambda| - 1 = 5e-9: inside the 1e-8 that every library route accepts
@@ -646,7 +688,7 @@ def test_degenerate_input_reports_the_library_refusal(command, a1, psi, lam, err
     with pytest.raises(SurfaceClassError) as exc:  # the library's own refusal
         eigensystem(derive_constants(SurfaceParams(a1, psi)), lam)
     assert type(exc.value).__name__ == error
-    assert capsys.readouterr().err == f"degenerate surface class: {error}: {exc.value}\n"
+    assert capsys.readouterr().err == f"refused: {error}: {exc.value}\n"
     assert not (tmp_path / "grid.csv").exists()
 
 
@@ -656,3 +698,44 @@ def test_sample_without_path_at_a_hyperplane_lambda(capsys):
     assert main(["sample", "--a1", "2", "--psi", "1,0",
                  f"--lambda={lam.real!r},{lam.imag!r}"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: sample requires an output path")
+
+
+def test_every_refusal_class_is_a_refusal():
+    # the package's exception classes: each is a Refusal (exit 3) unless it is
+    # a config error (exit 2) or the unused quadrature module's budget error
+    assert equilag.Refusal is Refusal
+    not_refusals = {"ConfigError", "UnknownSuiteError", "QuadratureError"}
+    found = {}
+    for info in pkgutil.iter_modules(equilag.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"equilag.{info.name}")
+            found.update((name, cls) for name, cls in vars(module).items()
+                         if isinstance(cls, type) and issubclass(cls, Exception)
+                         and cls.__module__ == module.__name__)
+    refusals = {name for name, cls in found.items() if issubclass(cls, Refusal)}
+    assert refusals == {"Refusal", "SurfaceClassError", "TotallyGeodesicError",
+                        "FlatCliffordError", "HyperplaneDegenerateError", "RegimeError",
+                        "ChartError", "SingularLocusError"}
+    assert set(found) - refusals == not_refusals
+    assert issubclass(SingularLocusError, ArithmeticError)
+
+
+# a fixed product of extreme and ordinary inputs: every call exits 0, 2 or 3
+# with at most one stderr line, and none raises or reports an internal error
+EXTREME_A1 = ("1e-300", "1e-170", "0.5", "1", "2", "1e6", "1e150", "1e300")
+EXTREME_PSI = ("0,0", "1e-300,0", "1e-9,0", "1,0", f"{TORUS_PSI!r},0", "1e300,0", "0,1e300")
+EXTREME_LAMBDA = ("1,0", "0.6,0.8")
+
+
+@pytest.mark.parametrize("command", ["derive", "classify", "sample"])
+def test_extreme_inputs_exit_cleanly(command, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "grid.csv")] if command == "sample" else []
+    seen = set()
+    for a1, psi, lam in itertools.product(EXTREME_A1, EXTREME_PSI, EXTREME_LAMBDA):
+        argv = [command, f"--a1={a1}", f"--psi={psi}", f"--lambda={lam}", *out]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DEGENERATE), (argv, rc, err)
+        assert err.count("\n") == (rc != EXIT_OK) and "Traceback" not in err, (argv, err)
+        seen.add(rc)
+    assert seen == {EXIT_OK, EXIT_CONFIG, EXIT_DEGENERATE}

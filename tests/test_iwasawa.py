@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from equilag import iwasawa, linalg3, metric, verification
+from equilag.immersion import RegimeError, lift_at
 from equilag.iwasawa import (
     SingularLocusError,
     b_matrix,
@@ -104,9 +105,10 @@ class TestQFactor:
             q0, qt = q_factor(c, y, lam)
             assert np.all(np.isfinite(q0)) and abs(np.linalg.det(qt) - 1.0) < 1e-6
             # beta_integrals passes the cdet floor too; the lift's own gap
-            # d_1 a1 - Re (~3e-18 here) is what refuses it
-            with pytest.raises(SingularLocusError, match="phase constants"):
-                beta_integrals(c, eigensystem(c, lam), y)
+            # d_1 a1 - Re (~3e-18 here) refuses it, as it refuses lift_at
+            for call in (beta_integrals, lambda c, es, y: lift_at(c, es, 0.0, y)):
+                with pytest.raises(RegimeError, match="G_j denominator vanishes"):
+                    call(c, eigensystem(c, lam), y)
 
     def test_wrong_normalizer_breaks_det(self, bench_nonreal):
         # the negative control of suite iwasawa: the branch ratio applied twice
@@ -224,7 +226,7 @@ LOCI = {"real": math.pi / 12, "hyperplane": -math.pi / 12}
 class TestBetaDomainEdges:
     """Near both loci beta is either right or refused with a typed error."""
 
-    REFUSALS = (SingularLocusError, HyperplaneDegenerateError)
+    REFUSALS = (SingularLocusError, RegimeError, HyperplaneDegenerateError)
 
     @pytest.mark.parametrize("locus", sorted(LOCI))
     @pytest.mark.parametrize("offset", [10.0**-e for e in range(1, 13)])
@@ -236,6 +238,8 @@ class TestBetaDomainEdges:
             got = beta_integrals(c, eigensystem(c, lam), y)
         except self.REFUSALS as exc:
             refusal = type(exc)
+            if (locus, offset) == ("real", 1e-8):  # past the cdet floor, inside the lift's
+                assert refusal is RegimeError
         else:
             refusal = None
             assert all(np.isfinite(b.real) and np.isfinite(b.imag) for b in got)
@@ -252,9 +256,10 @@ class TestBetaDomainEdges:
                 with pytest.raises(refusal):
                     route()
 
-    def test_gap_floor_refuses_as_singular_locus(self, bench_nonreal):
+    def test_gap_floor_refuses_as_the_lift_does(self, bench_nonreal):
         # 3e-8 rad from the real locus |cdet(0)| clears its floor but the
-        # lift's gaps d_j a_i - Re do not clear theirs
+        # lift's gaps d_j a_i - Re do not clear theirs: every route refuses
+        # with the lift's own RegimeError
         c = bench_nonreal
         lam = cmath.exp(1j * (LOCI["real"] + 3e-8))
         assert abs(2.0 * (c.psi / lam**3).imag) > iwasawa._cdet_floor(c)
@@ -264,8 +269,9 @@ class TestBetaDomainEdges:
             lambda: u_plus(c, es, 0.7),
             lambda: iwasawa_frame(c, es, 0.7j),
             lambda: iwasawa.monodromy_data(c, es),
+            lambda: lift_at(c, es, 0.0, 0.7),
         ):
-            with pytest.raises(SingularLocusError, match="phase constants"):
+            with pytest.raises(RegimeError, match="G_j denominator vanishes"):
                 call()
 
     def test_hyperplane_refused(self, bench_nonreal):
