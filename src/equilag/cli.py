@@ -1,14 +1,16 @@
 """Command-line front end: derive | verify | sample | classify | sweep.
 
-One argparse parser reads the command and the flags, in any order;
+One argparse parser, built once per process when this module is imported,
+reads the command and the flags of every `main` call, in any order;
 `--suites` and `--debug-corrupt-kappa` are refused on any command but verify.
 Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
 Input is refused by the library alone, where each `equilag.Refusal` is
-raised; the refusal's type is reported.  Exit codes: 0 ok, 2 config error,
-3 refused input (a degenerate surface or lambda, a surface out of float
-range, lambda too near the real locus or on the Iwasawa singular locus),
-4 verification failure, 5 internal error (a failed consistency check).
+raised; the refusal's type is reported.  Exit codes: 0 ok, 1 output file
+not writable, 2 config error, 3 refused input (a degenerate surface or
+lambda, a surface out of float range, lambda too near the real locus or on
+the Iwasawa singular locus), 4 verification failure, 5 internal error (a
+failed consistency check).
 
 Numbers are printed to 17 significant digits, except in JSON, which prints
 each float's shortest round-trip repr; identical configurations reproduce
@@ -32,6 +34,7 @@ from .potential import (DerivedConstants, Refusal, SurfaceClass, SurfaceParams, 
                         derive_constants, eigensystem, regime_of)
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_VERIFY = 4
@@ -93,8 +96,6 @@ class JobConfig:
             raise ConfigError("grid needs nx >= 2 and ny >= 2")
         if self.out_format not in _WRITERS:
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        if self.sweep_count < 0:
-            raise ConfigError("sweep count must be >= 1")
 
 
 # (section, key, JobConfig field, type) of the [grid], [tolerances] and [output] keys
@@ -133,6 +134,8 @@ def parse_config(text: str) -> JobConfig:
             lab = cp["lambda"]
             if "count" in lab:
                 kw["sweep_count"] = lab.getint("count")
+                if kw["sweep_count"] < 1:  # 0 would select the single lambda = 1 silently
+                    raise ConfigError(f"sweep count must be >= 1, got {kw['sweep_count']}")
                 kw["sweep_start"] = lab.getfloat("arc_start", 0.0)
                 kw["sweep_end"] = lab.getfloat("arc_end", 2.0 * math.pi)
             else:
@@ -470,11 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: parse_args leaves the parser as it was and returns a fresh Namespace
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command != "verify" and (args.suites is not None or args.debug_corrupt_kappa):
-        ap.error(f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
+        _PARSER.error(
+            f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
     try:
         return _COMMANDS[args.command][0](_load(args), args)
     except ConfigError as exc:
@@ -488,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

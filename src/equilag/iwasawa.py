@@ -50,7 +50,9 @@ branches are never used blindly.  The factors degenerate where cdet
 vanishes -- in particular everywhere on the real-cubic-form locus
 lambda^-3 psi real, where cdet(0) = 0 -- and then a SingularLocusError
 points callers at extended_frame and immersion.lift_at, which stay valid
-there.  Where the lift's gap floor refuses a lambda near that locus, these
+where regime_of calls lambda real, and in the band of non-real lambda next
+to that locus, where the lift refuses too, at the nearby real-regime lambda.
+Where the lift's gap floor refuses a lambda near that locus, these
 routes refuse it alike, with the lift's RegimeError; both are Refusals.
 Hyperplane-degenerate lambda have no EigenSystem: eigensystem refuses them.
 """
@@ -66,7 +68,7 @@ from . import immersion
 from .elliptic import jacobi
 from .linalg3 import dagger, first_point, per_matrix, stack3
 from .metric import MetricSample, metric_at
-from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda
+from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda, regime_of
 
 
 class SingularLocusError(Refusal, ArithmeticError):
@@ -75,12 +77,28 @@ class SingularLocusError(Refusal, ArithmeticError):
     The Iwasawa-route formulas need cdet = lam^3 conj(psi) - lam^-3 psi
     - e^u u' bounded away from zero on the whole path 0 -> y; for
     |lambda| = 1 its minimum over y is |cdet(0)| = 2 |Im(lambda^-3 psi)|.
+    The message ends in the hint that holds at the refused lambda (_hint).
     """
 
     HINT = "; evaluate through the eigenbasis closed forms (extended_frame, lift_at)"
+    NEAR_REAL_HINT = "; evaluate at the nearby real-regime lambda instead"
 
-    def __init__(self, message: str):
-        super().__init__(message + self.HINT)
+    def __init__(self, message: str, hint: str = ""):
+        super().__init__(message + hint)
+
+
+def _hint(c: DerivedConstants, lam: complex) -> str:
+    """SingularLocusError's hint at lambda: the eigenbasis routes only where they evaluate it.
+
+    They do where regime_of calls lambda real.  The cdet floor also refuses
+    a band of non-real lambda next to that locus, where the lift's gap floor
+    refuses them too, and off the unit circle no eigenbasis route takes lambda.
+    """
+    try:
+        real = regime_of(c, lam) == "real"
+    except ValueError:
+        return ""
+    return SingularLocusError.HINT if real else SingularLocusError.NEAR_REAL_HINT
 
 
 def _sqrt(w):
@@ -132,7 +150,7 @@ def _checked_c0(c: DerivedConstants, lam: complex | np.ndarray) -> complex | np.
     c0 = lam**3 * np.conj(c.psi) - c.psi / lam**3
     if (at := first_point(abs(c0) < _cdet_floor(c), lam)) is not None:
         raise SingularLocusError(f"cdet vanishes at y = 0 for lambda = {at[0]:.6g} "
-                                 "(lambda^-3 psi is real up to tolerance)")
+                                 "(lambda^-3 psi is real up to tolerance)", _hint(c, at[0]))
     return c0
 
 
@@ -142,11 +160,13 @@ def _cdet(c: DerivedConstants, y, lam) -> tuple[MetricSample, complex, complex]:
     m = metric_at(c, y)
     cdet = c0 - m.w_prime
     if (at := first_point(abs(cdet) < _cdet_floor(c, m.w_prime), y, lam)) is not None:
-        raise SingularLocusError(f"cdet vanishes at y = {at[0]:.6g}, lambda = {at[1]:.6g}")
+        raise SingularLocusError(f"cdet vanishes at y = {at[0]:.6g}, lambda = {at[1]:.6g}",
+                                 _hint(c, at[1]))
     return m, c0, cdet
 
 
-def _branch_ratio(c0: complex, cdet: complex) -> complex:
+def _branch_ratio(c: DerivedConstants, lam: complex | np.ndarray,
+                  c0: complex, cdet: complex) -> complex:
     """zeta(y)^2, zeta the continuous cube root of cdet(y)/cdet(0) from zeta(0) = 1.
 
     cdet(y)/cdet(0) = 1 - w'(y)/c0, so as y varies it moves along the
@@ -161,8 +181,9 @@ def _branch_ratio(c0: complex, cdet: complex) -> complex:
     """
     ratio = cdet / c0
     negative = (ratio.real <= 0.0) & (abs(ratio.imag) <= 1e-12 * abs(ratio))
-    if (at := first_point(negative, ratio)) is not None:
-        raise SingularLocusError(f"cdet ratio reaches the negative real axis at {at[0]:.6g}")
+    if (at := first_point(negative, ratio, lam)) is not None:
+        raise SingularLocusError(f"cdet ratio reaches the negative real axis at {at[0]:.6g}",
+                                 _hint(c, at[1]))
     zeta = ratio ** (1.0 / 3.0)
     return zeta * zeta
 
@@ -200,7 +221,7 @@ def q_factor(c: DerivedConstants, y: float | np.ndarray,
     lam = nonzero_lambda(lam)
     m, c0, cdet = _cdet(c, y, lam)
     raw, q0 = _raw_factor(c, m, lam, cdet)
-    return q0, raw / per_matrix(c0 * _branch_ratio(c0, cdet))
+    return q0, raw / per_matrix(c0 * _branch_ratio(c, lam, c0, cdet))
 
 
 def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:

@@ -180,7 +180,7 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
         which a misplaced cube-root exponent applies twice; 1 otherwise."""
         if not corrupt_kappa:
             return 1.0
-        return linalg3.per_matrix(iwasawa._branch_ratio(*iwasawa._cdet(c, y, lam)[1:]))
+        return linalg3.per_matrix(iwasawa._branch_ratio(c, lam, *iwasawa._cdet(c, y, lam)[1:]))
 
     rng = np.random.default_rng(17)
     points = []

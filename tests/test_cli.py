@@ -21,6 +21,7 @@ from equilag.cli import (
     EXIT_DEGENERATE,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_VERIFY,
     JobConfig,
     _COMMANDS,
@@ -182,6 +183,19 @@ path = mesh.obj
             parse_config(BASE_CONFIG.replace("x_max = 2.0", "x_max = inf"))
         with pytest.raises(ConfigError):
             parse_config("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = 4\narc_end = nan\n")
+        with pytest.raises(ConfigError, match="sweep count must be >= 1, got -2"):
+            parse_config("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = -2\n")
+
+    @pytest.mark.parametrize("command", ["derive", "classify", "sweep"])
+    def test_zero_count_is_a_config_error(self, command, tmp_path, capsys):
+        # count = 0 once dropped the [lambda] point silently and ran at lambda = 1
+        path = tmp_path / "job.ini"
+        path.write_text("[surface]\na1 = 2\npsi_re = 1\n[lambda]\ncount = 0\nre = 0.6\nim = 0.8\n")
+        rc = main([command, "--config", str(path), "--json", "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: sweep count must be >= 1, got 0\n"
+        assert captured.out == "" and not (tmp_path / "x.csv").exists()
 
 
 class TestDerive:
@@ -626,7 +640,9 @@ class TestRefusals:
 
 
 class TestParser:
-    def test_one_parser_per_call(self, monkeypatch, capsys):
+    def test_no_parser_built_by_main(self, monkeypatch, capsys):
+        # the module's one parser reads every call, and no flag value carries
+        # over: each Namespace starts from the defaults
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -635,8 +651,24 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        assert main(["classify", "--a1", "2", "--psi", "1,0", "--json"]) == EXIT_OK
-        assert len(built) == 1
+        flags = ["--a1", "2", "--psi", "1,0"]
+        assert main(["derive", "--json", *flags]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["classification"] == "Generic"
+        assert main(["derive", *flags]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("classification : Generic")
+        assert main(["verify", "--suites", "metric", *flags]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("[suite:metric] PASS")
+        assert main(["classify", *flags]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("verdict: ")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--suites", "metric", *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert "apply to verify only, not classify" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: equilag")
+        assert built == []
 
     def test_flags_before_or_after_the_command(self, capsys):
         flags = ["--a1", "2", "--psi", "1,0", "--json"]
@@ -690,6 +722,18 @@ def test_degenerate_input_reports_the_library_refusal(command, a1, psi, lam, err
     assert type(exc.value).__name__ == error
     assert capsys.readouterr().err == f"refused: {error}: {exc.value}\n"
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_unwritable_output_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "job.ini"
+    path.write_text("[surface]\na1 = 2\npsi_re = 1\n[lambda]\ncount = 4\n")
+    flags = ["--a1", "2", "--psi", "1,0"] if command == "sample" else ["--config", str(path)]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, *flags, "--out", str(out)]) == EXIT_OUTPUT == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_sample_without_path_at_a_hyperplane_lambda(capsys):

@@ -114,7 +114,8 @@ class TestQFactor:
         # the negative control of suite iwasawa: the branch ratio applied twice
         lam = cmath.exp(0.3j)
         _, qt = q_factor(bench_nonreal, 0.6, lam)
-        rho = iwasawa._branch_ratio(*iwasawa._cdet(bench_nonreal, 0.6, lam)[1:])
+        c = bench_nonreal
+        rho = iwasawa._branch_ratio(c, lam, *iwasawa._cdet(c, 0.6, lam)[1:])
         assert abs(np.linalg.det(qt / rho) - 1.0) > 1e-3
 
 
@@ -383,6 +384,33 @@ class TestExtendedFrame:
         # the frame the hint names is defined there
         fr = extended_frame(bench_sweep, es, 0.5 + 0.5j)
         assert linalg3.unitary_residual(fr) < 1e-10
+
+    # 1e-11 rad off the real locus regime_of calls lambda real; from 5e-10 rad
+    # (|Im(lambda^-3 psi)| = 1.5e-9 |psi|) to 3e-9 rad it is non-real, yet
+    # inside the cdet floor (1e-8 |psi|) and the lift's gap floor alike
+    @pytest.mark.parametrize("delta", [1e-11, -1e-11, 5e-10, -5e-10, 1e-9, 1.67e-9, 3e-9, -3e-9])
+    def test_hint_names_the_eigenbasis_routes_only_where_they_evaluate(self, bench_nonreal, delta):
+        c = bench_nonreal
+        lam = cmath.exp(1j * (LOCI["real"] + delta))
+        es = eigensystem(c, lam)
+        assert es.regime == ("real" if abs(delta) < 1e-10 else "nonreal")
+        routes = (lambda: lift_at(c, es, 0.3, 0.2).F, lambda: extended_frame(c, es, 0.3 + 0.2j))
+        # one point, and an array whose first singular point is lambda
+        for ys, lams in ((0.3, lam), (np.array([0.5, 0.3]), np.array([cmath.exp(0.3j), lam]))):
+            with pytest.raises(SingularLocusError) as exc:
+                q_factor(c, ys, lams)
+            message = str(exc.value)
+            if es.regime == "real":
+                assert message.endswith(SingularLocusError.HINT)
+            else:
+                assert message.endswith("; evaluate at the nearby real-regime lambda instead")
+                assert "extended_frame" not in message and "lift_at" not in message
+        for route in routes:
+            if es.regime == "real":
+                assert np.all(np.isfinite(route()))
+            else:
+                with pytest.raises(RegimeError, match="nearby real-regime lambda"):
+                    route()
 
 
 # the functions that take a float or arrays of y and lambda, each giving a
