@@ -7,10 +7,11 @@ Configuration lives in an INI-style file (sections and key = value lines;
 exact grammar in the README); command-line flags override file values.
 Input is refused by the library alone, where each `equilag.Refusal` is
 raised; the refusal's type is reported.  Exit codes: 0 ok, 1 output file
-not writable, 2 config error, 3 refused input (a degenerate surface or
-lambda, a surface out of float range, lambda too near the real locus or on
-the Iwasawa singular locus), 4 verification failure, 5 internal error (a
-failed consistency check).
+not writable (checked before the grid or catalog is computed), 2 config
+error, 3 refused input (a degenerate surface or lambda, a surface out of
+float range, lambda too near the real locus or on the Iwasawa singular
+locus), 4 verification failure, 5 internal error (a failed consistency
+check).
 
 Numbers are printed to 17 significant digits, except in JSON, which prints
 each float's shortest round-trip repr; identical configurations reproduce
@@ -24,6 +25,7 @@ import cmath
 import configparser
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -257,10 +259,23 @@ def cmd_sample(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg)
     if not cfg.out_path:
         raise ConfigError("sample requires an output path ([output] path or --out)")
+    _check_writable(cfg.out_path)
     grid = immersion.sample_grid(c, cfg.lam, (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max),
                                  cfg.nx, cfg.ny)
     _WRITERS[cfg.out_format](cfg.out_path, cfg, grid)
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, before any work is done.
+
+    Opening for append truncates nothing, and a file the check creates is
+    removed again, so a later refusal leaves no empty file behind.
+    """
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 _BLOCK = 512  # table rows per % pass: enough to amortize the call, few enough to keep memory flat
@@ -403,6 +418,7 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
         raise ConfigError("sweep requires [lambda] count >= 1")
     if not cfg.out_path:
         raise ConfigError("sweep requires an output path ([output] path or --out)")
+    _check_writable(cfg.out_path)
     thetas = np.linspace(cfg.sweep_start, cfg.sweep_end, cfg.sweep_count, endpoint=False)
     rows = []
     for i, theta in enumerate(thetas):

@@ -18,15 +18,23 @@ derives nothing from the scheme again.
 `jacobi`, `_carlson_rf`, `_carlson_rc`, `_carlson_rj` and `_third_kind`
 also take numpy arrays in their varying arguments (the argument z; the
 integrals' x, y, z, p and the amplitude's sines) and then act elementwise
-with numpy's elementary functions; the modulus, n and k^2 stay scalars.
-Python floats keep the `math` path and return floats.  A numpy scalar
-(np.float64) is no array: it is accepted, takes the `math` path and gives
-the same bits, but its arithmetic runs at about half the speed of Python
-floats, so callers hand floats in (immersion's per-object phase constants
-are Python floats).  A duplication loop
-over an array runs until every element meets Carlson's stop rule, and each
-element stops where it meets it, so the integrals agree bit for bit with
-the float path.
+with numpy's elementary functions; the modulus and k^2 stay scalars, and
+`_third_kind` takes its n_j along the last axis, so that one call serves
+the three phase integrals of a lift.  Python floats keep the `math` path
+and return floats.  A numpy scalar (np.float64) is no array: it is
+accepted, takes the `math` path and gives the same bits, but its
+arithmetic runs at about half the speed of Python floats, so callers hand
+floats in (immersion's per-object phase constants are Python floats, and
+the point evaluators take the float a numpy scalar holds).
+
+A duplication loop over an array runs until every element meets Carlson's
+stop rule, and each element stops where it meets it, so the integrals
+agree bit for bit with the float path.  The array R_J records each step's
+R_C term (a weight and an argument; 0 and 1 for an element that has
+stopped) and sums them after its loop, in step order, from one R_C call
+over all steps; the array R_C steps only the elements still short of its
+stop rule.  So an array costs a fixed few dozen numpy calls and then its
+points, not one R_C loop per step.
 """
 
 from __future__ import annotations
@@ -169,20 +177,33 @@ def _carlson_rc(x: _Real, y: _Real) -> _Real:
     """Carlson degenerate integral R_C(x, y), x >= 0, y > 0, by duplication."""
     A = (x + 2.0 * y) / 3.0
     array = isinstance(A, _ndarray)
-    sqrt, largest = _CARLSON_NUMPY if array else _CARLSON_MATH
+    sqrt = np.sqrt if array else math.sqrt
     s0 = y - A
     Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * abs(A - x)
     f = 1.0
-    while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
-        lam = 2.0 * sqrt(x) * sqrt(y) + y
-        if array:
-            before = x, y, A, f
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        A = 0.25 * (A + lam)
-        f = 0.25 * f  # not in place: an array f is also held in before
-        if array:
-            x, y, A, f = _keep_done(go, (x, y, A, f), before)
+    if array:
+        # the steps run on the elements still short of the stop rule alone:
+        # R_J's arguments stop at very different steps
+        # no generator here: a closure over A would slow the float path
+        f = np.ones(A.shape)
+        Av, fv, Qv = A.reshape(-1), f.reshape(-1), Q.reshape(-1)  # views: A and Q are ours
+        at = np.flatnonzero(Qv >= abs(Av))
+        xa, ya = np.broadcast_to(x, A.shape).flat[at], np.broadcast_to(y, A.shape).flat[at]
+        while at.size:
+            lam = 2.0 * sqrt(xa) * sqrt(ya) + ya
+            xa = 0.25 * (xa + lam)
+            ya = 0.25 * (ya + lam)
+            Av[at] = Aa = 0.25 * (Av[at] + lam)
+            fv[at] = fa = 0.25 * fv[at]
+            go = Qv[at] * fa >= abs(Aa)
+            at, xa, ya = at[go], xa[go], ya[go]
+    else:
+        while Q * f >= abs(A):
+            lam = 2.0 * sqrt(x) * sqrt(y) + y
+            x = 0.25 * (x + lam)
+            y = 0.25 * (y + lam)
+            A = 0.25 * (A + lam)
+            f = 0.25 * f
     s = s0 * f / A
     return (
         1.0 + s * s * (3.0 / 10.0 + s * (1.0 / 7.0 + s * (3.0 / 8.0 + s * (
@@ -206,13 +227,19 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     Q = (0.25 * 2.3e-16) ** (-1.0 / 6.0) * largest(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
     f = 1.0
     acc = 0.0
+    if array:
+        weights, rc_args = [], []  # each step's R_C term, summed after the loop
     while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
         sx, sy, sz, sp = sqrt(x), sqrt(y), sqrt(z), sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
         if array:
-            before = acc, x, y, z, p, A, f
-        acc = acc + f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)  # not in place, as f
+            # a stopped element adds 0 R_C(1, 1) = 0 to its sum
+            weights.append(np.where(go, f / d, 0.0))
+            rc_args.append(np.where(go, 2.0 * sp * (p + lam) / d, 1.0))
+            before = x, y, z, p, A, f
+        else:
+            acc = acc + f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         z = 0.25 * (z + lam)
@@ -220,7 +247,11 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
         A = 0.25 * (A + lam)
         f = 0.25 * f  # not in place: an array f is also held in before
         if array:
-            acc, x, y, z, p, A, f = _keep_done(go, (acc, x, y, z, p, A, f), before)
+            x, y, z, p, A, f = _keep_done(go, (x, y, z, p, A, f), before)
+    if array and weights:
+        # one R_C pass over every step's argument, summed in step order as above
+        for w, rc in zip(weights, _carlson_rc(1.0, np.stack(rc_args))):
+            acc = acc + w * rc
     # fifth-order Taylor tail in the symmetric elementary functions
     X = (A0 - x0) * f / A
     Y = (A0 - y0) * f / A
@@ -242,7 +273,8 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     ) + 6.0 * acc
 
 
-def _third_kind(n: float, p: _Real, s: _Real, c2: _Real, d2: _Real, k2: float) -> _Real:
+def _third_kind(n: float | tuple[float, ...], p: _Real, s: _Real, c2: _Real, d2: _Real,
+                k2: float) -> _Real:
     """Pi(n; phi, k) for n < 1 and |phi| <= pi/2, from the amplitude's sines.
 
     s = sin phi, c2 = cos^2 phi, d2 = 1 - k^2 s^2, k2 = k^2 and
@@ -254,19 +286,39 @@ def _third_kind(n: float, p: _Real, s: _Real, c2: _Real, d2: _Real, k2: float) -
     s R_C(c2 d2, p q) - k^2 s^3 / (3n) R_J(c2, d2, 1, q), q = 1 - k^2 s^2 / n,
     whose two terms share one sign, is used instead.  That form overflows
     as n -> 0- (q ~ 1/|n|), where 19.25.14 does not cancel, so tiny
-    negative n, -1e-8 <= n < 0, takes 19.25.14.  p, s, c2 and d2 may be
-    arrays of one shape; s = 0 gives 0.
+    negative n, -1e-8 <= n < 0, takes 19.25.14.  s = 0 gives 0.
+
+    At a float s, n is a float.  At arrays, n is a sequence of floats taken
+    along the last axis, against which p, s, c2 and d2 broadcast (p of
+    shape (m, len(n)), s, c2, d2 of shape (m, 1)); then one R_F call serves
+    every column of 19.25.14, one R_J call every column, and one R_C call
+    the columns of the R_C form.
     """
-    array = isinstance(s, _ndarray)
-    if not array and s == 0.0:
-        return 0.0
-    s3 = s * s * s
-    if n >= -1e-8:
-        val = s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
-    else:
+    if not isinstance(s, _ndarray):
+        if s == 0.0:
+            return 0.0
+        s3 = s * s * s
+        if n >= -1e-8:
+            return s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
         q = 1.0 - k2 * s * s / n
-        val = s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
-    return np.where(s == 0.0, 0.0, val) if array else val
+        return s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
+    n = np.asarray(n, dtype=float)
+    neg = n < -1e-8
+    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), np.shape(s), n.shape))
+    fourth, val = p.copy(), np.empty(p.shape)  # R_J's fourth argument: p, or q where n < 0
+    s3 = s * s * s
+    if neg.any():
+        nn = n[neg]
+        q = 1.0 - k2 * s * s / nn  # formed on these columns alone: it overflows as n -> 0-
+        fourth[..., neg] = q
+    rj = _carlson_rj(c2, d2, 1.0, fourth)
+    if not neg.all():
+        pos = ~neg
+        val[..., pos] = s * _carlson_rf(c2, d2, 1.0) + n[pos] / 3.0 * s3 * rj[..., pos]
+    if neg.any():
+        val[..., neg] = (s * _carlson_rc(c2 * d2, p[..., neg] * q)
+                         - k2 * s3 / (3.0 * nn) * rj[..., neg])
+    return np.where(s == 0.0, 0.0, val)
 
 
 def jacobi(z: _Real, k: float) -> JacobiTriple:

@@ -41,14 +41,15 @@ Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
 `lift_at` is the one lift function; its record holds the vector F alone,
 and `project_chart` takes that vector.
-`phase_integrals` and the coefficient kernels `_coefficients` (p_j) and
-`_coefficients_and_derivatives` (p_j, p_j' and the metric sample, for
-iwasawa's `extended_frame`) take a float y or a 1-D array of them;
-`sample_grid` makes one array pass per grid, one `jacobi` call for all
-rows; `lift_at`, `verify_geometry` and `extended_frame` keep the float
-path, on which the per-object phase constants are Python floats.  Each
-builds p_j(y) once per y, with the metric sample from the same `jacobi`
-call where it needs one.
+`lift_at`, `phase_integrals` and the coefficient kernels `_coefficients`
+(p_j) and `_coefficients_and_derivatives` (p_j, p_j' and the metric
+sample, for iwasawa's `extended_frame`) take a float y or a 1-D array of
+them.  An array costs one `jacobi` call and one `_third_kind` call for
+all three G_j, whatever its length; `sample_grid` makes one such pass per
+grid.  A float y keeps the `math` path, on which the per-object phase
+constants are Python floats; `verify_geometry` steps point by point on
+it.  Each builds p_j(y) once per y, with the metric sample from the same
+`jacobi` call where it needs one.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class LiftSample:
     `lift_at` can return the bare array once the benchmark reads that.
     """
 
-    F: np.ndarray  # unit vector in C^3
+    F: np.ndarray  # unit vector in C^3, or rows (n, 3) of them at arrays of points
 
 
 ChartPoint = tuple[complex, complex]
@@ -151,8 +152,11 @@ def _phase_terms(
     sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
     G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
-    An array y of shape (ny,) gives rows of shape (ny, 3), with m per row.
-    The caller looks g up, once per point.
+    An array y of shape (ny,) gives rows of shape (ny, 3), with m per row,
+    from one `_third_kind` call over the three n_j; each element has the
+    bits of the float call, but for the sign of a zero phase at y = 0 when
+    other rows add whole periods.  The caller looks g up, once per point
+    or array.
     """
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
@@ -160,12 +164,18 @@ def _phase_terms(
     c2 = cn * cn
     d2 = c.kp2 + c.k2 * c2
     p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
-    phases = np.array([
-        pre * _third_kind(n, pj, s, c2, d2, c.k2) for pre, n, pj in zip(g.pre, g.n, p)
-    ]).T
+    if array:
+        p = np.stack(p, axis=-1)
+        s, c2, d2 = s[..., None], c2[..., None], d2[..., None]  # against the n_j columns of p
+        phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, d2, c.k2)
+    else:
+        phases = np.array([
+            pre * _third_kind(n, pj, s, c2, d2, c.k2) for pre, n, pj in zip(g.pre, g.n, p)
+        ])
+        p = np.array(p)
     if m.any() if array else m:
         phases += np.multiply.outer(m, _g_full_period(c, es))
-    return np.array(p).T, phases
+    return p, phases
 
 
 def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray) -> np.ndarray:
@@ -259,12 +269,18 @@ def _coefficients_and_derivatives(
     return p, dp, m
 
 
-def lift_at(c: DerivedConstants, es: EigenSystem, x: float, y: float) -> LiftSample:
+def lift_at(c: DerivedConstants, es: EigenSystem, x: float | np.ndarray,
+            y: float | np.ndarray) -> LiftSample:
     """The closed-form lift F(x, y) in the regime of es; |F| = 1 identically.
 
     Real regime: F(x, y + 4T) = F(x, y).  Raises RegimeError below the
-    non-real gap floor; es is never hyperplane-degenerate.
+    non-real gap floor; es is never hyperplane-degenerate.  x and y may be
+    arrays of one shape (n,), and F then has rows of shape (n, 3), from
+    one `_coefficients` pass; a numpy scalar is taken as the float it holds.
     """
+    if not isinstance(y, np.ndarray):
+        y = float(y)
+    x = x[..., None] if isinstance(x, np.ndarray) else float(x)  # against es.d
     p = _coefficients(c, es, y)
     return LiftSample(F=(p * np.exp(1j * es.d * x)) @ es.vectors)
 

@@ -30,7 +30,11 @@ lambda or arrays of them: each formula builds a (..., 3, 3) stack with
 linalg3.stack3, a single 3x3 matrix at floats, so that a verification
 suite checks many points with one metric_at call.  On arrays
 the refusals fire where any point falls below its floor and name the first
-such (y, lambda).  The frames, U_+ and the beta integrals stay per point.
+such (y, lambda).  The beta integrals and both frames take a float y (or
+z) or a 1-D array of them at one es, and so does U_+, which is built from
+them: an array makes one pass (one immersion._phase_terms call for all
+three G_j, one q_factor, one batched inverse) and gives a stack, while a
+float, or the Python number a numpy scalar holds, keeps the float path.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -66,7 +70,7 @@ import numpy as np
 
 from . import immersion
 from .elliptic import jacobi
-from .linalg3 import dagger, first_point, per_matrix, stack3
+from .linalg3 import dagger, first_point, per_matrix, per_vector, stack3
 from .metric import MetricSample, metric_at
 from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda, regime_of
 
@@ -236,27 +240,44 @@ def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:
     return immersion._g_segment(c, es)
 
 
-def _partial_fractions(es: EigenSystem, g, log_p, y: float) -> tuple[complex, complex]:
-    """(beta1, beta2) from G_j and log p_j, with the weights 1 / f'(d_j) of es.fprime."""
-    d, w = es.d, 1.0 / np.array(es.fprime)
-    return complex(-(d * w) @ g, y - 0.5 * (d * w) @ log_p), complex(-0.5 * w @ log_p, w @ g)
+def _partial_fractions(es: EigenSystem, g, log_p, y):
+    """(beta1, beta2) from G_j and log p_j, with the weights 1 / f'(d_j) of es.fprime.
+
+    g and log_p are rows (..., 3) at y of shape (...): complex numbers at a
+    float y, complex arrays at an array.
+    """
+    w = 1.0 / np.array(es.fprime)
+    dw = es.d * w
+    parts = -(g @ dw), y - log_p @ (0.5 * dw), log_p @ (-0.5 * w), g @ w
+    if isinstance(y, np.ndarray):
+        return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    return complex(parts[0], parts[1]), complex(parts[2], parts[3])
 
 
-def beta_integrals(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[complex, complex]:
+def beta_integrals(c: DerivedConstants, es: EigenSystem,
+                   y: float | np.ndarray) -> tuple[complex, complex]:
     """The abelian-factor integrals (beta1(y), beta2(y)) at the spectral object es.
 
     Closed forms in the lift's phase integrals G_j(y) and p_j(y) (module
     docstring), so beta(y + 2mT) = beta(y) + m beta(2T) and beta(0) = 0
     exactly.  Raises SingularLocusError on the singular locus of the
-    factorization and RegimeError where the lift refuses es.
+    factorization and RegimeError where the lift refuses es.  An array y
+    of shape (n,) gives two complex arrays of that shape from one
+    `_phase_terms` pass; a numpy scalar is taken as the float it holds.
     """
     g = _check_beta_domain(c, es)
-    y = float(y)
-    if y == 0.0:
-        return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
+    array = isinstance(y, np.ndarray)
+    if not array:
+        y = float(y)
+        if y == 0.0:
+            return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
     sn, cn, _ = jacobi(c.r * y, c.k)
     p, phases = immersion._phase_terms(c, es, g, y, sn, cn)
-    return _partial_fractions(es, phases, np.log(p), y)
+    b1, b2 = _partial_fractions(es, phases, np.log(p), y)
+    if array:
+        at0 = y == 0.0  # exact there, as at a float y
+        b1, b2 = np.where(at0, 0j, b1), np.where(at0, 0j, b2)
+    return b1, b2
 
 
 def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarray:
@@ -264,34 +285,38 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarr
 
     F_frame = (-i lam e^{-u/2} F_z, (i lam)^{-1} e^{-u/2} F_zbar, F), with
     the derivatives of the closed-form lift F taken analytically from p_j
-    and p_j'; defined wherever the lift is (every es).
+    and p_j'; defined wherever the lift is (every es).  An array z of
+    shape (n,) gives a stack of shape (n, 3, 3) from one
+    `_coefficients_and_derivatives` pass.
     """
-    lam, z = es.lam, complex(z)
+    lam, z = es.lam, z if isinstance(z, np.ndarray) else complex(z)
     p, dp, m = immersion._coefficients_and_derivatives(c, es, z.imag)
-    phase = np.exp(1j * es.d * z.real)
+    phase = np.exp(1j * es.d * per_vector(z.real))
     F = (p * phase) @ es.vectors
     Fx = (1j * es.d * p * phase) @ es.vectors
     Fy = (dp * phase) @ es.vectors
     fz = (Fx - 1j * Fy) / 2.0
     fzb = (Fx + 1j * Fy) / 2.0
-    eu2 = math.sqrt(m.w)
+    eu2 = per_vector(_sqrt(m.w))
     cols = (-1j * lam * fz / eu2, fzb / (1j * lam * eu2), F)
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def iwasawa_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarray:
     """The extended frame by the explicit factorization exp((z - beta1) D - beta2 L0) Q^{-1}.
 
     Equal to extended_frame where both exist; raises SingularLocusError on
-    the singular locus of the factorization.
+    the singular locus of the factorization.  An array z of shape (n,)
+    gives a stack of shape (n, 3, 3): one beta_integrals and one q_factor
+    pass, one batched inverse.
     """
-    z = complex(z)
+    z = z if isinstance(z, np.ndarray) else complex(z)
     b1, b2 = beta_integrals(c, es, z.imag)
     q0, qt = q_factor(c, z.imag, es.lam)
     return _exp_d_l0(c, es, z - b1, -b2) @ np.linalg.inv(q0 @ qt)
 
 
-def u_plus(c: DerivedConstants, es: EigenSystem, y: float) -> np.ndarray:
+def u_plus(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray) -> np.ndarray:
     """Positive Iwasawa factor U_+(y, lambda) = Q exp(beta1 D + beta2 L0) at es.
 
     Satisfies U_+ D U_+^{-1} = Omega and dU_+/dy U_+^{-1} = 2i(lam V_1 + V_0)
@@ -307,11 +332,14 @@ def _l0_spectrum(c: DerivedConstants, d: np.ndarray) -> np.ndarray:
     return -d**2 + 2.0 * c.beta / 3.0
 
 
-def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s: complex, t: complex) -> np.ndarray:
-    """exp(s D + t L0), diagonal in the eigenbasis l_j of D(lambda)."""
-    exps = np.exp(s * 1j * es.d + t * _l0_spectrum(c, es.d))
+def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s, t) -> np.ndarray:
+    """exp(s D + t L0), diagonal in the eigenbasis l_j of D(lambda).
+
+    Complex s and t give a 3x3 matrix, arrays of them a (..., 3, 3) stack.
+    """
+    exps = np.exp(per_vector(s) * 1j * es.d + per_vector(t) * _l0_spectrum(c, es.d))
     basis = es.vectors.T  # columns are l_j
-    return (basis * exps) @ dagger(basis)
+    return (basis * exps[..., None, :]) @ dagger(basis)
 
 
 @lru_cache(maxsize=256)

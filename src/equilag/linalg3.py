@@ -3,9 +3,9 @@
 Provides the Hermitian inner product, the order-6 outer automorphism sigma,
 the trigonometric depressed-cubic solver that potential.eigensystem builds
 on, the exponential of a 3x3 skew-Hermitian matrix from LAPACK's
-Hermitian eigensolver, and the three helpers (`stack3`, `per_matrix`,
-`first_point`) that let one matrix formula take a single point or arrays of
-points.
+Hermitian eigensolver, and the four helpers (`stack3`, `per_vector`,
+`per_matrix`, `first_point`) that let one vector or matrix formula take a
+single point or arrays of points.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
 dtype, plain value semantics; a formula evaluated on arrays of points gives
@@ -43,6 +43,11 @@ def stack3(rows, points=None) -> np.ndarray:
         for j, v in enumerate(row):
             m[..., i, j] = v
     return m
+
+
+def per_vector(s):
+    """A per-point scalar s broadcast against (..., 3) rows: an array gains one unit axis."""
+    return s[..., None] if isinstance(s, np.ndarray) else s
 
 
 def per_matrix(s):

@@ -6,10 +6,11 @@ equation, w = e^u, is solved in closed form by
     w(y) = a1 (1 - q^2 sn^2(r y, k)),
 
 an even function of y with period 2T, ranging over [a2, a1].  The derivative
-follows from d/dz sn = cn dn.  `metric_at` takes a float y or an array of
-them; an array gives a MetricSample of arrays from one `jacobi` call.  A
-sample holds w, w', u and u' only; `_from_jacobi` builds it from the
-(sn, cn, dn) of r y for a caller that holds them.
+follows from d/dz sn = cn dn.  `metric_at` and the two residuals take a
+float y or an array of them; an array gives a MetricSample (or residuals)
+of arrays from one `jacobi` call per sample.  A sample holds w, w', u and
+u' only; `_from_jacobi` builds it from the (sn, cn, dn) of r y for a
+caller that holds them.
 """
 
 from __future__ import annotations
@@ -47,17 +48,18 @@ def _from_jacobi(c: DerivedConstants, jac: JacobiTriple) -> MetricSample:
     return MetricSample(w=w, w_prime=wp, u=log(w), u_prime=wp / w)
 
 
-def first_integral_residual(c: DerivedConstants, y: float) -> float:
+def first_integral_residual(c: DerivedConstants, y: float | np.ndarray) -> float | np.ndarray:
     """|(w')^2 + 8 w^3 - 4 beta w^2 + 4 |psi|^2| at y; zero analytically."""
     m = metric_at(c, y)
     return abs(m.w_prime**2 + 8.0 * m.w**3 - 4.0 * c.beta * m.w**2 + 4.0 * abs(c.psi) ** 2)
 
 
-def gauss_residual(c: DerivedConstants, y: float) -> float:
+def gauss_residual(c: DerivedConstants, y: float | np.ndarray) -> float | np.ndarray:
     """|u''/4 + e^u - |psi|^2 e^{-2u}| with u'' by central differences of step 1e-5."""
     step = 1e-5
     um = metric_at(c, y - step).u
     u0 = metric_at(c, y).u
     up = metric_at(c, y + step).u
     upp = (up - 2.0 * u0 + um) / (step * step)
-    return abs(0.25 * upp + math.exp(u0) - abs(c.psi) ** 2 * math.exp(-2.0 * u0))
+    exp = math.exp if isinstance(u0, float) else np.exp
+    return abs(0.25 * upp + exp(u0) - abs(c.psi) ** 2 * exp(-2.0 * u0))

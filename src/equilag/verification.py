@@ -9,8 +9,15 @@ are part of the library contract and are not calibrated at run time.
 (y, lambda) in one array pass of iwasawa.q_factor and the connection
 matrices.  Its points keep 1e-3 |psi| from the real-cubic-form locus, where
 |cdet| >= 2e-3 |psi| lies far above the 2e-8 |psi| refusal floor, so no point
-is refused; a refusal would propagate, not be skipped.  The other suites
-evaluate point by point.
+is refused; a refusal would propagate, not be skipped.  `suite_lift`
+checks its 50 cross-route points with one array `lift_at` and one array
+`iwasawa_frame` call, and `suite_metric` its 200 first-integral, 100
+periodicity and 25 Gauss points through `metric_at` on arrays.  Random
+pairs (suite_lift's (x, y), suite_elliptic's (k, z)) come from one draw of
+shape (n, 2), which gives the sequence of the scalar draws pair by pair.
+`suite_elliptic` (one modulus per point), `suite_frame` (a few frames per
+lambda, as fast as floats), the finite-difference sweep of `suite_lift`
+and the other suites evaluate point by point.
 """
 
 from __future__ import annotations
@@ -100,11 +107,9 @@ def _finish(name, residuals, thresholds, t0, note=""):
 def suite_elliptic() -> SuiteResult:
     """Pythagorean identities over random (z, k), and K(0.5) by AGM against Carlson R_F."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
     worst_sc = worst_sd = 0.0
-    for _ in range(1000):
-        k = rng.uniform(0.0, 0.999)
-        z = rng.uniform(-25.0, 25.0)
+    # 1000 pairs, each drawn as (k, z) in turn
+    for k, z in np.random.default_rng(11).uniform([0.0, -25.0], [0.999, 25.0], (1000, 2)).tolist():
         sn, cn, dn = jacobi(z, k)
         worst_sc = max(worst_sc, abs(sn * sn + cn * cn - 1.0))
         worst_sd = max(worst_sd, abs(k * k * sn * sn + dn * dn - 1.0))
@@ -155,10 +160,10 @@ def suite_metric(params: SurfaceParams | None = None) -> SuiteResult:
     t0 = time.perf_counter()
     c = derive_constants(params or BENCH_NONREAL)
     rng = np.random.default_rng(13)
-    ys = rng.uniform(-3.0 * c.T, 3.0 * c.T, 200).tolist()
-    first = max(first_integral_residual(c, y) for y in ys)
-    per = max(abs(metric_at(c, y + 2.0 * c.T).w - metric_at(c, y).w) for y in ys[:100])
-    gauss = max(gauss_residual(c, y) for y in rng.uniform(0.0, 2.0 * c.T, 25).tolist())
+    ys = rng.uniform(-3.0 * c.T, 3.0 * c.T, 200)
+    first = float(np.max(first_integral_residual(c, ys)))
+    per = float(np.max(np.abs(metric_at(c, ys[:100] + 2.0 * c.T).w - metric_at(c, ys[:100]).w)))
+    gauss = float(np.max(gauss_residual(c, rng.uniform(0.0, 2.0 * c.T, 25))))
     res = {"first_integral": first, "periodicity": per, "gauss_fd": gauss}
     thr = {"first_integral": 1e-9, "periodicity": 1e-10, "gauss_fd": 1e-5}
     return _finish("metric", res, thr, t0)
@@ -326,13 +331,13 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
         )
         worst_geom = max(worst_geom, *astuple(rep))
         if regime_of(c, 1.0) == "nonreal":
+            # 50 points, each drawn as (x, y) in turn; one array pass per route
             es = eigensystem(c, 1.0)
-            rng = np.random.default_rng(23)
-            for _ in range(50):
-                z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * c.T))
-                fa = immersion.lift_at(c, es, z.real, z.imag).F
-                fb = iwasawa.iwasawa_frame(c, es, z)[:, 2]
-                worst_cross = max(worst_cross, abs(abs(linalg3.herm_inner(fa, fb)) - 1.0))
+            x, y = np.random.default_rng(23).uniform([-1.0, 0.0], [1.0, 2.0 * c.T], (50, 2)).T
+            fa = immersion.lift_at(c, es, x, y).F
+            fb = iwasawa.iwasawa_frame(c, es, x + 1j * y)[..., 2]
+            inner = np.sum(fa * np.conj(fb), axis=-1)  # herm_inner per point
+            worst_cross = max(worst_cross, float(np.max(np.abs(np.abs(inner) - 1.0))))
     res = {"unit_norm": worst_norm, "fd_geometry": worst_geom, "cross_route": worst_cross}
     thr = {"unit_norm": 1e-10, "fd_geometry": 1e-6, "cross_route": 1e-8}
     return _finish("lift", res, thr, t0, note)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equilag
-from equilag import immersion, verification
+from equilag import immersion, periodicity, verification
 from equilag.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -734,6 +734,35 @@ def test_unwritable_output_exits_1(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_unwritable_output_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # the path is checked before the grid or the catalog is computed
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(immersion, "sample_grid", never)
+    monkeypatch.setattr(periodicity, "classify_torus", never)
+    path = tmp_path / "job.ini"
+    path.write_text("[surface]\na1 = 2\npsi_re = 1\n[lambda]\ncount = 4\n")
+    flags = ["--a1", "2", "--psi", "1,0"] if command == "sample" else ["--config", str(path)]
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):  # no such directory; a directory
+        assert main([command, *flags, "--out", str(out)]) == EXIT_OUTPUT
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.ini"]
+
+
+def test_refused_sample_keeps_an_existing_output(tmp_path, capsys):
+    # the early check neither truncates a file that is there nor leaves one behind
+    out = tmp_path / "grid.csv"
+    out.write_text("kept\n")
+    lam = HYPERPLANE_LAMBDA
+    assert main(["sample", "--a1", "2", "--psi", "1,0", f"--lambda={lam.real!r},{lam.imag!r}",
+                 "--out", str(out)]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err.startswith("refused: HyperplaneDegenerateError:")
+    assert out.read_text() == "kept\n"
 
 
 def test_sample_without_path_at_a_hyperplane_lambda(capsys):

@@ -360,7 +360,8 @@ class TestArrayPath:
             return n, p, s, c * c, 1.0 - (k * s) ** 2, k * k
 
         s, c = np.sin(phi), np.cos(phi)
-        got = _third_kind(*args(s, c))
+        # arrays take their n along the last axis: here one column
+        got = _third_kind((n,), *(a[:, None] for a in args(s, c)[1:5]), k * k)[:, 0]
         want = [_third_kind(*args(float(si), float(ci))) for si, ci in zip(s, c)]
         assert np.all(np.isfinite(got))
         assert _within_ulps(got, want)

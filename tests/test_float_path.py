@@ -130,3 +130,47 @@ def test_lift_point_looks_its_phase_constants_up_once(spectral):
         beta_integrals(c, es, y)
     final = immersion._g_segment.cache_info()
     assert (final.hits + final.misses) - (after.hits + after.misses) == len(ys) - 1
+
+
+
+@pytest.fixture
+def jacobi_arguments(monkeypatch):
+    """The argument z of every `jacobi` call, through every module that binds it."""
+    calls = []
+    kernel = elliptic.jacobi
+
+    def spy(z, k):
+        calls.append(z)
+        return kernel(z, k)
+
+    for mod in (elliptic, metric, immersion, iwasawa):
+        if hasattr(mod, "jacobi"):
+            monkeypatch.setattr(mod, "jacobi", spy)
+    return calls
+
+
+def test_numpy_scalar_points_enter_as_python_numbers(spectral, carlson_calls, jacobi_arguments):
+    # np.linspace and the bench worker hand np.float64 in: the point
+    # evaluators take the Python number it holds once, at their entry, so
+    # the kernels run on Python floats and give the bits of the float call
+    c, es = spectral
+    x, y = 0.3, 1.7 * c.T
+    f64, c128 = np.float64, np.complex128
+    routes = [
+        (lambda: immersion.lift_at(c, es, f64(x), f64(y)).F,
+         lambda: immersion.lift_at(c, es, x, y).F),
+        (lambda: np.array(beta_integrals(c, es, f64(y))),
+         lambda: np.array(beta_integrals(c, es, y))),
+        (lambda: extended_frame(c, es, c128(complex(x, y))),
+         lambda: extended_frame(c, es, complex(x, y))),
+        (lambda: iwasawa.iwasawa_frame(c, es, c128(complex(x, y))),
+         lambda: iwasawa.iwasawa_frame(c, es, complex(x, y))),
+    ]
+    for numpy_route, float_route in routes:
+        got = numpy_route()
+        args = [a for _, call in carlson_calls for a in call] + jacobi_arguments
+        assert carlson_calls and jacobi_arguments
+        assert [type(a).__name__ for a in args if type(a) is not float] == []
+        assert got.tobytes() == float_route().tobytes()
+        carlson_calls.clear()
+        jacobi_arguments.clear()

@@ -1,0 +1,153 @@
+"""Arrays of points cost one pass and give the float path's values.
+
+The phase integrals G_j take one `_third_kind` call for all three n_j on
+an array of points, and that call must give, element for element, the
+bits of the float calls.  The point evaluators (`lift_at`,
+`beta_integrals`, `extended_frame`, `iwasawa_frame`) take arrays of
+points at one spectral object and agree with their float calls to
+rounding.  `suite_lift` checks its cross-route points with one array call
+per route, and every point still counts.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from equilag import elliptic, immersion, iwasawa, verification
+from equilag.elliptic import _third_kind, jacobi
+from equilag.potential import SurfaceParams, derive_constants, eigensystem
+
+# n_j of both signs at this lambda (tests/test_float_path.py)
+SURFACE = SurfaceParams(2.7, complex(0.4, 0.9))
+LAM = cmath.exp(0.45j)
+
+_n = st.one_of(
+    st.floats(-1e12, -1e-8), st.floats(-1e-8, 0.999999),
+    st.sampled_from([0.0, -1e-210, 0.999999, 1.0 - 2.0**-40, -1e12]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ns=st.lists(_n, min_size=1, max_size=4),
+    k=st.floats(0.0, 0.998),
+    phi=st.lists(st.one_of(st.just(0.0), st.floats(-math.pi / 2, math.pi / 2)),
+                 min_size=1, max_size=12),
+)
+# p -> 0+: n -> 1 with cos phi -> 0, next to a tiny negative and a large one
+@example(ns=[1.0 - 2.0**-40, -1e-210, -1e12], k=0.998, phi=[math.pi / 2, 1.5707963, 0.0, -1.2])
+def test_third_kind_columns_match_float_calls_bit_for_bit(ns, k, phi):
+    # the caller's forms of p: (1 - n) + n cos^2 for n > 0 keeps p -> 0+ accurate
+    def p_of(n, s, c2):
+        return (1.0 - n) + n * c2 if n > 0.0 else 1.0 - n * s * s
+
+    s = np.sin(phi)
+    c2 = np.cos(phi) ** 2
+    d2 = 1.0 - (k * s) ** 2
+    p = np.array([[p_of(n, si, ci) for n in ns] for si, ci in zip(s.tolist(), c2.tolist())])
+    got = _third_kind(ns, p, s[:, None], c2[:, None], d2[:, None], k * k)
+    want = [[_third_kind(n, pij, si, ci, di, k * k) for n, pij in zip(ns, row)]
+            for si, ci, di, row in zip(s.tolist(), c2.tolist(), d2.tolist(), p.tolist())]
+    assert got.shape == (len(phi), len(ns))
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.fixture(scope="module")
+def spectral():
+    c = derive_constants(SURFACE)
+    return c, eigensystem(c, LAM)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y_over_t=st.lists(st.floats(-7.0, 9.0), min_size=1, max_size=20))
+@example(y_over_t=[0.0, -2.0, 2.0, 4.0, 1.0])     # s = 0 rows, some with m != 0
+@example(y_over_t=[-5.3, 6.1, 8.99, 0.5])         # m = -3, 3 and 4 rows next to an m = 0 one
+def test_phase_terms_rows_match_float_calls_bit_for_bit(spectral, y_over_t):
+    c, es = spectral
+    g = immersion._g_segment(c, es)
+    assert min(g.n) < 0.0 < max(g.n)
+    ys = [t * c.T for t in y_over_t]
+    # the same sn, cn on both sides: the jacobi paths may differ by an ulp
+    sn, cn, _ = zip(*(jacobi(c.r * y, c.k) for y in ys))
+    p, phases = immersion._phase_terms(c, es, g, np.array(ys), np.array(sn), np.array(cn))
+    want = [immersion._phase_terms(c, es, g, *point) for point in zip(ys, sn, cn)]
+    assert p.tobytes() == np.array([w[0] for w in want]).tobytes()
+    # the sign of a zero aside (+ 0.0 maps -0 to +0 and keeps every other
+    # value): where any row has m != 0 the array adds m G_j(2T) to every
+    # row, and 0 G_j(2T) can turn the -0 phase of a y = 0 row into +0
+    assert (phases + 0.0).tobytes() == (np.array([w[1] for w in want]) + 0.0).tobytes()
+
+
+def _surfaces():
+    nonreal = derive_constants(SurfaceParams(2.0, complex(np.exp(1j * np.pi / 4))))
+    real = derive_constants(SurfaceParams(1.0, 1.0 / math.sqrt(3.0)))
+    c = derive_constants(SURFACE)
+    return {"bench_nonreal": (nonreal, 1.0), "both_signs": (c, LAM), "torus": (real, 1.0)}
+
+
+@pytest.mark.parametrize("case", ["bench_nonreal", "both_signs", "torus"])
+def test_point_evaluators_on_arrays_match_their_float_calls(case):
+    c, lam = _surfaces()[case]
+    es = eigensystem(c, lam)
+    ys = np.concatenate([[0.0], np.linspace(-3.0 * c.T, 5.0 * c.T, 23)])
+    xs = np.linspace(-1.0, 1.0, ys.size)
+    zs = xs + 1j * ys
+    points = list(zip(xs.tolist(), ys.tolist()))
+
+    def close(got, want):
+        want = np.array(want)
+        assert got.shape == want.shape
+        scale = np.maximum(1.0, np.max(np.abs(want).reshape(len(want), -1), axis=1))
+        err = np.max(np.abs(got - want).reshape(len(want), -1), axis=1)
+        assert np.all(err <= 1e-13 * scale), float(np.max(err / scale))
+
+    close(immersion.lift_at(c, es, xs, ys).F, [immersion.lift_at(c, es, x, y).F for x, y in points])
+    close(iwasawa.extended_frame(c, es, zs), [iwasawa.extended_frame(c, es, z) for z in zs.tolist()])
+    if es.regime != "nonreal":
+        return
+    b1, b2 = iwasawa.beta_integrals(c, es, ys)
+    want = [iwasawa.beta_integrals(c, es, y) for y in ys.tolist()]
+    close(b1, [w[0] for w in want])
+    close(b2, [w[1] for w in want])
+    assert b1[0] == b2[0] == 0.0  # beta(0) = 0 exactly, as at a float y
+    close(iwasawa.iwasawa_frame(c, es, zs), [iwasawa.iwasawa_frame(c, es, z) for z in zs.tolist()])
+
+
+@pytest.mark.parametrize("point", [0, 25, 49])
+def test_suite_lift_sees_every_cross_route_point(monkeypatch, point):
+    # the Iwasawa route's lift column at one point off by 10x the threshold
+    frame = iwasawa.iwasawa_frame
+    threshold = 1e-8
+
+    def planted(c, es, z):
+        fr = frame(c, es, z).copy()
+        fr[point, :, 2] *= 1.0 + 10.0 * threshold
+        return fr
+
+    monkeypatch.setattr(iwasawa, "iwasawa_frame", planted)
+    result = verification.suite_lift()
+    assert result.thresholds["cross_route"] == threshold
+    assert result.residuals["cross_route"] > 5.0 * threshold
+    assert not result.passed
+
+
+def test_suite_lift_bounds_its_carlson_rj_calls(monkeypatch):
+    # one R_J call per array pass (the 64 x 64 grid, the 50 lift points, their
+    # 50 beta pairs), three per float coefficient row of the finite-difference
+    # sweep (3 rows x 3 steps), three per full-period memo miss (one
+    # spectral object per route): 39, where a per-point cross route took 339
+    calls = []
+    kernel = elliptic._carlson_rj
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(elliptic, "_carlson_rj", counted)
+    immersion._g_full_period.cache_clear()
+    assert verification.suite_lift().passed
+    assert len(calls) <= 3 + 27 + 9
