@@ -11,20 +11,23 @@ integral Pi with Carlson's symmetric forms R_F, R_C and R_J by duplication
 (https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26).
 All routes are independent of each other up to the shared AGM scale, and
 accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
-as k -> 1.  The AGM memo per modulus (`_agm_scheme`) also holds the phase
-tables of `jacobi` (4K, 2^N a_N and the ratios c_n / a_n), so a call
+as k -> 1.  The AGM memo per float modulus (`_agm_scheme`) also holds the
+phase tables of `jacobi` (4K, 2^N a_N and the ratios c_n / a_n), so a call
 derives nothing from the scheme again.
 
 `jacobi`, `_carlson_rf`, `_carlson_rc`, `_carlson_rj` and `_third_kind`
 also take numpy arrays in their varying arguments (the argument z; the
 integrals' x, y, z, p and the amplitude's sines) and then act elementwise
-with numpy's elementary functions; the modulus and k^2 stay scalars, and
-`_third_kind` takes its n_j along the last axis, so that one call serves
-the three phase integrals of a lift.  Python floats keep the `math` path
-and return floats.  A numpy scalar (np.float64) is no array: it is
-accepted, takes the `math` path and gives the same bits, but its
-arithmetic runs at about half the speed of Python floats, so callers hand
-floats in (immersion's per-object phase constants are Python floats, and
+with numpy's elementary functions.  `jacobi` takes an array of moduli as
+well: the AGM chain (`_agm`, written once for floats and arrays) then runs
+elementwise in the `_keep_done` idiom below, each element stopping at its
+own level, and each element gets the bits of its own one-point call.  The
+Carlson kernels' k^2 stays a scalar, and `_third_kind` takes its n_j along
+the last axis, so that one call serves the three phase integrals of a
+lift.  Python floats keep the `math` path and return floats.  A numpy
+scalar (np.float64) is no array: it is accepted, takes the `math` path
+and gives the same bits, but its arithmetic runs at about half the speed
+of Python floats, so callers hand floats in (immersion's per-object phase constants are Python floats, and
 the point evaluators take the float a numpy scalar holds).
 
 A duplication loop over an array runs until every element meets Carlson's
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -88,33 +92,57 @@ class _AgmScheme(NamedTuple):
     ratios: tuple[float, ...]    # c_n / a_n for n = N, ..., 1
 
 
+def _agm(k: _Real) -> tuple[list, list, list, list]:
+    """AGM sequences a_n, b_n, c_n starting from (1, k', k), and the elements of each step.
+
+    The chain stops at one ulp of a_n, |c_n| <= 2^-52 a_n: a_n and b_n can
+    stay a last bit apart for good, and a tighter rule would then run the
+    chain to its cap of 39 steps.  At an array k each element stops where
+    it meets that rule and keeps its values after it (`_keep_done`), and
+    steps[n - 1] marks the elements that took step n; at a float k steps is
+    empty.
+    """
+    array = isinstance(k, _ndarray)
+    sqrt = np.sqrt if array else math.sqrt
+    a: list = [1.0]
+    b: list = [sqrt((1.0 - k) * (1.0 + k))]
+    c: list = [k]
+    steps: list = []
+    while len(a) < 40:
+        go = abs(c[-1]) > 2.0**-52 * a[-1]
+        if not (go.any() if array else go):
+            break
+        an, bn, cn = 0.5 * (a[-1] + b[-1]), sqrt(a[-1] * b[-1]), 0.5 * (a[-1] - b[-1])
+        if array:
+            an, bn, cn = _keep_done(go, (an, bn, cn), (a[-1], b[-1], c[-1]))
+            steps.append(go)
+        a.append(an)
+        b.append(bn)
+        c.append(cn)
+    return a, b, c, steps
+
+
+def _phase_tables(a: list, c: list, levels) -> tuple:
+    """(4K, 2^N a_N, (c_n / a_n for n = N, ..., 1)) of an AGM chain with N = levels steps.
+
+    4K = 2 pi / a_N is formed as 4 (pi / (2 a_N)).  At arrays, a[-1] holds
+    each element's own a_N and levels its own N.
+    """
+    return (4.0 * (math.pi / (2.0 * a[-1])), (2.0**levels) * a[-1],
+            tuple(c[n] / a[n] for n in range(len(a) - 1, 0, -1)))
+
+
 @lru_cache(maxsize=512)
 def _agm_scheme(k: float) -> _AgmScheme:
     """AGM sequences a_n, b_n, c_n starting from (1, k', k), and jacobi's phase tables.
 
-    The memo per modulus holds, besides the sequences, what every `jacobi`
-    call at this k would derive from them again: the period 4K, the scale
-    2^N a_N of the first phase and the ratios c_n / a_n of the descent.
+    The memo per float modulus holds, besides the sequences, what every
+    `jacobi` call at this k would derive from them again: the period 4K,
+    the scale 2^N a_N of the first phase and the ratios c_n / a_n of the
+    descent.
     """
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a: list[float] = [1.0]
-    b: list[float] = [kp]
-    c: list[float] = [k]
-    # stop at one ulp of a_n: a_n and b_n can stay a last bit apart for
-    # good, and a tighter rule would then run the chain to its cap
-    while abs(c[-1]) > 2.0**-52 * a[-1] and len(a) < 40:
-        an = 0.5 * (a[-1] + b[-1])
-        bn = math.sqrt(a[-1] * b[-1])
-        c.append(0.5 * (a[-1] - b[-1]))
-        a.append(an)
-        b.append(bn)
-    n_last = len(a) - 1
-    return _AgmScheme(
-        tuple(a), tuple(b), tuple(c),
-        four_K=4.0 * (math.pi / (2.0 * a[-1])),
-        scale=(2.0**n_last) * a[-1],
-        ratios=tuple(c[n] / a[n] for n in range(n_last, 0, -1)),
-    )
+    a, b, c, _ = _agm(k)
+    return _AgmScheme(tuple(a), tuple(b), tuple(c), *_phase_tables(a, c, len(a) - 1))
 
 
 def _keep_done(go, after: tuple, before: tuple) -> tuple:
@@ -321,35 +349,62 @@ def _third_kind(n: float | tuple[float, ...], p: _Real, s: _Real, c2: _Real, d2:
     return np.where(s == 0.0, 0.0, val)
 
 
-def jacobi(z: _Real, k: float) -> JacobiTriple:
+def jacobi(z: _Real, k: _Real) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn at real argument z.
 
     Uses the AGM phase recursion after reducing z modulo the real period
-    4K(k), with the phase tables of the modulus read from its AGM memo.
+    4K(k), with the phase tables of a float modulus read from its AGM memo.
     The limits k = 0 (circular) and k = 1 (hyperbolic) are exact closed
     forms.  sn(J(theta, k), k) = sin(theta) for the integral J of the first kind.
     z may be an array: the AGM scheme of k is shared and the phase
-    recursion runs elementwise, giving a triple of arrays.
+    recursion runs elementwise, giving a triple of arrays.  k may be an
+    array of z's shape as well: the AGM chain then runs elementwise, each
+    element stopping at its own level, and each element of the result has
+    the bits of jacobi(np.array([z_i]), k_i); a k outside [0, 1] or NaN is
+    refused as at a float k.
     """
-    _check_modulus(k, allow_one=True)
+    moduli = isinstance(k, _ndarray)
+    if moduli:
+        z, k = np.broadcast_arrays(np.asarray(z, dtype=float), k)
+        bad = ~((k >= 0.0) & (k <= 1.0))  # written so that NaN is bad too
+        if bad.any():
+            _check_modulus(float(k[bad][0]), allow_one=True)  # the float path's refusal
+    else:
+        _check_modulus(k, allow_one=True)
     array = isinstance(z, _ndarray)
     if not (np.isfinite(z).all() if array else math.isfinite(z)):
         raise ValueError(f"argument must be finite, got {z}")
-    if k == 0.0:
-        if array:
-            return JacobiTriple(np.sin(z), np.cos(z), np.ones_like(z))
-        return JacobiTriple(math.sin(z), math.cos(z), 1.0)
-    if k == 1.0:
-        sech = 1.0 / (np.cosh if array else math.cosh)(z)
-        return JacobiTriple((np.tanh if array else math.tanh)(z), sech, sech)
+    if not moduli:
+        if k == 0.0:
+            if array:
+                return JacobiTriple(np.sin(z), np.cos(z), np.ones_like(z))
+            return JacobiTriple(math.sin(z), math.cos(z), 1.0)
+        if k == 1.0:
+            sech = 1.0 / (np.cosh if array else math.cosh)(z)
+            return JacobiTriple((np.tanh if array else math.tanh)(z), sech, sech)
+        _, _, _, four_k, scale, ratios = _agm_scheme(k)
 
-    _, _, _, four_k, scale, ratios = _agm_scheme(k)
     if array:
+        steps = []
+        if moduli:
+            circular, hyperbolic = k == 0.0, k == 1.0
+            # k = 1 takes its closed form below: its chain would never stop
+            a, _, c, steps = _agm(np.where(hyperbolic, 0.0, k))
+            four_k, scale, ratios = _phase_tables(a, c, np.sum(steps, axis=0))
         phi = scale * (z - four_k * np.round(z / four_k))
-        for ratio in ratios:
-            phi = 0.5 * (phi + np.arcsin(np.maximum(-1.0, np.minimum(1.0, ratio * np.sin(phi)))))
+        # level n turns the phase of the elements whose chain reaches n, all at a float k
+        for ratio, go in zip_longest(ratios, steps[::-1]):
+            turned = 0.5 * (phi + np.arcsin(np.maximum(-1.0, np.minimum(1.0, ratio * np.sin(phi)))))
+            phi = turned if go is None else np.where(go, turned, phi)
         sn = np.sin(phi)
-        return JacobiTriple(sn, np.cos(phi), np.sqrt(np.maximum(0.0, 1.0 - (k * sn) * (k * sn))))
+        cn, dn = np.cos(phi), np.sqrt(np.maximum(0.0, 1.0 - (k * sn) * (k * sn)))
+        if moduli and circular.any():
+            sn[circular], cn[circular], dn[circular] = np.sin(z[circular]), np.cos(z[circular]), 1.0
+        if moduli and hyperbolic.any():
+            zh = z[hyperbolic]
+            sn[hyperbolic], cn[hyperbolic] = np.tanh(zh), 1.0 / np.cosh(zh)
+            dn[hyperbolic] = cn[hyperbolic]
+        return JacobiTriple(sn, cn, dn)
 
     sin, asin = math.sin, math.asin
     phi = scale * (z - four_k * round(z / four_k))

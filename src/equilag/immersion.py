@@ -47,22 +47,22 @@ sample, for iwasawa's `extended_frame`) take a float y or a 1-D array of
 them.  An array costs one `jacobi` call and one `_third_kind` call for
 all three G_j, whatever its length; `sample_grid` makes one such pass per
 grid.  A float y keeps the `math` path, on which the per-object phase
-constants are Python floats; `verify_geometry` steps point by point on
-it.  Each builds p_j(y) once per y, with the metric sample from the same
-`jacobi` call where it needs one.
+constants are Python floats.  `verify_geometry` evaluates all its points
+and stencil offsets as stacks, from one array `_coefficients` call at
+y - h, y and y + h.  Each builds p_j(y) once per y, with the metric
+sample from the same `jacobi` call where it needs one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elliptic import JacobiTriple, _third_kind, jacobi
-from .linalg3 import herm_inner
 from .metric import MetricSample, _from_jacobi
 from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
 
@@ -355,67 +355,70 @@ class GeometryReport:
 
 
 def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport:
-    """Finite-difference residual sweep of the lift over the given points.
+    """Finite-difference residual sweep of the lift over the points (x, y), x in xs, y in ys.
 
     Central differences of step 1e-4, and step 5e-3 for the fourth-order
-    stencil of the third x-derivative.
+    stencil of the third x-derivative.  One array pass: p_j at y - h, y and
+    y + h for every y from one `_coefficients` call, each stencil evaluated
+    at all points at once, and each residual the max over the points,
+    NaN where any point is NaN.
     """
     es = eigensystem(c, lam)
     v = es.cubic
     re0, im0 = v.real, v.imag
-
-    def ev(x: float, p: np.ndarray) -> np.ndarray:
-        return (p * np.exp(1j * es.d * x)) @ es.vectors
-
-    # every stencil needs p_j only at y - h, y and y + h: once per y, and
-    # the metric sample and p_j(y) from one jacobi call
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    ys = np.asarray(ys, dtype=float).reshape(-1)
     h = 1e-4
 
-    def row(y: float) -> tuple:
-        jac = jacobi(c.r * y, c.k)
-        return (_from_jacobi(c, jac), _coefficients(c, es, y - h),
-                _coefficients(c, es, y, jac), _coefficients(c, es, y + h))
+    # every stencil needs p_j only at y - h, y and y + h, and the metric
+    # sample only at y: one jacobi call serves them all
+    rows = np.concatenate((ys - h, ys, ys + h))
+    jac = jacobi(c.r * rows, c.k)
+    pm, p0, pp = np.split(_coefficients(c, es, rows, jac), 3)
+    m = _from_jacobi(c, JacobiTriple(*(t[ys.size:2 * ys.size] for t in jac)))
+    w, u_prime = m.w[:, None], m.u_prime[:, None]  # against (ny, 3) rows, or (nx, ny, 3) points
 
-    rows = [row(y) for y in np.asarray(ys, dtype=float).tolist()]
-    rep = {f.name: 0.0 for f in fields(GeometryReport)}
-    for x in np.asarray(xs, dtype=float).tolist():
-        for m, pm, p0, pp in rows:
-            F = ev(x, p0)
-            fxp, fxm = ev(x + h, p0), ev(x - h, p0)
-            fyp, fym = ev(x, pp), ev(x, pm)
-            Fx = (fxp - fxm) / (2 * h)
-            Fy = (fyp - fym) / (2 * h)
-            Fxx = (fxp - 2 * F + fxm) / h**2
-            Fyy = (fyp - 2 * F + fym) / h**2
-            Fxy = (ev(x + h, pp) - ev(x + h, pm) - ev(x - h, pp) + ev(x - h, pm)) / (4 * h**2)
-            Fz = (Fx - 1j * Fy) / 2
-            Fzb = (Fx + 1j * Fy) / 2
-            Fzzb = (Fxx + Fyy) / 4
-            Fzz = (Fxx - Fyy - 2j * Fxy) / 4
-            w = m.w
-            rep["horizontality"] = max(
-                rep["horizontality"], abs(herm_inner(Fz, F)), abs(herm_inner(Fzb, F))
-            )
-            rep["conformality_diag"] = max(
-                rep["conformality_diag"],
-                abs(herm_inner(Fz, Fz) - w),
-                abs(herm_inner(Fzb, Fzb) - w),
-            )
-            rep["conformality_cross"] = max(rep["conformality_cross"], abs(herm_inner(Fz, Fzb)))
-            rep["laplace"] = max(rep["laplace"], float(np.max(np.abs(Fzzb + w * F))))
-            rep["cubic_form"] = max(rep["cubic_form"], abs(herm_inner(Fzz, Fzb) + 1j * v))
+    def ev(dx: float, p: np.ndarray) -> np.ndarray:
+        """F at (x + dx, y) for every x in xs and y in ys, shape (nx, ny, 3), from p_j at y."""
+        return (np.exp(1j * np.multiply.outer(xs + dx, es.d))[:, None, :] * p) @ es.vectors
 
-            # third x-derivative: fourth-order central stencil, larger step
-            H = 5e-3
-            sten = [ev(x + j * H, p0) for j in (-3, -2, -1, 1, 2, 3)]
-            d3 = (sten[0] - 8 * sten[1] + 13 * sten[2] - 13 * sten[3] + 8 * sten[4] - sten[5]) / (8 * H**3)
-            d1 = (sten[1] - 8 * sten[2] + 8 * sten[3] - sten[4]) / (12 * H)
-            rep["x_ode"] = max(
-                rep["x_ode"], float(np.max(np.abs(d3 + c.beta * d1 - 2j * re0 * F)))
-            )
+    def inner(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """herm_inner at every point."""
+        return np.sum(z * np.conj(u), axis=-1)
 
-            dpj = (pp - pm) / (2 * h)
-            ode = (es.d * w - re0) * dpj - 0.5 * (m.u_prime * w + 2j * im0) * es.d * p0
-            rep["scalar_ode"] = max(rep["scalar_ode"], float(np.max(np.abs(ode))))
+    F = ev(0.0, p0)
+    fxp, fxm = ev(h, p0), ev(-h, p0)
+    fyp, fym = ev(0.0, pp), ev(0.0, pm)
+    Fx = (fxp - fxm) / (2 * h)
+    Fy = (fyp - fym) / (2 * h)
+    Fxx = (fxp - 2 * F + fxm) / h**2
+    Fyy = (fyp - 2 * F + fym) / h**2
+    Fxy = (ev(h, pp) - ev(h, pm) - ev(-h, pp) + ev(-h, pm)) / (4 * h**2)
+    Fz = (Fx - 1j * Fy) / 2
+    Fzb = (Fx + 1j * Fy) / 2
+    Fzzb = (Fxx + Fyy) / 4
+    Fzz = (Fxx - Fyy - 2j * Fxy) / 4
 
-    return GeometryReport(**rep)
+    # third x-derivative: fourth-order central stencil, larger step
+    H = 5e-3
+    sten = [ev(j * H, p0) for j in (-3, -2, -1, 1, 2, 3)]
+    d3 = (sten[0] - 8 * sten[1] + 13 * sten[2] - 13 * sten[3] + 8 * sten[4] - sten[5]) / (8 * H**3)
+    d1 = (sten[1] - 8 * sten[2] + 8 * sten[3] - sten[4]) / (12 * H)
+
+    dpj = (pp - pm) / (2 * h)
+    ode = (es.d * w - re0) * dpj - 0.5 * (u_prime * w + 2j * im0) * es.d * p0
+
+    def worst(*residuals) -> float:
+        """The largest |residual| over the points, NaN if any point is NaN."""
+        values = [float(np.abs(r).max()) for r in residuals]
+        return math.nan if any(map(math.isnan, values)) else max(values)
+
+    return GeometryReport(
+        horizontality=worst(inner(Fz, F), inner(Fzb, F)),
+        conformality_diag=worst(inner(Fz, Fz) - m.w, inner(Fzb, Fzb) - m.w),
+        conformality_cross=worst(inner(Fz, Fzb)),
+        laplace=worst(Fzzb + w * F),
+        cubic_form=worst(inner(Fzz, Fzb) + 1j * v),
+        x_ode=worst(d3 + c.beta * d1 - 2j * re0 * F),
+        scalar_ode=worst(ode),
+    )

@@ -2,8 +2,9 @@
 
 Provides the Hermitian inner product, the order-6 outer automorphism sigma,
 the trigonometric depressed-cubic solver that potential.eigensystem builds
-on, the exponential of a 3x3 skew-Hermitian matrix from LAPACK's
-Hermitian eigensolver, and the four helpers (`stack3`, `per_vector`,
+on (at one float q, or at an array of q in one pass, as the `potential`
+suite's lambda sweep takes it), the exponential of a 3x3 skew-Hermitian
+matrix from LAPACK's Hermitian eigensolver, and the four helpers (`stack3`, `per_vector`,
 `per_matrix`, `first_point`) that let one vector or matrix formula take a
 single point or arrays of points.
 
@@ -93,11 +94,16 @@ def sigma_group(m: np.ndarray) -> np.ndarray:
 
 
 def sigma_algebra(x: np.ndarray) -> np.ndarray:
-    """Derivative of sigma_group at the identity: xi -> -P xi^t P^{-1}."""
-    return -(P_SIGMA @ x.T @ P_SIGMA)
+    """Derivative of sigma_group at the identity: xi -> -P xi^t P^{-1}, on a matrix or a stack."""
+    return -(P_SIGMA @ np.swapaxes(x, -1, -2) @ P_SIGMA)
 
 
-def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
+# (acos, cos, largest, smallest) of the cubic's float path and of its array path
+_CUBIC_MATH = (math.acos, math.cos, max, min)
+_CUBIC_NUMPY = (np.arccos, np.cos, np.maximum, np.minimum)
+
+
+def solve_depressed_cubic(p: float, q: float | np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
     """Real roots of t^3 + p t + q = 0 for p < 0, sorted descending.
 
     Returns (roots, multiple), `multiple` set unless the discriminant
@@ -105,33 +111,50 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[np.ndarray, bool]:
     Newton-polished and re-centered to sum to zero, and a root below 1e-3
     of the largest is taken from their product, -q.  p >= 0, never met by
     the eigenvalue cubic d^3 - beta d + 2 Re, is refused with ValueError.
+    q may be an array: the roots are then rows of shape (*q.shape, 3) and
+    `multiple` a boolean array of q's shape, each row the float call's
+    within an ulp of its largest root (numpy's cos and arccos in place of
+    math's) and each flag the float call's.
     """
     if not p < 0.0:
         raise ValueError(f"p < 0 required, got p = {p!r}")
+    array = isinstance(q, np.ndarray)
+    acos, cos, largest, smallest = _CUBIC_NUMPY if array else _CUBIC_MATH
     disc = -4.0 * p**3 - 27.0 * q * q
-    scale = max(1.0, abs(p), abs(q))
+    scale = largest(max(1.0, abs(p)), abs(q))
     multiple = disc <= 1e-12 * scale**3
 
     m = 2.0 * math.sqrt(-p / 3.0)
-    c3 = max(-1.0, min(1.0, -4.0 * q / m**3))
-    phi = math.acos(c3) / 3.0
-    roots = [m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    phi = acos(largest(-1.0, smallest(1.0, -4.0 * q / m**3))) / 3.0
+    roots = [m * cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
 
-    # Newton polish on floats, each step the array polish's operations in
+    # Newton polish, on floats each step the array polish's operations in
     # its order; only the cube is numpy's, which differs from pow() and
     # from t*t*t in the last bit now and then, and the roots depend on it
     for _ in range(2):
-        cubes = np.power(roots, 3).tolist()
+        cubes = np.power(roots, 3)
         polished = []
-        for t, t3 in zip(roots, cubes):
+        for t, t3 in zip(roots, cubes if array else cubes.tolist()):
             df = 3.0 * (t * t) + p
-            polished.append(t - (t3 + p * t + q) / df if abs(df) > 1e-300 else t)
+            if array:
+                ok = abs(df) > 1e-300
+                polished.append(np.where(ok, t - (t3 + p * t + q) / np.where(ok, df, 1.0), t))
+            else:
+                polished.append(t - (t3 + p * t + q) / df if abs(df) > 1e-300 else t)
         roots = polished
-    r = sorted(roots, reverse=True)
+    r = list(np.sort(roots, axis=0)[::-1]) if array else sorted(roots, reverse=True)
     mean = (r[0] + r[1] + r[2]) / 3.0  # the three real roots sum to zero
     r = [t - mean for t in r]
     # re-centring leaves an ulp of the largest root as absolute error: a
     # far smaller root comes from -q / (product of the others) instead
+    if array:
+        rows = np.stack(r, axis=-1)
+        size = abs(rows)
+        j = size.argmin(axis=-1)
+        at = np.nonzero(size.min(axis=-1) < 1e-3 * size.max(axis=-1))
+        others = np.stack([r[1] * r[2], r[0] * r[2], r[0] * r[1]], axis=-1)
+        rows[(*at, j[at])] = -q[at] / others[(*at, j[at])]
+        return rows, multiple
     j = min(range(3), key=lambda i: abs(r[i]))
     if abs(r[j]) < 1e-3 * max(abs(t) for t in r):
         others = [t for i, t in enumerate(r) if i != j]

@@ -136,10 +136,10 @@ def test_suite_lift_sees_every_cross_route_point(monkeypatch, point):
 
 
 def test_suite_lift_bounds_its_carlson_rj_calls(monkeypatch):
-    # one R_J call per array pass (the 64 x 64 grid, the 50 lift points, their
-    # 50 beta pairs), three per float coefficient row of the finite-difference
-    # sweep (3 rows x 3 steps), three per full-period memo miss (one
-    # spectral object per route): 39, where a per-point cross route took 339
+    # one R_J call per array pass (the 64 x 64 grid, the finite-difference
+    # sweep, the 50 lift points, their 50 beta pairs), three per full-period
+    # memo miss (one spectral object per route): 13, where a per-point
+    # finite-difference sweep took 39 and a per-point cross route 339
     calls = []
     kernel = elliptic._carlson_rj
 
@@ -150,4 +150,4 @@ def test_suite_lift_bounds_its_carlson_rj_calls(monkeypatch):
     monkeypatch.setattr(elliptic, "_carlson_rj", counted)
     immersion._g_full_period.cache_clear()
     assert verification.suite_lift().passed
-    assert len(calls) <= 3 + 27 + 9
+    assert len(calls) <= 4 + 9
