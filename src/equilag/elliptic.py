@@ -21,14 +21,16 @@ integrals' x, y, z, p and the amplitude's sines) and then act elementwise
 with numpy's elementary functions.  `jacobi` takes an array of moduli as
 well: the AGM chain (`_agm`, written once for floats and arrays) then runs
 elementwise in the `_keep_done` idiom below, each element stopping at its
-own level, and each element gets the bits of its own one-point call.  The
-Carlson kernels' k^2 stays a scalar, and `_third_kind` takes its n_j along
-the last axis, so that one call serves the three phase integrals of a
-lift.  Python floats keep the `math` path and return floats.  A numpy
-scalar (np.float64) is no array: it is accepted, takes the `math` path
-and gives the same bits, but its arithmetic runs at about half the speed
-of Python floats, so callers hand floats in (immersion's per-object phase constants are Python floats, and
-the point evaluators take the float a numpy scalar holds).
+own depth, and one descent serves a float z, an array z and an array k,
+each element with the bits of its own one-point call.  The Carlson
+kernels' k^2 stays a scalar, and `_third_kind` takes the sequence of its
+n_j, so that one call serves the three phase integrals of a lift.  Python
+floats keep the `math` path and return floats.  A numpy scalar
+(np.float64) is no array: it is accepted, takes the `math` path and gives
+the same bits, but its arithmetic runs at about half the speed of Python
+floats, so callers hand floats in (immersion's per-object phase
+constants are Python floats, and the point evaluators take the float a
+numpy scalar holds).
 
 A duplication loop over an array runs until every element meets Carlson's
 stop rule, and each element stops where it meets it, so the integrals
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,9 @@ def _largest(*vs: np.ndarray) -> np.ndarray:
 # (sqrt, largest) of the float path and of the array path
 _CARLSON_MATH = (math.sqrt, max)
 _CARLSON_NUMPY = (np.sqrt, _largest)
+# (sin, asin, cos, sqrt, round, tanh, cosh) of jacobi at a float z and at an array
+_JACOBI_MATH = (math.sin, math.asin, math.cos, math.sqrt, round, math.tanh, math.cosh)
+_JACOBI_NUMPY = (np.sin, np.arcsin, np.cos, np.sqrt, np.round, np.tanh, np.cosh)
 
 
 class JacobiTriple(NamedTuple):
@@ -92,43 +96,44 @@ class _AgmScheme(NamedTuple):
     ratios: tuple[float, ...]    # c_n / a_n for n = N, ..., 1
 
 
-def _agm(k: _Real) -> tuple[list, list, list, list]:
-    """AGM sequences a_n, b_n, c_n starting from (1, k', k), and the elements of each step.
+def _agm(k: _Real) -> tuple[list, list, list, _Real]:
+    """AGM sequences a_n, b_n, c_n starting from (1, k', k), and the depth M of the chain.
 
     The chain stops at one ulp of a_n, |c_n| <= 2^-52 a_n: a_n and b_n can
     stay a last bit apart for good, and a tighter rule would then run the
     chain to its cap of 39 steps.  At an array k each element stops where
-    it meets that rule and keeps its values after it (`_keep_done`), and
-    steps[n - 1] marks the elements that took step n; at a float k steps is
-    empty.
+    it meets that rule, at its own depth; at every later level it keeps
+    a_n and b_n and takes c_n = 0 (`_keep_done`), so that the descent of
+    `jacobi` only halves its phase there.
     """
     array = isinstance(k, _ndarray)
     sqrt = np.sqrt if array else math.sqrt
     a: list = [1.0]
     b: list = [sqrt((1.0 - k) * (1.0 + k))]
     c: list = [k]
-    steps: list = []
+    depth = 0
     while len(a) < 40:
         go = abs(c[-1]) > 2.0**-52 * a[-1]
         if not (go.any() if array else go):
             break
         an, bn, cn = 0.5 * (a[-1] + b[-1]), sqrt(a[-1] * b[-1]), 0.5 * (a[-1] - b[-1])
         if array:
-            an, bn, cn = _keep_done(go, (an, bn, cn), (a[-1], b[-1], c[-1]))
-            steps.append(go)
+            an, bn, cn = _keep_done(go, (an, bn, cn), (a[-1], b[-1], 0.0))
         a.append(an)
         b.append(bn)
         c.append(cn)
-    return a, b, c, steps
+        depth = depth + go
+    return a, b, c, depth
 
 
-def _phase_tables(a: list, c: list, levels) -> tuple:
-    """(4K, 2^N a_N, (c_n / a_n for n = N, ..., 1)) of an AGM chain with N = levels steps.
+def _phase_tables(a: list, c: list, depth: _Real) -> tuple:
+    """(4K, 2^M a_M, (c_n / a_n for n = N, ..., 1)) of an AGM chain of depth M.
 
-    4K = 2 pi / a_N is formed as 4 (pi / (2 a_N)).  At arrays, a[-1] holds
-    each element's own a_N and levels its own N.
+    4K = 2 pi / a_M is formed as 4 (pi / (2 a_M)).  N = len(a) - 1 is the
+    deepest chain's: at arrays, an element of depth M < N has a_N = a_M and
+    the ratio 0 at levels N to M + 1.
     """
-    return (4.0 * (math.pi / (2.0 * a[-1])), (2.0**levels) * a[-1],
+    return (4.0 * (math.pi / (2.0 * a[-1])), (2.0**depth) * a[-1],
             tuple(c[n] / a[n] for n in range(len(a) - 1, 0, -1)))
 
 
@@ -141,8 +146,8 @@ def _agm_scheme(k: float) -> _AgmScheme:
     the scale 2^N a_N of the first phase and the ratios c_n / a_n of the
     descent.
     """
-    a, b, c, _ = _agm(k)
-    return _AgmScheme(tuple(a), tuple(b), tuple(c), *_phase_tables(a, c, len(a) - 1))
+    a, b, c, depth = _agm(k)
+    return _AgmScheme(tuple(a), tuple(b), tuple(c), *_phase_tables(a, c, depth))
 
 
 def _keep_done(go, after: tuple, before: tuple) -> tuple:
@@ -301,12 +306,11 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     ) + 6.0 * acc
 
 
-def _third_kind(n: float | tuple[float, ...], p: _Real, s: _Real, c2: _Real, d2: _Real,
-                k2: float) -> _Real:
-    """Pi(n; phi, k) for n < 1 and |phi| <= pi/2, from the amplitude's sines.
+def _third_kind(n: tuple[float, ...], p, s: _Real, c2: _Real, d2: _Real, k2: float):
+    """Pi(n_j; phi, k) for each n_j < 1 of the sequence n, |phi| <= pi/2, from phi's sines.
 
     s = sin phi, c2 = cos^2 phi, d2 = 1 - k^2 s^2, k2 = k^2 and
-    p = 1 - n s^2 are passed in rather than recomputed, so that a caller
+    p_j = 1 - n_j s^2 are passed in rather than recomputed, so that a caller
     holding them free of cancellation keeps that accuracy.  For n >= 0 this
     is s R_F(c2, d2, 1) + (n/3) s^3 R_J(c2, d2, 1, p)
     (https://dlmf.nist.gov/19.25.E14); for n < 0 that sum cancels as
@@ -316,20 +320,27 @@ def _third_kind(n: float | tuple[float, ...], p: _Real, s: _Real, c2: _Real, d2:
     as n -> 0- (q ~ 1/|n|), where 19.25.14 does not cancel, so tiny
     negative n, -1e-8 <= n < 0, takes 19.25.14.  s = 0 gives 0.
 
-    At a float s, n is a float.  At arrays, n is a sequence of floats taken
-    along the last axis, against which p, s, c2 and d2 broadcast (p of
-    shape (m, len(n)), s, c2, d2 of shape (m, 1)); then one R_F call serves
-    every column of 19.25.14, one R_J call every column, and one R_C call
-    the columns of the R_C form.
+    At a float s, p holds one float per n_j and the result is a list of
+    Python floats.  At arrays, the n_j lie along the last axis, against
+    which p, s, c2 and d2 broadcast (p of shape (m, len(n)), s, c2, d2 of
+    shape (m, 1)), and the result has p's shape; then one R_J call serves
+    every column and one R_C call the columns of the R_C form.  Either way
+    one R_F call serves every n_j of 19.25.14.
     """
     if not isinstance(s, _ndarray):
         if s == 0.0:
-            return 0.0
+            return [0.0] * len(n)
         s3 = s * s * s
-        if n >= -1e-8:
-            return s * _carlson_rf(c2, d2, 1.0) + n / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, p)
-        q = 1.0 - k2 * s * s / n
-        return s * _carlson_rc(c2 * d2, p * q) - k2 * s3 / (3.0 * n) * _carlson_rj(c2, d2, 1.0, q)
+        rf = s * _carlson_rf(c2, d2, 1.0) if max(n) >= -1e-8 else 0.0
+        out = []
+        for nj, pj in zip(n, p):
+            if nj >= -1e-8:
+                out.append(rf + nj / 3.0 * s3 * _carlson_rj(c2, d2, 1.0, pj))
+            else:
+                q = 1.0 - k2 * s * s / nj
+                out.append(s * _carlson_rc(c2 * d2, pj * q)
+                           - k2 * s3 / (3.0 * nj) * _carlson_rj(c2, d2, 1.0, q))
+        return out
     n = np.asarray(n, dtype=float)
     neg = n < -1e-8
     p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), np.shape(s), n.shape))
@@ -358,10 +369,11 @@ def jacobi(z: _Real, k: _Real) -> JacobiTriple:
     forms.  sn(J(theta, k), k) = sin(theta) for the integral J of the first kind.
     z may be an array: the AGM scheme of k is shared and the phase
     recursion runs elementwise, giving a triple of arrays.  k may be an
-    array of z's shape as well: the AGM chain then runs elementwise, each
-    element stopping at its own level, and each element of the result has
-    the bits of jacobi(np.array([z_i]), k_i); a k outside [0, 1] or NaN is
-    refused as at a float k.
+    array of z's shape as well: the AGM chain then runs elementwise
+    (`_agm`), and each element of the result has the bits of
+    jacobi(np.array([z_i]), k_i); a k outside [0, 1] or NaN is refused as
+    at a float k.  One descent serves all three: only its elementary
+    functions are math's at a float z and numpy's at an array.
     """
     moduli = isinstance(k, _ndarray)
     if moduli:
@@ -372,50 +384,38 @@ def jacobi(z: _Real, k: _Real) -> JacobiTriple:
     else:
         _check_modulus(k, allow_one=True)
     array = isinstance(z, _ndarray)
+    sin, asin, cos, sqrt, rnd, tanh, cosh = _JACOBI_NUMPY if array else _JACOBI_MATH
     if not (np.isfinite(z).all() if array else math.isfinite(z)):
         raise ValueError(f"argument must be finite, got {z}")
-    if not moduli:
-        if k == 0.0:
-            if array:
-                return JacobiTriple(np.sin(z), np.cos(z), np.ones_like(z))
-            return JacobiTriple(math.sin(z), math.cos(z), 1.0)
-        if k == 1.0:
-            sech = 1.0 / (np.cosh if array else math.cosh)(z)
-            return JacobiTriple((np.tanh if array else math.tanh)(z), sech, sech)
+    if moduli:
+        circular, hyperbolic = k == 0.0, k == 1.0
+        # k = 1 takes its closed form below: its chain would never stop
+        a, _, c, depth = _agm(np.where(hyperbolic, 0.0, k))
+        four_k, scale, ratios = _phase_tables(a, c, depth)
+    elif k == 0.0:
+        return JacobiTriple(sin(z), cos(z), np.ones_like(z) if array else 1.0)
+    elif k == 1.0:
+        sech = 1.0 / cosh(z)
+        return JacobiTriple(tanh(z), sech, sech)
+    else:
         _, _, _, four_k, scale, ratios = _agm_scheme(k)
 
-    if array:
-        steps = []
-        if moduli:
-            circular, hyperbolic = k == 0.0, k == 1.0
-            # k = 1 takes its closed form below: its chain would never stop
-            a, _, c, steps = _agm(np.where(hyperbolic, 0.0, k))
-            four_k, scale, ratios = _phase_tables(a, c, np.sum(steps, axis=0))
-        phi = scale * (z - four_k * np.round(z / four_k))
-        # level n turns the phase of the elements whose chain reaches n, all at a float k
-        for ratio, go in zip_longest(ratios, steps[::-1]):
-            turned = 0.5 * (phi + np.arcsin(np.maximum(-1.0, np.minimum(1.0, ratio * np.sin(phi)))))
-            phi = turned if go is None else np.where(go, turned, phi)
-        sn = np.sin(phi)
-        cn, dn = np.cos(phi), np.sqrt(np.maximum(0.0, 1.0 - (k * sn) * (k * sn)))
-        if moduli and circular.any():
-            sn[circular], cn[circular], dn[circular] = np.sin(z[circular]), np.cos(z[circular]), 1.0
-        if moduli and hyperbolic.any():
-            zh = z[hyperbolic]
-            sn[hyperbolic], cn[hyperbolic] = np.tanh(zh), 1.0 / np.cosh(zh)
-            dn[hyperbolic] = cn[hyperbolic]
-        return JacobiTriple(sn, cn, dn)
-
-    sin, asin = math.sin, math.asin
-    phi = scale * (z - four_k * round(z / four_k))
+    # |ratio sin(phi)| <= c_n / a_n < 1, and 1 - (k sn)^2 >= 1 - k^2 > 0 for k < 1
+    phi = scale * (z - four_k * rnd(z / four_k))
+    if moduli:
+        # a chain of depth M < N halves its phase at ratio 0 on levels N to
+        # M + 1: rounded at its own scale 2^M a_M and then raised by 2^(N - M),
+        # the phase comes back exactly, a subnormal one too (scaling by
+        # 2^N a_N instead would round it twice)
+        phi = phi * 2.0**(len(ratios) - depth)
     for ratio in ratios:
-        s = ratio * sin(phi)
-        # max(-1, min(1, s)) by comparisons; NaN goes to 1 there as here
-        if not s <= 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        phi = 0.5 * (phi + asin(s))
+        phi = 0.5 * (phi + asin(ratio * sin(phi)))
     sn = sin(phi)
-    dn2 = 1.0 - (k * sn) * (k * sn)
-    return JacobiTriple(sn, math.cos(phi), math.sqrt(dn2) if dn2 > 0.0 else 0.0)
+    cn, dn = cos(phi), sqrt(1.0 - (k * sn) * (k * sn))
+    if moduli and circular.any():
+        sn[circular], cn[circular], dn[circular] = sin(z[circular]), cos(z[circular]), 1.0
+    if moduli and hyperbolic.any():
+        zh = z[hyperbolic]
+        sn[hyperbolic], cn[hyperbolic] = tanh(zh), 1.0 / cosh(zh)
+        dn[hyperbolic] = cn[hyperbolic]
+    return JacobiTriple(sn, cn, dn)

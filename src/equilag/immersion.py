@@ -63,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import JacobiTriple, _third_kind, jacobi
+from .linalg3 import herm_inner, worst
 from .metric import MetricSample, _from_jacobi
 from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
 
@@ -136,10 +137,8 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
 def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, float]:
     """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind."""
     g = _g_segment(c, es)
-    return tuple(
-        2.0 * pre * _third_kind(n, omn, 1.0, 0.0, c.kp2, c.k2)
-        for pre, n, omn in zip(g.pre, g.n, g.one_minus_n)
-    )
+    pis = _third_kind(g.n, g.one_minus_n, 1.0, 0.0, c.kp2, c.k2)
+    return tuple(2.0 * pre * pi for pre, pi in zip(g.pre, pis))
 
 
 def _phase_terms(
@@ -167,12 +166,8 @@ def _phase_terms(
     if array:
         p = np.stack(p, axis=-1)
         s, c2, d2 = s[..., None], c2[..., None], d2[..., None]  # against the n_j columns of p
-        phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, d2, c.k2)
-    else:
-        phases = np.array([
-            pre * _third_kind(n, pj, s, c2, d2, c.k2) for pre, n, pj in zip(g.pre, g.n, p)
-        ])
-        p = np.array(p)
+    phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, d2, c.k2)
+    p = np.asarray(p)
     if m.any() if array else m:
         phases += np.multiply.outer(m, _g_full_period(c, es))
     return p, phases
@@ -382,10 +377,6 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
         """F at (x + dx, y) for every x in xs and y in ys, shape (nx, ny, 3), from p_j at y."""
         return (np.exp(1j * np.multiply.outer(xs + dx, es.d))[:, None, :] * p) @ es.vectors
 
-    def inner(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """herm_inner at every point."""
-        return np.sum(z * np.conj(u), axis=-1)
-
     F = ev(0.0, p0)
     fxp, fxm = ev(h, p0), ev(-h, p0)
     fyp, fym = ev(0.0, pp), ev(0.0, pm)
@@ -408,17 +399,12 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     dpj = (pp - pm) / (2 * h)
     ode = (es.d * w - re0) * dpj - 0.5 * (u_prime * w + 2j * im0) * es.d * p0
 
-    def worst(*residuals) -> float:
-        """The largest |residual| over the points, NaN if any point is NaN."""
-        values = [float(np.abs(r).max()) for r in residuals]
-        return math.nan if any(map(math.isnan, values)) else max(values)
-
     return GeometryReport(
-        horizontality=worst(inner(Fz, F), inner(Fzb, F)),
-        conformality_diag=worst(inner(Fz, Fz) - m.w, inner(Fzb, Fzb) - m.w),
-        conformality_cross=worst(inner(Fz, Fzb)),
-        laplace=worst(Fzzb + w * F),
-        cubic_form=worst(inner(Fzz, Fzb) + 1j * v),
-        x_ode=worst(d3 + c.beta * d1 - 2j * re0 * F),
-        scalar_ode=worst(ode),
+        horizontality=worst(abs(herm_inner(Fz, F)), abs(herm_inner(Fzb, F))),
+        conformality_diag=worst(abs(herm_inner(Fz, Fz) - m.w), abs(herm_inner(Fzb, Fzb) - m.w)),
+        conformality_cross=worst(abs(herm_inner(Fz, Fzb))),
+        laplace=worst(abs(Fzzb + w * F)),
+        cubic_form=worst(abs(herm_inner(Fzz, Fzb) + 1j * v)),
+        x_ode=worst(abs(d3 + c.beta * d1 - 2j * re0 * F)),
+        scalar_ode=worst(abs(ode)),
     )

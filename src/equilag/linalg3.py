@@ -4,9 +4,10 @@ Provides the Hermitian inner product, the order-6 outer automorphism sigma,
 the trigonometric depressed-cubic solver that potential.eigensystem builds
 on (at one float q, or at an array of q in one pass, as the `potential`
 suite's lambda sweep takes it), the exponential of a 3x3 skew-Hermitian
-matrix from LAPACK's Hermitian eigensolver, and the four helpers (`stack3`, `per_vector`,
-`per_matrix`, `first_point`) that let one vector or matrix formula take a
-single point or arrays of points.
+matrix from LAPACK's Hermitian eigensolver, the four helpers (`stack3`,
+`per_vector`, `per_matrix`, `first_point`) that let one vector or matrix
+formula take a single point or arrays of points, and the NaN-propagating
+maximum (`worst`) of residuals over points.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3), complex
 dtype, plain value semantics; a formula evaluated on arrays of points gives
@@ -70,9 +71,23 @@ def first_point(mask, *coords) -> tuple | None:
     return tuple(np.broadcast_to(x, mask.shape).flat[i] for x in coords)
 
 
-def herm_inner(z: np.ndarray, w: np.ndarray) -> complex:
-    """Hermitian inner product sum_k z_k * conj(w_k) (linear in z)."""
-    return complex(np.dot(z, np.conj(w)))
+def worst(*residuals) -> float:
+    """The largest of these residuals, each a float or an array, and NaN if any is NaN.
+
+    Python's max() keeps its running value when the next one is NaN, so a
+    NaN residual would pass its check.
+    """
+    values = [r if isinstance(r, float) else float(r.max()) for r in residuals]
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def herm_inner(z: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
+    """Hermitian inner product sum_k z_k * conj(w_k) (linear in z) over the last axis.
+
+    Vectors give a complex scalar, stacks of shape (..., 3) an array of
+    shape (...).
+    """
+    return np.sum(z * np.conj(w), axis=-1)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -108,8 +123,9 @@ def solve_depressed_cubic(p: float, q: float | np.ndarray) -> tuple[np.ndarray, 
 
     Returns (roots, multiple), `multiple` set unless the discriminant
     -4p^3 - 27q^2 is clearly positive.  The trigonometric (Viete) roots are
-    Newton-polished and re-centered to sum to zero, and a root below 1e-3
-    of the largest is taken from their product, -q.  p >= 0, never met by
+    Newton-polished and re-centered to sum to zero.  The middle root is
+    the smallest in size, and where it is below 1e-3 of the others it is
+    taken from the product of the roots, -q.  p >= 0, never met by
     the eigenvalue cubic d^3 - beta d + 2 Re, is refused with ValueError.
     q may be an array: the roots are then rows of shape (*q.shape, 3) and
     `multiple` a boolean array of q's shape, each row the float call's
@@ -144,22 +160,16 @@ def solve_depressed_cubic(p: float, q: float | np.ndarray) -> tuple[np.ndarray, 
         roots = polished
     r = list(np.sort(roots, axis=0)[::-1]) if array else sorted(roots, reverse=True)
     mean = (r[0] + r[1] + r[2]) / 3.0  # the three real roots sum to zero
-    r = [t - mean for t in r]
-    # re-centring leaves an ulp of the largest root as absolute error: a
-    # far smaller root comes from -q / (product of the others) instead
+    r0, r1, r2 = (t - mean for t in r)
+    # re-centring leaves an ulp of the largest root as absolute error: the
+    # middle root, the smallest in size as the three sum to zero, comes from
+    # -q / (product of the others) instead where it is far smaller
+    small = abs(r1) < 1e-3 * largest(abs(r0), abs(r2))
     if array:
-        rows = np.stack(r, axis=-1)
-        size = abs(rows)
-        j = size.argmin(axis=-1)
-        at = np.nonzero(size.min(axis=-1) < 1e-3 * size.max(axis=-1))
-        others = np.stack([r[1] * r[2], r[0] * r[2], r[0] * r[1]], axis=-1)
-        rows[(*at, j[at])] = -q[at] / others[(*at, j[at])]
-        return rows, multiple
-    j = min(range(3), key=lambda i: abs(r[i]))
-    if abs(r[j]) < 1e-3 * max(abs(t) for t in r):
-        others = [t for i, t in enumerate(r) if i != j]
-        r[j] = -q / (others[0] * others[1])
-    return np.array(r), multiple
+        return np.stack((r0, np.where(small, -q / (r0 * r2), r1), r2), axis=-1), multiple
+    if small:
+        r1 = -q / (r0 * r2)
+    return np.array((r0, r1, r2)), multiple
 
 
 def matexp_skew(d: np.ndarray, t: float = 1.0) -> np.ndarray:

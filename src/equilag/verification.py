@@ -24,7 +24,7 @@ one `potential_matrix` stack; `suite_identities` takes one array
 (`immersion.verify_geometry`) takes its points and stencils as stacks.
 `suite_frame` stays per point: its seven frames per lambda cost more as
 one array `extended_frame` call than as seven float calls.  Every maximum
-over points propagates NaN (`_worst`), so a NaN residual fails its suite.
+over points propagates NaN (`linalg3.worst`), so a NaN residual fails its suite.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from . import immersion, iwasawa, linalg3, periodicity
 from .elliptic import _carlson_rf, complete_K, jacobi
+from .linalg3 import herm_inner, worst
 from .metric import first_integral_residual, gauss_residual, metric_at
 from .potential import (
     DerivedConstants,
@@ -99,16 +100,6 @@ def _off_locus(c: DerivedConstants, lam: complex) -> bool:
             and abs((c.psi / lam**3).imag) >= 1e-3 * abs(c.psi))
 
 
-def _worst(*residuals) -> float:
-    """The largest of these residuals, each a float or an array, and NaN if any is NaN.
-
-    Python's max() keeps its running value when the next one is NaN, so a
-    NaN residual would pass its suite.
-    """
-    values = [r if isinstance(r, float) else float(r.max()) for r in residuals]
-    return math.nan if any(map(math.isnan, values)) else max(values)
-
-
 def _finish(name, residuals, thresholds, t0, note=""):
     passed = all(residuals[k] < thresholds[k] for k in thresholds)
     return SuiteResult(
@@ -130,8 +121,8 @@ def suite_elliptic() -> SuiteResult:
     # K(k) = R_F(0, k'^2, 1) (DLMF 19.25.1): the duplication route against the AGM
     k0 = 0.5
     res = {
-        "sn2_cn2": _worst(abs(sn * sn + cn * cn - 1.0)),
-        "k2sn2_dn2": _worst(abs(k * k * sn * sn + dn * dn - 1.0)),
+        "sn2_cn2": worst(abs(sn * sn + cn * cn - 1.0)),
+        "k2sn2_dn2": worst(abs(k * k * sn * sn + dn * dn - 1.0)),
         "K_vs_carlson": abs(complete_K(k0) - _carlson_rf(0.0, 1.0 - k0 * k0, 1.0)),
     }
     thr = {"sn2_cn2": 1e-12, "k2sn2_dn2": 1e-12, "K_vs_carlson": 1e-12}
@@ -148,14 +139,14 @@ def suite_potential() -> SuiteResult:
     spectral = [_spectral_point(c.psi, lam) for lam in sweep]
     re0 = np.array([cubic.real for _, cubic, regime in spectral if regime != "imaginary"])
     d1, d2, d3 = linalg3.solve_depressed_cubic(-c.beta, 2.0 * re0)[0].T
-    viete = _worst(
+    viete = worst(
         abs(d1 + d2 + d3),
         abs(d1 * d2 + d2 * d3 + d3 * d1 + c.beta),
         abs(d1 * d2 * d3 + 2.0 * re0),
     )
     lams = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 25))
     twist = potential_matrix(c, EPS6 * lams) - linalg3.sigma_algebra(potential_matrix(c, lams))
-    res = {"viete": viete, "twisting": _worst(abs(twist))}
+    res = {"viete": viete, "twisting": worst(abs(twist))}
     thr = {"viete": 1e-10, "twisting": 1e-12}
     return _finish("potential", res, thr, t0)
 
@@ -212,7 +203,7 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
     worst_det = float(np.max(np.abs(np.linalg.det(qt) - 1.0)))
     q00, qt0 = iwasawa.q_factor(c, 0.0, lams)
     qt0 = qt0 / kappa(0.0, lams)
-    worst_init = _worst(abs(qt0 - np.eye(3)), abs(q00 - np.eye(3)))
+    worst_init = worst(abs(qt0 - np.eye(3)), abs(q00 - np.eye(3)))
     worst_lemma = 0.0
     # fixed lambda: the lemma and the flow keep at least two and one of them at any psi
     for lam in (complex(np.exp(1j * theta)) for theta in (0.3, 1.1, 2.6)):
@@ -220,7 +211,7 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
             continue
         b1, b2 = iwasawa.beta_integrals(c, eigensystem(c, lam), 2.0 * c.T)
         b1e, b2e = iwasawa.beta_integrals(c, eigensystem(c, EPS6 * lam), 2.0 * c.T)
-        worst_lemma = _worst(
+        worst_lemma = worst(
             worst_lemma,
             abs(b1.imag - 2.0 * c.T),
             abs(b2.real),
@@ -236,7 +227,7 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
         es = eigensystem(c, lam)
         up, um, u0 = (iwasawa.u_plus(c, es, t) / kappa(t, lam) for t in (y + h, y - h, y))
         flow = (up - um) / (2.0 * h) @ np.linalg.inv(u0)
-        worst_flow = _worst(worst_flow, abs(flow - iwasawa.y_flow_matrix(c, y, lam)))
+        worst_flow = worst(worst_flow, abs(flow - iwasawa.y_flow_matrix(c, y, lam)))
     res = {
         "conjugation": worst_conj,
         "det_qtilde": worst_det,
@@ -275,17 +266,17 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
             frame = partial(iwasawa.extended_frame, c, es)
             fr = frame(z)
-            worst_id = _worst(worst_id, abs(frame(0j) - np.eye(3)))
-            worst_su3 = _worst(
+            worst_id = worst(worst_id, abs(frame(0j) - np.eye(3)))
+            worst_su3 = worst(
                 worst_su3, linalg3.unitary_residual(fr), abs(np.linalg.det(fr) - 1.0)
             )
             x = rng.uniform(-1.0, 1.0)
             chi = linalg3.matexp_skew(potential_matrix(c, lam), x)
-            worst_equiv = _worst(worst_equiv, abs(frame(z + x) - chi @ fr))
+            worst_equiv = worst(worst_equiv, abs(frame(z + x) - chi @ fr))
             dfx = (frame(z + h) - frame(z - h)) / (2.0 * h)
             dfy = (frame(z + 1j * h) - frame(z - 1j * h)) / (2.0 * h)
             fi = np.linalg.inv(fr)
-            worst_mc = _worst(
+            worst_mc = worst(
                 worst_mc,
                 abs(fi @ dfx - iwasawa.omega_matrix(c, z.imag, lam)),
                 abs(fi @ dfy - iwasawa.b_matrix(c, z.imag, lam)),
@@ -293,7 +284,7 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
             twist = eigensystem(c, EPS6 * lam)
             if twist.regime == "nonreal" == es.regime:
                 twisted = iwasawa.extended_frame(c, twist, z)
-                worst_twist = _worst(worst_twist, abs(twisted - linalg3.sigma_group(fr)))
+                worst_twist = worst(worst_twist, abs(twisted - linalg3.sigma_group(fr)))
     res = {
         "frame_at_zero": worst_id,
         "su3": worst_su3,
@@ -324,19 +315,18 @@ def suite_lift(params: SurfaceParams | None = None) -> SuiteResult:
     worst_norm = worst_geom = worst_cross = 0.0
     for c in cases:
         grid = immersion.sample_grid(c, 1.0, (0.0, 2.0), (0.0, 2.0 * c.T), 64, 64)
-        worst_norm = _worst(worst_norm, abs(np.linalg.norm(grid.F, axis=2) - 1.0))
+        worst_norm = worst(worst_norm, abs(np.linalg.norm(grid.F, axis=2) - 1.0))
         rep = immersion.verify_geometry(
             c, 1.0, np.linspace(0.1, 1.9, 3), np.linspace(0.1, 2.0 * c.T - 0.1, 3)
         )
-        worst_geom = _worst(worst_geom, *astuple(rep))
+        worst_geom = worst(worst_geom, *astuple(rep))
         if regime_of(c, 1.0) == "nonreal":
             # 50 points, each drawn as (x, y) in turn; one array pass per route
             es = eigensystem(c, 1.0)
             x, y = np.random.default_rng(23).uniform([-1.0, 0.0], [1.0, 2.0 * c.T], (50, 2)).T
             fa = immersion.lift_at(c, es, x, y).F
             fb = iwasawa.iwasawa_frame(c, es, x + 1j * y)[..., 2]
-            inner = np.sum(fa * np.conj(fb), axis=-1)  # herm_inner per point
-            worst_cross = _worst(worst_cross, abs(abs(inner) - 1.0))
+            worst_cross = worst(worst_cross, abs(abs(herm_inner(fa, fb)) - 1.0))
     res = {"unit_norm": worst_norm, "fd_geometry": worst_geom, "cross_route": worst_cross}
     thr = {"unit_norm": 1e-10, "fd_geometry": 1e-6, "cross_route": 1e-8}
     return _finish("lift", res, thr, t0, note)
@@ -354,15 +344,15 @@ def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
             continue
         es = eigensystem(c, lam)
         g = np.array(immersion._g_full_period(c, es))
-        worst_sum = _worst(worst_sum, abs(g.sum()))
-        worst_cancel = _worst(worst_cancel, abs(g - iwasawa.full_period_phases(c, es)))
+        worst_sum = worst(worst_sum, abs(g.sum()))
+        worst_cancel = worst(worst_cancel, abs(g - iwasawa.full_period_phases(c, es)))
         v = es.cubic
         # 30 y per lambda, as rows against the three d_j columns
         m = metric_at(c, rng.uniform(0.0, 2.0 * c.T, 30))
         w, u_prime = m.w[:, None], m.u_prime[:, None]
         lhs = (es.d * w - v.real) * (es.d**2 * w + v.real * es.d - 2.0 * w**2)
         rhs = (0.25 * u_prime**2 * w**2 + v.imag**2) * es.d
-        worst_factor = _worst(worst_factor, abs(lhs - rhs))
+        worst_factor = worst(worst_factor, abs(lhs - rhs))
     res = {"g_sum": worst_sum, "monodromy_g_cancel": worst_cancel, "factor_identity": worst_factor}
     thr = {"g_sum": 1e-8, "monodromy_g_cancel": 1e-8, "factor_identity": 1e-9}
     return _finish("identities", res, thr, t0, note)
@@ -388,13 +378,13 @@ def suite_periodicity() -> SuiteResult:
                 f1 = immersion.lift_at(c, es, x + omega.real, y + omega.imag).F
                 w0 = immersion.project_chart(f0)
                 w1 = immersion.project_chart(f1)
-                lift_per = _worst(lift_per, abs(w1[0] - w0[0]), abs(w1[1] - w0[1]))
+                lift_per = worst(lift_per, abs(w1[0] - w0[0]), abs(w1[1] - w0[1]))
     # 4Ti periodicity of the real-regime lift, componentwise
     four_t = 0.0
     for x, y in ((0.2, 0.1), (-0.7, 1.3), (1.1, 2.9)):
         f0 = immersion.lift_at(c, es, x, y).F
         f1 = immersion.lift_at(c, es, x, y + 4.0 * c.T).F
-        four_t = _worst(four_t, abs(f1 - f0))
+        four_t = worst(four_t, abs(f1 - f0))
     cb = derive_constants(BENCH_SWEEP)
     none_ok = periodicity.classify_torus(cb, 1.0).tag == "NoPeriodFound"
     try:
@@ -426,7 +416,8 @@ def run_suites(
 ) -> VerificationReport:
     """Run the residual suites; `params` parametrizes the surface-generic ones.
 
-    `names` restricts the run to a subset of suite names.
+    `names` restricts the run to a subset of suite names; an empty name is
+    refused with the unknown ones.
     """
     runners = {
         "elliptic": suite_elliptic,
@@ -441,6 +432,8 @@ def run_suites(
     if names is None:
         selected = list(runners)
     else:
+        if "" in names:
+            raise UnknownSuiteError(f"empty suite name in {','.join(names)!r}")
         unknown = sorted(set(names) - set(runners))
         if unknown:
             raise UnknownSuiteError(f"unknown suites: {', '.join(unknown)}")

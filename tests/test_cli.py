@@ -476,6 +476,15 @@ class TestVerify:
         rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "nope"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("suites", ["", "metric,", ",metric", "metric,,potential"])
+    def test_empty_suite_name(self, capsys, suites):
+        # an empty list used to run all eight suites, and "metric," to name nothing
+        rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", suites])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: empty suite name in {suites!r}\n"
+
     def test_verify_json(self, capsys):
         rc = main([
             "verify", "--a1", "2", "--psi", "0.70710678118654746,0.70710678118654757",

@@ -267,7 +267,7 @@ class TestCarlson:
 
         k = 0.9
         s, c = math.sin(phi), math.cos(phi)
-        got = _third_kind(n, 1.0 - n * s * s, s, c * c, 1.0 - (k * s) ** 2, k * k)
+        (got,) = _third_kind((n,), (1.0 - n * s * s,), s, c * c, 1.0 - (k * s) ** 2, k * k)
         with mpmath.workdps(30):
             want = float(mpmath.ellippi(n, phi, k * k))
         assert abs(got - want) < 4e-15 * abs(want)  # relative: G_j scales Pi up
@@ -357,12 +357,13 @@ class TestArrayPath:
         # the caller's forms: p = (1 - n) + n cos^2 for n > 0 keeps p -> 0+ accurate
         def args(s, c):
             p = (1.0 - n) + n * c * c if n > 0.0 else 1.0 - n * s * s
-            return n, p, s, c * c, 1.0 - (k * s) ** 2, k * k
+            return p, s, c * c, 1.0 - (k * s) ** 2
 
         s, c = np.sin(phi), np.cos(phi)
         # arrays take their n along the last axis: here one column
-        got = _third_kind((n,), *(a[:, None] for a in args(s, c)[1:5]), k * k)[:, 0]
-        want = [_third_kind(*args(float(si), float(ci))) for si, ci in zip(s, c)]
+        got = _third_kind((n,), *(a[:, None] for a in args(s, c)), k * k)[:, 0]
+        want = [_third_kind((n,), (p,), *rest, k * k)[0]
+                for p, *rest in (args(float(si), float(ci)) for si, ci in zip(s, c))]
         assert np.all(np.isfinite(got))
         assert _within_ulps(got, want)
         assert np.all(got[s == 0.0] == 0.0)
@@ -374,5 +375,5 @@ class TestArrayPath:
         assert type(_carlson_rf(0.2, 0.5, 1.0)) is float
         assert type(_carlson_rc(0.2, 0.5)) is float
         assert type(_carlson_rj(0.2, 0.5, 1.0, 1e-9)) is float
-        assert type(_third_kind(0.5, 0.9, 0.3, 0.91, 0.9, 0.25)) is float
-        assert type(_third_kind(-4.0, 1.36, 0.3, 0.91, 0.9, 0.25)) is float
+        pis = _third_kind((0.5, -4.0), (0.9, 1.36), 0.3, 0.91, 0.9, 0.25)
+        assert type(pis) is list and [type(v) for v in pis] == [float, float]

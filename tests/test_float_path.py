@@ -79,8 +79,8 @@ def test_numpy_scalar_n_and_p_give_the_same_bits(n, phi, k2):
     c2 = math.cos(phi) ** 2
     d2 = 1.0 - k2 * s * s
     p = 1.0 - n * s * s
-    want = elliptic._third_kind(n, p, s, c2, d2, k2)
-    got = elliptic._third_kind(np.float64(n), np.float64(p), s, c2, d2, k2)
+    (want,) = elliptic._third_kind((n,), (p,), s, c2, d2, k2)
+    (got,) = elliptic._third_kind((np.float64(n),), (np.float64(p),), s, c2, d2, k2)
     assert type(want) is float
     assert float(got).hex() == want.hex()
 

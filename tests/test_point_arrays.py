@@ -50,7 +50,7 @@ def test_third_kind_columns_match_float_calls_bit_for_bit(ns, k, phi):
     d2 = 1.0 - (k * s) ** 2
     p = np.array([[p_of(n, si, ci) for n in ns] for si, ci in zip(s.tolist(), c2.tolist())])
     got = _third_kind(ns, p, s[:, None], c2[:, None], d2[:, None], k * k)
-    want = [[_third_kind(n, pij, si, ci, di, k * k) for n, pij in zip(ns, row)]
+    want = [_third_kind(ns, row, si, ci, di, k * k)
             for si, ci, di, row in zip(s.tolist(), c2.tolist(), d2.tolist(), p.tolist())]
     assert got.shape == (len(phi), len(ns))
     assert got.tobytes() == np.array(want).tobytes()

@@ -23,7 +23,8 @@ from equilag.elliptic import JacobiTriple, jacobi
 
 # moduli whose AGM chain once ran to its cap, and both closed-form limits
 CAPPED = test_elliptic.TestAgmScheme.FORMERLY_CAPPED
-MODULI = st.one_of(st.floats(0.0, 0.9999), st.sampled_from((0.0, 1.0, 0.999, *CAPPED)))
+MODULI = st.one_of(st.floats(0.0, 0.9999),
+                   st.sampled_from((0.0, 1.0, 0.999, 0.9999999, 1.0 - 2.0**-53, *CAPPED)))
 
 
 def _bits(triple) -> list:
@@ -35,6 +36,9 @@ def _bits(triple) -> list:
 # chains of 0 to 5 levels and both closed forms side by side
 @example(pairs=[(0.0, 0.3), (1.0, -2.0), (0.999, 17.5), (1e-9, 4.0), (CAPPED[0], -0.7),
                 (CAPPED[2], 900.0), (0.5, 0.0), (0.9999, -1e3)])
+# subnormal phases of chains of 5 and 6 levels next to one of 9: halving
+# 2^9 a z back to 2^5 a z would round them twice (sn(5e-324) would be 0)
+@example(pairs=[(0.917, 5e-324), (0.62, 1.5e-323), (0.813, -1.5e-323), (1.0 - 2.0**-53, 0.0)])
 def test_jacobi_over_moduli_matches_each_element_bit_for_bit(pairs):
     k, z = (np.array(v) for v in zip(*pairs))
     z = np.where(k == 1.0, z / 10.0, z)  # keeps cosh below its overflow near 710
