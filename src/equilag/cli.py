@@ -238,7 +238,7 @@ def cmd_verify(cfg: JobConfig, args) -> int:
     try:
         report = verification.run_suites(
             SurfaceParams(c.a1, c.psi), corrupt_kappa=args.debug_corrupt_kappa,
-            names=None if args.suites is None else args.suites.split(","),
+            names=None if args.suites is None else [n.strip() for n in args.suites.split(",")],
         )
     except verification.UnknownSuiteError as exc:
         raise ConfigError(str(exc)) from exc

@@ -24,13 +24,13 @@ elementwise in the `_keep_done` idiom below, each element stopping at its
 own depth, and one descent serves a float z, an array z and an array k,
 each element with the bits of its own one-point call.  The Carlson
 kernels' k^2 stays a scalar, and `_third_kind` takes the sequence of its
-n_j, so that one call serves the three phase integrals of a lift.  Python
-floats keep the `math` path and return floats.  A numpy scalar
-(np.float64) is no array: it is accepted, takes the `math` path and gives
-the same bits, but its arithmetic runs at about half the speed of Python
-floats, so callers hand floats in (immersion's per-object phase
-constants are Python floats, and the point evaluators take the float a
-numpy scalar holds).
+n_j, so that one call serves the three phase integrals of a lift, or rows
+of them, one per spectral object of a stack.  Python floats keep the
+`math` path and return floats.  A numpy scalar (np.float64) is no array:
+it is accepted, takes the `math` path and gives the same bits, but its
+arithmetic runs at about half the speed of Python floats, so callers hand
+floats in (immersion's per-object phase constants are Python floats, and
+the point evaluators take the float a numpy scalar holds).
 
 A duplication loop over an array runs until every element meets Carlson's
 stop rule, and each element stops where it meets it, so the integrals
@@ -306,7 +306,7 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     ) + 6.0 * acc
 
 
-def _third_kind(n: tuple[float, ...], p, s: _Real, c2: _Real, d2: _Real, k2: float):
+def _third_kind(n: tuple[float, ...] | np.ndarray, p, s: _Real, c2: _Real, d2: _Real, k2: float):
     """Pi(n_j; phi, k) for each n_j < 1 of the sequence n, |phi| <= pi/2, from phi's sines.
 
     s = sin phi, c2 = cos^2 phi, d2 = 1 - k^2 s^2, k2 = k^2 and
@@ -323,9 +323,13 @@ def _third_kind(n: tuple[float, ...], p, s: _Real, c2: _Real, d2: _Real, k2: flo
     At a float s, p holds one float per n_j and the result is a list of
     Python floats.  At arrays, the n_j lie along the last axis, against
     which p, s, c2 and d2 broadcast (p of shape (m, len(n)), s, c2, d2 of
-    shape (m, 1)), and the result has p's shape; then one R_J call serves
-    every column and one R_C call the columns of the R_C form.  Either way
-    one R_F call serves every n_j of 19.25.14.
+    shape (m, 1)), and the result has p's shape; n may also be an array of
+    p's shape, rows (m, 3) of n_j, one row per point.  The choice of form
+    is then made element by element, and q is formed on the elements of
+    the R_C form alone, so it stays finite as n -> 0-.  One R_J call serves
+    every element and one R_C call the elements of the R_C form, and each
+    element has the bits of its float call.  Either way one R_F call
+    serves every n_j of 19.25.14.
     """
     if not isinstance(s, _ndarray):
         if s == 0.0:
@@ -342,21 +346,23 @@ def _third_kind(n: tuple[float, ...], p, s: _Real, c2: _Real, d2: _Real, k2: flo
                            - k2 * s3 / (3.0 * nj) * _carlson_rj(c2, d2, 1.0, q))
         return out
     n = np.asarray(n, dtype=float)
-    neg = n < -1e-8
-    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p), np.shape(s), n.shape))
-    fourth, val = p.copy(), np.empty(p.shape)  # R_J's fourth argument: p, or q where n < 0
-    s3 = s * s * s
+    shape = np.broadcast_shapes(np.shape(p), np.shape(s), n.shape)
+    neg = np.broadcast_to(n < -1e-8, shape)
+    n, p = np.broadcast_to(n, shape), np.broadcast_to(p, shape)
+    fourth, val = p.copy(), np.empty(shape)  # R_J's fourth argument: p, or q where n < 0
+    s3 = np.broadcast_to(s * s * s, shape)
     if neg.any():
-        nn = n[neg]
-        q = 1.0 - k2 * s * s / nn  # formed on these columns alone: it overflows as n -> 0-
-        fourth[..., neg] = q
+        sn, nn = np.broadcast_to(s, shape)[neg], n[neg]
+        q = 1.0 - k2 * sn * sn / nn  # formed on these elements alone: it overflows as n -> 0-
+        fourth[neg] = q
     rj = _carlson_rj(c2, d2, 1.0, fourth)
     if not neg.all():
         pos = ~neg
-        val[..., pos] = s * _carlson_rf(c2, d2, 1.0) + n[pos] / 3.0 * s3 * rj[..., pos]
+        rf = np.broadcast_to(s * _carlson_rf(c2, d2, 1.0), shape)
+        val[pos] = rf[pos] + n[pos] / 3.0 * s3[pos] * rj[pos]
     if neg.any():
-        val[..., neg] = (s * _carlson_rc(c2 * d2, p[..., neg] * q)
-                         - k2 * s3 / (3.0 * nn) * rj[..., neg])
+        val[neg] = (sn * _carlson_rc(np.broadcast_to(c2 * d2, shape)[neg], p[neg] * q)
+                    - k2 * s3[neg] / (3.0 * nn) * rj[neg])
     return np.where(s == 0.0, 0.0, val)
 
 

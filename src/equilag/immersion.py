@@ -46,8 +46,12 @@ and `project_chart` takes that vector.
 sample, for iwasawa's `extended_frame`) take a float y or a 1-D array of
 them.  An array costs one `jacobi` call and one `_third_kind` call for
 all three G_j, whatever its length; `sample_grid` makes one such pass per
-grid.  A float y keeps the `math` path, on which the per-object phase
-constants are Python floats.  `verify_geometry` evaluates all its points
+grid.  The kernels behind `extended_frame` (`_g_segment`,
+`_g_full_period`, `_phase_terms`, `_nonreal_terms`, `_real_rows` and
+the coefficient kernels) also take a stack of spectral objects
+(potential.stack_systems) with an array y of one point per row.  A
+float y keeps the `math` path, on which the per-object phase constants
+are Python floats.  `verify_geometry` evaluates all its points
 and stencil offsets as stacks, from one array `_coefficients` call at
 y - h, y and y + h.  Each builds p_j(y) once per y, with the metric
 sample from the same `jacobi` call where it needs one.
@@ -63,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import JacobiTriple, _third_kind, jacobi
-from .linalg3 import herm_inner, worst
+from .linalg3 import herm_inner, per_vector, worst
 from .metric import MetricSample, _from_jacobi
 from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
 
@@ -97,7 +101,10 @@ CHART_TOL = 1e-8
 # non-real regime
 
 class _PhaseConstants(NamedTuple):
-    """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order."""
+    """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order.
+
+    Each field holds three floats, or rows (m, 3) of them for a stack.
+    """
 
     den0: tuple[float, float, float]         # d_j a1 - Re = d_j e^u - Re at y = 0
     n: tuple[float, float, float]            # n_j
@@ -110,33 +117,43 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     """Constants of the phase integrals G_j within one period, per spectral object.
 
     Python floats, so that the scalar kernels run on the `math` path at its
-    own speed and never on numpy scalars.
+    own speed and never on numpy scalars; for a stack, arrays of rows
+    (m, 3) by the same operations, refused where any row is.
     """
-    v, d, gaps = es.cubic, es.d.tolist(), es.gaps
+    v, gaps = es.cubic, es.gaps
+    stack = isinstance(gaps, np.ndarray)
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
     # below the floor double precision cannot certify the sign any more
-    if min(abs(g) for row in gaps for g in row) < 1e-15 * max(1.0, abs(c.psi)):
+    smallest = np.abs(gaps).min() if stack else min(abs(g) for row in gaps for g in row)
+    if smallest < 1e-15 * max(1.0, abs(c.psi)):
         raise RegimeError(
             "G_j denominator vanishes: cubic form too close to real; "
             "evaluate at the nearby real-regime lambda instead"
         )
-    den0 = tuple(g0 for g0, _ in gaps)
-    one_minus_n = tuple(g1 / g0 for g0, g1 in gaps)
-    if any(omn <= 0.0 for omn in one_minus_n):
+    if stack:
+        den0 = gaps[..., 0]
+        g = _PhaseConstants(den0=den0, n=es.d * c.a1 * c.q2 / den0, one_minus_n=gaps[..., 1] / den0,
+                            pre=es.d * v.imag[:, None] / (c.r * den0))
+    else:
+        d, den0 = es.d.tolist(), tuple(g0 for g0, _ in gaps)
+        g = _PhaseConstants(
+            den0=den0,
+            n=tuple(dj * c.a1 * c.q2 / den for dj, den in zip(d, den0)),
+            one_minus_n=tuple(g1 / g0 for g0, g1 in gaps),
+            pre=tuple(dj * v.imag / (c.r * den) for dj, den in zip(d, den0)),
+        )
+    if (g.one_minus_n <= 0.0).any() if stack else any(omn <= 0.0 for omn in g.one_minus_n):
         raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
-    return _PhaseConstants(
-        den0=den0,
-        n=tuple(dj * c.a1 * c.q2 / den for dj, den in zip(d, den0)),
-        one_minus_n=one_minus_n,
-        pre=tuple(dj * v.imag / (c.r * den) for dj, den in zip(d, den0)),
-    )
+    return g
 
 
 @lru_cache(maxsize=256)
 def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, float]:
-    """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind."""
+    """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind; rows for a stack."""
     g = _g_segment(c, es)
+    if isinstance(g.n, np.ndarray):  # a stack: the array path, at sin phi = 1 on every row
+        return 2.0 * g.pre * _third_kind(g.n, g.one_minus_n, np.ones(1), 0.0, c.kp2, c.k2)
     pis = _third_kind(g.n, g.one_minus_n, 1.0, 0.0, c.kp2, c.k2)
     return tuple(2.0 * pre * pi for pre, pi in zip(g.pre, pis))
 
@@ -154,22 +171,27 @@ def _phase_terms(
     An array y of shape (ny,) gives rows of shape (ny, 3), with m per row,
     from one `_third_kind` call over the three n_j; each element has the
     bits of the float call, but for the sign of a zero phase at y = 0 when
-    other rows add whole periods.  The caller looks g up, once per point
-    or array.
+    other rows add whole periods.  For a stack es, y has shape (m,), one
+    point per row of es, and n_j, p_j and G_j(2T) are taken row by row.
+    The caller looks g up, once per point or array.
     """
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
     s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
     c2 = cn * cn
     d2 = c.kp2 + c.k2 * c2
-    p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
-    if array:
-        p = np.stack(p, axis=-1)
-        s, c2, d2 = s[..., None], c2[..., None], d2[..., None]  # against the n_j columns of p
+    if isinstance(g.n, np.ndarray):  # a stack: n_j per row, against the point of that row
+        s, c2, d2 = s[:, None], c2[:, None], d2[:, None]
+        p = np.where(g.n > 0.0, g.one_minus_n + g.n * c2, 1.0 - g.n * s * s)
+    else:
+        p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
+        if array:
+            p = np.stack(p, axis=-1)
+            s, c2, d2 = s[..., None], c2[..., None], d2[..., None]  # against the n_j columns of p
     phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, d2, c.k2)
     p = np.asarray(p)
     if m.any() if array else m:
-        phases += np.multiply.outer(m, _g_full_period(c, es))
+        phases += per_vector(m) * np.asarray(_g_full_period(c, es))
     return p, phases
 
 
@@ -198,12 +220,17 @@ def _real_amplitudes(c: DerivedConstants) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _real_rows(y: float | np.ndarray, idx: tuple[int, int, int], vals) -> np.ndarray:
+def _real_rows(y: float | np.ndarray, idx, vals) -> np.ndarray:
     """Real-regime coefficients with vals[i] at eigensystem index idx[i].
 
     Rows j first, so that a float y writes scalar elements; a float y gives
-    shape (3,), an array y of shape (ny,) rows of shape (ny, 3).
+    shape (3,), an array y of shape (ny,) rows of shape (ny, 3).  The
+    labels idx of a stack are rows (m, 3), one per point of y.
     """
+    if isinstance(idx, np.ndarray):
+        rows = np.zeros(idx.shape)
+        np.put_along_axis(rows, idx, np.stack(vals, axis=-1), axis=-1)
+        return rows
     rows = np.zeros((3, *y.shape) if isinstance(y, np.ndarray) else 3)
     rows[idx[0]], rows[idx[1]], rows[idx[2]] = vals
     return rows.T
@@ -216,7 +243,7 @@ def _nonreal_terms(
     g = _g_segment(c, es)
     ratio, phases = _phase_terms(c, es, g, y, sn, cn)
     den = np.array(g.den0) * ratio
-    h2 = den / (es.d**3 - es.cubic.real)
+    h2 = den / (es.d**3 - per_vector(es.cubic.real))
     if (h2 < -1e-10).any():
         raise ArithmeticError(
             "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
@@ -260,7 +287,7 @@ def _coefficients_and_derivatives(
     p, den = _nonreal_terms(c, es, y, sn, cn)
     # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
     rate = m.u_prime * m.w + 2j * es.cubic.imag
-    dp = es.d * p * (rate[..., None] if isinstance(y, np.ndarray) else rate) / (2.0 * den)
+    dp = es.d * p * per_vector(rate) / (2.0 * den)
     return p, dp, m
 
 

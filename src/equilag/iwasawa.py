@@ -35,6 +35,9 @@ z) or a 1-D array of them at one es, and so does U_+, which is built from
 them: an array makes one pass (one immersion._phase_terms call for all
 three G_j, one q_factor, one batched inverse) and gives a stack, while a
 float, or the Python number a numpy scalar holds, keeps the float path.
+extended_frame also takes a stack of spectral objects of one regime
+(potential.stack_systems) with one z per row, so that many lambda make
+one pass as well.
 
 For |lambda| = 1 the beta integrals are closed forms in the lift's own
 G_j(y) and p_j(y) = (d_j w - Re) / (d_j a1 - Re) (immersion), w = e^u and
@@ -70,7 +73,7 @@ import numpy as np
 
 from . import immersion
 from .elliptic import jacobi
-from .linalg3 import dagger, first_point, per_matrix, per_vector, stack3
+from .linalg3 import combine, dagger, first_point, per_matrix, per_vector, stack3
 from .metric import MetricSample, metric_at
 from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda, regime_of
 
@@ -287,14 +290,16 @@ def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarr
     the derivatives of the closed-form lift F taken analytically from p_j
     and p_j'; defined wherever the lift is (every es).  An array z of
     shape (n,) gives a stack of shape (n, 3, 3) from one
-    `_coefficients_and_derivatives` pass.
+    `_coefficients_and_derivatives` pass.  So does a stack es of n spectral
+    objects (potential.stack_systems), with z of shape (n,): row i is the
+    frame of the i-th object at z[i], within rounding of its own call.
     """
-    lam, z = es.lam, z if isinstance(z, np.ndarray) else complex(z)
+    lam, z = per_vector(es.lam), z if isinstance(z, np.ndarray) else complex(z)
     p, dp, m = immersion._coefficients_and_derivatives(c, es, z.imag)
     phase = np.exp(1j * es.d * per_vector(z.real))
-    F = (p * phase) @ es.vectors
-    Fx = (1j * es.d * p * phase) @ es.vectors
-    Fy = (dp * phase) @ es.vectors
+    F = combine(p * phase, es.vectors)
+    Fx = combine(1j * es.d * p * phase, es.vectors)
+    Fy = combine(dp * phase, es.vectors)
     fz = (Fx - 1j * Fy) / 2.0
     fzb = (Fx + 1j * Fy) / 2.0
     eu2 = per_vector(_sqrt(m.w))

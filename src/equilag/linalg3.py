@@ -57,6 +57,16 @@ def per_matrix(s):
     return s[..., None, None] if isinstance(s, np.ndarray) else s
 
 
+def combine(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] vectors[j]: rows (..., 3) of coefficients on three vectors (3, 3).
+
+    A stack of vectors (m, 3, 3) takes the m rows of coeffs row for row.
+    """
+    if vectors.ndim == 2:
+        return coeffs @ vectors
+    return (coeffs[..., None, :] @ vectors)[..., 0, :]
+
+
 def first_point(mask, *coords) -> tuple | None:
     """coords at the first point where mask holds, or None where it holds nowhere.
 
@@ -91,21 +101,21 @@ def herm_inner(z: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose, of a matrix or of each matrix of a stack."""
+    return np.swapaxes(np.conj(m), -1, -2)
 
 
-def unitary_residual(m: np.ndarray) -> float:
-    """Frobenius distance of m^dagger m from the identity."""
-    return float(np.linalg.norm(dagger(m) @ m - _I3))
+def unitary_residual(m: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance of m^dagger m from the identity; one per matrix of a stack."""
+    return np.linalg.norm(dagger(m) @ m - _I3, axis=(-2, -1))
 
 
 def sigma_group(m: np.ndarray) -> np.ndarray:
-    """Order-6 automorphism g -> P (g^t)^{-1} P^{-1} of SL(3, C)."""
+    """Order-6 automorphism g -> P (g^t)^{-1} P^{-1} of SL(3, C), on a matrix or a stack."""
     d = np.linalg.det(m)
-    if abs(d) < 1e-300:
+    if np.any(abs(d) < 1e-300):
         raise ValueError("sigma_group requires an invertible matrix")
-    return P_SIGMA @ np.linalg.inv(m.T) @ P_SIGMA
+    return P_SIGMA @ np.linalg.inv(np.swapaxes(m, -1, -2)) @ P_SIGMA
 
 
 def sigma_algebra(x: np.ndarray) -> np.ndarray:
@@ -172,17 +182,20 @@ def solve_depressed_cubic(p: float, q: float | np.ndarray) -> tuple[np.ndarray, 
     return np.array((r0, r1, r2)), multiple
 
 
-def matexp_skew(d: np.ndarray, t: float = 1.0) -> np.ndarray:
+def matexp_skew(d: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """exp(t*d) for skew-Hermitian d, from the LAPACK eigensystem of -i d.
 
     The result is unitary with unit-modulus determinant and satisfies the
     one-parameter group law exp((s+t)d) = exp(sd) exp(td).  It shares no
     code with the cubic solver behind potential.eigensystem, so it serves
-    as an independent exp(x D) in the verification suites.
+    as an independent exp(x D) in the verification suites.  d may be a
+    stack (m, 3, 3) and t a float or an array (m,), one per matrix; a
+    stack is refused where any matrix is not skew-Hermitian.
     """
     d = np.asarray(d, dtype=complex)
-    skew = float(np.linalg.norm(d + dagger(d)))
-    if skew > 1e-9 * (1.0 + float(np.linalg.norm(d))):
-        raise ValueError(f"matrix is not skew-Hermitian (residual {skew:.3e})")
+    skew = np.linalg.norm(d + dagger(d), axis=(-2, -1))
+    bad = skew > 1e-9 * (1.0 + np.linalg.norm(d, axis=(-2, -1)))
+    if (at := first_point(bad, skew)) is not None:
+        raise ValueError(f"matrix is not skew-Hermitian (residual {at[0]:.3e})")
     dvals, basis = np.linalg.eigh(-1j * d)
-    return (basis * np.exp(1j * t * dvals)) @ dagger(basis)
+    return (basis * np.exp(1j * per_vector(t) * dvals)[..., None, :]) @ dagger(basis)

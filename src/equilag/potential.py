@@ -225,6 +225,11 @@ class EigenSystem:
     In the real regime labels holds the indices in d of psi0/a1, psi0/a2
     and -psi0/a3 (the sn, cn, dn modes), None otherwise.  Hashed by
     identity: memos are per object.
+
+    `stack_systems` builds a stack of m such objects of one regime, taken
+    row for row against m points by the frame evaluators: lam and cubic
+    then have shape (m,), d and fprime (m, 3), vectors (m, 3, 3), gaps
+    (m, 3, 2) and labels (m, 3) or None, each row the fields of its object.
     """
 
     lam: complex
@@ -314,3 +319,22 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     return EigenSystem(lam=lam, cubic=cubic, regime=regime, d=roots,
                        vectors=np.array(vectors, dtype=complex), gaps=gaps,
                        fprime=tuple(fprime), labels=labels)
+
+
+def stack_systems(systems) -> EigenSystem:
+    """The stack of these spectral objects, one row each (EigenSystem); one regime only.
+
+    Each row keeps its object's bits.  A stack of mixed regimes, or of none,
+    is refused with ValueError.
+    """
+    regimes = {es.regime for es in systems}
+    if len(regimes) != 1:
+        raise ValueError(f"a stack holds one regime, got {sorted(regimes)}")
+
+    def rows(name):
+        return np.array([getattr(es, name) for es in systems])
+
+    regime = regimes.pop()
+    return EigenSystem(lam=rows("lam"), cubic=rows("cubic"), regime=regime, d=rows("d"),
+                       vectors=rows("vectors"), gaps=rows("gaps"), fprime=rows("fprime"),
+                       labels=rows("labels") if regime == "real" else None)

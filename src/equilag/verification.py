@@ -6,10 +6,11 @@ surface), returning named residuals against pinned thresholds.  Thresholds
 are part of the library contract and are not calibrated at run time.
 
 `suite_iwasawa` checks the factorization identities at its 200 random
-(y, lambda) in one array pass of iwasawa.q_factor and the connection
-matrices.  Its points keep 1e-3 |psi| from the real-cubic-form locus, where
-|cdet| >= 2e-3 |psi| lies far above the 2e-8 |psi| refusal floor, so no point
-is refused; a refusal would propagate, not be skipped.  `suite_lift`
+(y, lambda), drawn in blocks of pairs and filtered a block at a time, in
+one array pass of iwasawa.q_factor and the connection matrices.  Its
+points keep 1e-3 |psi| from the real-cubic-form locus, where |cdet| >=
+2e-3 |psi| lies far above the 2e-8 |psi| refusal floor, so no point is
+refused; a refusal would propagate, not be skipped.  `suite_lift`
 checks its 50 cross-route points with one array `lift_at` and one array
 `iwasawa_frame` call, and `suite_metric` its 200 first-integral, 100
 periodicity and 25 Gauss points through `metric_at` on arrays.  Random
@@ -22,9 +23,11 @@ rule `eigensystem` refuses them by) and builds its 25 twisting lambda as
 one `potential_matrix` stack; `suite_identities` takes one array
 `metric_at` per lambda, and suite_lift's finite-difference sweep
 (`immersion.verify_geometry`) takes its points and stencils as stacks.
-`suite_frame` stays per point: its seven frames per lambda cost more as
-one array `extended_frame` call than as seven float calls.  Every maximum
-over points propagates NaN (`linalg3.worst`), so a NaN residual fails its suite.
+`suite_frame` takes every frame of one surface and regime from one
+`extended_frame` call on a stack of spectral objects
+(`potential.stack_systems`), seven rows per lambda and a twist row, and
+checks them as (m, 3, 3) stacks.  Every maximum over points propagates
+NaN (`linalg3.worst`), so a NaN residual fails its suite.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import cmath
 import math
 import time
 from dataclasses import astuple, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .elliptic import _carlson_rf, complete_K, jacobi
 from .linalg3 import herm_inner, worst
 from .metric import first_integral_residual, gauss_residual, metric_at
 from .potential import (
+    CLASS_TOL,
     DerivedConstants,
     FlatCliffordError,
     SurfaceParams,
@@ -50,6 +53,7 @@ from .potential import (
     eigensystem,
     potential_matrix,
     regime_of,
+    stack_systems,
 )
 
 EPS6 = linalg3.EPS6
@@ -94,10 +98,14 @@ def _nonreal_surface(params: SurfaceParams | None) -> tuple[DerivedConstants, st
     return derive_constants(BENCH_NONREAL), f"surface {where}; ran the non-real benchmark instead"
 
 
-def _off_locus(c: DerivedConstants, lam: complex) -> bool:
-    """Non-real lambda 1e-3 |psi| off the real-cubic-form locus, near which accuracy degrades."""
-    return (regime_of(c, lam) == "nonreal"
-            and abs((c.psi / lam**3).imag) >= 1e-3 * abs(c.psi))
+def _off_locus(c: DerivedConstants, lam: complex | np.ndarray) -> bool | np.ndarray:
+    """Non-real lambda 1e-3 |psi| off the real-cubic-form locus, near which accuracy degrades.
+
+    There regime_of's test reduces to the hyperplane one, |Re| >= CLASS_TOL |psi|.
+    An array of unit lambda gives a mask.
+    """
+    cubic, apsi = c.psi / lam**3, abs(c.psi)
+    return (abs(cubic.imag) >= 1e-3 * apsi) & (abs(cubic.real) >= CLASS_TOL * apsi)
 
 
 def _finish(name, residuals, thresholds, t0, note=""):
@@ -169,8 +177,9 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
     """Conjugation, det/initial-value normalization, beta lemma, and the y-flow.
 
     The first three identities hold at 200 random off-locus (y, lambda),
-    checked in one array pass: one q_factor at the points, one at y = 0,
-    one omega_matrix and potential_matrix, one batched inv and det.
+    drawn in blocks and checked in one array pass: one q_factor at the
+    points, one at y = 0, one omega_matrix and potential_matrix, one
+    batched inv and det.
     """
     t0 = time.perf_counter()
     # the factorization is singular on the real-cubic-form locus
@@ -184,13 +193,13 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
         return linalg3.per_matrix(iwasawa._branch_ratio(c, lam, *iwasawa._cdet(c, y, lam)[1:]))
 
     rng = np.random.default_rng(17)
-    points = []
-    while len(points) < 200:
-        lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        y = rng.uniform(-2.0 * c.T, 2.0 * c.T)
-        if _off_locus(c, lam):
-            points.append((y, lam))
-    ys, lams = (np.array(v) for v in zip(*points))
+    ys, lams = np.empty(0), np.empty(0, dtype=complex)
+    while ys.size < 200:
+        # blocks of (theta, y) pairs: the scalar draws (theta, then y) pair by pair
+        theta, y = rng.uniform([0.0, -2.0 * c.T], [2.0 * np.pi, 2.0 * c.T], (200 - ys.size, 2)).T
+        lam = np.exp(1j * theta)
+        keep = _off_locus(c, lam)
+        ys, lams = np.concatenate((ys, y[keep])), np.concatenate((lams, lam[keep]))
     # No point is refused: for |lambda| = 1, c0 = cdet(0) is imaginary and w'
     # real, so |cdet(y)| >= |c0| = 2 |Im(lambda^-3 psi)| >= 2e-3 |psi| off the
     # locus, far above the floor 1e-8 (2 |psi| + |w'|) <= 2e-8 |psi| + 1e-8 |cdet|,
@@ -248,7 +257,11 @@ def suite_iwasawa(params: SurfaceParams | None = None, corrupt_kappa: bool = Fal
 def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
     """Frame normalization, unitarity, equivariance, Maurer-Cartan and twisting.
 
-    Six random lambda per surface, then the six real lambda^3 = +-psi/|psi| of the last.
+    Six random lambda per surface, then the six real lambda^3 = +-psi/|psi| of
+    the last.  Per surface and regime, one `extended_frame` call on a stack of
+    spectral objects takes every frame: seven per lambda (at z, 0, z + x,
+    z +- h and z +- ih), then one at z at eps lambda per non-real lambda
+    whose twist is non-real too.  Each check runs on the (m, 3, 3) stacks.
     """
     t0 = time.perf_counter()
     surfaces = [derive_constants(params or BENCH_NONREAL)]
@@ -259,32 +272,41 @@ def suite_frame(params: SurfaceParams | None = None) -> SuiteResult:
     h = 1e-5
     for c in surfaces:
         real = [cmath.exp(1j * (cmath.phase(c.psi) + k * math.pi) / 3.0) for k in range(6)]
+        draws = {"nonreal": [], "real": []}  # (lambda, es, z, x) per lambda, by regime
         for lam in [None] * 6 + (real if c is surfaces[-1] else []):
             if lam is None:
                 lam = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
             es = eigensystem(c, lam)
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
-            frame = partial(iwasawa.extended_frame, c, es)
-            fr = frame(z)
-            worst_id = worst(worst_id, abs(frame(0j) - np.eye(3)))
+            draws[es.regime].append((lam, es, z, rng.uniform(-1.0, 1.0)))
+        for regime, group in draws.items():
+            if not group:
+                continue
+            lams, systems, zs, xs = zip(*group)
+            lam, z, x = np.array(lams), np.array(zs), np.array(xs)
+            twists = [eigensystem(c, EPS6 * lj) for lj in lams] if regime == "nonreal" else []
+            twisted = [i for i, t in enumerate(twists) if t.regime == "nonreal"]
+            stack = stack_systems(list(systems) * 7 + [twists[i] for i in twisted])
+            offsets = (z, np.zeros_like(z), z + x, z + h, z - h, z + 1j * h, z - 1j * h, z[twisted])
+            frames = iwasawa.extended_frame(c, stack, np.concatenate(offsets))
+            fr, f0, fx, fxp, fxm, fyp, fym = np.split(frames[:7 * len(group)], 7)
+            worst_id = worst(worst_id, abs(f0 - np.eye(3)))
             worst_su3 = worst(
                 worst_su3, linalg3.unitary_residual(fr), abs(np.linalg.det(fr) - 1.0)
             )
-            x = rng.uniform(-1.0, 1.0)
             chi = linalg3.matexp_skew(potential_matrix(c, lam), x)
-            worst_equiv = worst(worst_equiv, abs(frame(z + x) - chi @ fr))
-            dfx = (frame(z + h) - frame(z - h)) / (2.0 * h)
-            dfy = (frame(z + 1j * h) - frame(z - 1j * h)) / (2.0 * h)
+            worst_equiv = worst(worst_equiv, abs(fx - chi @ fr))
+            dfx = (fxp - fxm) / (2.0 * h)
+            dfy = (fyp - fym) / (2.0 * h)
             fi = np.linalg.inv(fr)
             worst_mc = worst(
                 worst_mc,
                 abs(fi @ dfx - iwasawa.omega_matrix(c, z.imag, lam)),
                 abs(fi @ dfy - iwasawa.b_matrix(c, z.imag, lam)),
             )
-            twist = eigensystem(c, EPS6 * lam)
-            if twist.regime == "nonreal" == es.regime:
-                twisted = iwasawa.extended_frame(c, twist, z)
-                worst_twist = worst(worst_twist, abs(twisted - linalg3.sigma_group(fr)))
+            if twisted:
+                sigma = linalg3.sigma_group(fr[twisted])
+                worst_twist = worst(worst_twist, abs(frames[7 * len(group):] - sigma))
     res = {
         "frame_at_zero": worst_id,
         "su3": worst_su3,
@@ -436,7 +458,7 @@ def run_suites(
             raise UnknownSuiteError(f"empty suite name in {','.join(names)!r}")
         unknown = sorted(set(names) - set(runners))
         if unknown:
-            raise UnknownSuiteError(f"unknown suites: {', '.join(unknown)}")
+            raise UnknownSuiteError(f"unknown suites: {', '.join(map(repr, unknown))}")
         selected = [n for n in runners if n in names]
     report = VerificationReport()
     for name in selected:

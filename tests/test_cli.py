@@ -476,6 +476,29 @@ class TestVerify:
         rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "nope"])
         assert rc == EXIT_CONFIG
 
+    def test_spaces_around_suite_names_are_stripped(self, capsys):
+        rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", " metric, potential "])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[suite:metric] PASS" in out
+        assert "[suite:potential] PASS" in out
+
+    def test_unknown_suite_names_are_quoted(self, capsys):
+        # a stray character would be invisible in a bare list
+        rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", "metric,potential\t,nope, x"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown suites: 'nope', 'x'\n"
+
+    @pytest.mark.parametrize("suites", [" ", "metric, ,potential", "metric,\t"])
+    def test_blank_suite_name_is_empty(self, capsys, suites):
+        rc = main(["verify", "--a1", "2", "--psi", "1,1", "--suites", suites])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: empty suite name in ")
+
     @pytest.mark.parametrize("suites", ["", "metric,", ",metric", "metric,,potential"])
     def test_empty_suite_name(self, capsys, suites):
         # an empty list used to run all eight suites, and "metric," to name nothing

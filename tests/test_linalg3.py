@@ -192,3 +192,31 @@ def test_matmul_and_dagger():
     rng = np.random.default_rng(15)
     a = random_complex_matrix(rng)
     assert np.allclose(dagger(a), np.conj(a).T)
+
+
+class TestStacks:
+    """The frame suite's matrix checks take (m, 3, 3) stacks, each matrix as alone."""
+
+    def test_each_matrix_of_a_stack_as_alone(self):
+        rng = np.random.default_rng(41)
+        skew = np.array([random_skew_hermitian(rng) for _ in range(5)])
+        t = rng.uniform(-2.0, 2.0, 5)
+        expd = matexp_skew(skew, t)
+        assert expd.shape == (5, 3, 3)
+        residuals = unitary_residual(expd)
+        sigma = sigma_group(expd)
+        for i in range(5):
+            assert expd[i].tobytes() == matexp_skew(skew[i], float(t[i])).tobytes()
+            assert np.array_equal(dagger(expd)[i], dagger(expd[i]))
+            assert residuals[i] == pytest.approx(unitary_residual(expd[i]), abs=1e-15)
+            assert np.array_equal(sigma[i], sigma_group(expd[i]))
+
+    def test_a_stack_is_refused_where_one_matrix_is(self):
+        rng = np.random.default_rng(43)
+        stack = np.array([random_skew_hermitian(rng) for _ in range(3)])
+        stack[1, 0, 1] += 0.5
+        with pytest.raises(ValueError, match="not skew-Hermitian"):
+            matexp_skew(stack)
+        singular = np.array([np.eye(3), np.zeros((3, 3))], dtype=complex)
+        with pytest.raises(ValueError, match="invertible"):
+            sigma_group(singular)

@@ -5,8 +5,10 @@ an array of points, and that call must give, element for element, the
 bits of the float calls.  The point evaluators (`lift_at`,
 `beta_integrals`, `extended_frame`, `iwasawa_frame`) take arrays of
 points at one spectral object and agree with their float calls to
-rounding.  `suite_lift` checks its cross-route points with one array call
-per route, and every point still counts.
+rounding.  `extended_frame` also takes a stack of spectral objects of one
+regime (`stack_systems`), row for row against its points, and so does
+`_third_kind` with rows of n_j.  `suite_lift` checks its cross-route
+points with one array call per route, and every point still counts.
 """
 
 import cmath
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from equilag import elliptic, immersion, iwasawa, verification
 from equilag.elliptic import _third_kind, jacobi
-from equilag.potential import SurfaceParams, derive_constants, eigensystem
+from equilag.linalg3 import EPS6
+from equilag.potential import SurfaceParams, derive_constants, eigensystem, stack_systems
 
 # n_j of both signs at this lambda (tests/test_float_path.py)
 SURFACE = SurfaceParams(2.7, complex(0.4, 0.9))
@@ -53,6 +56,31 @@ def test_third_kind_columns_match_float_calls_bit_for_bit(ns, k, phi):
     want = [_third_kind(ns, row, si, ci, di, k * k)
             for si, ci, di, row in zip(s.tolist(), c2.tolist(), d2.tolist(), p.tolist())]
     assert got.shape == (len(phi), len(ns))
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.lists(_n, min_size=3, max_size=3),
+                            st.one_of(st.just(0.0), st.floats(-math.pi / 2, math.pi / 2))),
+                  min_size=1, max_size=12),
+    k=st.floats(0.0, 0.998),
+)
+# both signs in one row and in one column, the tiny negative beside the huge one
+@example(rows=[([0.3, -1e-210, -1e12], 1.2), ([-1e12, 0.999999, -1e-210], -0.7),
+               ([-1e-210, -0.5, 1.0 - 2.0**-40], math.pi / 2), ([0.1, -3.0, 0.0], 0.0)], k=0.9)
+def test_third_kind_rows_of_n_match_float_calls_bit_for_bit(rows, k):
+    # one n_j triple per row, as a stack of spectral objects gives them
+    ns = np.array([n for n, _ in rows])
+    phi = np.array([ph for _, ph in rows])
+    s, c2 = np.sin(phi)[:, None], (np.cos(phi) ** 2)[:, None]
+    d2 = 1.0 - (k * s) ** 2
+    p = np.where(ns > 0.0, (1.0 - ns) + ns * c2, 1.0 - ns * s * s)
+    got = _third_kind(ns, p, s, c2, d2, k * k)
+    want = [_third_kind(tuple(n), tuple(pj), float(si), float(ci), float(di), k * k)
+            for n, pj, si, ci, di in zip(ns.tolist(), p.tolist(), s[:, 0], c2[:, 0], d2[:, 0])]
+    assert got.shape == ns.shape
+    assert np.isfinite(got).all()
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -151,3 +179,79 @@ def test_suite_lift_bounds_its_carlson_rj_calls(monkeypatch):
     immersion._g_full_period.cache_clear()
     assert verification.suite_lift().passed
     assert len(calls) <= 4 + 9
+
+
+# ---------------------------------------------------------------------------
+# stacks of spectral objects
+
+def _stack_cases():
+    """Per case the surface and lambda whose rows may share a stack: one regime each."""
+    surfaces = _surfaces()
+    nonreal, both_signs, torus = (surfaces[k][0] for k in ("bench_nonreal", "both_signs", "torus"))
+    real = [cmath.exp(1j * (cmath.phase(torus.psi) + k * math.pi) / 3.0) for k in range(6)]
+    return {
+        # the twist eps lambda of each lambda beside it, as suite_frame stacks them
+        "bench_nonreal": (nonreal, [1.0, EPS6, cmath.exp(2.1j), EPS6 * cmath.exp(2.1j)]),
+        "both_signs": (both_signs, [LAM, EPS6 * LAM, cmath.exp(1.3j)]),
+        "torus_nonreal": (torus, [1j * cmath.exp(0.3j), cmath.exp(0.7j)]),
+        "torus_real": (torus, real),
+    }
+
+
+@pytest.fixture(scope="module")
+def stack_cases():
+    return {name: (c, [eigensystem(c, lam) for lam in lams])
+            for name, (c, lams) in _stack_cases().items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_stack_cases())),
+       rows=st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0), st.floats(-7.0, 9.0)),
+                     min_size=1, max_size=24))
+@example(case="both_signs", rows=[(0, 0.0, 0.0), (1, 0.3, 2.0), (2, -0.5, -5.3), (0, 1.0, 8.99)])
+@example(case="torus_real", rows=[(k, 0.1 * k, 2.0 * k - 5.0) for k in range(6)])
+def test_stacked_frame_rows_match_their_own_calls(stack_cases, case, rows):
+    c, systems = stack_cases[case]
+    picked = [systems[i % len(systems)] for i, _, _ in rows]
+    zs = np.array([complex(x, t * c.T) for _, x, t in rows])  # rows with m != 0 among them
+    got = iwasawa.extended_frame(c, stack_systems(picked), zs)
+    assert got.shape == (len(rows), 3, 3)
+    for row, es, z in zip(got, picked, zs.tolist()):
+        want = iwasawa.extended_frame(c, es, z)
+        assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_stack_of_one_is_the_single_array_call(stack_cases, case):
+    c, systems = stack_cases[case]
+    for es in systems:
+        z = np.array([complex(0.4, 3.7 * c.T)])
+        one = iwasawa.extended_frame(c, stack_systems([es]), z)
+        assert one.tobytes() == iwasawa.extended_frame(c, es, z).tobytes()
+
+
+def test_stack_fields_are_rows_of_their_objects(stack_cases):
+    for c, systems in stack_cases.values():
+        stack = stack_systems(systems)
+        m = len(systems)
+        shapes = {"lam": (m,), "cubic": (m,), "d": (m, 3), "fprime": (m, 3),
+                  "vectors": (m, 3, 3), "gaps": (m, 3, 2)}
+        for name, shape in shapes.items():
+            field = getattr(stack, name)
+            assert field.shape == shape
+            assert field.tobytes() == np.array([getattr(es, name) for es in systems]).tobytes()
+        assert stack.regime == systems[0].regime
+        if stack.regime == "real":
+            assert stack.labels.tolist() == [list(es.labels) for es in systems]
+        else:
+            assert stack.labels is None
+        assert stack != stack_systems(systems) and hash(stack) == object.__hash__(stack)
+
+
+def test_a_stack_holds_one_regime(stack_cases):
+    _, real = stack_cases["torus_real"]
+    _, nonreal = stack_cases["torus_nonreal"]
+    with pytest.raises(ValueError, match="one regime"):
+        stack_systems([*nonreal, real[0]])
+    with pytest.raises(ValueError, match="one regime"):
+        stack_systems([])

@@ -4,9 +4,11 @@
 q, so `suite_elliptic` checks its 1,000 (k, z) pairs with one `jacobi`
 call and `suite_potential` its 360 lambda with one cubic solve;
 `suite_identities` takes one array `metric_at` per lambda and
-`verify_geometry` evaluates its stencils at all points at once.  The array
-forms must give the float calls' values, an error planted at one point of
-a pass must fail its suite, and a NaN residual must fail its suite too.
+`verify_geometry` evaluates its stencils at all points at once;
+`suite_frame` takes all its frames of one surface and regime from one
+`extended_frame` call on a stack of spectral objects.  The array forms
+must give the float calls' values, an error planted at one point of a pass
+must fail its suite, and a NaN residual must fail its suite too.
 """
 
 import math
@@ -136,6 +138,20 @@ def test_suite_identities_makes_one_metric_call_per_lambda(monkeypatch):
     assert all(y.shape == (30,) for _, y in samples)
 
 
+def test_suite_frame_makes_one_frame_call_per_surface_and_regime(monkeypatch):
+    calls = []
+    _counting(monkeypatch, iwasawa, "extended_frame", calls)
+    assert verification.suite_frame().passed
+    # BENCH_NONREAL's random lambda, then BENCH_REAL's random and real ones
+    assert [(c.a1, es.regime) for c, es, _ in calls] == [
+        (2.0, "nonreal"), (1.0, "nonreal"), (1.0, "real")]
+    for _, es, z in calls:  # no float call: a stack and its points, row for row
+        assert isinstance(es.lam, np.ndarray) and isinstance(z, np.ndarray)
+        assert z.shape == es.lam.shape
+    # seven rows per lambda, and the twist row of each non-real lambda
+    assert [z.size for _, _, z in calls] == [48, 48, 42]
+
+
 def test_verify_geometry_makes_no_float_coefficient_call(monkeypatch, bench_nonreal):
     calls = []
     _counting(monkeypatch, immersion, "_coefficients", calls)
@@ -221,6 +237,78 @@ def test_suite_lift_sees_every_stencil_point(monkeypatch, row):
     assert not result.passed
 
 
+def _plant_frames(monkeypatch, rows, factor):
+    """suite_frame's stacked frames scaled by factor on the rows picked by rows(c, es, z)."""
+    frame = iwasawa.extended_frame
+
+    def planted(c, es, z):
+        fr = frame(c, es, z).copy()
+        fr[rows(c, es, z)] *= factor
+        return fr
+
+    monkeypatch.setattr(iwasawa, "extended_frame", planted)
+
+
+def _first_lambda(es) -> np.ndarray:
+    """The seven rows of a stack's first lambda."""
+    return es.lam == es.lam[0]
+
+
+@pytest.mark.parametrize("surface, regime", [(2.0, "nonreal"), (1.0, "nonreal"), (1.0, "real")])
+def test_suite_frame_sees_one_lambda_of_each_surface(monkeypatch, surface, regime):
+    threshold = 1e-9
+
+    def rows(c, es, z):
+        return _first_lambda(es) & (c.a1 == surface) & (es.regime == regime)
+
+    _plant_frames(monkeypatch, rows, 1.0 + 10.0 * threshold)
+    result = verification.suite_frame()
+    assert result.thresholds["su3"] == threshold
+    assert result.residuals["su3"] > 5.0 * threshold
+    assert not result.passed
+
+
+@pytest.mark.parametrize("surface", [2.0, 1.0])
+@pytest.mark.parametrize("which", [0, -1])
+def test_suite_frame_sees_a_twist_row(monkeypatch, surface, which):
+    threshold = 1e-9
+
+    def rows(c, es, z):
+        # a twisted frame is the one row at its lambda; the others have seven
+        single = np.flatnonzero([np.count_nonzero(es.lam == lam) == 1 for lam in es.lam])
+        pick = np.zeros(z.shape, dtype=bool)
+        if single.size and c.a1 == surface:
+            pick[single[which]] = True
+        return pick
+
+    _plant_frames(monkeypatch, rows, 1.0 + 10.0 * threshold)
+    result = verification.suite_frame()
+    assert result.thresholds["twisting"] == threshold
+    assert result.residuals["twisting"] > 2.0 * threshold
+    assert result.residuals["su3"] < threshold  # no other frame moved
+    assert not result.passed
+
+
+def test_suite_frame_sees_a_finite_difference_row(monkeypatch):
+    threshold = 1e-6
+
+    def rows(c, es, z):
+        # at the first lambda, the stencil rows z and z +- h, z +- ih lie within 2h of
+        # one another; z + h has the largest real part among them
+        at = np.flatnonzero(_first_lambda(es))
+        near = [i for i in at if np.sum(np.abs(z[at] - z[i]) < 1e-4) > 1]
+        pick = np.zeros(z.shape, dtype=bool)
+        pick[max(near, key=lambda i: z[i].real)] = c.a1 == 2.0
+        return pick
+
+    _plant_frames(monkeypatch, rows, 1.0 + 10.0 * threshold)
+    result = verification.suite_frame()
+    assert result.thresholds["maurer_cartan"] == threshold
+    assert result.residuals["maurer_cartan"] > 5.0 * threshold
+    assert result.residuals["su3"] < 1e-9  # the frame at z itself did not move
+    assert not result.passed
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its suite
 
@@ -228,8 +316,9 @@ def test_nan_frame_at_zero_fails_suite_frame(monkeypatch):
     frame = iwasawa.extended_frame
 
     def nan_at_zero(c, es, z):
-        fr = frame(c, es, z)
-        return np.full((3, 3), complex(math.nan, math.nan)) if z == 0 else fr
+        fr = frame(c, es, z).copy()
+        fr[z == 0] = complex(math.nan, math.nan)  # the stacked call's frames at z = 0
+        return fr
 
     monkeypatch.setattr(iwasawa, "extended_frame", nan_at_zero)
     result = verification.suite_frame()
