@@ -85,8 +85,8 @@ class JobConfig:
         if not all(map(math.isfinite, bounds)):
             raise ConfigError("lambda arc and grid bounds must be finite")
         for name, v in (("phase", self.phase_tol), ("rational_tol", self.rational_tol)):
-            if not v > 0.0:
-                raise ConfigError(f"tolerance {name} must be > 0, got {v}")
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"tolerance {name} must be finite and > 0, got {v}")
         if self.max_den < 1:
             raise ConfigError(f"max_den must be >= 1, got {self.max_den}")
         if self.sweep_count == 0:

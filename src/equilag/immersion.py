@@ -40,21 +40,18 @@ defined.  The frames live in iwasawa, which builds on this module.
 Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
 `lift_at` is the one lift function; its record holds the vector F alone,
-and `project_chart` takes that vector.
-`lift_at`, `phase_integrals` and the coefficient kernels `_coefficients`
-(p_j) and `_coefficients_and_derivatives` (p_j, p_j' and the metric
-sample, for iwasawa's `extended_frame`) take a float y or a 1-D array of
-them.  An array costs one `jacobi` call and one `_third_kind` call for
-all three G_j, whatever its length; `sample_grid` makes one such pass per
-grid.  The kernels behind `extended_frame` (`_g_segment`,
-`_g_full_period`, `_phase_terms`, `_nonreal_terms`, `_real_rows` and
-the coefficient kernels) also take a stack of spectral objects
-(potential.stack_systems) with an array y of one point per row.  A
-float y keeps the `math` path, on which the per-object phase constants
-are Python floats.  `verify_geometry` evaluates all its points
-and stencil offsets as stacks, from one array `_coefficients` call at
-y - h, y and y + h.  Each builds p_j(y) once per y, with the metric
-sample from the same `jacobi` call where it needs one.
+and `project_chart` takes that vector.  `lift_at`, `phase_integrals` and
+the kernels behind them and iwasawa's `extended_frame` (`_g_segment`,
+`_phase_terms`, `_nonreal_terms`, `_real_rows`, `_coefficients` and
+`_coefficients_and_derivatives`) follow one rule:
+* a float y takes the `math` path, on Python floats;
+* an array y takes the array path: one `jacobi` call and one
+  `_third_kind` call for all three G_j, whatever its length;
+* a stack of spectral objects (potential.stack_systems) is an array y of
+  one point per row, whose per-object constants carry a leading axis.
+`sample_grid` makes one array pass per grid, and `verify_geometry` one
+for all its points and stencil offsets, from one `_coefficients` call at
+y - h, y and y + h.
 """
 
 from __future__ import annotations
@@ -103,7 +100,8 @@ CHART_TOL = 1e-8
 class _PhaseConstants(NamedTuple):
     """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order.
 
-    Each field holds three floats, or rows (m, 3) of them for a stack.
+    Each field holds three Python floats for one spectral object, or rows
+    (m, 3) of them for a stack.
     """
 
     den0: tuple[float, float, float]         # d_j a1 - Re = d_j e^u - Re at y = 0
@@ -116,36 +114,24 @@ class _PhaseConstants(NamedTuple):
 def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     """Constants of the phase integrals G_j within one period, per spectral object.
 
-    Python floats, so that the scalar kernels run on the `math` path at its
-    own speed and never on numpy scalars; for a stack, arrays of rows
-    (m, 3) by the same operations, refused where any row is.
+    One numpy formula for one object and for a stack, whose fields carry a
+    leading axis; a stack is refused where any row is.  One object's
+    constants then become Python floats, so that the scalar kernels run on
+    the `math` path at its own speed and never on numpy scalars.
     """
-    v, gaps = es.cubic, es.gaps
-    stack = isinstance(gaps, np.ndarray)
+    gaps = np.asarray(es.gaps)
     # d_j e^u - Re stays one-signed off the real locus, but its extremes
     # d_j a_i - Re shrink like the square of the distance to that locus;
     # below the floor double precision cannot certify the sign any more
-    smallest = np.abs(gaps).min() if stack else min(abs(g) for row in gaps for g in row)
-    if smallest < 1e-15 * max(1.0, abs(c.psi)):
-        raise RegimeError(
-            "G_j denominator vanishes: cubic form too close to real; "
-            "evaluate at the nearby real-regime lambda instead"
-        )
-    if stack:
-        den0 = gaps[..., 0]
-        g = _PhaseConstants(den0=den0, n=es.d * c.a1 * c.q2 / den0, one_minus_n=gaps[..., 1] / den0,
-                            pre=es.d * v.imag[:, None] / (c.r * den0))
-    else:
-        d, den0 = es.d.tolist(), tuple(g0 for g0, _ in gaps)
-        g = _PhaseConstants(
-            den0=den0,
-            n=tuple(dj * c.a1 * c.q2 / den for dj, den in zip(d, den0)),
-            one_minus_n=tuple(g1 / g0 for g0, g1 in gaps),
-            pre=tuple(dj * v.imag / (c.r * den) for dj, den in zip(d, den0)),
-        )
-    if (g.one_minus_n <= 0.0).any() if stack else any(omn <= 0.0 for omn in g.one_minus_n):
+    if np.abs(gaps).min() < 1e-15 * max(1.0, abs(c.psi)):
+        raise RegimeError("G_j denominator vanishes: cubic form too close to real; "
+                          "evaluate at the nearby real-regime lambda instead")
+    den0 = gaps[..., 0]
+    g = _PhaseConstants(den0=den0, n=es.d * c.a1 * c.q2 / den0, one_minus_n=gaps[..., 1] / den0,
+                        pre=es.d * per_vector(es.cubic.imag) / (c.r * den0))
+    if (g.one_minus_n <= 0.0).any():
         raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
-    return g
+    return g if gaps.ndim == 3 else _PhaseConstants(*(tuple(f.tolist()) for f in g))
 
 
 @lru_cache(maxsize=256)
@@ -168,27 +154,26 @@ def _phase_terms(
     sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
     G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
     (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
-    An array y of shape (ny,) gives rows of shape (ny, 3), with m per row,
-    from one `_third_kind` call over the three n_j; each element has the
-    bits of the float call, but for the sign of a zero phase at y = 0 when
-    other rows add whole periods.  For a stack es, y has shape (m,), one
-    point per row of es, and n_j, p_j and G_j(2T) are taken row by row.
-    The caller looks g up, once per point or array.
+    A float y takes the `math` path.  An array y of shape (ny,) gives rows
+    of shape (ny, 3), with m per row, from one `_third_kind` call: the
+    constants of g, (3,) for one object or (ny, 3) for a stack, broadcast
+    against the points.  Each element has the bits of the float call, but
+    for the sign of a zero phase at y = 0 when other rows add whole
+    periods.  The caller looks g up, once per point or array.
     """
     array = isinstance(y, np.ndarray)
     m = (np.round if array else round)(y / (2.0 * c.T))
     s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
     c2 = cn * cn
     d2 = c.kp2 + c.k2 * c2
-    if isinstance(g.n, np.ndarray):  # a stack: n_j per row, against the point of that row
-        s, c2, d2 = s[:, None], c2[:, None], d2[:, None]
-        p = np.where(g.n > 0.0, g.one_minus_n + g.n * c2, 1.0 - g.n * s * s)
+    n = g.n
+    if array:  # the n_j along the last axis, against the points of y
+        n, omn = np.asarray(n), np.asarray(g.one_minus_n)
+        s, c2, d2 = s[..., None], c2[..., None], d2[..., None]
+        p = np.where(n > 0.0, omn + n * c2, 1.0 - n * s * s)
     else:
-        p = [omn + n * c2 if n > 0.0 else 1.0 - n * s * s for n, omn in zip(g.n, g.one_minus_n)]
-        if array:
-            p = np.stack(p, axis=-1)
-            s, c2, d2 = s[..., None], c2[..., None], d2[..., None]  # against the n_j columns of p
-    phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, d2, c.k2)
+        p = [omn + nj * c2 if nj > 0.0 else 1.0 - nj * s * s for nj, omn in zip(n, g.one_minus_n)]
+    phases = np.array(g.pre) * _third_kind(n, p, s, c2, d2, c.k2)
     p = np.asarray(p)
     if m.any() if array else m:
         phases += per_vector(m) * np.asarray(_g_full_period(c, es))
@@ -223,17 +208,18 @@ def _real_amplitudes(c: DerivedConstants) -> tuple[float, float, float]:
 def _real_rows(y: float | np.ndarray, idx, vals) -> np.ndarray:
     """Real-regime coefficients with vals[i] at eigensystem index idx[i].
 
-    Rows j first, so that a float y writes scalar elements; a float y gives
-    shape (3,), an array y of shape (ny,) rows of shape (ny, 3).  The
-    labels idx of a stack are rows (m, 3), one per point of y.
+    A float y gives shape (3,) from scalar elements.  An array y of shape
+    (ny,) gives rows of shape (ny, 3), against labels idx of shape (3,) for
+    one object or (ny, 3) for a stack, one row per point of y.
     """
-    if isinstance(idx, np.ndarray):
-        rows = np.zeros(idx.shape)
-        np.put_along_axis(rows, idx, np.stack(vals, axis=-1), axis=-1)
+    if isinstance(y, np.ndarray):
+        vals = np.stack(vals, axis=-1)
+        rows = np.zeros(vals.shape)
+        np.put_along_axis(rows, np.broadcast_to(idx, vals.shape), vals, axis=-1)
         return rows
-    rows = np.zeros((3, *y.shape) if isinstance(y, np.ndarray) else 3)
+    rows = np.zeros(3)
     rows[idx[0]], rows[idx[1]], rows[idx[2]] = vals
-    return rows.T
+    return rows
 
 
 def _nonreal_terms(

@@ -22,7 +22,7 @@ are multiples of 2 pi (theta_3 follows since all three sum to zero).
 Rationality of d-ratios and of the 2T phase data is certified under an
 explicit (max_denominator, tolerance) policy: the fraction nearest the
 value with denominator <= max_denominator (`Fraction.limit_denominator`),
-accepted when it is within the tolerance.
+accepted when it is within the tolerance (finite and >= 0, else ValueError).
 
 monodromy_phases takes es and returns the theta_j as a float array in
 eigensystem order; classify_cylinder and classify_torus take lambda and
@@ -67,6 +67,13 @@ class PeriodVerdict:
     certificates: dict[str, RationalCertificate] = field(default_factory=dict)
 
 
+def _check_tols(**tols: float) -> None:
+    """ValueError unless each tolerance is finite and >= 0: a NaN would pass `residual > tol`."""
+    for name, tol in tols.items():
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate | None:
     """The fraction nearest x with denominator <= max_den, `Fraction.limit_denominator`.
 
@@ -75,6 +82,7 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
+    _check_tols(tol=tol)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     frac = Fraction(x).limit_denominator(max_den)
@@ -119,6 +127,7 @@ def classify_cylinder(
     preserves the metric).  Cylinder iff theta_1 and theta_2 are multiples
     of 2 pi within phase_tol; the third phase is implied and checked.
     """
+    _check_tols(phase_tol=phase_tol)
     es = eigensystem(c, lam)
     omega = complex(omega)
     period = 2.0 * c.T
@@ -161,6 +170,7 @@ def classify_torus(
     is the normal form (p_f, omega_f) with p_f the smallest positive real
     period and omega_f the period of smallest positive height.
     """
+    _check_tols(tol=tol, phase_tol=phase_tol)
     es = eigensystem(c, lam)
     certs: dict[str, RationalCertificate] = {}
 

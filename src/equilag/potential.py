@@ -77,7 +77,7 @@ class SurfaceParams:
             raise ValueError(f"a1 must be positive and finite, got {self.a1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedConstants:
     """Everything computable from SurfaceParams for a generic surface.
 
@@ -85,7 +85,8 @@ class DerivedConstants:
     a1 > a2 > a3 > 0; k2 = k^2 = (a1-a2)/(a1+a3) and kp2 = k'^2 =
     (a2+a3)/(a1+a3), the latter free of the cancellation in 1 - k^2;
     q2 = q^2 = (a1-a2)/a1; r = sqrt(2(a1+a3)); T = K(k)/r is the half
-    period of e^u.
+    period of e^u.  Hashed by identity, like EigenSystem: a memo keyed
+    on (c, es) holds two identities and no floats.
     """
 
     a1: float
@@ -226,10 +227,11 @@ class EigenSystem:
     and -psi0/a3 (the sn, cn, dn modes), None otherwise.  Hashed by
     identity: memos are per object.
 
-    `stack_systems` builds a stack of m such objects of one regime, taken
-    row for row against m points by the frame evaluators: lam and cubic
-    then have shape (m,), d and fprime (m, 3), vectors (m, 3, 3), gaps
-    (m, 3, 2) and labels (m, 3) or None, each row the fields of its object.
+    `stack_systems` builds a stack of m such objects of one regime: the
+    same fields with a leading axis (lam and cubic (m,), d and fprime
+    (m, 3), vectors (m, 3, 3), gaps (m, 3, 2), labels (m, 3) or None).
+    A float y takes the `math` path, an array y the array path, and a
+    stack is an array y of one point per row, on the same array lines.
     """
 
     lam: complex

@@ -185,6 +185,13 @@ path = mesh.obj
             parse_config("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = 4\narc_end = nan\n")
         with pytest.raises(ConfigError, match="sweep count must be >= 1, got -2"):
             parse_config("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = -2\n")
+        # a non-finite tolerance passes every `residual > tol` test, or none
+        for key, bad in (("phase", "inf"), ("phase", "nan"), ("rational_tol", "inf"),
+                         ("rational_tol", "nan"), ("rational_tol", "-1e-8")):
+            text = BASE_CONFIG.replace(f"\n{key} = 1e-8", f"\n{key} = {bad}")
+            assert text != BASE_CONFIG
+            with pytest.raises(ConfigError, match=f"tolerance {key} must be finite and > 0"):
+                parse_config(text)
 
     @pytest.mark.parametrize("command", ["derive", "classify", "sweep"])
     def test_zero_count_is_a_config_error(self, command, tmp_path, capsys):
@@ -599,6 +606,17 @@ class TestRefusals:
         assert rc == EXIT_DEGENERATE
         err = capsys.readouterr().err
         assert err.startswith("refused: RegimeError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("lam", ["1,0", "0.8,0.6"])
+    def test_classify_non_finite_tolerance(self, tol, lam, capsys):
+        # --tol inf once certified 17/60 at lambda = 1 (exit 0) and failed
+        # the lattice check at 0.8+0.6i (exit 5)
+        rc = main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", lam, "--tol", tol])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: tolerance rational_tol must be finite and > 0, got {tol}\n"
+        assert captured.out == ""
 
     def test_classify_failed_lattice_check(self, capsys):
         rc = main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", "0.8,0.6",

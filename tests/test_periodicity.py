@@ -120,6 +120,10 @@ class TestRationalApprox:
             rational_approx(0.5, 0, 1e-9)
         with pytest.raises(ValueError):
             rational_approx(float("nan"), 8, 1e-9)
+        # a NaN tol once certified any fraction: residual > nan is False
+        for tol in (math.nan, math.inf, -1e-9):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                rational_approx(0.3, 64, tol)
 
 
 class TestMonodromyPhases:
@@ -194,6 +198,16 @@ class TestClassifyCylinder:
         p = TWO_PI / es.d[0]
         v = classify_cylinder(bench_nonreal, 1.0, p)
         assert v.tag == "NoPeriodFound"  # d_2/d_1 is irrational here
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-8])
+def test_classifiers_refuse_bad_tolerances(bench_real, bad):
+    with pytest.raises(ValueError, match="phase_tol must be finite"):
+        classify_cylinder(bench_real, 1.0, 1.0, phase_tol=bad)
+    with pytest.raises(ValueError, match="phase_tol must be finite"):
+        classify_torus(bench_real, 1.0, phase_tol=bad)
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        classify_torus(bench_real, 1.0, tol=bad)
 
 
 class TestClassifyTorus:

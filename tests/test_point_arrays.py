@@ -7,8 +7,10 @@ bits of the float calls.  The point evaluators (`lift_at`,
 points at one spectral object and agree with their float calls to
 rounding.  `extended_frame` also takes a stack of spectral objects of one
 regime (`stack_systems`), row for row against its points, and so does
-`_third_kind` with rows of n_j.  `suite_lift` checks its cross-route
-points with one array call per route, and every point still counts.
+`_third_kind` with rows of n_j; each stack row of the phase kernels has
+the bits of the one-object array call at its point.  `suite_lift` checks
+its cross-route points with one array call per route, and every point
+still counts.
 """
 
 import cmath
@@ -246,6 +248,52 @@ def test_stack_fields_are_rows_of_their_objects(stack_cases):
         else:
             assert stack.labels is None
         assert stack != stack_systems(systems) and hash(stack) == object.__hash__(stack)
+
+
+@pytest.mark.parametrize("case", ["bench_nonreal", "both_signs", "torus_nonreal"])
+def test_stacked_phase_constants_are_rows_of_their_objects(stack_cases, case):
+    c, systems = stack_cases[case]
+    g = immersion._g_segment(c, stack_systems(systems))
+    for name in g._fields:
+        want = np.array([getattr(immersion._g_segment(c, es), name) for es in systems])
+        assert getattr(g, name).shape == want.shape
+        assert getattr(g, name).tobytes() == want.tobytes(), name
+
+
+def _real_vals(c, sn, cn, dn):
+    """The sn, cn and dn mode coefficients, as `_coefficients` passes them to `_real_rows`."""
+    cs = immersion._real_amplitudes(c)
+    return cs[0] * sn, cs[1] * cn, cs[2] * dn
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_stack_cases())),
+       rows=st.lists(st.tuples(st.integers(0, 5), st.floats(-7.0, 9.0)), min_size=1, max_size=24))
+@example(case="both_signs", rows=[(0, 0.0), (1, 2.0), (2, -5.3), (0, 8.99), (1, 0.5)])
+@example(case="torus_real", rows=[(k, 2.0 * k - 5.0) for k in range(6)])
+def test_stack_rows_are_one_object_array_calls_bit_for_bit(stack_cases, case, rows):
+    # each row of a stack against the one-object array call at its point,
+    # on the same sn, cn, dn: the stack runs the same array lines
+    c, systems = stack_cases[case]
+    picked = [systems[i % len(systems)] for i, _ in rows]
+    stack = stack_systems(picked)
+    ys = np.array([t * c.T for _, t in rows])
+    jac = jacobi(c.r * ys, c.k)
+    one = [slice(i, i + 1) for i in range(len(rows))]
+    if stack.regime == "real":
+        got = immersion._real_rows(ys, stack.labels, _real_vals(c, *jac))
+        want = [immersion._real_rows(ys[i], es.labels, _real_vals(c, *(t[i] for t in jac)))
+                for i, es in zip(one, picked)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        return
+    p, phases = immersion._phase_terms(c, stack, immersion._g_segment(c, stack), ys, *jac[:2])
+    for i, es in zip(one, picked):
+        wp, wphases = immersion._phase_terms(c, es, immersion._g_segment(c, es), ys[i],
+                                             jac.sn[i], jac.cn[i])
+        assert p[i].tobytes() == wp.tobytes()
+        # + 0.0: a y = 0 row of a stack whose other rows add whole periods
+        # gets 0 G_j(2T) added, which turns a -0 phase into +0
+        assert (phases[i] + 0.0).tobytes() == (wphases + 0.0).tobytes()
 
 
 def test_a_stack_holds_one_regime(stack_cases):

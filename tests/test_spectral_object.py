@@ -110,6 +110,22 @@ def test_memos_are_keyed_on_the_spectral_object(bench_nonreal):
     assert (info.hits, info.misses) == (2, 2)
 
 
+def test_memos_are_keyed_on_the_constants_object(bench_nonreal):
+    # equal constants from a second derive_constants call are a second key:
+    # the key (c, es) holds two identities, not the 13 floats of c
+    twin = derive_constants(SurfaceParams(bench_nonreal.a1, bench_nonreal.psi))
+    assert dataclasses.astuple(twin) == dataclasses.astuple(bench_nonreal)
+    assert twin != bench_nonreal and hash(twin) == object.__hash__(twin)
+    es = eigensystem(bench_nonreal, cmath.exp(math.pi / 7 * 1j))
+    for memo in MEMOS:
+        memo.cache_clear()
+        for c in (bench_nonreal, twin):
+            memo(c, es)
+            memo(c, es)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+
 # the private names of immersion and iwasawa that other package modules
 # may still reach; every per-lambda fact is read off the EigenSystem
 SHARED_PRIVATES = {"_g_segment", "_g_full_period", "_phase_terms",

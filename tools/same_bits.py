@@ -8,10 +8,13 @@ array evaluations of the kernels (`jacobi`, `complete_K`, the Carlson
 integrals, the array third-kind integral, the depressed cubic) and of the
 evaluators (`eigensystem`, `lift_at`, `phase_integrals`, `sample_grid`,
 `beta_integrals`, both frames, `monodromy_phases`, `metric_at`,
-`verify_geometry`) on four surfaces in both regimes.  The second covers
-the CLI: `derive`, `classify`, `sample` (csv, obj, json), `sweep` (csv,
-json) and `verify --json` with each suite's `seconds` line removed, with
-every stdout, stderr, exit code and file.  Two checkouts that print the
+`verify_geometry`) on four surfaces in both regimes, and of stacks of
+spectral objects (`potential.stack_systems`): per surface and regime one
+stacked `extended_frame` call, the non-real stack's `_g_segment` and
+`_g_full_period`, and the third-kind integral with rows of n_j.  The
+second covers the CLI: `derive`, `classify`, `sample` (csv, obj, json),
+`sweep` (csv, json) and `verify --json` with each suite's `seconds` line
+removed, with every stdout, stderr, exit code and file.  Two checkouts that print the
 same two digests give the same bits on all of these; a refusal counts by
 its type and message.
 """
@@ -92,11 +95,15 @@ def _kernels(h, eq) -> None:
     ns = (0.999999, 0.3, -1e-210, -0.7, -1e9)
     phi = rng.uniform(-math.pi / 2, math.pi / 2, 200)
     phi[::11] = 0.0
+    # rows of n_j, one per point, as a stack of spectral objects gives them
+    nrows = np.array(ns)[np.random.default_rng(26).integers(0, len(ns), (phi.size, 3))]
     for k in (0.0, 0.6, 0.998):
         s, c2 = np.sin(phi)[:, None], (np.cos(phi) ** 2)[:, None]
         pn = np.array([(1.0 - n) + n * c2[:, 0] if n > 0.0 else 1.0 - n * s[:, 0] ** 2
                        for n in ns]).T
         _call(h, elliptic._third_kind, ns, pn, s, c2, 1.0 - (k * s) ** 2, k * k)
+        prows = np.where(nrows > 0.0, (1.0 - nrows) + nrows * c2, 1.0 - nrows * s * s)
+        _call(h, elliptic._third_kind, nrows, prows, s, c2, 1.0 - (k * s) ** 2, k * k)
 
     for beta in rng.uniform(2.0, 40.0, 20).tolist() + [3.0]:
         q_max = 2.0 * (beta / 3.0) ** 1.5
@@ -150,6 +157,29 @@ def _evaluators(h, eq) -> None:
             _call(h, eq.sample_grid, c, lam, (0.0, 2.0), (-c.T, 3.0 * c.T), 16, 12)
             _call(h, eq.verify_geometry, c, lam, np.linspace(0.1, 1.9, 3),
                   np.linspace(0.1, 2.0 * c.T - 0.1, 3))
+        _stacks(h, eq, c, cmath.phase(psi) / 3.0, xs + 1j * ys)
+
+
+def _stacks(h, eq, c, theta, zs) -> None:
+    """Per regime one stacked `extended_frame` call at zs, and the non-real stack's G_j constants.
+
+    The rows cycle through unit lambda of one regime: lambda^-3 psi is real
+    at the angles theta + j pi / 3, and non-real at the other offsets.
+    """
+    from equilag import immersion, potential
+
+    for offsets in ([j * math.pi / 3.0 for j in range(6)], [0.4, -0.7, 1.3, 2.5]):
+        systems = []
+        for t in offsets:
+            try:
+                systems.append(eq.eigensystem(c, cmath.exp(1j * (theta + t))))
+            except ValueError as exc:
+                _feed(h, f"{type(exc).__name__}: {exc}")
+        stack = potential.stack_systems([systems[i % len(systems)] for i in range(zs.size)])
+        _call(h, eq.extended_frame, c, stack, zs)
+        if stack.regime == "nonreal":
+            _call(h, immersion._g_segment, c, stack)
+            _call(h, immersion._g_full_period, c, stack)
 
 
 _SURFACES = {"nonreal": ["--a1", "2", "--psi", "0.70710678118654746,0.70710678118654757"],
