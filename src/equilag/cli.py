@@ -236,23 +236,24 @@ def cmd_derive(cfg: JobConfig, args) -> int:
 def cmd_verify(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg)
     try:
-        report = verification.run_suites(
+        suites = verification.run_suites(
             SurfaceParams(c.a1, c.psi), corrupt_kappa=args.debug_corrupt_kappa,
             names=None if args.suites is None else [n.strip() for n in args.suites.split(",")],
         )
     except verification.UnknownSuiteError as exc:
         raise ConfigError(str(exc)) from exc
+    passed = all(s.passed for s in suites)
     if args.json:
-        sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "passed": report.passed,
-                                      "suites": [asdict(s) for s in report.suites]}))
+        sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "passed": passed,
+                                      "suites": [asdict(s) for s in suites]}))
     else:
-        for s in report.suites:
+        for s in suites:
             worst = max(s.thresholds, key=lambda k: s.residuals[k] / s.thresholds[k])
             print(f"[suite:{s.name}] {'PASS' if s.passed else 'FAIL'}  worst {worst} = "
                   f"{s.residuals[worst]:.3e} (threshold {s.thresholds[worst]:.0e}, {s.seconds:.2f}s)"
                   + (f"  note: {s.note}" if s.note else ""))
-        print("verification:", "PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_VERIFY
+        print("verification:", "PASS" if passed else "FAIL")
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_sample(cfg: JobConfig, args) -> int:
@@ -418,6 +419,8 @@ def cmd_sweep(cfg: JobConfig, args) -> int:
         raise ConfigError("sweep requires [lambda] count >= 1")
     if not cfg.out_path:
         raise ConfigError("sweep requires an output path ([output] path or --out)")
+    if cfg.out_format not in ("csv", "json"):
+        raise ConfigError(f"sweep writes csv or json, not {cfg.out_format!r}")
     _check_writable(cfg.out_path)
     thetas = np.linspace(cfg.sweep_start, cfg.sweep_end, cfg.sweep_count, endpoint=False)
     rows = []

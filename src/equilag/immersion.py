@@ -136,7 +136,16 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
 
 @lru_cache(maxsize=256)
 def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, float]:
-    """G_j(2T) = 2 pre_j Pi(n_j), by the complete integral of the third kind; rows for a stack."""
+    """The phases G_j(2T) the lift gains over one period 2T, in both regimes; rows for a stack.
+
+    Non-real regime: 2 pre_j Pi(n_j), by the complete integral of the third
+    kind.  Real regime: pi on the sn and cn labels and 0 on the dn label,
+    since sn and cn change sign over 2T and dn does not.
+    """
+    if es.regime == "real":
+        labels = np.asarray(es.labels)  # (3,), or (m, 3) for a stack
+        g = np.where(np.arange(3) == labels[..., 2:], 0.0, math.pi)
+        return g if labels.ndim == 2 else tuple(g.tolist())
     g = _g_segment(c, es)
     if isinstance(g.n, np.ndarray):  # a stack: the array path, at sin phi = 1 on every row
         return 2.0 * g.pre * _third_kind(g.n, g.one_minus_n, np.ones(1), 0.0, c.kp2, c.k2)

@@ -49,7 +49,9 @@ integrands into G_j' = d_j Im / (d_j w - Re) and (log p_j)' = d_j w' / (d_j w - 
     Re beta2 = -sum_j log p_j / (2 f'(d_j)),  Im beta2 = sum_j G_j / f'(d_j),
 
 f'(d_j) = prod_{l != j} (d_j - d_l) = es.fprime[j].  p_j is 2T-periodic, so
-whole periods enter through G_j(2T); no quadrature is involved.
+whole periods enter through the lift's G_j(2T) (immersion._g_full_period,
+their one owner), and so do the monodromy data (Re beta1(2T), Im beta2(2T));
+no quadrature is involved.
 
 The scalar normalizer of Qtilde involves a cube root whose branch is fixed
 by continuity in y from Qtilde(0) = I (see _branch_ratio); principal
@@ -231,18 +233,6 @@ def q_factor(c: DerivedConstants, y: float | np.ndarray,
     return q0, raw / per_matrix(c0 * _branch_ratio(c, lam, c0, cdet))
 
 
-def _check_beta_domain(c: DerivedConstants, es: EigenSystem) -> tuple:
-    """The lift's phase constants of es, refusing lambda off the closed forms' domain.
-
-    For |lambda| = 1, min_y |cdet| = |c0| (c0 imaginary, w' real), so one
-    check of c0 covers every y (SingularLocusError); the lift's gap floor,
-    which may refuse farther from the real locus, raises its own RegimeError.
-    es is never hyperplane-degenerate: eigensystem refuses such a lambda.
-    """
-    _checked_c0(c, es.lam)
-    return immersion._g_segment(c, es)
-
-
 def _partial_fractions(es: EigenSystem, g, log_p, y):
     """(beta1, beta2) from G_j and log p_j, with the weights 1 / f'(d_j) of es.fprime.
 
@@ -268,7 +258,8 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem,
     of shape (n,) gives two complex arrays of that shape from one
     `_phase_terms` pass; a numpy scalar is taken as the float it holds.
     """
-    g = _check_beta_domain(c, es)
+    _checked_c0(c, es.lam)  # min_y |cdet| = |c0| at |lambda| = 1: one check covers every y
+    g = immersion._g_segment(c, es)
     array = isinstance(y, np.ndarray)
     if not array:
         y = float(y)
@@ -350,7 +341,7 @@ def _exp_d_l0(c: DerivedConstants, es: EigenSystem, s, t) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _beta_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float]:
     """(Re beta1(2T), Im beta2(2T)) from the lift's G_j(2T), per spectral object."""
-    _check_beta_domain(c, es)
+    _checked_c0(c, es.lam)
     g = np.array(immersion._g_full_period(c, es))
     b1, b2 = _partial_fractions(es, g, np.zeros(3), 2.0 * c.T)
     return b1.real, b2.imag
@@ -359,21 +350,13 @@ def _beta_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, floa
 def monodromy_data(c: DerivedConstants, es: EigenSystem) -> tuple[float, float]:
     """(Re beta1(2T), Im beta2(2T)), the only period data entering monodromy.
 
-    Closed forms in the complete-integral phases G_j(2T) of the lift:
-    Re beta1(2T) = -sum_j d_j G_j(2T) / f'(d_j) and
-    Im beta2(2T) = sum_j G_j(2T) / f'(d_j).  Refused like beta_integrals.
+    Closed forms in the lift's full-period phases G_j(2T)
+    (immersion._g_full_period): Re beta1(2T) = -sum_j d_j G_j(2T) / f'(d_j)
+    and Im beta2(2T) = sum_j G_j(2T) / f'(d_j).  Refused like
+    beta_integrals: a real-regime es, where they diverge, gets
+    SingularLocusError (periodicity.monodromy_phases reads G_j(2T) there).
+    Suite `identities` checks G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T)
+    (-d_j^2 + 2 beta / 3)) against these data.
     """
     return _beta_full_period(c, es)
 
-
-def full_period_phases(c: DerivedConstants, es: EigenSystem) -> np.ndarray:
-    """Lift phases G_j(2T) in eigensystem order, from the monodromy data.
-
-    G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T) (-d_j^2 + 2 beta / 3)), the
-    cancellation identity between the monodromy and the lift phases.  The
-    monodromy data are combinations of the lift's G_j(2T), so the identity
-    checks the partial-fraction algebra and sum_j G_j(2T) = 0, not an
-    independent integration.
-    """
-    re_b1, im_b2 = monodromy_data(c, es)
-    return -(re_b1 * es.d + im_b2 * _l0_spectrum(c, es.d))

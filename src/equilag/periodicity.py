@@ -11,14 +11,16 @@ whose eigenvalues are exp(i theta_j) with
             = p d_j + m G_j(2T),
 
 the second equality being the exact cancellation identity between the
-monodromy data and the lift phases.  The phases are taken from the lift's
-closed form G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)) with the complete
-integral of the third kind (immersion), computed once per spectral object
-es = potential.eigensystem(c, lambda); iwasawa.full_period_phases gives
-them back from the monodromy data, themselves closed forms in the same
-G_j(2T), so suite `identities` checks the cancellation identity
-algebraically.  The surface closes up under omega iff theta_1, theta_2
-are multiples of 2 pi (theta_3 follows since all three sum to zero).
+monodromy data and the lift phases (suite `identities` checks it).  One
+formula serves both regimes: theta_j = p d_j + m G_j(2T), with the lift's
+full-period phases G_j(2T) (immersion._g_full_period), computed once per
+spectral object es = potential.eigensystem(c, lambda).  In the non-real
+regime G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)), by the complete
+integral of the third kind.  In the real-cubic-form regime the beta
+integrals diverge, but sn and cn are antiperiodic over 2T, so G_j(2T) is
+pi on the sn/cn labels es.labels[:2] and 0 on the dn label.  The surface
+closes up under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3
+follows since all three sum to zero).
 Rationality of d-ratios and of the 2T phase data is certified under an
 explicit (max_denominator, tolerance) policy: the fraction nearest the
 value with denominator <= max_denominator (`Fraction.limit_denominator`),
@@ -26,12 +28,9 @@ accepted when it is within the tolerance (finite and >= 0, else ValueError).
 
 monodromy_phases takes es and returns the theta_j as a float array in
 eigensystem order; classify_cylinder and classify_torus take lambda and
-build es once, which refuses a hyperplane-degenerate lambda.
-
-In the real-cubic-form regime the beta integrals diverge, but sn and cn are
-antiperiodic over 2T, so theta_j = p d_j + m pi on the sn/cn labels
-es.labels[:2] and p d_j on the dn label; the possible torus lattices there are
-p_f Z + 4Ti Z and p_f Z + (p_f/2 + 2Ti) Z.
+build es once, which refuses a hyperplane-degenerate lambda.  The
+possible torus lattices of the real regime are p_f Z + 4Ti Z and
+p_f Z + (p_f/2 + 2Ti) Z.
 """
 
 from __future__ import annotations
@@ -96,17 +95,11 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
 def monodromy_phases(c: DerivedConstants, es: EigenSystem, p: float, m: int) -> np.ndarray:
     """Eigenvalue phases theta_j of the monodromy of z -> z + p + 2mTi at es.
 
-    A float array of shape (3,) in eigensystem order.  Uses the closed-form
-    G_j(2T) of the lift, and the closed antiperiodicity form in the
-    real-cubic-form regime (where the integrals do not exist).
+    A float array of shape (3,) in eigensystem order: p d_j + m G_j(2T),
+    with the lift's G_j(2T) in either regime (immersion._g_full_period).
     """
     if m == 0:
         return p * es.d
-    if es.regime == "real":
-        # sn, cn pick up a sign over 2T; dn does not
-        flip = np.zeros(3)
-        flip[es.labels[0]] = flip[es.labels[1]] = 1.0
-        return p * es.d + m * math.pi * flip
     return p * es.d + m * np.array(immersion._g_full_period(c, es))
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -73,15 +73,6 @@ class SuiteResult:
     passed: bool
     note: str = ""
     seconds: float = 0.0
-
-
-@dataclass
-class VerificationReport:
-    suites: list[SuiteResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.suites)
 
 
 class UnknownSuiteError(ValueError):
@@ -367,7 +358,10 @@ def suite_identities(params: SurfaceParams | None = None) -> SuiteResult:
         es = eigensystem(c, lam)
         g = np.array(immersion._g_full_period(c, es))
         worst_sum = worst(worst_sum, abs(g.sum()))
-        worst_cancel = worst(worst_cancel, abs(g - iwasawa.full_period_phases(c, es)))
+        # G_j(2T) = -(Re beta1(2T) d_j + Im beta2(2T) (-d_j^2 + 2 beta / 3))
+        re_b1, im_b2 = iwasawa.monodromy_data(c, es)
+        g_beta = -(re_b1 * es.d + im_b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
+        worst_cancel = worst(worst_cancel, abs(g - g_beta))
         v = es.cubic
         # 30 y per lambda, as rows against the three d_j columns
         m = metric_at(c, rng.uniform(0.0, 2.0 * c.T, 30))
@@ -435,7 +429,7 @@ def run_suites(
     params: SurfaceParams | None = None,
     corrupt_kappa: bool = False,
     names: list[str] | None = None,
-) -> VerificationReport:
+) -> list[SuiteResult]:
     """Run the residual suites; `params` parametrizes the surface-generic ones.
 
     `names` restricts the run to a subset of suite names; an empty name is
@@ -460,7 +454,4 @@ def run_suites(
         if unknown:
             raise UnknownSuiteError(f"unknown suites: {', '.join(map(repr, unknown))}")
         selected = [n for n in runners if n in names]
-    report = VerificationReport()
-    for name in selected:
-        report.suites.append(runners[name]())
-    return report
+    return [runners[name]() for name in selected]

@@ -71,9 +71,9 @@ PINNED_THRESHOLDS = {
 
 
 def test_thresholds_pinned():
-    report = verification.run_suites()
-    assert [s.name for s in report.suites] == list(PINNED_THRESHOLDS)
-    for s in report.suites:
+    suites = verification.run_suites()
+    assert [s.name for s in suites] == list(PINNED_THRESHOLDS)
+    for s in suites:
         assert list(s.residuals) == list(PINNED_THRESHOLDS[s.name]), s.name
         assert list(s.thresholds.items()) == list(PINNED_THRESHOLDS[s.name].items()), s.name
 

@@ -451,6 +451,17 @@ path = catalog.csv
         rc = main(["sweep", "--a1", "2", "--psi", "1,0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_obj_format_refused_before_any_file(self, tmp_path, capsys):
+        # the catalog is a table: an obj output once received the csv rows
+        path = tmp_path / "job.ini"
+        out = tmp_path / "catalog.obj"
+        path.write_text("[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\ncount = 4\n"
+                        "[output]\nformat = obj\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: sweep writes csv or json, not 'obj'\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_subset_passes(self, capsys):

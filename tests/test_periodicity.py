@@ -22,6 +22,7 @@ from equilag.potential import (
     derive_constants,
     eigensystem,
     potential_matrix,
+    stack_systems,
 )
 from matrix_oracles import commutant_matrix
 from phase_oracles import by_quadrature
@@ -43,6 +44,12 @@ def convergents(x: Fraction) -> set[tuple[int, int]]:
         if x == a:
             return out
         x = 1 / (x - a)
+
+
+def g_from_beta(c, es):
+    """G_j(2T) from the monodromy data: -(Re beta1 d_j + Im beta2 (-d_j^2 + 2 beta / 3))."""
+    re_b1, im_b2 = iwasawa.monodromy_data(c, es)
+    return -(re_b1 * es.d + im_b2 * (-es.d**2 + 2.0 * c.beta / 3.0))
 
 
 def monodromy_matrix(c, p, m, lam):
@@ -147,7 +154,7 @@ class TestMonodromyPhases:
 
     def test_sum_is_zero_mod_2pi(self, bench_nonreal, bench_real):
         es = eigensystem(bench_nonreal, 1.0)
-        g = iwasawa.full_period_phases(bench_nonreal, es)
+        g = g_from_beta(bench_nonreal, es)
         for theta in (
             monodromy_phases(bench_nonreal, es, 1.3, 2),
             1.3 * es.d + 2 * g,  # the same phases from the beta integrals
@@ -168,6 +175,54 @@ class TestMonodromyPhases:
     def test_hyperplane_refused(self, bench_sweep):
         with pytest.raises(HyperplaneDegenerateError):
             monodromy_phases(bench_sweep, eigensystem(bench_sweep, cmath.exp(1j * math.pi / 6)), 1.0, 1)
+
+
+# BENCH_REAL at lambda = 1 (labels (1, 0, 2)) and at e^{i pi/3} (labels (1, 2, 0))
+REAL_LAMBDAS = pytest.mark.parametrize("lam, labels", [(1.0, (1, 0, 2)),
+                                                       (cmath.exp(1j * math.pi / 3), (1, 2, 0))])
+
+
+class TestRealFullPeriod:
+    """G_j(2T) in the real regime: sn and cn change sign over 2T, dn does not."""
+
+    @REAL_LAMBDAS
+    def test_pi_on_sn_and_cn_zero_on_dn(self, bench_real, lam, labels):
+        es = eigensystem(bench_real, lam)
+        assert (es.regime, es.labels) == ("real", labels)
+        g = immersion._g_full_period(bench_real, es)
+        assert type(g) is tuple and all(type(v) is float for v in g)
+        want = [0.0] * 3
+        want[labels[0]] = want[labels[1]] = math.pi
+        assert list(g) == want
+
+    def test_stack_rows_are_their_objects(self, bench_real):
+        systems = [eigensystem(bench_real, cmath.exp(1j * j * math.pi / 3)) for j in range(6)]
+        g = immersion._g_full_period(bench_real, stack_systems(systems))
+        assert g.shape == (6, 3)
+        for row, es in zip(g, systems):
+            assert row.tolist() == list(immersion._g_full_period(bench_real, es))
+
+    @REAL_LAMBDAS
+    @pytest.mark.parametrize("m", [-3, 1, 2])
+    def test_monodromy_phases_keep_the_flip_bits(self, bench_real, lam, labels, m):
+        # the real regime's former form, p d_j + m pi flip_j, to the bit and the sign of zero
+        es = eigensystem(bench_real, lam)
+        flip = np.zeros(3)
+        flip[labels[0]] = flip[labels[1]] = 1.0
+        want = 1.3 * es.d + m * math.pi * flip
+        assert monodromy_phases(bench_real, es, 1.3, m).tobytes() == want.tobytes()
+
+    @REAL_LAMBDAS
+    def test_beta_routes_still_refused(self, bench_real, lam, labels):
+        es = eigensystem(bench_real, lam)
+        msg = (f"cdet vanishes at y = 0 for lambda = {es.lam:.6g} (lambda^-3 psi is real up to "
+               "tolerance); evaluate through the eigenbasis closed forms (extended_frame, lift_at)")
+        for call in (lambda: iwasawa.beta_integrals(bench_real, es, 0.7),
+                     lambda: iwasawa.beta_integrals(bench_real, es, 0.0),
+                     lambda: iwasawa.monodromy_data(bench_real, es)):
+            with pytest.raises(iwasawa.SingularLocusError) as info:
+                call()
+            assert str(info.value) == msg
 
 
 class TestClassifyCylinder:
@@ -253,7 +308,7 @@ class TestClassifyTorus:
             if es.regime != "nonreal":
                 continue
             done += 1
-            g_beta = iwasawa.full_period_phases(c, es)
+            g_beta = g_from_beta(c, es)
             g = np.array(immersion._g_full_period(c, es))
             assert np.max(np.abs(g_beta - g)) < 1e-8
 

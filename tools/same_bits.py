@@ -7,8 +7,8 @@ CHECKOUT is a directory holding this package's `src/` (a git clone or a
 array evaluations of the kernels (`jacobi`, `complete_K`, the Carlson
 integrals, the array third-kind integral, the depressed cubic) and of the
 evaluators (`eigensystem`, `lift_at`, `phase_integrals`, `sample_grid`,
-`beta_integrals`, both frames, `monodromy_phases`, `metric_at`,
-`verify_geometry`) on four surfaces in both regimes, and of stacks of
+`beta_integrals`, both frames, `monodromy_phases`, `monodromy_data`,
+`metric_at`, `verify_geometry`) on four surfaces in both regimes, and of stacks of
 spectral objects (`potential.stack_systems`): per surface and regime one
 stacked `extended_frame` call, the non-real stack's `_g_segment` and
 `_g_full_period`, and the third-kind integral with rows of n_j.  The
@@ -117,7 +117,7 @@ def _kernels(h, eq) -> None:
 
 
 def _evaluators(h, eq) -> None:
-    from equilag import immersion
+    from equilag import immersion, iwasawa
 
     surfaces = [(2.0, complex(math.cos(math.pi / 4), math.sin(math.pi / 4))),
                 (1.0, complex(1.0 / math.sqrt(3.0))), (2.0, 1.0 + 0.0j), (20.0, 0.6 + 0.8j)]
@@ -154,6 +154,7 @@ def _evaluators(h, eq) -> None:
             _call(h, eq.iwasawa_frame, c, es, xs + 1j * ys)
             for p, m in ((0.7, 0), (1.3, 1), (-0.4, 3)):
                 _call(h, eq.monodromy_phases, c, es, p, m)
+            _call(h, iwasawa.monodromy_data, c, es)  # refused in the real regime
             _call(h, eq.sample_grid, c, lam, (0.0, 2.0), (-c.T, 3.0 * c.T), 16, 12)
             _call(h, eq.verify_geometry, c, lam, np.linspace(0.1, 1.9, 3),
                   np.linspace(0.1, 2.0 * c.T - 0.1, 3))
