@@ -81,9 +81,10 @@ class JobConfig:
             raise ConfigError(f"a1 must be positive and finite, got {self.a1}")
         if not cmath.isfinite(self.psi):
             raise ConfigError(f"psi must be finite, got {self.psi}")
-        bounds = (self.sweep_start, self.sweep_end, self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(map(math.isfinite, bounds)):
-            raise ConfigError("lambda arc and grid bounds must be finite")
+        # a span is finite only when both of its bounds are and their difference does not overflow
+        spans = (self.sweep_end - self.sweep_start, self.x_max - self.x_min, self.y_max - self.y_min)
+        if not all(map(math.isfinite, spans)):
+            raise ConfigError("lambda arc and grid bounds and their spans must be finite")
         for name, v in (("phase", self.phase_tol), ("rational_tol", self.rational_tol)):
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"tolerance {name} must be finite and > 0, got {v}")
@@ -258,6 +259,8 @@ def cmd_verify(cfg: JobConfig, args) -> int:
 
 def cmd_sample(cfg: JobConfig, args) -> int:
     c = _generic_constants(cfg)
+    if not math.isfinite(c.r * max(abs(cfg.y_min), abs(cfg.y_max))):
+        raise ConfigError(f"grid y bounds overflow the Jacobi argument r*y (r = {_fmt(c.r)})")
     if not cfg.out_path:
         raise ConfigError("sample requires an output path ([output] path or --out)")
     _check_writable(cfg.out_path)
@@ -279,7 +282,7 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-_BLOCK = 512  # table rows per % pass: enough to amortize the call, few enough to keep memory flat
+_BLOCK = 512  # obj rows per % pass: enough to amortize the call, few enough to keep memory flat
 
 
 def _rows(fh, fmt: str, table: np.ndarray) -> None:
@@ -290,15 +293,20 @@ def _rows(fh, fmt: str, table: np.ndarray) -> None:
 
 
 def _write_csv(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
-    """One row per cell, x fastest; complex columns as (re, im) pairs."""
-    x, y = np.meshgrid(grid.xs, grid.ys)
-    e_u = np.broadcast_to(grid.e_u[:, None], x.shape)
+    """One row per cell, x fastest; complex columns as (re, im) pairs.
+
+    x, y and e_u are formatted once each: a grid line's template holds the x
+    texts, takes its y and e_u texts, and one % fills in the line's ten F and
+    chart numbers and the flag of every cell.
+    """
     # a contiguous complex128 array viewed as float64 interleaves re and im
-    F, w = (np.ascontiguousarray(a).reshape(x.size, -1).view(float) for a in (grid.F, grid.chart))
-    table = np.column_stack([x.ravel(), y.ravel(), F, w, e_u.ravel(), grid.flags.ravel()])
+    F, w = (np.ascontiguousarray(a).view(float) for a in (grid.F, grid.chart))  # (ny, nx, 6), (ny, nx, 4)
+    line = "".join(f"{_fmt(x)},<y>,{'%.17g,' * 10}<e_u>,%d\n" for x in grid.xs.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,re_w1,im_w1,re_w2,im_w2,e_u,flag\n")
-        _rows(fh, ",".join(["%.17g"] * table.shape[1]), table)
+        for y, e_u, *cells in zip(grid.ys.tolist(), grid.e_u.tolist(), F, w, grid.flags[..., None]):
+            values = np.concatenate(cells, axis=1).ravel().tolist()
+            fh.write(line.replace("<y>", _fmt(y)).replace("<e_u>", _fmt(e_u)) % tuple(values))
 
 
 def _quads(a: np.ndarray) -> np.ndarray:
@@ -332,6 +340,8 @@ def _layout(shape: tuple[int, ...], depth: int) -> str:
 def _numbers(layout: str, values: np.ndarray) -> str:
     """layout filled with the values' reprs, NaN and +-inf as json's NaN and Infinity."""
     text = layout % tuple(values.ravel().tolist())
+    if np.isfinite(values).all():
+        return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 

@@ -601,6 +601,7 @@ def test_verify_never_refuses_generic_psi(phi):
     assert _verify_iwasawa_identities(phi) in (EXIT_OK, EXIT_VERIFY)
 
 
+SPANS_ERROR = "lambda arc and grid bounds and their spans must be finite"
 K_NEAR_ONE = ["--a1", "1e6", "--psi", "1,0"]  # k'^2 = 1.4e-9: derive_constants refuses it
 
 
@@ -661,6 +662,22 @@ class TestRefusals:
     def test_surface_out_of_float_range_refused(self, a1, psi, cause, capsys):
         assert main(["derive", "--a1", a1, "--psi", psi]) == EXIT_DEGENERATE
         assert capsys.readouterr().err == f"refused: Refusal: beta out of float range: {cause}\n"
+
+    @pytest.mark.parametrize("command, section, err", [
+        ("sample", "[grid]\ny_min = 0\ny_max = 1e308\n", "grid y bounds overflow the Jacobi argument r*y"),
+        ("sample", "[grid]\ny_min = 1e308\ny_max = -1e308\n", SPANS_ERROR),
+        ("sample", "[grid]\nx_min = 1e308\nx_max = -1e308\n", SPANS_ERROR),
+        ("sweep", "[lambda]\ncount = 4\narc_start = 1e308\narc_end = -1e308\n", SPANS_ERROR),
+    ])
+    def test_overflowing_bounds(self, command, section, err, tmp_path, capsys):
+        # finite bounds whose span or r*y overflows: the y cases once ended in a
+        # jacobi traceback, x in rows of nan (exit 0), the arc in a |lambda| traceback
+        path, out = tmp_path / "job.ini", tmp_path / "out.csv"
+        path.write_text("[surface]\na1 = 2.0\npsi_re = 1.0\n" + section)
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {err}") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
     def test_lambda_within_the_library_gate_runs(self):
         # |lambda| - 1 = 5e-9: inside the 1e-8 that every library route accepts

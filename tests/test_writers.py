@@ -2,8 +2,8 @@
 
 `writer_oracles` keeps those reference bodies; every format of
 `equilag.cli._WRITERS` must match them byte for byte, on drawn grids with
-flagged cells and planted extreme and non-finite values, and must not hold
-more memory than they do.
+flagged cells and extreme and non-finite values planted in the cells and in
+x, y and e_u, and must not hold more memory than they do.
 """
 
 import dataclasses
@@ -54,7 +54,12 @@ def grids(draw, c):
         a = re_im[name]
         if not flags[iy, ix]:
             a[iy, ix, k % a.shape[-1]] = value
-    return dataclasses.replace(grid, F=F, chart=chart, flags=flags)
+    # the csv writer formats x, y and e_u once per grid line, apart from the cells
+    lines = {"xs": grid.xs.copy(), "ys": grid.ys.copy(), "e_u": grid.e_u.copy()}
+    line_plants = st.tuples(st.sampled_from(sorted(lines)), st.integers(0, 23), st.sampled_from(PLANTED))
+    for name, i, value in draw(st.lists(line_plants, max_size=6)):
+        lines[name][i % len(lines[name])] = value
+    return dataclasses.replace(grid, F=F, chart=chart, flags=flags, **lines)
 
 
 @settings(max_examples=60, deadline=None)
