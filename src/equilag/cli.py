@@ -139,8 +139,13 @@ def parse_config(text: str) -> JobConfig:
                 kw["sweep_count"] = lab.getint("count")
                 if kw["sweep_count"] < 1:  # 0 would select the single lambda = 1 silently
                     raise ConfigError(f"sweep count must be >= 1, got {kw['sweep_count']}")
+                if "re" in lab or "im" in lab:  # the point would be dropped silently
+                    raise ConfigError(
+                        "[lambda] takes re/im (one lambda) or count (a sweep), not both")
                 kw["sweep_start"] = lab.getfloat("arc_start", 0.0)
                 kw["sweep_end"] = lab.getfloat("arc_end", 2.0 * math.pi)
+            elif "arc_start" in lab or "arc_end" in lab:
+                raise ConfigError("[lambda] arc_start/arc_end need a count")
             else:
                 kw["lam"] = complex(lab.getfloat("re", 1.0), lab.getfloat("im", 0.0))
         for section, key, name, conv in _TABLE:
@@ -195,6 +200,9 @@ def _load(args) -> JobConfig:
     cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     if args.lam is not None:
         cfg = replace(cfg, lam=args.lam, sweep_count=0)
+    elif cfg.sweep_count and args.command in ("derive", "sample", "classify"):
+        # these run at one lambda: a sweep config would silently run at lambda = 1
+        raise ConfigError(f"{args.command} runs at one lambda: a [lambda] count needs --lambda")
     cfg.validate()
     return cfg
 
@@ -263,6 +271,9 @@ def cmd_sample(cfg: JobConfig, args) -> int:
         raise ConfigError(f"grid y bounds overflow the Jacobi argument r*y (r = {_fmt(c.r)})")
     if not cfg.out_path:
         raise ConfigError("sample requires an output path ([output] path or --out)")
+    d_max = float(np.abs(eigensystem(c, cfg.lam).d).max())
+    if not math.isfinite(max(abs(cfg.x_min), abs(cfg.x_max)) * d_max):
+        raise ConfigError(f"grid x bounds overflow the phase x*d_j (max |d_j| = {_fmt(d_max)})")
     _check_writable(cfg.out_path)
     grid = immersion.sample_grid(c, cfg.lam, (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max),
                                  cfg.nx, cfg.ny)

@@ -7,8 +7,9 @@ Pi(n; phi, k) = int_0^phi dalpha / ((1 - n sin^2 alpha) sqrt(1 - k^2 sin^2 alpha
 The complete integral K(k) = J(pi/2, k) is computed with the
 arithmetic-geometric mean, sn/cn/dn with the AGM phase recursion
 (descending Landen chain, https://dlmf.nist.gov/22.20), and the incomplete
-integral Pi with Carlson's symmetric forms R_F, R_C and R_J by duplication
-(https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26).
+integral Pi with Carlson's symmetric forms: R_F and R_J by duplication
+(https://dlmf.nist.gov/19.36; Carlson 1995, Numer. Algorithms 10:13-26),
+R_C in closed form (https://dlmf.nist.gov/19.2.ii).
 All routes are independent of each other up to the shared AGM scale, and
 accurate to ~1e-13 relative for k <= 0.999; accuracy degrades gracefully
 as k -> 1.  The AGM memo per float modulus (`_agm_scheme`) also holds the
@@ -26,20 +27,23 @@ each element with the bits of its own one-point call.  The Carlson
 kernels' k^2 stays a scalar, and `_third_kind` takes the sequence of its
 n_j, so that one call serves the three phase integrals of a lift, or rows
 of them, one per spectral object of a stack.  Python floats keep the
-`math` path and return floats.  A numpy scalar (np.float64) is no array:
-it is accepted, takes the `math` path and gives the same bits, but its
-arithmetic runs at about half the speed of Python floats, so callers hand
-floats in (immersion's per-object phase constants are Python floats, and
-the point evaluators take the float a numpy scalar holds).
+`math` path (R_C's arctan and arcsinh aside, below) and return floats.
+A numpy scalar (np.float64) is no array: it is accepted, takes the `math`
+path and gives the same bits, but its arithmetic runs at about half the
+speed of Python floats, so callers hand floats in (immersion's per-object
+phase constants are Python floats, and the point evaluators take the float
+a numpy scalar holds).
 
-A duplication loop over an array runs until every element meets Carlson's
-stop rule, and each element stops where it meets it, so the integrals
-agree bit for bit with the float path.  The array R_J records each step's
-R_C term (a weight and an argument; 0 and 1 for an element that has
-stopped) and sums them after its loop, in step order, from one R_C call
-over all steps; the array R_C steps only the elements still short of its
-stop rule.  So an array costs a fixed few dozen numpy calls and then its
-points, not one R_C loop per step.
+A duplication loop over an array (R_F, R_J) runs until every element
+meets Carlson's stop rule, and each element stops where it meets it, so
+the integrals agree bit for bit with the float path.  R_C has no loop: it
+is an arctan or an arcsinh, so R_J adds each step's R_C term inside its
+loop at floats and arrays alike, an element that has stopped adding 0.
+The float R_C calls numpy's arctan and arcsinh on the Python float, not
+math's: numpy's scalar calls give the bits of its array elements, while
+math's atan and asinh miss them by an ulp at some arguments (asinh at
+about one in six over 1e-20 to 1e20), so each array element keeps the
+bits of its float call.
 """
 
 from __future__ import annotations
@@ -207,41 +211,31 @@ def _carlson_rf(x: _Real, y: _Real, z: _Real) -> _Real:
 
 
 def _carlson_rc(x: _Real, y: _Real) -> _Real:
-    """Carlson degenerate integral R_C(x, y), x >= 0, y > 0, by duplication."""
-    A = (x + 2.0 * y) / 3.0
-    array = isinstance(A, _ndarray)
-    sqrt = np.sqrt if array else math.sqrt
-    s0 = y - A
-    Q = (3.0 * 2.3e-16) ** (-1.0 / 8.0) * abs(A - x)
-    f = 1.0
-    if array:
-        # the steps run on the elements still short of the stop rule alone:
-        # R_J's arguments stop at very different steps
-        # no generator here: a closure over A would slow the float path
-        f = np.ones(A.shape)
-        Av, fv, Qv = A.reshape(-1), f.reshape(-1), Q.reshape(-1)  # views: A and Q are ours
-        at = np.flatnonzero(Qv >= abs(Av))
-        xa, ya = np.broadcast_to(x, A.shape).flat[at], np.broadcast_to(y, A.shape).flat[at]
-        while at.size:
-            lam = 2.0 * sqrt(xa) * sqrt(ya) + ya
-            xa = 0.25 * (xa + lam)
-            ya = 0.25 * (ya + lam)
-            Av[at] = Aa = 0.25 * (Av[at] + lam)
-            fv[at] = fa = 0.25 * fv[at]
-            go = Qv[at] * fa >= abs(Aa)
-            at, xa, ya = at[go], xa[go], ya[go]
-    else:
-        while Q * f >= abs(A):
-            lam = 2.0 * sqrt(x) * sqrt(y) + y
-            x = 0.25 * (x + lam)
-            y = 0.25 * (y + lam)
-            A = 0.25 * (A + lam)
-            f = 0.25 * f
-    s = s0 * f / A
-    return (
-        1.0 + s * s * (3.0 / 10.0 + s * (1.0 / 7.0 + s * (3.0 / 8.0 + s * (
-            9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0)))))
-    ) / sqrt(A)
+    """Carlson degenerate integral R_C(x, y), x >= 0, y > 0, in closed form.
+
+    With t = y - x (https://dlmf.nist.gov/19.2.E18, 19.2.E19):
+    atan(sqrt(t) / sqrt(x)) / sqrt(t) for x < y, which is pi / (2 sqrt(y))
+    at x = 0; asinh(sqrt(-t) / sqrt(y)) / sqrt(-t) for x > y; and
+    1 / sqrt(x) at x = y.  The differences and square roots are exact or
+    correctly rounded, so each form stays accurate as x -> y and at extreme
+    ratios, up to x / y ~ 1e616 (a subnormal y beside an x near overflow),
+    where sqrt(-t) / sqrt(y) overflows; R_J and `_third_kind` pass x <= 1.
+    NaN in x or y gives NaN.
+    """
+    t = y - x
+    if isinstance(t, _ndarray):
+        below = t > 0.0
+        # x = 0 gives v = inf (arctan: pi / 2), x = y gives 0 / 0, replaced by 1 / sqrt(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(abs(t))
+            v = r / np.sqrt(np.where(below, x, y))
+            rc = np.where(below, np.arctan(v), np.arcsinh(v)) / r
+            return np.where(t == 0.0, 1.0 / np.sqrt(x), rc)
+    if t > 0.0:
+        return float(np.arctan(math.sqrt(t) / math.sqrt(x) if x else math.inf)) / math.sqrt(t)
+    if t < 0.0:
+        return float(np.arcsinh(math.sqrt(-t) / math.sqrt(y))) / math.sqrt(-t)
+    return 1.0 / math.sqrt(x) if t == 0.0 else math.nan  # t is NaN when x or y is
 
 
 def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
@@ -260,19 +254,15 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
     Q = (0.25 * 2.3e-16) ** (-1.0 / 6.0) * largest(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
     f = 1.0
     acc = 0.0
-    if array:
-        weights, rc_args = [], []  # each step's R_C term, summed after the loop
     while (go := Q * f >= abs(A)).any() if array else Q * f >= abs(A):
         sx, sy, sz, sp = sqrt(x), sqrt(y), sqrt(z), sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         d = (sp + sx) * (sp + sy) * (sp + sz)
+        term = f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)
         if array:
-            # a stopped element adds 0 R_C(1, 1) = 0 to its sum
-            weights.append(np.where(go, f / d, 0.0))
-            rc_args.append(np.where(go, 2.0 * sp * (p + lam) / d, 1.0))
+            term = np.where(go, term, 0.0)  # a stopped element adds nothing to its sum
             before = x, y, z, p, A, f
-        else:
-            acc = acc + f / d * _carlson_rc(1.0, 2.0 * sp * (p + lam) / d)
+        acc = acc + term
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         z = 0.25 * (z + lam)
@@ -281,10 +271,6 @@ def _carlson_rj(x: _Real, y: _Real, z: _Real, p: _Real) -> _Real:
         f = 0.25 * f  # not in place: an array f is also held in before
         if array:
             x, y, z, p, A, f = _keep_done(go, (x, y, z, p, A, f), before)
-    if array and weights:
-        # one R_C pass over every step's argument, summed in step order as above
-        for w, rc in zip(weights, _carlson_rc(1.0, np.stack(rc_args))):
-            acc = acc + w * rc
     # fifth-order Taylor tail in the symmetric elementary functions
     X = (A0 - x0) * f / A
     Y = (A0 - y0) * f / A

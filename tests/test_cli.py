@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import pkgutil
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from equilag.cli import (
     EXIT_OK,
     EXIT_OUTPUT,
     EXIT_VERIFY,
+    ConfigError,
     JobConfig,
     _COMMANDS,
     _sections,
@@ -154,10 +157,12 @@ path = mesh.obj
             {"lam", "sweep_count", "sweep_start", "sweep_end"} - mode)
         assert render_config(cfg) == text.lstrip()
         assert parse_config(render_config(cfg)) == cfg
-        # the JSON echo carries every key of the file, [surface] at the top level
+        # the JSON echo carries every key of the file, [surface] at the top level;
+        # derive runs at one lambda and refuses a sweep config, verify takes either
         path = tmp_path / "job.ini"
         path.write_text(text)
-        assert main(["derive", "--json", "--config", str(path)]) == EXIT_OK
+        command = ["derive"] if cfg.sweep_count == 0 else ["verify", "--suites", "elliptic"]
+        assert main([*command, "--json", "--config", str(path)]) == EXIT_OK
         echo = json.loads(capsys.readouterr().out)["config"]
         cp = configparser.ConfigParser()
         cp.read_string(text)
@@ -203,6 +208,34 @@ path = mesh.obj
         captured = capsys.readouterr()
         assert captured.err == "config error: sweep count must be >= 1, got 0\n"
         assert captured.out == "" and not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("lam, err", [
+        ("count = 4\nre = 0.6\nim = 0.8", "takes re/im (one lambda) or count (a sweep), not both"),
+        ("count = 4\nim = 0.8", "takes re/im (one lambda) or count (a sweep), not both"),
+        ("re = 0.6\nim = 0.8\narc_end = 1.5", "arc_start/arc_end need a count"),
+        ("arc_start = 0.5", "arc_start/arc_end need a count"),
+    ], ids=["count-re-im", "count-im", "point-arc", "arc-alone"])
+    def test_point_and_sweep_keys_do_not_mix(self, lam, err):
+        # count once dropped re/im silently, and arc_* without count was ignored
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'[lambda] {err}')}$"):
+            parse_config(f"[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\n{lam}\n")
+
+    @pytest.mark.parametrize("command", ["derive", "sample", "classify"])
+    def test_single_lambda_commands_refuse_a_sweep(self, command, tmp_path, capsys):
+        # a sweep config once ran these at lambda = 1 while the JSON echo showed the arc
+        path, out = tmp_path / "job.ini", tmp_path / "x.csv"
+        path.write_text("[surface]\na1 = 2\npsi_re = 1\npsi_im = 0.5\n[lambda]\ncount = 4\n")
+        argv = [command, "--config", str(path), "--json", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {command} runs at one lambda: "
+                                "a [lambda] count needs --lambda\n")
+        assert captured.out == "" and not out.exists()
+        # --lambda picks the one lambda, as it does over a point config
+        assert main([*argv, "--lambda", "0.6,0.8"]) == EXIT_OK
+        if command != "sample":
+            echo = json.loads(capsys.readouterr().out)["config"]["lambda"]
+            assert echo == {"re": 0.6, "im": 0.8}
 
 
 class TestDerive:
@@ -668,13 +701,18 @@ class TestRefusals:
         ("sample", "[grid]\ny_min = 1e308\ny_max = -1e308\n", SPANS_ERROR),
         ("sample", "[grid]\nx_min = 1e308\nx_max = -1e308\n", SPANS_ERROR),
         ("sweep", "[lambda]\ncount = 4\narc_start = 1e308\narc_end = -1e308\n", SPANS_ERROR),
+        # a finite x span whose x*d_j overflows: numpy warnings and rows of nan (exit 0)
+        ("sample", "psi_im = 0.5\n[grid]\nx_min = 0\nx_max = 1e308\n",
+         "grid x bounds overflow the phase x*d_j"),
     ])
     def test_overflowing_bounds(self, command, section, err, tmp_path, capsys):
-        # finite bounds whose span or r*y overflows: the y cases once ended in a
-        # jacobi traceback, x in rows of nan (exit 0), the arc in a |lambda| traceback
+        # finite bounds whose span, r*y or x*d_j overflows: the y cases once ended in
+        # a jacobi traceback, x in rows of nan (exit 0), the arc in a |lambda| traceback
         path, out = tmp_path / "job.ini", tmp_path / "out.csv"
         path.write_text("[surface]\na1 = 2.0\npsi_re = 1.0\n" + section)
-        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the bounds
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {err}") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()

@@ -218,20 +218,50 @@ class TestCarlson:
     """R_C, R_J and the third-kind forms against mpmath at 30 digits."""
 
     def test_rc_against_mpmath(self):
+        # both closed forms over 600 decades in either order, x = 0, x = y
+        # exactly, y 1 to 2^20 ulp off x on either side, and a subnormal x
         import mpmath
 
         rng = np.random.default_rng(41)
+        cases = [tuple(10.0 ** rng.uniform(-300, 300, size=2)) for _ in range(300)]
+        cases += [tuple(10.0 ** rng.uniform(-8, 3, size=2)) for _ in range(200)]
+        cases += [(0.0, y) for y in 10.0 ** rng.uniform(-300, 300, 50)]
+        cases += [(x, x) for x in 10.0 ** rng.uniform(-300, 300, 50)]
+        for x in 10.0 ** rng.uniform(-300, 300, 40):
+            cases += [(x, x * (1.0 + sign * k * 2.0**-52))
+                      for k in (1, 2, 7, 2**20) for sign in (1, -1)]
+        cases += [(5e-324, 1.0), (2.2e-310, 3e-300), (1e-315, 1e300), (5e-324, 5e-324)]
         worst = 0.0
-        for _ in range(400):
-            x, y = 10.0 ** rng.uniform(-8, 3, size=2)
-            if rng.uniform() < 0.2:
-                x = 0.0
-            elif rng.uniform() < 0.2:
-                y = x * (1.0 + rng.uniform(-1e-6, 1e-6))  # near the series point
-            with mpmath.workdps(30):
+        with mpmath.workdps(30):
+            for x, y in cases:
                 want = mpmath.elliprc(x, y)
                 worst = max(worst, float(abs(_carlson_rc(x, y) - want) / want))
         assert worst < 2e-15
+
+    def test_rc_array_has_the_float_bits(self):
+        # each element of an array call equals its float call, on both forms:
+        # the float path takes numpy's arctan and arcsinh, not math's
+        rng = np.random.default_rng(30)
+        x, y = 10.0 ** rng.uniform(-12, 12, (2, 2400))
+        x[::50], y[1::50] = 0.0, x[1::50]
+        assert (x < y).sum() > 1000 and (x > y).sum() > 1000
+        got = _carlson_rc(x, y)
+        want = np.array([_carlson_rc(float(a), float(b)) for a, b in zip(x, y)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(_carlson_rc(1.0, y), [_carlson_rc(1.0, float(b)) for b in y])
+
+    def test_rc_nan_in_nan_out(self):
+        import warnings
+
+        nan = math.nan
+        pairs = [(nan, 1.0), (1.0, nan), (nan, nan), (0.0, nan), (nan, 0.0)]
+        assert all(math.isnan(_carlson_rc(x, y)) for x, y in pairs)
+        x, y = (np.array(col) for col in zip(*pairs, (0.0, 2.0), (3.0, 3.0), (4.0, 1.0)))
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # x = 0 and x = y divide by zero inside
+            got = _carlson_rc(x, y)
+        assert np.isnan(got[:5]).all()
+        assert got[5:].tolist() == [_carlson_rc(*a) for a in ((0.0, 2.0), (3.0, 3.0), (4.0, 1.0))]
 
     def test_rj_against_mpmath(self):
         import mpmath

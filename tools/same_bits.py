@@ -5,10 +5,11 @@ Usage: python tools/same_bits.py CHECKOUT
 CHECKOUT is a directory holding this package's `src/` (a git clone or a
 `git archive` of some commit).  The first digest covers fixed float and
 array evaluations of the kernels (`jacobi`, `complete_K`, the Carlson
-integrals, the array third-kind integral, the depressed cubic) and of the
-evaluators (`eigensystem`, `lift_at`, `phase_integrals`, `sample_grid`,
-`beta_integrals`, both frames, `monodromy_phases`, `monodromy_data`,
-`metric_at`, `verify_geometry`) on four surfaces in both regimes, and of stacks of
+integrals with R_C on each of its closed forms, the array third-kind
+integral, the depressed cubic) and of the evaluators (`eigensystem`,
+`lift_at`, `phase_integrals`, `sample_grid`, `beta_integrals`, both
+frames, `monodromy_phases`, `monodromy_data`, `metric_at`,
+`verify_geometry`) on four surfaces in both regimes, and of stacks of
 spectral objects (`potential.stack_systems`): per surface and regime one
 stacked `extended_frame` call, the non-real stack's `_g_segment` and
 `_g_full_period`, and the third-kind integral with rows of n_j.  The
@@ -92,6 +93,15 @@ def _kernels(h, eq) -> None:
         _call(h, elliptic._carlson_rf, *args[:3])
         _call(h, elliptic._carlson_rc, *args[:2])
         _call(h, elliptic._carlson_rj, *args)
+    # R_C on each of its forms: x = y, y one bit off x either way, x = 0, and
+    # both orders across 600 decades (a subnormal x too)
+    wide = 10.0 ** np.random.default_rng(30).uniform(-300.0, 300.0, (3, 60))
+    x = np.concatenate([wide[0], wide[0], wide[0], np.zeros(60), wide[1], wide[2], [5e-324]])
+    y = np.concatenate([wide[0], wide[0] * (1.0 + 2.0**-52), wide[0] * (1.0 - 2.0**-52),
+                        wide[1], wide[2], wide[1], [1.0]])
+    _call(h, elliptic._carlson_rc, x, y)
+    for a, b in zip(x.tolist(), y.tolist()):
+        _call(h, elliptic._carlson_rc, a, b)
     ns = (0.999999, 0.3, -1e-210, -0.7, -1e9)
     phi = rng.uniform(-math.pi / 2, math.pi / 2, 200)
     phi[::11] = 0.0
