@@ -3,8 +3,8 @@
 One argparse parser, built once per process when this module is imported,
 reads the command and the flags of every `main` call, in any order;
 `--suites` and `--debug-corrupt-kappa` are refused on any command but verify.
-Configuration lives in an INI-style file (sections and key = value lines;
-exact grammar in the README); command-line flags override file values.
+Configuration lives in an INI-style file (grammar in the README); each key is
+read once, a key or section nothing reads is refused, and flags override it.
 Input is refused by the library alone, where each `equilag.Refusal` is
 raised; the refusal's type is reported.  Exit codes: 0 ok, 1 output file
 not writable (checked before the grid or catalog is computed), 2 config
@@ -116,45 +116,45 @@ _TABLE = (
 
 def parse_config(text: str) -> JobConfig:
     """Parse the INI-style configuration grammar into a JobConfig."""
-    cp = configparser.ConfigParser()
+    # '%' is literal, and no header can name the empty default section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-    if "surface" not in cp or "a1" not in cp["surface"]:
-        raise ConfigError("config must contain [surface] with a1 and psi")
-    surf = cp["surface"]
+    except configparser.Error as exc:  # its text spans lines; the refusal is one line
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())}") from exc
+    left = {name: dict(cp[name]) for name in cp.sections()}
+    known = {"surface", "lambda", *(row[0] for row in _TABLE)}
+
+    def take(section: str, key: str, default=None, conv=float):
+        """conv of the key's text, popped so that no key is read twice; default if it is absent."""
+        raw = left.get(section, {}).pop(key, None)
+        return default if raw is None else conv(raw)
+
     try:
-        a1 = surf.getfloat("a1")
-        if "psi_re" in surf or "psi_im" in surf:
-            psi = complex(surf.getfloat("psi_re", 0.0), surf.getfloat("psi_im", 0.0))
-        elif "psi_mod" in surf:
-            psi = cmath.rect(surf.getfloat("psi_mod"), surf.getfloat("psi_arg", 0.0))
-        else:
-            raise ConfigError("psi must be given as psi_re/psi_im or psi_mod/psi_arg")
-        kw: dict = {"a1": a1, "psi": psi}
-        if "lambda" in cp:
-            lab = cp["lambda"]
-            if "count" in lab:
-                kw["sweep_count"] = lab.getint("count")
-                if kw["sweep_count"] < 1:  # 0 would select the single lambda = 1 silently
-                    raise ConfigError(f"sweep count must be >= 1, got {kw['sweep_count']}")
-                if "re" in lab or "im" in lab:  # the point would be dropped silently
-                    raise ConfigError(
-                        "[lambda] takes re/im (one lambda) or count (a sweep), not both")
-                kw["sweep_start"] = lab.getfloat("arc_start", 0.0)
-                kw["sweep_end"] = lab.getfloat("arc_end", 2.0 * math.pi)
-            elif "arc_start" in lab or "arc_end" in lab:
-                raise ConfigError("[lambda] arc_start/arc_end need a count")
-            else:
-                kw["lam"] = complex(lab.getfloat("re", 1.0), lab.getfloat("im", 0.0))
-        for section, key, name, conv in _TABLE:
-            if section in cp and key in cp[section]:
-                kw[name] = conv(cp[section][key])
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        kw: dict = {"a1": take("surface", "a1"), "psi": None}
+        if {"psi_re", "psi_im"} & left.get("surface", {}).keys():  # psi_mod/psi_arg go unread
+            kw["psi"] = complex(take("surface", "psi_re", 0.0), take("surface", "psi_im", 0.0))
+        elif (psi_mod := take("surface", "psi_mod")) is not None:
+            kw["psi"] = cmath.rect(psi_mod, take("surface", "psi_arg", 0.0))
+        count = take("lambda", "count", conv=int)
+        if count is None:  # one lambda: arc_start/arc_end go unread
+            kw["lam"] = complex(take("lambda", "re", 1.0), take("lambda", "im", 0.0))
+        else:  # a sweep: re/im go unread
+            kw.update(sweep_count=count, sweep_start=take("lambda", "arc_start", 0.0),
+                      sweep_end=take("lambda", "arc_end", 2.0 * math.pi))
+        for section, key, name, conv in _TABLE:  # an absent key keeps the field's default
+            kw[name] = take(section, key, getattr(JobConfig, name), conv)
+        take("tolerances", "quadrature", conv=str)  # retired, it governed nothing: old configs parse
+    except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    if count is not None and count < 1:  # 0 would select the single lambda = 1 silently
+        raise ConfigError(f"sweep count must be >= 1, got {count}")
+    unread = [f"[{name}]" for name in left if name not in known]
+    unread += [f"[{name}] {key}" for name, keys in left.items() if name in known for key in keys]
+    if unread:
+        raise ConfigError(f"unknown or unused config input: {', '.join(unread)}")
+    if None in (kw["a1"], kw["psi"]):
+        raise ConfigError("config must contain [surface] with a1 and psi")
     cfg = JobConfig(**kw)
     cfg.validate()
     return cfg
@@ -185,7 +185,7 @@ def _json_dumps(obj) -> str:
 
 def _load(args) -> JobConfig:
     """Config file plus flag overrides; raises ConfigError on any defect."""
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
@@ -196,7 +196,7 @@ def _load(args) -> JobConfig:
             raise ConfigError("either --config or both --a1 and --psi are required")
         cfg = JobConfig(a1=args.a1, psi=args.psi)
     flags = {"a1": args.a1, "psi": args.psi, "max_den": args.max_den,
-             "rational_tol": args.tol, "out_path": args.out or None}
+             "rational_tol": args.tol, "out_path": args.out}
     cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     if args.lam is not None:
         cfg = replace(cfg, lam=args.lam, sweep_count=0)
@@ -287,6 +287,8 @@ def _check_writable(path: str) -> None:
     Opening for append truncates nothing, and a file the check creates is
     removed again, so a later refusal leaves no empty file behind.
     """
+    if "\0" in path:  # open raises ValueError on it, not the OSError that main reports
+        raise OSError(f"embedded null byte in {path!r}")
     existed = os.path.lexists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
@@ -503,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spectral parameter on the unit circle")
     ap.add_argument("--a1", type=float, help="metric scale e^{u(0)}")
     ap.add_argument("--psi", type=_complex_flag, metavar="RE,IM", help="cubic form coefficient")
-    ap.add_argument("--max-den", dest="max_den", type=int,
-                    help="rational certificate denominator cap")
+    ap.add_argument("--max-den", type=int, help="rational certificate denominator cap")
     ap.add_argument("--tol", type=float, help="rational certificate tolerance")
     verify = ap.add_argument_group("verify only")
     verify.add_argument("--debug-corrupt-kappa", action="store_true",
@@ -520,8 +521,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     if args.command != "verify" and (args.suites is not None or args.debug_corrupt_kappa):
-        _PARSER.error(
-            f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
+        _PARSER.error(f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
     try:
         return _COMMANDS[args.command][0](_load(args), args)
     except ConfigError as exc:

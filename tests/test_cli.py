@@ -1,14 +1,18 @@
 import argparse
 import cmath
 import configparser
+import contextlib
 import csv
 import dataclasses
 import importlib
+import io
 import itertools
 import json
 import math
+import pathlib
 import pkgutil
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -25,7 +29,6 @@ from equilag.cli import (
     EXIT_OK,
     EXIT_OUTPUT,
     EXIT_VERIFY,
-    ConfigError,
     JobConfig,
     _COMMANDS,
     _sections,
@@ -85,6 +88,9 @@ max_den = 64
 format = csv
 path = out.csv
 """
+
+SURFACE = "[surface]\na1 = 2.0\npsi_re = 1.0\n"
+UNREAD = "unknown or unused config input: "
 
 
 class TestConfig:
@@ -209,16 +215,75 @@ path = mesh.obj
         assert captured.err == "config error: sweep count must be >= 1, got 0\n"
         assert captured.out == "" and not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("lam, err", [
-        ("count = 4\nre = 0.6\nim = 0.8", "takes re/im (one lambda) or count (a sweep), not both"),
-        ("count = 4\nim = 0.8", "takes re/im (one lambda) or count (a sweep), not both"),
-        ("re = 0.6\nim = 0.8\narc_end = 1.5", "arc_start/arc_end need a count"),
-        ("arc_start = 0.5", "arc_start/arc_end need a count"),
-    ], ids=["count-re-im", "count-im", "point-arc", "arc-alone"])
-    def test_point_and_sweep_keys_do_not_mix(self, lam, err):
-        # count once dropped re/im silently, and arc_* without count was ignored
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'[lambda] {err}')}$"):
-            parse_config(f"[surface]\na1 = 2.0\npsi_re = 1.0\n[lambda]\n{lam}\n")
+    @pytest.mark.parametrize("config, flags, err", [
+        (f"{SURFACE}[lambda]\ncount = 4\nre = 0.6\nim = 0.8", [],
+         f"{UNREAD}[lambda] re, [lambda] im"),
+        (f"{SURFACE}[lambda]\ncount = 4\nim = 0.8", [], f"{UNREAD}[lambda] im"),
+        (f"{SURFACE}[lambda]\nre = 0.6\nim = 0.8\narc_end = 1.5", [], f"{UNREAD}[lambda] arc_end"),
+        (f"{SURFACE}[lambda]\narc_start = 0.5", [], f"{UNREAD}[lambda] arc_start"),
+        (f"{SURFACE}psi_mod = 3", [], f"{UNREAD}[surface] psi_mod"),
+        (f"{SURFACE}psi_arg = 0.5", [], f"{UNREAD}[surface] psi_arg"),
+        (f"{SURFACE}ps_im = 0.5", [], f"{UNREAD}[surface] ps_im"),
+        (f"{SURFACE}[grdi]", [], f"{UNREAD}[grdi]"),
+        ("[DEFAULT]\na1 = 5\n[surface]\npsi_re = 1.0", [], f"{UNREAD}[DEFAULT]"),
+        (f"{SURFACE}nx = 7", [], f"{UNREAD}[surface] nx"),
+        ("[surface]\na1 = 2.0\npsi_mod = 1\npsi_im = 0.5", [], f"{UNREAD}[surface] psi_mod"),
+        (SURFACE, ["--out", ""], "sample requires an output path ([output] path or --out)"),
+    ], ids=["count-re-im", "count-im", "point-arc", "arc-alone", "psi-mod-beside-re",
+            "psi-arg-beside-re", "misspelled", "unknown-section", "default-section", "misplaced",
+            "psi-mod-beside-im", "empty-out"])
+    def test_point_and_sweep_keys_do_not_mix(self, config, flags, err, tmp_path, capsys):
+        # each once ran with a key, a section or --out dropped silently (the
+        # psi_mod beside psi_im at psi = 0.5i, a hyperplane at lambda = 1)
+        path, out = tmp_path / "job.ini", tmp_path / "x.csv"
+        path.write_text(f"{config}\n[output]\npath = {out}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--config", str(path), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {err}\n"
+        assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["job.ini"]
+
+    def test_percent_is_literal(self, tmp_path):
+        # '%' once began an interpolation: out%1.csv was refused, out%%1.csv wrote out%1.csv
+        for path in ("out%1.csv", "out%%1.csv", "out%(a1)s.csv"):
+            assert parse_config(BASE_CONFIG.replace("out.csv", path)).out_path == path
+        # a --out path with '%' reaches the JSON echo, and its config renders and parses back
+        job, out = tmp_path / "job.ini", tmp_path / "o%1.json"
+        job.write_text(BASE_CONFIG.replace("format = csv", "format = json"))
+        assert main(["sample", "--config", str(job), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["output"]["path"] == str(out)
+        cfg = dataclasses.replace(parse_config(job.read_text()), out_path=str(out))
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_readme_grammar_block(self):
+        # the block parses as written and with each commented form swapped in for
+        # its sibling, and it names every key of the config echo, and no other
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+
+        def swap(text, taken, given):
+            for key in taken:
+                text = re.sub(f"^{key} = ", f"; {key} = ", text, flags=re.M)
+            for key in given:
+                text = re.sub(f"^; {key} = ", f"{key} = ", text, flags=re.M)
+            return text
+
+        psi = (("psi_re", "psi_im"), ("psi_mod", "psi_arg"))
+        lam = (("re", "im"), ("count", "arc_start", "arc_end"))
+        point, polar = parse_config(block), parse_config(swap(block, *psi))
+        sweep, both = parse_config(swap(block, *lam)), parse_config(swap(swap(block, *psi), *lam))
+        assert point.sweep_count == polar.sweep_count == 0 < sweep.sweep_count == both.sweep_count
+        assert point.psi == sweep.psi != polar.psi == both.psi
+        named, section = set(), None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif match := re.match(r"(?:; )?(\w+) = ", line):
+                named.add((section, match[1]))
+        echoed = {(section, key) for cfg in (point, sweep) for section, keys in _sections(cfg).items()
+                  for key in keys}
+        assert named == echoed | {("surface", "psi_mod"), ("surface", "psi_arg")}
 
     @pytest.mark.parametrize("command", ["derive", "sample", "classify"])
     def test_single_lambda_commands_refuse_a_sweep(self, command, tmp_path, capsys):
@@ -928,3 +993,124 @@ def test_extreme_inputs_exit_cleanly(command, tmp_path, capsys):
         assert err.count("\n") == (rc != EXIT_OK) and "Traceback" not in err, (argv, err)
         seen.add(rc)
     assert seen == {EXIT_OK, EXIT_CONFIG, EXIT_DEGENERATE}
+
+
+# the config grammar's keys, the retired quadrature key included, with ordinary
+# values; extreme and junk values, and small counts that keep every run cheap
+GRAMMAR = {
+    "surface": {"a1": ("0.5", "1.5", "2", "3.5"), "psi_re": ("0", "0.5", "1", repr(TORUS_PSI)),
+                "psi_im": ("0", "0.5", "-0.7"), "psi_mod": ("0.5", "1"), "psi_arg": ("0", "2")},
+    "lambda": {"re": (), "im": (), "count": ("1", "4", "8"), "arc_start": ("0", "0.5"),
+               "arc_end": ("1.5", "6.283185307179586")},
+    "grid": {"x_min": ("-1", "0"), "x_max": ("1", "2"), "y_min": ("-0.5", "0"),
+             "y_max": ("1", "1.75"), "nx": ("2", "3", "4"), "ny": ("2", "3", "4")},
+    "tolerances": {"phase": ("1e-8", "1e-6"), "rational_tol": ("1e-8", "1e-5"),
+                   "max_den": ("1", "12", "64"), "quadrature": ("1e-11", "-1")},
+    "output": {"format": ("csv", "obj", "json"),
+               "path": ("o.csv", "o%1.csv", "o%%1.json", "missing/o.csv")},
+}
+KEYS = {key: section for section, keys in GRAMMAR.items() for key in keys}
+JUNK = ("", "x", "1,0", "%", "%%", "%(a1)s", "[grid]", ";", "2 ; note", "\x00", "\uff11", "0x10",
+        "+inf", "-0", "1e999", "\u00e9", "1\n  2")
+NUMBERS = (*EXTREME_A1, *{v for pair in EXTREME_PSI + EXTREME_LAMBDA for v in pair.split(",")},
+           "-1", "inf", "nan", *JUNK)
+SMALL = ("-1", "0", "1", "2", "3", "4", "8", *JUNK)  # nx, ny <= 4 and count <= 8 once parsed
+
+
+@st.composite
+def cli_cases(draw):
+    """(config text, extra flags): a config in the grammar, then wrong values, misplaced,
+    misspelled and duplicate keys, and unknown or repeated sections; <tmp> is the run's
+    temporary directory."""
+    psi_form = draw(st.sampled_from([("psi_re", "psi_im"), ("psi_mod", "psi_arg")]))
+    lam_form = draw(st.sampled_from([(), ("re", "im"), ("count", "arc_start", "arc_end")]))
+    # re and im take their values from one unit lambda
+    lam = dict(zip(("re", "im"), draw(st.sampled_from([*EXTREME_LAMBDA, "0,1"])).split(",")))
+    forms = {"psi_re", "psi_im", "psi_mod", "psi_arg", "re", "im", "count", "arc_start", "arc_end"}
+    # the first key of each form, a1, nx and ny are always given: the default grid is 16x16
+    always = {"a1", "nx", "ny", psi_form[0], "re", "im", "count"}
+    sections = {section: [[key, lam.get(key) or draw(st.sampled_from(values))]
+                          for key, values in keys.items()
+                          if (key not in forms or key in psi_form + lam_form)
+                          and (key in always or draw(st.booleans()))]
+                for section, keys in GRAMMAR.items()}
+    faults = st.tuples(st.sampled_from(["value", "key", "section"]),
+                       st.sampled_from([*GRAMMAR, "grdi", "DEFAULT", "Surface", "x]", "%", " ", ""]),
+                       st.sampled_from([*KEYS, "ps_im", "nz", "A1", "a 1"]))
+    for kind, name, key in draw(st.lists(faults, max_size=draw(st.sampled_from([0, 0, 1, 2, 3])))):
+        value = draw(st.sampled_from(SMALL if key in ("nx", "ny", "count") else NUMBERS))
+        if kind == "value" and key in KEYS:  # a wrong value, in place or added
+            pairs = sections[KEYS[key]]
+            pairs[:] = [pair for pair in pairs if pair[0] != key] + [[key, value]]
+        elif kind == "key":  # misplaced or misspelled, or a duplicate in its own section
+            sections.setdefault(name, []).append([key, value])
+        elif kind == "section":
+            sections.setdefault(name, [])
+    order = draw(st.permutations(list(sections)))
+    repeat = draw(st.sampled_from([[], [], [], order[:1]]))  # a section given twice
+    lines = []
+    for name in order + repeat:
+        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in sections[name])]
+    text = "\n".join(lines).replace("path = ", "path = <tmp>/") + "\n"
+    flags = draw(st.lists(st.sampled_from([["--json"], ["--lambda", "0.6,0.8"], ["--out", ""],
+                                           ["--out", "<tmp>/o%1.csv"]]), max_size=2))
+    return text, [flag for pair in flags for flag in pair]
+
+
+SMALL_JOB = "[grid]\nnx = 2\nny = 2\n[output]\npath = <tmp>/o.csv\n"
+# (config, flags) that once exited 0 with input dropped, ran at a dropped psi, printed
+# several stderr lines or raised; then inputs that once took other wrong exits
+REPRODUCERS = (
+    (f"{SURFACE}psi_mod = 3\n{SMALL_JOB}", []),
+    (f"{SURFACE}psi_arg = 0.5\n{SMALL_JOB}", []),
+    (f"{SURFACE}ps_im = 0.5\n{SMALL_JOB}", []),
+    (f"{SURFACE}[grdi]\n{SMALL_JOB}", []),
+    (f"[DEFAULT]\na1 = 5\n[surface]\npsi_re = 1\n{SMALL_JOB}", []),
+    (f"{SURFACE}nx = 7\n{SMALL_JOB}", []),
+    (f"[surface]\na1 = 2\npsi_mod = 1\npsi_im = 0.5\n{SMALL_JOB}", []),
+    (f"{SURFACE}{SMALL_JOB}", ["--out", ""]),
+    (f"{SURFACE}{SMALL_JOB}", ["--out", "<tmp>/o%1.csv", "--json"]),
+    (f"{SURFACE}{SMALL_JOB}".replace("o.csv", "out%1.csv"), []),
+    (f"{SURFACE}{SMALL_JOB}".replace("o.csv", "out%%1.csv"), []),
+    (f"{SURFACE}{SMALL_JOB}".replace("o.csv", "\x00"), []),
+    ("not an ini at all [[[\n", []),
+    (f"{SURFACE}[surface]\na1 = 3\n", []),
+    (f"{SURFACE}[lambda]\ncount = 4\nre = 0.6\nim = 0.8\n{SMALL_JOB}", []),
+    (f"{SURFACE}[lambda]\nre = 0.6\nim = 0.8\narc_end = 1.5\n{SMALL_JOB}", []),
+    (f"{SURFACE}[lambda]\ncount = 0\n{SMALL_JOB}", []),
+    (f"{SURFACE}[lambda]\ncount = 4\n[output]\nformat = obj\npath = <tmp>/o.obj\n", []),
+    (f"{SURFACE}[tolerances]\nrational_tol = inf\n{SMALL_JOB}", []),
+    (f"{SURFACE}{SMALL_JOB}".replace("ny = 2", "ny = 2\nx_min = -1e308\nx_max = 1e308"), []),
+    (f"{SURFACE}{SMALL_JOB}".replace("ny = 2", "ny = 2\ny_max = 1e308"), []),
+)
+
+
+def _seeded(test):
+    for case in REPRODUCERS:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cli_cases())
+@_seeded
+def test_cli_fuzz(case):
+    # every command on every drawn config: exit 0 to 5, no warning, no traceback, and
+    # one stderr line on a refusal; a failed verification is a result, printed on stdout
+    text, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp, "job.ini")
+        config.write_text(text.replace("<tmp>", tmp), encoding="utf-8")
+        flags = [flag.replace("<tmp>", tmp) for flag in flags]
+        for command, extra in (("derive", []), ("classify", []), ("sample", []), ("sweep", []),
+                               ("verify", ["--suites", "elliptic,potential"])):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = main([command, "--config", str(config), *extra, *flags])
+            argv = (command, text, flags)
+            assert rc in range(6), (argv, rc)
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == (rc not in (EXIT_OK, EXIT_VERIFY)), (argv, rc, lines)
+            assert all(line.endswith("\n") for line in lines) and "Traceback" not in err.getvalue()
