@@ -26,6 +26,7 @@ import configparser
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -118,6 +119,7 @@ def parse_config(text: str) -> JobConfig:
     """Parse the INI-style configuration grammar into a JobConfig."""
     # '%' is literal, and no header can name the empty default section
     cp = configparser.ConfigParser(interpolation=None, default_section="")
+    cp.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")  # `[grid] nx = 7` is a key, not a header
     try:
         cp.read_string(text)
     except configparser.Error as exc:  # its text spans lines; the refusal is one line
@@ -128,6 +130,8 @@ def parse_config(text: str) -> JobConfig:
     def take(section: str, key: str, default=None, conv=float):
         """conv of the key's text, popped so that no key is read twice; default if it is absent."""
         raw = left.get(section, {}).pop(key, None)
+        if raw is not None and "\n" in raw:  # an indented line below a key continues its value
+            raise ValueError(f"[{section}] {key} spans lines")
         return default if raw is None else conv(raw)
 
     try:
@@ -188,9 +192,10 @@ def _load(args) -> JobConfig:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or not UTF-8
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        cfg = parse_config(text)
     else:
         if args.a1 is None or args.psi is None:
             raise ConfigError("either --config or both --a1 and --psi are required")

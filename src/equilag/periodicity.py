@@ -18,9 +18,9 @@ spectral object es = potential.eigensystem(c, lambda).  In the non-real
 regime G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)), by the complete
 integral of the third kind.  In the real-cubic-form regime the beta
 integrals diverge, but sn and cn are antiperiodic over 2T, so G_j(2T) is
-pi on the sn/cn labels es.labels[:2] and 0 on the dn label.  The surface
-closes up under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3
-follows since all three sum to zero).
+pi on the sn and cn modes and 0 on the dn mode.  The surface closes up
+under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows
+since all three sum to zero).
 Rationality of d-ratios and of the 2T phase data is certified under an
 explicit (max_denominator, tolerance) policy: the fraction nearest the
 value with denominator <= max_denominator (`Fraction.limit_denominator`),
@@ -28,9 +28,12 @@ accepted when it is within the tolerance (finite and >= 0, else ValueError).
 
 monodromy_phases takes es and returns the theta_j as a float array in
 eigensystem order; classify_cylinder and classify_torus take lambda and
-build es once, which refuses a hyperplane-degenerate lambda.  The
-possible torus lattices of the real regime are p_f Z + 4Ti Z and
-p_f Z + (p_f/2 + 2Ti) Z.
+build es once, which refuses a hyperplane-degenerate lambda.
+classify_torus takes one route in both regimes: it certifies d_2/d_1 (the
+"d_ratio" certificate) and then the 2T phase data, builds the lattice from
+them and checks its generator's phases.  The real regime's lattices
+p_f Z + 4Ti Z and p_f Z + (p_f/2 + 2Ti) Z come out of that route,
+phase-checked like any other.
 """
 
 from __future__ import annotations
@@ -155,38 +158,20 @@ def classify_torus(
     tol: float = 1e-8,
     phase_tol: float = 1e-8,
 ) -> PeriodVerdict:
-    """Torus / cylinder / no-period classification at lambda.
+    """Torus / cylinder / no-period classification at lambda, one route in both regimes.
 
-    Torus needs two certificates: the eigenvalue ratio d_2/d_1 rational
-    (existence of the smallest real period p_f), and rationality of the
-    2T phase data (existence of a non-real period).  The lattice returned
-    is the normal form (p_f, omega_f) with p_f the smallest positive real
-    period and omega_f the period of smallest positive height.
+    Torus needs two certificates: "d_ratio", d_2/d_1 = n2/n1 rational
+    (the smallest real period is p_f = 2 pi n1 / d_1), and "phase", the 2T
+    phase data s = (n2 G_1(2T) - n1 G_2(2T)) / 2 pi rational (a non-real
+    period exists).  The lattice returned is the normal form (p_f, omega_f)
+    with omega_f the period of smallest positive height, its real part in
+    [0, p_f); omega_f must pass the phase check, else ArithmeticError.  In
+    the real regime this gives p_f Z + 4Ti Z or p_f Z + (p_f/2 + 2Ti) Z.
     """
     _check_tols(tol=tol, phase_tol=phase_tol)
     es = eigensystem(c, lam)
     certs: dict[str, RationalCertificate] = {}
 
-    if es.regime == "real":
-        d_sn, d_cn = (float(es.d[j]) for j in es.labels[:2])
-        cert = rational_approx(d_sn / d_cn, max_den, tol)  # = a2/a1 in (0, 1)
-        if cert is None:
-            # no certified real period; the imaginary period 4Ti still exists
-            # in this regime and classify_cylinder(..., 4Ti) confirms it
-            return PeriodVerdict(tag="NoPeriodFound", lam=es.lam)
-        certs["d_ratio"] = cert
-        n_sn, n_cn = cert.num, cert.den
-        gamma = d_sn / n_sn
-        p_f = TWO_PI / abs(gamma)
-        if n_sn % 2 == 1 and n_cn % 2 == 1:
-            omega_f = 0.5 * p_f + 2.0 * c.T * 1j
-        else:
-            omega_f = 4.0 * c.T * 1j
-        return PeriodVerdict(
-            tag="Torus", lam=es.lam, lattice=(complex(p_f), omega_f), certificates=certs
-        )
-
-    # non-real regime
     cert = rational_approx(float(es.d[1] / es.d[0]), max_den, tol)
     if cert is None:
         return PeriodVerdict(tag="NoPeriodFound", lam=es.lam)
@@ -205,7 +190,10 @@ def classify_torus(
     _, alpha, beta_c = _egcd(n2, n1)  # alpha n2 + beta_c n1 = 1
     l1 = alpha * u
     p0 = (TWO_PI * l1 - m_f * g[0]) / float(es.d[0])
-    p0 -= p_f * math.floor(p0 / p_f)
+    # p0 mod p_f, in [0, p_f): floor alone can leave a remainder one rounding
+    # below p_f, so a remainder within rounding of 0 or of p_f becomes 0
+    rem = p0 - p_f * math.floor(p0 / p_f)
+    p0 = 0.0 if min(rem, p_f - rem) <= 8.0 * math.ulp(max(abs(p0), p_f)) else rem
     omega_f = p0 + 2.0 * m_f * c.T * 1j
     if max(_phase_defect(t) for t in monodromy_phases(c, es, p0, m_f)) > 10.0 * phase_tol:
         raise ArithmeticError("constructed lattice generator fails the phase check")

@@ -1,16 +1,19 @@
-"""The real-regime labels found by nearest-target matching.
+"""The real-regime labels found by nearest-target matching, and the real tori by parity.
 
 For a real cubic form lambda^-3 psi = psi0 the eigenvalues of D(lambda) are
 psi0/a1, psi0/a2 and -psi0/a3, the sn, cn and dn modes of the lift.  The
 package reads their places in the descending es.d off the root order and
 the sign of psi0.  ``nearest_target_assignment`` finds them the independent
 way instead: each target's index is the root nearest to it, and the
-constants c_j are formed as numpy floats.
+constants c_j are formed as numpy floats.  ``parity_lattice`` is the rule
+by which `classify_torus` once named the real regime's lattice from those
+labels, with no phase check.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,3 +44,20 @@ def rows_at(idx, vals, y) -> np.ndarray:
     for i, v in zip(idx, vals):
         rows[i] = v
     return rows.T
+
+
+def parity_lattice(c, es, max_den: int = 64, tol: float = 1e-8):
+    """The real-regime torus lattice (p_f, omega_f) by the parity rule, or None.
+
+    d_sn/d_cn = a2/a1 is certified as n_sn/n_cn; then p_f = 2 pi n_sn/|d_sn|,
+    and omega_f is p_f/2 + 2Ti when n_sn and n_cn are both odd, else 4Ti.
+    """
+    d_sn, d_cn = (float(es.d[j]) for j in es.labels[:2])
+    frac = Fraction(d_sn / d_cn).limit_denominator(max_den)
+    if abs(d_sn / d_cn - frac.numerator / frac.denominator) > tol:
+        return None
+    n_sn, n_cn = frac.numerator, frac.denominator
+    p_f = 2.0 * math.pi / abs(d_sn / n_sn)
+    if n_sn % 2 == 1 and n_cn % 2 == 1:
+        return complex(p_f), 0.5 * p_f + 2.0 * c.T * 1j
+    return complex(p_f), 4.0 * c.T * 1j

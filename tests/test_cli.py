@@ -229,9 +229,14 @@ path = mesh.obj
         (f"{SURFACE}nx = 7", [], f"{UNREAD}[surface] nx"),
         ("[surface]\na1 = 2.0\npsi_mod = 1\npsi_im = 0.5", [], f"{UNREAD}[surface] psi_mod"),
         (SURFACE, ["--out", ""], "sample requires an output path ([output] path or --out)"),
+        # configparser once took `[grid]` as the header and dropped the rest of the line
+        (f"{SURFACE}[grid] nx = 3", [], f"{UNREAD}[surface] [grid] nx"),
+        # the indented lines once joined the value: re = '1\n[grid]\nnx = 3', nx stayed 16
+        (f"{SURFACE}[lambda]\nre = 1\n  [grid]\n  nx = 3", [],
+         "bad config value: [lambda] re spans lines"),
     ], ids=["count-re-im", "count-im", "point-arc", "arc-alone", "psi-mod-beside-re",
             "psi-arg-beside-re", "misspelled", "unknown-section", "default-section", "misplaced",
-            "psi-mod-beside-im", "empty-out"])
+            "psi-mod-beside-im", "empty-out", "key-on-header-line", "continued-value"])
     def test_point_and_sweep_keys_do_not_mix(self, config, flags, err, tmp_path, capsys):
         # each once ran with a key, a section or --out dropped silently (the
         # psi_mod beside psi_im at psi = 0.5i, a hyperplane at lambda = 1)
@@ -727,6 +732,18 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.err == f"config error: tolerance rational_tol must be finite and > 0, got {tol}\n"
         assert captured.out == ""
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        # open raises ValueError on a NUL byte in the path, and read on a file that is
+        # not UTF-8, not OSError: both once ended in a traceback
+        job = tmp_path / "job.ini"
+        job.write_bytes(b"\xff[surface]\n")
+        for path, why in (("a\x00", "embedded null byte"),
+                          (str(job), "'utf-8' codec can't decode byte 0xff in position 0")):
+            assert main(["derive", "--config", path]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: cannot read config {path}: {why}")
+            assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_classify_failed_lattice_check(self, capsys):
         rc = main(["classify", "--a1", "2", "--psi", "1,0", "--lambda", "0.8,0.6",

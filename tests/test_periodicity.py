@@ -24,6 +24,7 @@ from equilag.potential import (
     potential_matrix,
     stack_systems,
 )
+from label_oracles import parity_lattice
 from matrix_oracles import commutant_matrix
 from phase_oracles import by_quadrature
 
@@ -382,6 +383,76 @@ class TestClassifyTorus:
         w0 = project_chart(lift_at(c, es, 0.12, 0.57).F)
         w1 = project_chart(lift_at(c, es, 0.12 + p_f, 0.57).F)
         assert abs(w1[0] - w0[0]) < 1e-7 and abs(w1[1] - w0[1]) < 1e-7
+
+
+# a2/a1 = p/q, q <= 12: 45 ratios
+REAL_RATIOS = [(p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+def real_torus(p, q, arg):
+    """a1 = 1, a2 = p/q and arg psi = arg: a3 = a1 a2 / (a1 + a2) and |psi|^2 = 2 a1 a2 a3."""
+    a2 = p / q
+    a3 = a2 / (1.0 + a2)
+    return derive_constants(SurfaceParams(1.0, cmath.rect(math.sqrt(2.0 * a2 * a3), arg)))
+
+
+class TestRealTori:
+    """Real lambda take the one route: d_2/d_1, G_j(2T), the lattice and its phase check."""
+
+    @pytest.mark.parametrize("arg", [0.0, 1.0, math.pi])
+    def test_route_gives_the_parity_lattices(self, arg):
+        # at lambda = e^{i (arg + k pi) / 3}, lambda^-3 psi = (-1)^k |psi|: then d_2/d_1 is
+        # a2/a1 = p/q for even k and -a3/a1 = -p/(p + q) for odd k
+        for p, q in REAL_RATIOS:
+            c = real_torus(p, q, arg)
+            assert c.a2 == pytest.approx(p / q, rel=1e-13)
+            for k in range(6):
+                lam = cmath.exp(1j * (arg + k * math.pi) / 3.0)
+                es = eigensystem(c, lam)
+                want = parity_lattice(c, es)
+                v = classify_torus(c, lam)
+                assert es.regime == "real" and v.tag == "Torus" and want is not None
+                cert = v.certificates["d_ratio"]
+                assert cert.value == float(es.d[1] / es.d[0])
+                assert (cert.num, cert.den) == ((p, q) if k % 2 == 0 else (-p, p + q))
+                for got, rule in zip(v.lattice, want):
+                    assert abs(got - rule) <= 1e-13 * abs(rule), (p, q, k, v.lattice, want)
+                if want[1].real == 0.0:  # 4Ti
+                    assert v.lattice[1].real == 0.0, (p, q, k, v.lattice)
+
+    def test_two_sevenths_generator_is_4ti(self):
+        # p0 mod p_f once came out one rounding below p_f: omega_f = 35.26429007561698 + 4.9456i
+        c = derive_constants(SurfaceParams(1.0, 0.3563483225498992))
+        assert c.a2 == pytest.approx(2.0 / 7.0, rel=1e-14)
+        v = classify_torus(c, 1.0)
+        assert {name: (cert.num, cert.den) for name, cert in v.certificates.items()} == {
+            "d_ratio": (2, 7), "phase": (-5, 2)}
+        p_f, omega_f = v.lattice
+        rule = parity_lattice(c, eigensystem(c, 1.0))
+        assert abs(p_f - rule[0]) <= 1e-13 * abs(rule[0])
+        assert omega_f == rule[1] == 4.0 * c.T * 1j
+
+    def test_negative_psi0_ratio_has_its_own_denominator(self):
+        # psi0 < 0: d_2/d_1 = -a3/a1 = -45/107, beyond max_den 64, where a2/a1 = 45/62 is not
+        c = real_torus(45, 62, math.pi)
+        assert parity_lattice(c, eigensystem(c, 1.0)) is not None
+        assert classify_torus(c, 1.0).tag == "NoPeriodFound"
+        cert = classify_torus(c, 1.0, max_den=107).certificates["d_ratio"]
+        assert (cert.num, cert.den) == (-45, 107)
+
+    @REAL_LAMBDAS
+    def test_planted_phase_error_fails_the_check(self, bench_real, lam, labels, monkeypatch):
+        # 1e-6 on the third G_j(2T), which no certificate reads: only the phase check sees it
+        g_full_period = immersion._g_full_period
+
+        def planted(c, es):
+            g = g_full_period(c, es)
+            return (g[0], g[1], g[2] + 1e-6)
+
+        assert classify_torus(bench_real, lam).tag == "Torus"
+        monkeypatch.setattr(immersion, "_g_full_period", planted)
+        with pytest.raises(ArithmeticError, match="fails the phase check"):
+            classify_torus(bench_real, lam)
 
 
 def test_verdict_flat_rejected():

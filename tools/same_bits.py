@@ -13,9 +13,10 @@ frames, `monodromy_phases`, `monodromy_data`, `metric_at`,
 spectral objects (`potential.stack_systems`): per surface and regime one
 stacked `extended_frame` call, the non-real stack's `_g_segment` and
 `_g_full_period`, and the third-kind integral with rows of n_j.  The
-second covers the CLI: `derive`, `classify`, `sample` (csv, obj, json),
-`sweep` (csv, json) and `verify --json` with each suite's `seconds` line
-removed, with every stdout, stderr, exit code and file.  Two checkouts that print the
+second covers the CLI: `derive`, `classify` (on the torus surface at
+lambda = 1 and -1, where lambda^-3 psi is real of either sign), `sample`
+(csv, obj, json), `sweep` (csv, json) and `verify --json` with each suite's
+`seconds` line removed, with every stdout, stderr, exit code and file.  Two checkouts that print the
 same two digests give the same bits on all of these; a refusal counts by
 its type and message.
 """
@@ -218,6 +219,8 @@ def _cli(h, main, tmp: pathlib.Path) -> None:
     runs = [["derive", *_SURFACES["nonreal"]], ["derive", "--json", *_SURFACES["nonreal"]],
             ["derive", "--json", "--lambda", "0.6,0.8", *_SURFACES["torus"]],
             ["classify", "--json", *_SURFACES["torus"]],
+            # lambda^-3 psi real and negative: d_2/d_1 = -a3/a1
+            ["classify", "--json", "--lambda=-1,0", *_SURFACES["torus"]],
             ["classify", "--json", "--lambda", "0.8,0.6", *_SURFACES["nonreal"]],
             ["classify", "--lambda", "0,1", *_SURFACES["torus"]],
             ["verify", "--json", *_SURFACES["nonreal"]], ["verify", "--json", *_SURFACES["torus"]],
