@@ -523,8 +523,28 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each RE,IM token after --lambda or --psi joined to its flag by '='.
+
+    argparse takes a token that starts with '-' for a flag unless it reads
+    as one negative number, so `--lambda -1,0` would lack its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--lambda", "--psi") and token.startswith("-"):
+            try:
+                _complex_flag(token)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     if args.command != "verify" and (args.suites is not None or args.debug_corrupt_kappa):
         _PARSER.error(f"--suites and --debug-corrupt-kappa apply to verify only, not {args.command}")
     try:

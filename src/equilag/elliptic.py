@@ -1,4 +1,4 @@
-"""Jacobi elliptic functions and elliptic integrals of the first and third kind.
+"""Jacobi elliptic functions, elliptic integrals of the first and third kind, theta series.
 
 Conventions: the modulus k (not the parameter m = k^2) is used throughout,
 J(theta, k) = int_0^theta dalpha / sqrt(1 - k^2 sin^2 alpha) and
@@ -25,14 +25,20 @@ elementwise in the `_keep_done` idiom below, each element stopping at its
 own depth, and one descent serves a float z, an array z and an array k,
 each element with the bits of its own one-point call.  The Carlson
 kernels' k^2 stays a scalar, and `_third_kind` takes the sequence of its
-n_j, so that one call serves the three phase integrals of a lift, or rows
-of them, one per spectral object of a stack.  Python floats keep the
-`math` path (R_C's arctan and arcsinh aside, below) and return floats.
+n_j, so that one call serves the three complete phases G_j(2T) of a lift,
+or rows of them, one per spectral object of a stack.  Python floats keep
+the `math` path (R_C's arctan and arcsinh aside, below) and return floats.
 A numpy scalar (np.float64) is no array: it is accepted, takes the `math`
 path and gives the same bits, but its arithmetic runs at about half the
 speed of Python floats, so callers hand floats in (immersion's per-object
-phase constants are Python floats, and the point evaluators take the float
-a numpy scalar holds).
+phase constants are Python floats).
+
+The lift evaluates no incomplete Pi per point.  Its theta quotients rest
+on the nome q = exp(-pi K'/K) (`_nome`), the weights of the theta series
+(`_theta_weights`, DLMF 20.2), the point a of the period rectangle with
+n = k^2 sn^2(a, k) (`_pole`, one R_F at modulus k') and the Fourier
+coefficients of theta_4 or theta_1 shifted by a (`_theta_row`), all on
+Python floats once per spectral object; immersion sums them per point.
 
 A duplication loop over an array (R_F, R_J) runs until every element
 meets Carlson's stop rule, and each element stops where it meets it, so
@@ -411,3 +417,93 @@ def jacobi(z: _Real, k: _Real) -> JacobiTriple:
         sn[hyperbolic], cn[hyperbolic] = tanh(zh), 1.0 / cosh(zh)
         dn[hyperbolic] = cn[hyperbolic]
     return JacobiTriple(sn, cn, dn)
+
+
+def _nome(k: float, kp: float) -> float:
+    """The nome q = exp(-pi K'/K) of the modulus k, with k' = kp passed in (DLMF 22.2.1).
+
+    K(k) comes from the AGM memo of k; K' = K(k') = pi / (2 agm(1, k)) from
+    an AGM chain of its own, with `_agm`'s stop rule and its first step's
+    k = sqrt((1 - k')(1 + k')), kept out of the memo and its phase tables.
+    """
+    _check_modulus(kp)
+    a, b = 1.0, math.sqrt((1.0 - kp) * (1.0 + kp))
+    while abs(0.5 * (a - b)) > 2.0**-52 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.exp(-math.pi * (0.5 * math.pi / a) / complete_K(k))
+
+
+def _theta_weights(q: float) -> tuple[list[float], list[float], list[float]]:
+    """The weights of the theta series at nome q over the harmonics m < 2M, and Theta's own row.
+
+    The first list is 1 and then 2 q^(m^2/4), the second that times
+    (-1)^(m // 2): harmonic m = 2n carries theta_4's term n and m = 2n + 1
+    theta_1's (DLMF 20.2.1, 20.2.4).  The third is `_theta_row` of
+    theta_4(v) itself, Jacobi's Theta(u).  M is the least count with
+    q^(M^2 - M) <= 2^-60: at a shift of at most half the imaginary period,
+    term n is at most q^(n^2 - n/2) of the first, so M terms leave out less
+    than 2^-60.
+    """
+    # M^2 - M >= 60 log 2 / log(1/q), the least integer root above 1
+    M = max(2, math.ceil(0.5 + math.sqrt(0.25 - 60.0 * math.log(2.0) / math.log(q))))
+    w, alt, row = [1.0], [1.0], [1.0]
+    for m in range(1, 2 * M):
+        wm = 2.0 * q ** (m * m / 4.0)
+        w.append(wm)
+        alt.append(-wm if m & 2 else wm)
+        row.append(0.0 if m & 1 else alt[-1])
+    return w, alt, row + [0.0] * (2 * M)
+
+
+def _pole(n: float, one_minus_n: float, n_minus_k2: float, k: float, kp2: float, K: float):
+    """The point a of the period rectangle with n = k^2 sn^2(a, k), for n < 0 or k^2 < n < 1.
+
+    These are Legendre's two circular cases of Pi(n; ., k): a = delta K + i b
+    with delta = 0 where n < 0 and delta = 1 where k^2 < n < 1, and
+    0 < b < K' (Whittaker & Watson 22.74).  1 - n and n - k^2 are passed in
+    free of cancellation.  Returns (delta, corner, x): where b > K'/2,
+    which is where |n| > k, corner is true and x = pi b' / (2K) with
+    b' = K' - b, else x = pi b / (2K).  Only the smaller of b and b' is
+    computed, so no digits go to K' - b near the corners.  Each is
+    F(arcsin sqrt(s), k'), with sn^2(b, k') = n / (n - k^2) and
+    sn^2(b', k') = 1 / (1 - n) where n < 0, and (n - k^2) / (n k'^2) and
+    (1 - n) / k'^2 where k^2 < n < 1 (DLMF 22.6.1, 22.8.1); by the
+    homogeneity of R_F each F is sqrt(f) R_F(x, y, z), all four formed
+    from n, 1 - n and n - k^2 by products alone.
+    """
+    e, omn = n_minus_k2, one_minus_n
+    corner = abs(n) > k
+    if n < 0.0:
+        f, x, y, z = (1.0, -n, -e, omn) if corner else (-n, k * k, k * k * omn, -e)
+    else:
+        f, x, y, z = (omn, e, n * kp2, kp2) if corner else (e, k * k * omn, k * k * kp2, n * kp2)
+    return int(n >= 0.0), corner, math.pi / (2.0 * K) * math.sqrt(f) * _carlson_rf(x, y, z)
+
+
+def _theta_row(w: tuple[list, list, list], x: float, delta: int, corner: bool,
+              conj: bool) -> list[float]:
+    """Fourier coefficients, up to one constant factor, of a shifted theta function.
+
+    At v = pi u / (2K), theta_4(v + delta pi/2 + i x) where corner is false
+    (Jacobi's Theta(u + a), a = delta K + i b, x = pi b / (2K)), and
+    theta_1(v + delta pi/2 - i x) where it is true (e^{iv} Theta(u + a), up
+    to a constant, a = delta K + i(K' - b'), x = pi b' / (2K)), or their
+    complex conjugates where conj is true, as sum_m c0_m cos(m v) +
+    i sum_m c1_m sin(m v) over the harmonics of w = _theta_weights(q)
+    (DLMF 20.2.1, 20.2.4): even m for theta_4, odd m for theta_1.  Returns
+    the list c0 + c1.  Term m carries w_m, the sign (-1)^(n (1 + delta)),
+    n = m // 2, and the hyperbolic cosine and sine of m x, so neither form
+    cancels at its own corner.
+    """
+    ws = w[0] if delta else w[1]
+    H = len(ws)
+    c = [0.0] * (2 * H)
+    cosh, sinh = math.cosh, math.sinh
+    s = -1.0 if corner == conj else 1.0  # on sin: -1 for theta_4 and +1 for theta_1, conj flips
+    if corner and not delta:  # theta_1 times i: sinh on cos, cosh on sin
+        for m in range(1, H, 2):
+            c[m], c[H + m] = ws[m] * sinh(m * x), s * ws[m] * cosh(m * x)
+    else:  # cosh on cos, sinh on sin
+        for m in range(int(corner), H, 2):
+            c[m], c[H + m] = ws[m] * cosh(m * x), s * ws[m] * sinh(m * x)
+    return c

@@ -10,15 +10,29 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
   with Re, Im the parts of lambda^-3 psi.  Since e^u = a1 (1 - q^2 sn^2(r y)),
   the phase integrals are incomplete integrals of the third kind,
       G_j(y) = d_j Im / (r (d_j a1 - Re)) Pi(n_j; am(r y), k),
-      n_j = d_j a1 q^2 / (d_j a1 - Re),  1 - n_j = (d_j a2 - Re) / (d_j a1 - Re),
-  evaluated through Carlson's R_F, R_C and R_J (elliptic) on the sn, cn, dn
-  of r y, with Pi(n; phi + m pi) = Pi(n; phi) + 2m Pi(n) for the whole
-  periods; no quadrature is involved.  d_j e^u - Re keeps one sign, so
-  n_j < 1: n_j in [-1e-8, 1) takes DLMF 19.25.14, n_j < -1e-8 (where that
-  form cancels) an R_C form with terms of one sign.  Near the real locus one
-  d_j a_i - Re (i = 1, 2) tends to zero like Im^2; these gaps come from the
-  cubic of d_j without cancellation (es.gaps), and below 1e-15 max(1, |psi|)
-  the lift is refused with a RegimeError.
+      n_j = d_j a1 q^2 / (d_j a1 - Re),  1 - n_j = (d_j a2 - Re) / (d_j a1 - Re).
+  One n_j is negative and two lie in (k^2, 1), Legendre's circular cases,
+  so n_j = k^2 sn^2(a_j, k) with a_j = i b_j or K + i b_j on an edge of
+  the period rectangle.  There p_j = h_j e^{i G_j} is Hermite's solution
+  of the Lame-type equation along y, a theta quotient (Whittaker & Watson
+  23.7, 22.74):
+      p_j = h_j(0) Q_j(u) e^{kappa_j u} Theta(0) / Theta(u),
+      Q_j = Theta(u + a_j) / Theta(a_j), conjugated where pre_j < 0,
+      kappa_j = i G_j(2T) / (2K),  u = r y,
+  so that G_j = Im kappa_j u + Arg Q_j with |Arg Q_j| < pi/2, and
+  (d_j e^u - Re) / (d_j a1 - Re) = |Q_j|^2 Theta(0)^2 / Theta(u)^2.  Per
+  spectral object, `_g_segment` builds the Fourier coefficients of Q_j
+  and Theta in the harmonics m v, v = pi u / (2K), from b_j or b'_j =
+  K' - b_j, whichever is smaller (elliptic._pole, one R_F each) and from
+  the third gap d_j a3 + Re (es.gaps), so that no form cancels at the
+  corners iK' and K + iK'; G_j(2T) comes from the complete integral of
+  the third kind (`_g_full_period`, Carlson's R_F, R_C and R_J).  Each
+  point is then one cos and one sin of each harmonic and one sum over
+  them: no jacobi, no Carlson call and no count of whole periods; no
+  quadrature is involved.  Near the real locus one d_j a_i - Re
+  (i = 1, 2) tends to zero like Im^2; these gaps come from the cubic of
+  d_j without cancellation, and below 1e-15 max(1, |psi|) the lift is
+  refused with a RegimeError.
 
 * lambda^-3 psi real (value psi0): the eigenvalues are psi0/a1, psi0/a2,
   -psi0/a3 and
@@ -41,14 +55,17 @@ Point evaluators take es = potential.eigensystem(c, lambda), which fixes the
 regime; `sample_grid` and `verify_geometry` take lambda and build es once.
 `lift_at` is the one lift function; its record holds the vector F alone,
 and `project_chart` takes that vector.  `lift_at`, `phase_integrals` and
-the kernels behind them and iwasawa's `extended_frame` (`_g_segment`,
-`_phase_terms`, `_nonreal_terms`, `_real_rows`, `_coefficients` and
+the kernels behind them and iwasawa's `extended_frame` (`_phase_terms`,
+`_theta_sums`, `_nonreal_terms`, `_real_rows`, `_coefficients` and
 `_coefficients_and_derivatives`) follow one rule:
-* a float y takes the `math` path, on Python floats;
-* an array y takes the array path: one `jacobi` call and one
-  `_third_kind` call for all three G_j, whatever its length;
+* an array y of shape (ny,) gives rows of shape (ny, 3); in the non-real
+  regime the coefficients come from one `_theta_sums` pass, each row with
+  the bits it has alone, and a float y is a one-point array on the same
+  lines; in the real regime an array y takes one `jacobi` call and a float
+  y the `math` path;
 * a stack of spectral objects (potential.stack_systems) is an array y of
-  one point per row, whose per-object constants carry a leading axis.
+  one point per row, whose per-object constants carry a leading axis and
+  are solved once per distinct object.
 `sample_grid` makes one array pass per grid, and `verify_geometry` one
 for all its points and stencil offsets, from one `_coefficients` call at
 y - h, y and y + h.
@@ -63,9 +80,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import JacobiTriple, _third_kind, jacobi
+from .elliptic import (JacobiTriple, _nome, _pole, _theta_row, _theta_weights, _third_kind,
+                       complete_K, jacobi)
 from .linalg3 import herm_inner, per_vector, worst
-from .metric import MetricSample, _from_jacobi
+from .metric import MetricSample, _from_jacobi, metric_at
 from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
 
 
@@ -97,41 +115,145 @@ CHART_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # non-real regime
 
-class _PhaseConstants(NamedTuple):
-    """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order.
+class _ThetaConstants(NamedTuple):
+    """The lift's theta quotients at one spectral object; rows of them for a stack.
 
-    Each field holds three Python floats for one spectral object, or rows
-    (m, 3) of them for a stack.
+    With v = pi u / (2K) = pi y / (2T), u = r y, the table's rows j = 0, 1,
+    2 and 3 give, as sums over the harmonics m,
+        Q_j = e^{i shift_j v} (sum_m c_j0m cos(m v) + i sum_m c_j1m sin(m v)) / norm_j,
+        Theta(u) / Theta(0) = sum_m c_30m cos(m v) / norm_3,
+    Q_j being Theta(u + a_j) / Theta(a_j), conjugated where pre_j < 0, and
+    p_j = amp_j Q_j e^{kappa_j u} Theta(0) / Theta(u), kappa_j =
+    i G_j(2T) / (2K).  Per point m v = harmonics_m y, i shift_j v =
+    turn_j y, Im kappa_j u = slope_j y and kappa_j u + i shift_j v =
+    spin_j y.  Every field carries a leading axis for a stack.
+    """
+
+    harmonics: np.ndarray   # (H,): m pi / (2T), the same on every row of a stack
+    table: np.ndarray       # (4, 2, H)
+    norm: np.ndarray        # (4, 1): sum_m c_j0m, the value of each sum at v = 0
+    amp: np.ndarray         # (3,): h_j(0) = sqrt((d_j a1 - Re) / (d_j^3 - Re))
+    turn: np.ndarray        # (3,): i shift_j pi / (2T), shift_j = -1, 0 or 1
+    slope: np.ndarray       # (3,): G_j(2T) / (2T), from `_g_full_period`
+    spin: np.ndarray        # (3,): turn_j + i slope_j
+
+
+class _PhaseConstants(NamedTuple):
+    """Constants of G_j(y) = pre_j Pi(n_j; am(r y), k), eigensystem order, and the lift's theta quotients.
+
+    Each of the first four fields holds three Python floats for one
+    spectral object, or rows (m, 3) of them for a stack.
     """
 
     den0: tuple[float, float, float]         # d_j a1 - Re = d_j e^u - Re at y = 0
     n: tuple[float, float, float]            # n_j
     one_minus_n: tuple[float, float, float]  # (d_j a2 - Re) / (d_j a1 - Re)
     pre: tuple[float, float, float]          # d_j Im / (r (d_j a1 - Re))
+    theta: _ThetaConstants | None = None     # `_g_segment`'s; `_phase_scalars` leaves it out
+
+
+def _phase_object(c: DerivedConstants, d, gaps, cubic: complex) -> list[float]:
+    """One spectral object's den0_j, n_j, 1 - n_j and pre_j on Python floats, as one list."""
+    # d_j e^u - Re stays one-signed off the real locus, but its extremes
+    # d_j a_i - Re shrink like the square of the distance to that locus;
+    # below the floor double precision cannot certify the sign any more
+    if min(abs(gap) for gj in gaps for gap in gj[:2]) < 1e-15 * max(1.0, abs(c.psi)):
+        raise RegimeError("G_j denominator vanishes: cubic form too close to real; "
+                          "evaluate at the nearby real-regime lambda instead")
+    omn = [gj[1] / gj[0] for gj in gaps]
+    if min(omn) <= 0.0:
+        raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
+    return ([gj[0] for gj in gaps] + [dj * c.a1 * c.q2 / gj[0] for dj, gj in zip(d, gaps)] + omn
+            + [dj * cubic.imag / (c.r * gj[0]) for dj, gj in zip(d, gaps)])
+
+
+def _theta_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex, full) -> list[float]:
+    """`_phase_object`'s list followed by the object's theta table, amp_j, slope_j, turn_j and spin_j.
+
+    The table's four rows are those of `_ThetaConstants`; turn_j and spin_j
+    come as (real, imaginary) pairs, the harmonics last, and full holds
+    G_j(2T).  n_j = k^2 sn^2(a_j, k) places a_j on an edge of the period
+    rectangle (elliptic._pole, from n_j, 1 - n_j and n_j - k^2 =
+    k^2 (d_j a3 + Re) / (d_j a1 - Re), each free of cancellation), and row
+    j holds elliptic._theta_row's coefficients at that shift.
+    """
+    scalars = _phase_object(c, d, gaps, cubic)
+    table, amp, slope, turn = [], [], [], []
+    for dj, gj, nj, omnj, prej, fj in zip(d, gaps, scalars[3:6], scalars[6:9], scalars[9:], full):
+        delta, corner, x = _pole(nj, omnj, c.k2 * gj[2] / gj[0], c.k, c.kp2, K)
+        table += _theta_row(w, x, delta, corner, prej < 0.0)
+        h2 = gj[0] / (dj**3 - cubic.real)
+        if h2 < -1e-10:
+            raise ArithmeticError(
+                "negative h_j^2: eigenvalue/branch pairing violated the root interlacing")
+        amp.append(math.sqrt(max(h2, 0.0)))
+        slope.append(fj / (2.0 * c.T))
+        turn.append(((0.5 if prej < 0.0 else -0.5) * math.pi / c.T) if corner else 0.0)
+    spin = [part for t, sj in zip(turn, slope) for part in (0.0, t + sj)]
+    return (scalars + table + w[2] + amp + slope + [part for t in turn for part in (0.0, t)] + spin
+            + [0.5 * math.pi / c.T * m for m in range(len(w[0]))])
+
+
+def _per_object(es: EigenSystem, build, *rows) -> list | np.ndarray:
+    """build(d, gaps, cubic, *rows) of one spectral object, a list; for a stack, rows of them.
+
+    rows are further per-object values, one object's or a stack's rows.  A
+    stack builds each distinct object once (`_distinct`) and is refused
+    where any row is.
+    """
+    if es.d.ndim == 1:
+        return build(es.d.tolist(), es.gaps, es.cubic, *rows)
+    first, inverse = _distinct(es)
+    objs = zip(*(np.asarray(f)[first].tolist() for f in (es.d, es.gaps, es.cubic, *rows)))
+    return np.array([build(*obj) for obj in objs])[inverse]
+
+
+def _phase_fields(v: list | np.ndarray) -> tuple:
+    """den0_j, n_j, 1 - n_j and pre_j from the front of `_per_object`'s list, or of its rows."""
+    if isinstance(v, list):
+        return tuple(tuple(v[3 * i:3 * i + 3]) for i in range(4))
+    return tuple(v[:, 3 * i:3 * i + 3] for i in range(4))
+
+
+def _phase_scalars(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
+    """The four scalar fields of `_g_segment`, without its theta quotients and its memo."""
+    return _PhaseConstants(*_phase_fields(_per_object(es, lambda *obj: _phase_object(c, *obj))))
 
 
 @lru_cache(maxsize=256)
 def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
-    """Constants of the phase integrals G_j within one period, per spectral object.
+    """Constants of the phase integrals G_j within one period, and the lift's theta quotients.
 
-    One numpy formula for one object and for a stack, whose fields carry a
-    leading axis; a stack is refused where any row is.  One object's
-    constants then become Python floats, so that the scalar kernels run on
-    the `math` path at its own speed and never on numpy scalars.
+    One Python pass per spectral object (`_theta_object`): one object's
+    scalar constants are Python floats, so that the scalar kernels run on
+    the `math` path at its own speed and never on numpy scalars; a stack
+    makes it once per distinct object, and its fields carry a leading axis.
+    kappa_j comes from the full-period phases (`_g_full_period`), which
+    read the scalar constants alone.
     """
-    gaps = np.asarray(es.gaps)
-    # d_j e^u - Re stays one-signed off the real locus, but its extremes
-    # d_j a_i - Re shrink like the square of the distance to that locus;
-    # below the floor double precision cannot certify the sign any more
-    if np.abs(gaps).min() < 1e-15 * max(1.0, abs(c.psi)):
-        raise RegimeError("G_j denominator vanishes: cubic form too close to real; "
-                          "evaluate at the nearby real-regime lambda instead")
-    den0 = gaps[..., 0]
-    g = _PhaseConstants(den0=den0, n=es.d * c.a1 * c.q2 / den0, one_minus_n=gaps[..., 1] / den0,
-                        pre=es.d * per_vector(es.cubic.imag) / (c.r * den0))
-    if (g.one_minus_n <= 0.0).any():
-        raise ArithmeticError("d_j e^u - Re changes sign: the lift is not in the non-real regime")
-    return g if gaps.ndim == 3 else _PhaseConstants(*(tuple(f.tolist()) for f in g))
+    full = _g_full_period(c, es)
+    w = _theta_weights(_nome(c.k, math.sqrt(c.kp2)))
+    H, K = len(w[0]), complete_K(c.k)
+    v = _per_object(es, lambda *obj: _theta_object(c, K, w, *obj), full)
+    scalars = _phase_fields(v)
+    v = v if isinstance(v, np.ndarray) else np.fromiter(v, float, len(v))
+    a = 12 + 8 * H  # the table's end; then amp, slope, turn, spin and the harmonics
+    table, z = v[..., 12:a].reshape(v.shape[:-1] + (4, 2, H)), v[..., a + 6:a + 18].view(complex)
+    theta = _ThetaConstants(harmonics=v[..., a + 18:], table=table,
+                            norm=table[..., 0, :].sum(-1)[..., None], amp=v[..., a:a + 3],
+                            turn=z[..., :3], slope=v[..., a + 3:a + 6], spin=z[..., 3:])
+    return _PhaseConstants(*scalars, theta=theta)
+
+
+def _distinct(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the first row of each distinct object of a stack, and each row's object.
+
+    A spectral object depends on the surface and lambda^-3 psi alone, so
+    rows are keyed by their exact es.cubic: es.<field>[first][inverse] is
+    es.<field> again.
+    """
+    _, first, inverse = np.unique(es.cubic, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 @lru_cache(maxsize=256)
@@ -139,54 +261,61 @@ def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, 
     """The phases G_j(2T) the lift gains over one period 2T, in both regimes; rows for a stack.
 
     Non-real regime: 2 pre_j Pi(n_j), by the complete integral of the third
-    kind.  Real regime: pi on the sn and cn labels and 0 on the dn label,
-    since sn and cn change sign over 2T and dn does not.
+    kind, from `_phase_scalars` (no theta quotients) and solved once per
+    distinct object of a stack.  Real regime: pi on the sn and cn labels
+    and 0 on the dn label, since sn and cn change sign over 2T and dn does
+    not.
     """
     if es.regime == "real":
         labels = np.asarray(es.labels)  # (3,), or (m, 3) for a stack
         g = np.where(np.arange(3) == labels[..., 2:], 0.0, math.pi)
         return g if labels.ndim == 2 else tuple(g.tolist())
-    g = _g_segment(c, es)
+    g = _phase_scalars(c, es)
     if isinstance(g.n, np.ndarray):  # a stack: the array path, at sin phi = 1 on every row
-        return 2.0 * g.pre * _third_kind(g.n, g.one_minus_n, np.ones(1), 0.0, c.kp2, c.k2)
+        first, inverse = _distinct(es)
+        pis = _third_kind(g.n[first], g.one_minus_n[first], np.ones(1), 0.0, c.kp2, c.k2)
+        return 2.0 * g.pre * pis[inverse]
     pis = _third_kind(g.n, g.one_minus_n, 1.0, 0.0, c.kp2, c.k2)
     return tuple(2.0 * pre * pi for pre, pi in zip(g.pre, pis))
 
 
-def _phase_terms(
-    c: DerivedConstants, es: EigenSystem, g: _PhaseConstants, y: float | np.ndarray, sn, cn
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j, G_j) at y, both in closed form, from g = _g_segment(c, es) and sn, cn of r y.
+def _theta_sums(th: _ThetaConstants, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_j e^{-i shift_j v}, Theta(u) / Theta(0)) at the points y, rows (ny, 3) and (ny, 1).
 
-    p_j = (d_j e^u - Re) / (d_j a1 - Re) = 1 - n_j sn^2(r y).  With
-    m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
-    sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
-    G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T).  1 - n_j sn^2 is formed as
-    (1 - n_j) + n_j cn^2 when n_j > 0, so it keeps its accuracy as n_j -> 1.
-    A float y takes the `math` path.  An array y of shape (ny,) gives rows
-    of shape (ny, 3), with m per row, from one `_third_kind` call: the
-    constants of g, (3,) for one object or (ny, 3) for a stack, broadcast
-    against the points.  Each element has the bits of the float call, but
-    for the sign of a zero phase at y = 0 when other rows add whole
-    periods.  The caller looks g up, once per point or array.
+    Per point one cos and one sin of each harmonic m v and one sum over
+    them: no jacobi and no Carlson call.  The constants, one object's or a
+    stack's with one row per point, broadcast against the points, and each
+    sum runs along the harmonic axis alone, so a row keeps its bits
+    whatever the number of rows.  Each sum is divided by its real value at
+    v = 0, so y = 0 gives (1, 1) exactly.
     """
-    array = isinstance(y, np.ndarray)
-    m = (np.round if array else round)(y / (2.0 * c.T))
-    s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
-    c2 = cn * cn
-    d2 = c.kp2 + c.k2 * c2
-    n = g.n
-    if array:  # the n_j along the last axis, against the points of y
-        n, omn = np.asarray(n), np.asarray(g.one_minus_n)
-        s, c2, d2 = s[..., None], c2[..., None], d2[..., None]
-        p = np.where(n > 0.0, omn + n * c2, 1.0 - n * s * s)
-    else:
-        p = [omn + nj * c2 if nj > 0.0 else 1.0 - nj * s * s for nj, omn in zip(n, g.one_minus_n)]
-    phases = np.array(g.pre) * _third_kind(n, p, s, c2, d2, c.k2)
-    p = np.asarray(p)
-    if m.any() if array else m:
-        phases += per_vector(m) * np.asarray(_g_full_period(c, es))
-    return p, phases
+    my = y[:, None] * th.harmonics
+    trig = np.empty((y.size, 1, 2, my.shape[-1]))  # against the four rows of the table
+    np.cos(my, out=trig[:, 0, 0])
+    np.sin(my, out=trig[:, 0, 1])
+    r = (th.table * trig).sum(-1) / th.norm
+    return r[:, :3].view(complex)[..., 0], r[:, 3:, 0]
+
+
+def _phase_terms(c: DerivedConstants, es: EigenSystem,
+                 y: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s_j, G_j) at y: s_j^2 = (d_j e^u - Re) / (d_j a1 - Re), and the phases G_j.
+
+    Hermite's solutions of the lift's Lame-type equation along y:
+    s_j = |Q_j(u)| Theta(0) / Theta(u) and G_j = Im kappa_j u + Arg Q_j
+    (`_ThetaConstants`).  Arg Q_j stays inside (-pi/2, pi/2), so no whole
+    periods are counted by hand.  An array y of shape (ny,) gives rows of
+    shape (ny, 3) from one `_theta_sums` pass; a float y is a one-point
+    array on the same lines, and gives shape (3,).  y = 0 gives s_j = 1 and
+    G_j = 0 exactly.
+    """
+    if not isinstance(y, np.ndarray):
+        s, phases = _phase_terms(c, es, np.array([float(y)]))
+        return s[0], phases[0]
+    th = _g_segment(c, es).theta
+    q, theta = _theta_sums(th, y)
+    q = q * np.exp(y[:, None] * th.turn)
+    return abs(q) / theta, y[:, None] * th.slope + np.angle(q)
 
 
 def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray) -> np.ndarray:
@@ -194,8 +323,7 @@ def phase_integrals(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray)
 
     An array y of shape (ny,) gives the phases as rows of shape (ny, 3).
     """
-    sn, cn, _ = jacobi(c.r * y, c.k)
-    return _phase_terms(c, es, _g_segment(c, es), y, sn, cn)[1]
+    return _phase_terms(c, es, y)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +359,16 @@ def _real_rows(y: float | np.ndarray, idx, vals) -> np.ndarray:
     return rows
 
 
-def _nonreal_terms(
-    c: DerivedConstants, es: EigenSystem, y: float | np.ndarray, sn, cn
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_j, d_j e^u - Re) in the non-real regime, from sn and cn of r y."""
-    g = _g_segment(c, es)
-    ratio, phases = _phase_terms(c, es, g, y, sn, cn)
-    den = np.array(g.den0) * ratio
-    h2 = den / (es.d**3 - per_vector(es.cubic.real))
-    if (h2 < -1e-10).any():
-        raise ArithmeticError(
-            "negative h_j^2: eigenvalue/branch pairing violated the root interlacing"
-        )
-    return np.sqrt(np.maximum(h2, 0.0)) * np.exp(1j * phases), den
+def _nonreal_terms(c: DerivedConstants, es: EigenSystem, y: float | np.ndarray) -> np.ndarray:
+    """p_j = h_j e^{i G_j} in the non-real regime: h_j(0) Q_j e^{kappa_j u} Theta(0) / Theta(u).
+
+    A float y is a one-point array on the lines of an array y.
+    """
+    if not isinstance(y, np.ndarray):
+        return _nonreal_terms(c, es, np.array([float(y)]))[0]
+    th = _g_segment(c, es).theta
+    q, theta = _theta_sums(th, y)
+    return th.amp / theta * q * np.exp(y[:, None] * th.spin)
 
 
 def _coefficients(
@@ -251,16 +376,16 @@ def _coefficients(
 ) -> np.ndarray:
     """p_j(y) of the eigenbasis expansion F(0, y) = sum_j p_j l_j.
 
-    A float y gives an array of shape (3,) by the math path; an array y of
-    shape (ny,) gives rows of shape (ny, 3) from one `jacobi` call.
-    jac = jacobi(c.r * y, c.k) may be passed in by a caller that needs it
-    as well.
+    A float y gives an array of shape (3,), an array y of shape (ny,) rows
+    of shape (ny, 3).  The real regime takes sn, cn and dn of r y from one
+    `jacobi` call, or from jac = jacobi(c.r * y, c.k) passed in by a
+    caller that needs it as well; the non-real regime calls no jacobi.
     """
-    sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
     if es.regime == "real":
+        sn, cn, dn = jacobi(c.r * y, c.k) if jac is None else jac
         cs = _real_amplitudes(c)
         return _real_rows(y, es.labels, (cs[0] * sn, cs[1] * cn, cs[2] * dn))
-    return _nonreal_terms(c, es, y, sn, cn)[0]
+    return _nonreal_terms(c, es, y)
 
 
 def _coefficients_and_derivatives(
@@ -279,10 +404,11 @@ def _coefficients_and_derivatives(
         dp = _real_rows(y, es.labels, (cs[0] * c.r * cn * dn, -cs[1] * c.r * sn * dn,
                                        -cs[2] * c.r * c.k**2 * sn * cn))
         return _coefficients(c, es, y, jac), dp, m
-    p, den = _nonreal_terms(c, es, y, sn, cn)
-    # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j
+    p = _nonreal_terms(c, es, y)
+    # first-order scalar ODE: (d_j e^u - Re) p_j' = (u' e^u + 2i Im)/2 d_j p_j,
+    # with d_j e^u - Re = h_j^2 (d_j^3 - Re) free of cancellation
     rate = m.u_prime * m.w + 2j * es.cubic.imag
-    dp = es.d * p * per_vector(rate) / (2.0 * den)
+    dp = es.d * p * per_vector(rate) / (2.0 * abs(p) ** 2 * (es.d**3 - per_vector(es.cubic.real)))
     return p, dp, m
 
 
@@ -342,8 +468,9 @@ def sample_grid(
     ys = np.linspace(y_range[0], y_range[1], ny)
     jac = jacobi(c.r * ys, c.k)
     p = _coefficients(c, es, ys, jac)                        # (ny, 3)
-    phase = np.exp(1j * np.outer(xs, es.d))                  # (nx, 3)
-    F = ((p[:, None, :] * phase).reshape(ny * nx, 3) @ es.vectors).reshape(ny, nx, 3)
+    # B[j, x, :] = e^{i d_j x} l_j: F = p B in one product
+    B = np.exp(1j * np.outer(es.d, xs))[:, :, None] * es.vectors[:, None, :]
+    F = (p @ B.reshape(3, nx * 3)).reshape(ny, nx, 3)
     f3 = F[:, :, 2].copy()  # contiguous, read by the flag test and both quotients
     flags = np.abs(f3) <= CHART_TOL
     chart = np.empty((ny, nx, 2), dtype=complex)
@@ -388,11 +515,9 @@ def verify_geometry(c: DerivedConstants, lam: complex, xs, ys) -> GeometryReport
     h = 1e-4
 
     # every stencil needs p_j only at y - h, y and y + h, and the metric
-    # sample only at y: one jacobi call serves them all
-    rows = np.concatenate((ys - h, ys, ys + h))
-    jac = jacobi(c.r * rows, c.k)
-    pm, p0, pp = np.split(_coefficients(c, es, rows, jac), 3)
-    m = _from_jacobi(c, JacobiTriple(*(t[ys.size:2 * ys.size] for t in jac)))
+    # sample only at y
+    pm, p0, pp = np.split(_coefficients(c, es, np.concatenate((ys - h, ys, ys + h))), 3)
+    m = metric_at(c, ys)
     w, u_prime = m.w[:, None], m.u_prime[:, None]  # against (ny, 3) rows, or (nx, ny, 3) points
 
     def ev(dx: float, p: np.ndarray) -> np.ndarray:

@@ -33,8 +33,10 @@ the refusals fire where any point falls below its floor and name the first
 such (y, lambda).  The beta integrals and both frames take a float y (or
 z) or a 1-D array of them at one es, and so does U_+, which is built from
 them: an array makes one pass (one immersion._phase_terms call for all
-three G_j, one q_factor, one batched inverse) and gives a stack, while a
-float, or the Python number a numpy scalar holds, keeps the float path.
+three G_j, one q_factor, one batched inverse) and gives a stack.  A float,
+or the Python number a numpy scalar holds, keeps the float path of the
+metric and the matrices; the lift's G_j and p_j take it as a one-point
+array.
 extended_frame also takes a stack of spectral objects of one regime
 (potential.stack_systems) with one z per row, so that many lambda make
 one pass as well.
@@ -74,7 +76,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import immersion
-from .elliptic import jacobi
 from .linalg3 import combine, dagger, first_point, per_matrix, per_vector, stack3
 from .metric import MetricSample, metric_at
 from .potential import DerivedConstants, EigenSystem, Refusal, nonzero_lambda, regime_of
@@ -259,19 +260,9 @@ def beta_integrals(c: DerivedConstants, es: EigenSystem,
     `_phase_terms` pass; a numpy scalar is taken as the float it holds.
     """
     _checked_c0(c, es.lam)  # min_y |cdet| = |c0| at |lambda| = 1: one check covers every y
-    g = immersion._g_segment(c, es)
-    array = isinstance(y, np.ndarray)
-    if not array:
-        y = float(y)
-        if y == 0.0:
-            return 0j, 0j  # exact; p_j(0) = (1 - n_j) + n_j may round off 1
-    sn, cn, _ = jacobi(c.r * y, c.k)
-    p, phases = immersion._phase_terms(c, es, g, y, sn, cn)
-    b1, b2 = _partial_fractions(es, phases, np.log(p), y)
-    if array:
-        at0 = y == 0.0  # exact there, as at a float y
-        b1, b2 = np.where(at0, 0j, b1), np.where(at0, 0j, b2)
-    return b1, b2
+    y = y if isinstance(y, np.ndarray) else float(y)
+    s, phases = immersion._phase_terms(c, es, y)  # s = 1 and G = 0 exactly at y = 0
+    return _partial_fractions(es, phases, 2.0 * np.log(s), y)
 
 
 def extended_frame(c: DerivedConstants, es: EigenSystem, z: complex) -> np.ndarray:

@@ -222,14 +222,15 @@ class EigenSystem:
     the orthonormal l_j with l_j[2] (against e_3 = Q^{-1}(0) e_3) real and
     nonnegative, or, below 1e-9 (the real regime's sn mode), its component
     along lambda e_2 - lambda^-1 e_1 real-positive, gaps[j] = (d_j a1 -
-    Re, d_j a2 - Re) and fprime[j] = f'(d_j) = prod_{i != j} (d_j - d_i).
+    Re, d_j a2 - Re, d_j a3 + Re) and fprime[j] = f'(d_j) = prod_{i != j}
+    (d_j - d_i).
     In the real regime labels holds the indices in d of psi0/a1, psi0/a2
     and -psi0/a3 (the sn, cn, dn modes), None otherwise.  Hashed by
     identity: memos are per object.
 
     `stack_systems` builds a stack of m such objects of one regime: the
     same fields with a leading axis (lam and cubic (m,), d and fprime
-    (m, 3), vectors (m, 3, 3), gaps (m, 3, 2), labels (m, 3) or None).
+    (m, 3), vectors (m, 3, 3), gaps (m, 3, 3), labels (m, 3) or None).
     A float y takes the `math` path, an array y the array path, and a
     stack is an array y of one point per row, on the same array lines.
     """
@@ -239,7 +240,7 @@ class EigenSystem:
     regime: str
     d: np.ndarray
     vectors: np.ndarray  # shape (3, 3); vectors[j] is l_j
-    gaps: tuple[tuple[float, float], ...]
+    gaps: tuple[tuple[float, float, float], ...]
     fprime: tuple[float, float, float]
     labels: tuple[int, int, int] | None
 
@@ -256,20 +257,26 @@ def _check_unit(lam: complex) -> complex:
 def _near_root(c: DerivedConstants, d: list[float], re0: float, ai: float) -> tuple[int, float]:
     """The root d_j nearest e = Re / a_i, as (j, a_i^2 (d_j^2 + d_j e + e^2 - beta)).
 
-    f(d) = d^3 - beta d + 2 Re has f(e) = -Re Im^2 / a_i^3, so d_j a_i - Re =
-    Re Im^2 / (the second value), free of the cancellation as d_j tends to e.
+    f(d) = d^3 - beta d + 2 Re has f(e) = -Re Im^2 / a_i^3 for each root a_i
+    of the metric cubic (a1, a2 or -a3), so d_j a_i - Re = Re Im^2 / (the
+    second value), free of the cancellation as d_j tends to e.
     """
     e = re0 / ai
-    j = min(range(3), key=lambda jj: abs(d[jj] - e))
+    dist = [abs(dj - e) for dj in d]
+    j = dist.index(min(dist))
     return j, ai * ai * (d[j] ** 2 + d[j] * e + e * e - c.beta)
 
 
 def _gaps(c: DerivedConstants, d: list[float], re0: float, im0: float):
-    """((d_j a1 - Re, d_j a2 - Re) per d_j, `_near_root` at a1); the nearest roots' gaps in its form."""
-    gaps = [[dj * c.a1 - re0, dj * c.a2 - re0] for dj in d]
-    near = [_near_root(c, d, re0, ai) for ai in (c.a1, c.a2)]
+    """((d_j a1 - Re, d_j a2 - Re, d_j a3 + Re) per d_j, `_near_root` at a1).
+
+    The root nearest each zero of a gap takes that gap in `_near_root`'s
+    form; the third is d_j a_i - Re at a_i = -a3, negated.
+    """
+    gaps = [[dj * c.a1 - re0, dj * c.a2 - re0, dj * c.a3 + re0] for dj in d]
+    near = [_near_root(c, d, re0, ai) for ai in (c.a1, c.a2, -c.a3)]
     for i, (j, den) in enumerate(near):
-        gaps[j][i] = re0 * im0**2 / den
+        gaps[j][i] = (-re0 if i == 2 else re0) * im0**2 / den
     return tuple(map(tuple, gaps)), near[0]
 
 
@@ -300,7 +307,7 @@ def eigensystem(c: DerivedConstants, lam: complex) -> EigenSystem:
     gaps, (near, den) = _gaps(c, d, re0, im0)
     sqrt_a1, a1sq, lamc = math.sqrt(c.a1), c.a1 * c.a1, lam.conjugate()
     vectors, fprime = [], []
-    for j, (dj, (g, _)) in enumerate(zip(d, gaps)):
+    for j, (dj, (g, *_)) in enumerate(zip(d, gaps)):
         fp = (dj - d[j - 1]) * (dj - d[j - 2])
         fprime.append(fp)
         if j != near:

@@ -1,8 +1,16 @@
-"""Independent routes to the phase integrals G_j(y) and the beta integrals.
+"""Independent routes to the phase integrals G_j(y), the lift coefficients and the beta integrals.
 
 G_j(y) = int_0^y d_j Im / (d_j e^u - Re) ds, Re + i Im = lambda^-3 psi, in
-the descending order of the d_j.  The package evaluates G_j in closed form
-through Carlson's integrals; the tests compare it with
+the descending order of the d_j.  The package evaluates G_j, and the lift
+coefficients p_j = h_j e^{i G_j}, as theta quotients; the tests compare
+them with
+
+* ``by_carlson``: the per-point Carlson route the package used before,
+  G_j = pre_j Pi(n_j; am(r y), k) + m G_j(2T) by R_F, R_C and R_J at the
+  sn and cn of r y, with m = round(y / 2T), and p_j from
+  1 - n_j sn^2(r y) and ``coefficients_by_carlson`` built on it;
+* ``coefficients_mp``: p_j = h_j e^{i G_j} with every constant, sn and
+  Pi recomputed from (a1, psi, lambda) in mpmath;
 
 * ``by_quadrature``: adaptive Simpson of the defining integral over the
   package's conformal factor, raising QuadratureError instead of settling
@@ -33,9 +41,57 @@ import math
 import mpmath as mp
 import numpy as np
 
+from equilag import immersion
+from equilag.elliptic import _third_kind, jacobi
 from equilag.metric import metric_at
-from equilag.potential import DerivedConstants, eigensystem
+from equilag.potential import DerivedConstants, EigenSystem, eigensystem
 from equilag.quadrature import adaptive_simpson
+
+
+def by_carlson(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """((d_j e^u - Re) / (d_j a1 - Re), G_j) at a float y by the per-point Carlson route.
+
+    With m = round(y / 2T), u = r y - 2mK lies in [-K, K], where
+    sin am(u) = (-1)^m sn(r y) and cos^2 am(u) = cn^2(r y); then
+    G_j(y) = pre_j Pi(n_j; am(u)) + m G_j(2T), the complete phases from
+    the package's `_g_full_period`.  The ratio is (1 - n_j) + n_j cn^2
+    where n_j > 0, so it keeps its accuracy as n_j -> 1.
+    """
+    g = immersion._g_segment(c, es)
+    sn, cn, _ = jacobi(c.r * y, c.k)
+    m = round(y / (2.0 * c.T))
+    s = sn * (1 - 2 * (m % 2))  # (-1)^m sn
+    c2 = cn * cn
+    p = [omn + nj * c2 if nj > 0.0 else 1.0 - nj * s * s for nj, omn in zip(g.n, g.one_minus_n)]
+    phases = np.array(g.pre) * _third_kind(g.n, p, s, c2, c.kp2 + c.k2 * c2, c.k2)
+    if m:
+        phases += m * np.asarray(immersion._g_full_period(c, es))
+    return np.asarray(p), phases
+
+
+def coefficients_by_carlson(c: DerivedConstants, es: EigenSystem,
+                            y: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p_j, p_j') at a float y on `by_carlson`, p_j' from the first-order ODE of p_j."""
+    ratio, phases = by_carlson(c, es, y)
+    den = np.array(immersion._g_segment(c, es).den0) * ratio  # d_j e^u - Re
+    p = np.sqrt(den / (es.d**3 - es.cubic.real)) * np.exp(1j * phases)
+    m = metric_at(c, y)
+    return p, es.d * p * (m.u_prime * m.w + 2j * es.cubic.imag) / (2.0 * den)
+
+
+def coefficients_mp(a1: float, psi: complex, lam: complex, y: float, dps: int = 30) -> np.ndarray:
+    """p_j = h_j e^{i G_j} at y, h_j = sqrt((d_j e^u - Re) / (d_j^3 - Re)), all in mpmath."""
+    g = by_ellippi(a1, psi, lam, y, dps)
+    with mp.workdps(dps):
+        a1m, a2, a3, psim, lamm = _mp_constants(a1, psi, lam)
+        re0 = mp.re(psim / lamm**3)
+        beta = 2 * a1m + abs(psim) ** 2 / a1m**2
+        m = (a1m - a2) / (a1m + a3)
+        w = a1m * (1 - (a1m - a2) / a1m * mp.ellipfun("sn", mp.sqrt(2 * (a1m + a3)) * y, m=m) ** 2)
+        d = sorted((mp.re(z) for z in mp.polyroots([1, 0, -beta, 2 * re0], extraprec=60)),
+                   reverse=True)
+        return np.array([complex(mp.sqrt((dj * w - re0) / (dj**3 - re0)) * mp.expj(gj))
+                         for dj, gj in zip(d, g)])
 
 
 def by_quadrature(c: DerivedConstants, lam: complex, y: float, tol: float = 1e-12) -> np.ndarray:

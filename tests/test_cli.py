@@ -454,6 +454,18 @@ class TestClassify:
         assert payload["verdict"]["tag"] == "Torus"
         assert payload["verdict"]["p_f"] == pytest.approx(2 * math.pi * math.sqrt(3), abs=1e-9)
 
+    @pytest.mark.parametrize("argv, eq_form", [
+        (["classify", "--a1", "1", "--psi", "0.57735026918962584,0", "--lambda", "-1,0", "--json"],
+         ["classify", "--a1", "1", "--psi", "0.57735026918962584,0", "--lambda=-1,0", "--json"]),
+        (["derive", "--a1", "2", "--psi", "-0.5,1"], ["derive", "--a1", "2", "--psi=-0.5,1"]),
+    ], ids=["lambda", "psi"])
+    def test_negative_real_part_as_its_own_token(self, argv, eq_form, capsys):
+        # argparse alone reads -1,0 as a flag and exits 2 without a value
+        assert main(eq_form) == EXIT_OK
+        want = capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == want
+
     def test_no_period(self, capsys):
         rc = main(["classify", "--a1", "2", "--psi", "1,0"])
         assert rc == EXIT_OK

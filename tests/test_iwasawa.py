@@ -123,7 +123,7 @@ class TestBetaIntegrals:
     def test_zero_at_origin(self, bench_nonreal):
         b1, b2 = beta_integrals(bench_nonreal, eigensystem(bench_nonreal, cmath.exp(0.3j)), 0.0)
         assert b1 == 0.0 and b2 == 0.0
-        # exactly, although log p_j(0) = log((1 - n_j) + n_j) may round off 0
+        # exactly: the harmonic sums give s_j(0) = 1 and G_j(0) = 0 exactly
         c = derive_constants(SurfaceParams(3.1, cmath.rect(0.7, 2.0)))
         for theta in np.linspace(0.1, 6.0, 12):
             assert beta_integrals(c, eigensystem(c, cmath.exp(1j * theta)), 0.0) == (0j, 0j)
@@ -503,6 +503,13 @@ class TestSuiteArrayPass:
         assert not result.passed
         failing = {name for name, v in result.residuals.items() if v >= result.thresholds[name]}
         assert failing == ({"conjugation", "det_qtilde"} if call == "points" else {"initial_value"})
+
+    def test_singular_positive_factor_fails_the_flow(self, monkeypatch):
+        # at a1 = 1e3 |U_+| reaches 1e19 and U_+ can be singular to working
+        # precision: the flow check then fails instead of raising LinAlgError
+        monkeypatch.setattr(iwasawa, "u_plus", lambda c, es, y: np.zeros((3, 3), dtype=complex))
+        result = verification.suite_iwasawa()
+        assert result.residuals["y_flow"] == math.inf and not result.passed
 
     def test_metric_samples(self, monkeypatch):
         # every metric_at call is one jacobi call from the metric module: 608

@@ -1,16 +1,18 @@
 """Arrays of points cost one pass and give the float path's values.
 
-The phase integrals G_j take one `_third_kind` call for all three n_j on
-an array of points, and that call must give, element for element, the
-bits of the float calls.  The point evaluators (`lift_at`,
-`beta_integrals`, `extended_frame`, `iwasawa_frame`) take arrays of
-points at one spectral object and agree with their float calls to
-rounding.  `extended_frame` also takes a stack of spectral objects of one
-regime (`stack_systems`), row for row against its points, and so does
-`_third_kind` with rows of n_j; each stack row of the phase kernels has
-the bits of the one-object array call at its point.  `suite_lift` checks
-its cross-route points with one array call per route, and every point
-still counts.
+The non-real phase kernel `_phase_terms` is one harmonic sum per point; a
+float y is a one-point array on its lines, so a float, a one-point array
+and a row of a longer array give the same bits.  `_third_kind`, which
+serves the complete integrals G_j(2T), takes one call for all three n_j
+and gives, element for element, the bits of the float calls.  The point
+evaluators (`lift_at`, `beta_integrals`, `extended_frame`,
+`iwasawa_frame`) take arrays of points at one spectral object and agree
+with their float calls to rounding.  `extended_frame` also takes a stack
+of spectral objects of one regime (`stack_systems`), row for row against
+its points, and so does `_third_kind` with rows of n_j; each stack row of
+the phase kernels has the bits of the one-object array call at its point.
+`suite_lift` checks its cross-route points with one array call per route,
+and every point still counts.
 """
 
 import cmath
@@ -94,22 +96,18 @@ def spectral():
 
 @settings(max_examples=60, deadline=None)
 @given(y_over_t=st.lists(st.floats(-7.0, 9.0), min_size=1, max_size=20))
-@example(y_over_t=[0.0, -2.0, 2.0, 4.0, 1.0])     # s = 0 rows, some with m != 0
-@example(y_over_t=[-5.3, 6.1, 8.99, 0.5])         # m = -3, 3 and 4 rows next to an m = 0 one
+@example(y_over_t=[0.0, -2.0, 2.0, 4.0, 1.0])     # y = 0 and whole periods
+@example(y_over_t=[-5.3, 6.1, 8.99, 0.5])         # three periods either way beside the first
 def test_phase_terms_rows_match_float_calls_bit_for_bit(spectral, y_over_t):
     c, es = spectral
-    g = immersion._g_segment(c, es)
-    assert min(g.n) < 0.0 < max(g.n)
-    ys = [t * c.T for t in y_over_t]
-    # the same sn, cn on both sides: the jacobi paths may differ by an ulp
-    sn, cn, _ = zip(*(jacobi(c.r * y, c.k) for y in ys))
-    p, phases = immersion._phase_terms(c, es, g, np.array(ys), np.array(sn), np.array(cn))
-    want = [immersion._phase_terms(c, es, g, *point) for point in zip(ys, sn, cn)]
-    assert p.tobytes() == np.array([w[0] for w in want]).tobytes()
-    # the sign of a zero aside (+ 0.0 maps -0 to +0 and keeps every other
-    # value): where any row has m != 0 the array adds m G_j(2T) to every
-    # row, and 0 G_j(2T) can turn the -0 phase of a y = 0 row into +0
-    assert (phases + 0.0).tobytes() == (np.array([w[1] for w in want]) + 0.0).tobytes()
+    assert min(immersion._g_segment(c, es).n) < 0.0 < max(immersion._g_segment(c, es).n)
+    ys = np.array([t * c.T for t in y_over_t])
+    s, phases = immersion._phase_terms(c, es, ys)
+    for i, y in enumerate(ys.tolist()):
+        for point in (y, ys[i:i + 1]):  # a float, and a one-point array
+            ws, wphases = immersion._phase_terms(c, es, point)
+            assert s[i].tobytes() == np.reshape(ws, 3).tobytes()
+            assert phases[i].tobytes() == np.reshape(wphases, 3).tobytes()
 
 
 def _surfaces():
@@ -237,7 +235,7 @@ def test_stack_fields_are_rows_of_their_objects(stack_cases):
         stack = stack_systems(systems)
         m = len(systems)
         shapes = {"lam": (m,), "cubic": (m,), "d": (m, 3), "fprime": (m, 3),
-                  "vectors": (m, 3, 3), "gaps": (m, 3, 2)}
+                  "vectors": (m, 3, 3), "gaps": (m, 3, 3)}
         for name, shape in shapes.items():
             field = getattr(stack, name)
             assert field.shape == shape
@@ -254,10 +252,16 @@ def test_stack_fields_are_rows_of_their_objects(stack_cases):
 def test_stacked_phase_constants_are_rows_of_their_objects(stack_cases, case):
     c, systems = stack_cases[case]
     g = immersion._g_segment(c, stack_systems(systems))
-    for name in g._fields:
-        want = np.array([getattr(immersion._g_segment(c, es), name) for es in systems])
+    one = [immersion._g_segment(c, es) for es in systems]
+    for name in g._fields[:4]:
+        want = np.array([getattr(gi, name) for gi in one])
         assert getattr(g, name).shape == want.shape
         assert getattr(g, name).tobytes() == want.tobytes(), name
+    # the theta tables, from the same Python floats per object
+    for name in g.theta._fields:
+        want = np.array([getattr(gi.theta, name) for gi in one])
+        got = getattr(g.theta, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def _real_vals(c, sn, cn, dn):
@@ -286,14 +290,11 @@ def test_stack_rows_are_one_object_array_calls_bit_for_bit(stack_cases, case, ro
                 for i, es in zip(one, picked)]
         assert got.tobytes() == np.concatenate(want).tobytes()
         return
-    p, phases = immersion._phase_terms(c, stack, immersion._g_segment(c, stack), ys, *jac[:2])
+    s, phases = immersion._phase_terms(c, stack, ys)
     for i, es in zip(one, picked):
-        wp, wphases = immersion._phase_terms(c, es, immersion._g_segment(c, es), ys[i],
-                                             jac.sn[i], jac.cn[i])
-        assert p[i].tobytes() == wp.tobytes()
-        # + 0.0: a y = 0 row of a stack whose other rows add whole periods
-        # gets 0 G_j(2T) added, which turns a -0 phase into +0
-        assert (phases[i] + 0.0).tobytes() == (wphases + 0.0).tobytes()
+        ws, wphases = immersion._phase_terms(c, es, ys[i])
+        assert s[i].tobytes() == ws.tobytes()
+        assert phases[i].tobytes() == wphases.tobytes()
 
 
 def test_a_stack_holds_one_regime(stack_cases):
