@@ -15,7 +15,8 @@ check).
 
 Numbers are printed to 17 significant digits, except in JSON, which prints
 each float's shortest round-trip repr; identical configurations reproduce
-byte-identical files.
+byte-identical files.  JSON is laid out as json.dumps(indent=2, sort_keys=True)
+would (json being the tests' oracle), by `_json` on the sample writer's `_list`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -184,28 +185,52 @@ def _config_dict(cfg: JobConfig) -> dict:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json(obj, 0) + "\n"
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float reprs -> json's tokens
+
+
+def _json(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) at this nesting depth: str dict keys; floats,
+    np.float64 too, by float.__repr__; a type json refuses raises TypeError, as json does."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}" for k, v in sorted(obj.items())]
+        return _list(items, depth, "{}") if obj else "{}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        return _list([_json(v, depth + 1) for v in obj], depth) if obj else "[]"
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load(args) -> JobConfig:
     """Config file plus flag overrides; raises ConfigError on any defect."""
+    flags = {"a1": args.a1, "psi": args.psi, "max_den": args.max_den,
+             "rational_tol": args.tol, "out_path": args.out}
+    flags = {name: v for name, v in flags.items() if v is not None}
+    if args.lam is not None:
+        flags.update(lam=args.lam, sweep_count=0)
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or not UTF-8
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = parse_config(text)
+        cfg = replace(parse_config(text), **flags)
     else:
         if args.a1 is None or args.psi is None:
             raise ConfigError("either --config or both --a1 and --psi are required")
-        cfg = JobConfig(a1=args.a1, psi=args.psi)
-    flags = {"a1": args.a1, "psi": args.psi, "max_den": args.max_den,
-             "rational_tol": args.tol, "out_path": args.out}
-    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
-    if args.lam is not None:
-        cfg = replace(cfg, lam=args.lam, sweep_count=0)
-    elif cfg.sweep_count and args.command in ("derive", "sample", "classify"):
+        cfg = JobConfig(**flags)
+    if cfg.sweep_count and args.command in ("derive", "sample", "classify"):
         # these run at one lambda: a sweep config would silently run at lambda = 1
         raise ConfigError(f"{args.command} runs at one lambda: a [lambda] count needs --lambda")
     cfg.validate()
@@ -259,7 +284,7 @@ def cmd_verify(cfg: JobConfig, args) -> int:
     passed = all(s.passed for s in suites)
     if args.json:
         sys.stdout.write(_json_dumps({"config": _config_dict(cfg), "passed": passed,
-                                      "suites": [asdict(s) for s in suites]}))
+                                      "suites": [vars(s) for s in suites]}))
     else:
         for s in suites:
             worst = max(s.thresholds, key=lambda k: s.residuals[k] / s.thresholds[k])
@@ -344,10 +369,10 @@ def _write_obj(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
         _rows(fh, "f %d %d %d %d", faces)
 
 
-def _list(items, depth: int) -> str:
-    """json.dumps(indent=2) text of a list of already laid-out items, at this nesting depth."""
+def _list(items, depth: int, brackets: str = "[]") -> str:
+    """json.dumps(indent=2) text of a non-empty list of laid-out items (an object's with "{}")."""
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def _layout(shape: tuple[int, ...], depth: int) -> str:
@@ -390,8 +415,7 @@ def _write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
         flags = grid.flags[iy]
         return _numbers(_list(map(cells.__getitem__, flags.tolist()), 2), chart[iy][~flags])
 
-    # json escapes newlines inside strings, so every newline here is layout
-    config = json.dumps(_config_dict(cfg), indent=2, sort_keys=True).replace("\n", "\n  ")
+    config = _json(_config_dict(cfg), 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("{\n")
         _json_rows(fh, "F", (_numbers(f_row, row) for row in F))
@@ -412,7 +436,7 @@ def _verdict(cfg: JobConfig, c: DerivedConstants, lam: complex) -> periodicity.P
 
 def _verdict_dict(v: periodicity.PeriodVerdict) -> dict:
     d: dict = {"tag": v.tag, "lambda": [v.lam.real, v.lam.imag],
-               "certificates": {name: asdict(cert) for name, cert in v.certificates.items()}}
+               "certificates": {name: vars(cert) for name, cert in v.certificates.items()}}
     if v.omega is not None:
         d["omega"] = [v.omega.real, v.omega.imag]
     if v.lattice is not None:

@@ -194,16 +194,16 @@ def _theta_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex, ful
             + [0.5 * math.pi / c.T * m for m in range(len(w[0]))])
 
 
-def _per_object(es: EigenSystem, build, *rows) -> list | np.ndarray:
+def _per_object(es: EigenSystem, build, *rows, distinct=None) -> list | np.ndarray:
     """build(d, gaps, cubic, *rows) of one spectral object, a list; for a stack, rows of them.
 
     rows are further per-object values, one object's or a stack's rows.  A
-    stack builds each distinct object once (`_distinct`) and is refused
-    where any row is.
+    stack builds each distinct object once (`_distinct`, unless the caller
+    hands in its pair) and is refused where any row is.
     """
     if es.d.ndim == 1:
         return build(es.d.tolist(), es.gaps, es.cubic, *rows)
-    first, inverse = _distinct(es)
+    first, inverse = _distinct(es) if distinct is None else distinct
     objs = zip(*(np.asarray(f)[first].tolist() for f in (es.d, es.gaps, es.cubic, *rows)))
     return np.array([build(*obj) for obj in objs])[inverse]
 
@@ -215,9 +215,11 @@ def _phase_fields(v: list | np.ndarray) -> tuple:
     return tuple(v[:, 3 * i:3 * i + 3] for i in range(4))
 
 
-def _phase_scalars(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
-    """The four scalar fields of `_g_segment`, without its theta quotients and its memo."""
-    return _PhaseConstants(*_phase_fields(_per_object(es, lambda *obj: _phase_object(c, *obj))))
+def _phase_scalars(c: DerivedConstants, es: EigenSystem, distinct) -> _PhaseConstants:
+    """The four scalar fields of `_g_segment`, without its theta quotients and its memo;
+    distinct is a stack's `_distinct` pair (None for one object)."""
+    v = _per_object(es, lambda *obj: _phase_object(c, *obj), distinct=distinct)
+    return _PhaseConstants(*_phase_fields(v))
 
 
 @lru_cache(maxsize=256)
@@ -270,9 +272,10 @@ def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, 
         labels = np.asarray(es.labels)  # (3,), or (m, 3) for a stack
         g = np.where(np.arange(3) == labels[..., 2:], 0.0, math.pi)
         return g if labels.ndim == 2 else tuple(g.tolist())
-    g = _phase_scalars(c, es)
-    if isinstance(g.n, np.ndarray):  # a stack: the array path, at sin phi = 1 on every row
-        first, inverse = _distinct(es)
+    distinct = None if es.d.ndim == 1 else _distinct(es)
+    g = _phase_scalars(c, es, distinct)
+    if distinct is not None:  # a stack: the array path, at sin phi = 1 on every row
+        first, inverse = distinct
         pis = _third_kind(g.n[first], g.one_minus_n[first], np.ones(1), 0.0, c.kp2, c.k2)
         return 2.0 * g.pre * pis[inverse]
     pis = _third_kind(g.n, g.one_minus_n, 1.0, 0.0, c.kp2, c.k2)

@@ -23,8 +23,11 @@ under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows
 since all three sum to zero).
 Rationality of d-ratios and of the 2T phase data is certified under an
 explicit (max_denominator, tolerance) policy: the fraction nearest the
-value with denominator <= max_denominator (`Fraction.limit_denominator`),
-accepted when it is within the tolerance (finite and >= 0, else ValueError).
+value with denominator <= max_denominator, accepted when it is within the
+tolerance (finite and >= 0, else ValueError).  It is the last convergent
+of the value's continued fraction within the cap or an intermediate fraction
+(Khinchin, section 6), by `Fraction.limit_denominator`'s rule on the ints of
+x.as_integer_ratio(); `Fraction` itself stays the tests' oracle.
 
 monodromy_phases takes es and returns the theta_j as a float array in
 eigensystem order; classify_cylinder and classify_torus take lambda and
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,7 +79,7 @@ def _check_tols(**tols: float) -> None:
 
 
 def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate | None:
-    """The fraction nearest x with denominator <= max_den, `Fraction.limit_denominator`.
+    """The fraction nearest x with denominator <= max_den, in lowest terms.
 
     Returns None when it misses x by more than tol.  Increasing max_den
     never loses a certificate (the nearest fraction only comes nearer).
@@ -87,8 +89,14 @@ def rational_approx(x: float, max_den: int, tol: float) -> RationalCertificate |
     _check_tols(tol=tol)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    frac = Fraction(x).limit_denominator(max_den)
-    num, den = frac.numerator, frac.denominator
+    num, den = x.as_integer_ratio()
+    if den > max_den:  # the rule of Fraction.limit_denominator, on ints
+        p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+        while q0 + (a := n // d) * q1 <= max_den:  # the convergents p1/q1 within the cap
+            p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+        t = (max_den - q0) // q1  # the intermediate fraction (p0 + t p1)/(q0 + t q1) within the cap
+        # |x - p1/q1| = d / (q1 den) against half their gap 1 / (2 q1 (q0 + t q1)); a tie keeps p1/q1
+        num, den = (p1, q1) if 2 * d * (q0 + t * q1) <= den else (p0 + t * p1, q0 + t * q1)
     residual = abs(x - num / den)
     if residual > tol:
         return None

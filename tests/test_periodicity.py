@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilag import immersion, iwasawa
@@ -122,6 +122,32 @@ class TestRationalApprox:
         assert (cert.num, cert.den) == (want.numerator, want.denominator)
         assert cert.residual == abs(x - cert.num / cert.den) and cert.value == x
         assert (cert.num, cert.den) in convergents(Fraction(x))
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           max_den=st.integers(1, 10**12) | st.sampled_from([1, 2, 3, 64, 2**40, 10**12]))
+    @example(x=0.0, max_den=1)
+    @example(x=-0.0, max_den=7)
+    @example(x=5e-324, max_den=10**12)
+    @example(x=-2.5e-310, max_den=3)
+    @example(x=2.0**53, max_den=1)
+    @example(x=-(2.0**53 + 2.0), max_den=10**12)
+    @example(x=2.0**80 + 2.0**28, max_den=5)
+    @example(x=1e300, max_den=10**12)
+    @example(x=-1e300, max_den=2)
+    # exact ties between the two final candidates: the smaller denominator wins
+    @example(x=0.5, max_den=1)
+    @example(x=-2.5, max_den=1)
+    @example(x=-0.75, max_den=2)
+    @example(x=-7.125, max_den=4)
+    @example(x=2.0**-41, max_den=2**40)
+    @example(x=-(3.0 + 2.0**-37), max_den=2**36)
+    def test_nearest_fraction_matches_limit_denominator(self, x, max_den):
+        # with tol = 1 every x is certified: the nearest integer is within 1/2
+        cert = rational_approx(x, max_den, 1.0)
+        want = Fraction(x).limit_denominator(max_den)
+        assert (cert.num, cert.den) == (want.numerator, want.denominator)
+        assert cert.residual == abs(x - cert.num / cert.den) and cert.value == x
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

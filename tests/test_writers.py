@@ -3,10 +3,14 @@
 `writer_oracles` keeps those reference bodies; every format of
 `equilag.cli._WRITERS` must match them byte for byte, on drawn grids with
 flagged cells and extreme and non-finite values planted in the cells and in
-x, y and e_u, and must not hold more memory than they do.
+x, y and e_u, and must not hold more memory than they do.  The CLI's one
+JSON emitter, `cli._json_dumps`, must write json.dumps(indent=2,
+sort_keys=True) on any payload of the types json takes, and refuse the
+others as json does.
 """
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilag import immersion
-from equilag.cli import _WRITERS, JobConfig
+from equilag.cli import _WRITERS, JobConfig, _json_dumps
 from writer_oracles import ORACLES
 
 FORMATS = ("csv", "obj", "json")
@@ -93,3 +97,29 @@ def test_writer_memory_at_256(bench_nonreal, tmp_path, fmt):
         assert peak < out.stat().st_size
     else:
         assert peak <= 1.1 * _peak(ORACLES[fmt], tmp_path / f"oracle.{fmt}", cfg, grid)
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+texts = st.text(st.characters(codec=None) | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7fé\u2028\ud800\udfff\U0001f600'))
+floats = (st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, np.inf, -np.inf, np.nan])
+          | st.floats(allow_nan=True).map(np.float64))
+scalars = (texts | floats | st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1, 10**40])
+           | st.booleans() | st.none())
+payloads = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.lists(inner, max_size=4).map(tuple)
+                        | st.dictionaries(texts, inner, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads)
+def test_json_emitter_matches_json_dumps(obj):
+    assert _json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), 1j, {1.0}])
+def test_json_emitter_refuses_what_json_refuses(value):
+    for obj in (value, [value], {"k": value}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_dumps(obj)

@@ -6,10 +6,12 @@ exactly the bytes these write, for every format.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from equilag import immersion
-from equilag.cli import JobConfig, _config_dict, _json_dumps, _quads
+from equilag.cli import JobConfig, _config_dict, _quads
 
 
 def write_csv(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
@@ -54,7 +56,7 @@ def write_json(path: str, cfg: JobConfig, grid: immersion.GridSample) -> None:
         "flags": [[int(v) for v in row] for row in grid.flags],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_dumps(payload))
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 ORACLES = {"csv": write_csv, "obj": write_obj, "json": write_json}

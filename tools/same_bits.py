@@ -15,8 +15,9 @@ stacked `extended_frame` call, the non-real stack's `_g_segment` and
 `_g_full_period`, and the third-kind integral with rows of n_j.  The
 second covers the CLI: `derive`, `classify` (on the torus surface at
 lambda = 1 and -1, where lambda^-3 psi is real of either sign), `sample`
-(csv, obj, json), `sweep` (csv, json) and `verify --json` with each suite's
-`seconds` line removed, with every stdout, stderr, exit code and file.  Two checkouts that print the
+(csv, obj, json), `sweep` (csv, json) and `verify --json` (one run failing
+with a non-finite residual) with each suite's `seconds` line removed, with
+every stdout, stderr, exit code and file.  Two checkouts that print the
 same two digests give the same bits on all of these; a refusal counts by
 its type and message.
 """
@@ -225,7 +226,10 @@ def _cli(h, main, tmp: pathlib.Path) -> None:
             ["classify", "--lambda", "0,1", *_SURFACES["torus"]],
             ["verify", "--json", *_SURFACES["nonreal"]], ["verify", "--json", *_SURFACES["torus"]],
             ["verify", "--json", "--debug-corrupt-kappa", "--suites", "iwasawa",
-             *_SURFACES["nonreal"]]]
+             *_SURFACES["nonreal"]],
+            # exits 4 with "y_flow": Infinity: json's non-finite tokens
+            ["verify", "--json", "--a1", "1000", "--psi", "0.76,0.64", "--suites",
+             "iwasawa,identities"]]
     for command, fmt, lam in (("sample", "csv", "re = 0.8\nim = 0.6"), ("sample", "obj", "re = 1"),
                               ("sample", "json", "re = 0.6\nim = 0.8"),
                               ("sweep", "csv", "count = 360"), ("sweep", "json", "count = 60")):
