@@ -25,14 +25,15 @@ PDEs to scalar ODEs in y with solutions in closed form.  Two regimes:
   and Theta in the harmonics m v, v = pi u / (2K), from b_j or b'_j =
   K' - b_j, whichever is smaller (elliptic._pole, one R_F each) and from
   the third gap d_j a3 + Re (es.gaps), so that no form cancels at the
-  corners iK' and K + iK'; G_j(2T) comes from the complete integral of
-  the third kind (`_g_full_period`, Carlson's R_F, R_C and R_J).  Each
-  point is then one cos and one sin of each harmonic and one sum over
-  them: no jacobi, no Carlson call and no count of whole periods; no
-  quadrature is involved.  Near the real locus one d_j a_i - Re
-  (i = 1, 2) tends to zero like Im^2; these gaps come from the cubic of
-  d_j without cancellation, and below 1e-15 max(1, |psi|) the lift is
-  refused with a RegimeError.
+  corners iK' and K + iK'.  G_j(2T) = pre_j Pi(n_j; pi, k) comes from
+  Jacobi's zeta function at a_j, summed over the same theta weights, its
+  pole at the corners taken against pre_j in closed form
+  (`_period_object`, `_g_full_period`).  Each point is then one cos and
+  one sin of each harmonic and one sum over them: no jacobi, no Carlson
+  call and no count of whole periods; no quadrature is involved.  Near
+  the real locus one d_j a_i - Re (i = 1, 2) tends to zero like Im^2;
+  these gaps come from the cubic of d_j without cancellation, and below
+  1e-15 max(1, |psi|) the lift is refused with a RegimeError.
 
 * lambda^-3 psi real (value psi0): the eigenvalues are psi0/a1, psi0/a2,
   -psi0/a3 and
@@ -80,8 +81,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import (JacobiTriple, _nome, _pole, _theta_row, _theta_weights, _third_kind,
-                       complete_K, jacobi)
+from .elliptic import (JacobiTriple, _nome, _pole, _theta_row, _theta_weights, complete_K,
+                       jacobi)
 from .linalg3 import herm_inner, per_vector, worst
 from .metric import MetricSample, _from_jacobi, metric_at
 from .potential import DerivedConstants, EigenSystem, Refusal, eigensystem
@@ -134,7 +135,7 @@ class _ThetaConstants(NamedTuple):
     norm: np.ndarray        # (4, 1): sum_m c_j0m, the value of each sum at v = 0
     amp: np.ndarray         # (3,): h_j(0) = sqrt((d_j a1 - Re) / (d_j^3 - Re))
     turn: np.ndarray        # (3,): i shift_j pi / (2T), shift_j = -1, 0 or 1
-    slope: np.ndarray       # (3,): G_j(2T) / (2T), from `_g_full_period`
+    slope: np.ndarray       # (3,): G_j(2T) / (2T), from `_period_object`
     spin: np.ndarray        # (3,): turn_j + i slope_j
 
 
@@ -149,7 +150,7 @@ class _PhaseConstants(NamedTuple):
     n: tuple[float, float, float]            # n_j
     one_minus_n: tuple[float, float, float]  # (d_j a2 - Re) / (d_j a1 - Re)
     pre: tuple[float, float, float]          # d_j Im / (r (d_j a1 - Re))
-    theta: _ThetaConstants | None = None     # `_g_segment`'s; `_phase_scalars` leaves it out
+    theta: _ThetaConstants
 
 
 def _phase_object(c: DerivedConstants, d, gaps, cubic: complex) -> list[float]:
@@ -167,20 +168,48 @@ def _phase_object(c: DerivedConstants, d, gaps, cubic: complex) -> list[float]:
             + [dj * cubic.imag / (c.r * gj[0]) for dj, gj in zip(d, gaps)])
 
 
-def _theta_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex, full) -> list[float]:
+def _period_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex) -> tuple:
+    """(`_phase_object`'s list, the poles (delta_j, corner_j, x_j) of elliptic._pole, G_j(2T)).
+
+    n_j = k^2 sn^2(a_j, k) places a_j on an edge of the period rectangle
+    (elliptic._pole, from n_j, 1 - n_j and n_j - k^2 =
+    k^2 (d_j a3 + Re) / (d_j a1 - Re), each free of cancellation).  Jacobi's
+    form of the third kind (Whittaker & Watson 22.74), with
+    pre_j sn a_j / (cn a_j dn a_j) = i s_j, s_j = sign(pre_j), gives
+    G_j(2T) = pre_j Pi(n_j; pi, k) = 2K (pre_j - s_j Im Z(a_j)), Z being
+    Jacobi's zeta function Theta' / Theta.  On an edge,
+    Im Z(delta K + i b) = -(pi / 2K) sum_m m w_m sinh(m x) / sum_m w_m cosh(m x)
+    over the even m, x = pi b / (2K), with theta_3's weights w_m where
+    delta = 1 and theta_4's where delta = 0 (w = elliptic._theta_weights).
+    At a corner, where _pole gives x = pi b' / (2K), b' = K' - b,
+    Im Z(a_j) = |pre_j| - pi / (2K) - Im Z(delta K + i b'): the pole part
+    |pre_j| cancels against pre_j in closed form, and
+    G_j(2T) = s_j (pi + 2K Im Z(delta K + i b')).
+    """
+    scalars = _phase_object(c, d, gaps, cubic)
+    poles, full = [], []
+    for gj, nj, omnj, prej in zip(gaps, scalars[3:6], scalars[6:9], scalars[9:]):
+        delta, corner, x = pole = _pole(nj, omnj, c.k2 * gj[2] / gj[0], c.k, c.kp2, K)
+        ws = (w[0] if delta else w[1])[::2]  # term n of theta_3 or theta_4, on harmonic m = 2n
+        im_z = -math.pi / K * (sum(n * wn * math.sinh(2 * n * x) for n, wn in enumerate(ws))
+                               / sum(wn * math.cosh(2 * n * x) for n, wn in enumerate(ws)))
+        s = 1.0 if prej > 0.0 else -1.0
+        full.append(s * (math.pi + 2.0 * K * im_z) if corner else 2.0 * K * (prej - s * im_z))
+        poles.append(pole)
+    return scalars, poles, full
+
+
+def _theta_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex) -> list[float]:
     """`_phase_object`'s list followed by the object's theta table, amp_j, slope_j, turn_j and spin_j.
 
     The table's four rows are those of `_ThetaConstants`; turn_j and spin_j
-    come as (real, imaginary) pairs, the harmonics last, and full holds
-    G_j(2T).  n_j = k^2 sn^2(a_j, k) places a_j on an edge of the period
-    rectangle (elliptic._pole, from n_j, 1 - n_j and n_j - k^2 =
-    k^2 (d_j a3 + Re) / (d_j a1 - Re), each free of cancellation), and row
-    j holds elliptic._theta_row's coefficients at that shift.
+    come as (real, imaginary) pairs, the harmonics last.  Row j holds
+    elliptic._theta_row's coefficients at the shift a_j of `_period_object`,
+    which gives G_j(2T) as well.
     """
-    scalars = _phase_object(c, d, gaps, cubic)
+    scalars, poles, full = _period_object(c, K, w, d, gaps, cubic)
     table, amp, slope, turn = [], [], [], []
-    for dj, gj, nj, omnj, prej, fj in zip(d, gaps, scalars[3:6], scalars[6:9], scalars[9:], full):
-        delta, corner, x = _pole(nj, omnj, c.k2 * gj[2] / gj[0], c.k, c.kp2, K)
+    for dj, gj, prej, fj, (delta, corner, x) in zip(d, gaps, scalars[9:], full, poles):
         table += _theta_row(w, x, delta, corner, prej < 0.0)
         h2 = gj[0] / (dj**3 - cubic.real)
         if h2 < -1e-10:
@@ -194,32 +223,18 @@ def _theta_object(c: DerivedConstants, K: float, w, d, gaps, cubic: complex, ful
             + [0.5 * math.pi / c.T * m for m in range(len(w[0]))])
 
 
-def _per_object(es: EigenSystem, build, *rows, distinct=None) -> list | np.ndarray:
-    """build(d, gaps, cubic, *rows) of one spectral object, a list; for a stack, rows of them.
+def _per_object(es: EigenSystem, build) -> list | np.ndarray:
+    """build(d, gaps, cubic) of one spectral object, a list; for a stack, rows of them.
 
-    rows are further per-object values, one object's or a stack's rows.  A
-    stack builds each distinct object once (`_distinct`, unless the caller
-    hands in its pair) and is refused where any row is.
+    A stack builds each distinct object once and is refused where any row
+    is.  A spectral object depends on the surface and lambda^-3 psi alone,
+    so a stack's rows are keyed by their exact es.cubic.
     """
     if es.d.ndim == 1:
-        return build(es.d.tolist(), es.gaps, es.cubic, *rows)
-    first, inverse = _distinct(es) if distinct is None else distinct
-    objs = zip(*(np.asarray(f)[first].tolist() for f in (es.d, es.gaps, es.cubic, *rows)))
+        return build(es.d.tolist(), es.gaps, es.cubic)
+    _, first, inverse = np.unique(es.cubic, return_index=True, return_inverse=True)
+    objs = zip(*(np.asarray(f)[first].tolist() for f in (es.d, es.gaps, es.cubic)))
     return np.array([build(*obj) for obj in objs])[inverse]
-
-
-def _phase_fields(v: list | np.ndarray) -> tuple:
-    """den0_j, n_j, 1 - n_j and pre_j from the front of `_per_object`'s list, or of its rows."""
-    if isinstance(v, list):
-        return tuple(tuple(v[3 * i:3 * i + 3]) for i in range(4))
-    return tuple(v[:, 3 * i:3 * i + 3] for i in range(4))
-
-
-def _phase_scalars(c: DerivedConstants, es: EigenSystem, distinct) -> _PhaseConstants:
-    """The four scalar fields of `_g_segment`, without its theta quotients and its memo;
-    distinct is a stack's `_distinct` pair (None for one object)."""
-    v = _per_object(es, lambda *obj: _phase_object(c, *obj), distinct=distinct)
-    return _PhaseConstants(*_phase_fields(v))
 
 
 @lru_cache(maxsize=256)
@@ -230,15 +245,15 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     scalar constants are Python floats, so that the scalar kernels run on
     the `math` path at its own speed and never on numpy scalars; a stack
     makes it once per distinct object, and its fields carry a leading axis.
-    kappa_j comes from the full-period phases (`_g_full_period`), which
-    read the scalar constants alone.
+    kappa_j comes from the full-period phases G_j(2T) of the same pass.
     """
-    full = _g_full_period(c, es)
     w = _theta_weights(_nome(c.k, math.sqrt(c.kp2)))
     H, K = len(w[0]), complete_K(c.k)
-    v = _per_object(es, lambda *obj: _theta_object(c, K, w, *obj), full)
-    scalars = _phase_fields(v)
-    v = v if isinstance(v, np.ndarray) else np.fromiter(v, float, len(v))
+    v = _per_object(es, lambda *obj: _theta_object(c, K, w, *obj))
+    if isinstance(v, list):  # one object: its scalar fields stay Python floats
+        scalars, v = [tuple(v[i:i + 3]) for i in range(0, 12, 3)], np.fromiter(v, float, len(v))
+    else:
+        scalars = [v[:, i:i + 3] for i in range(0, 12, 3)]
     a = 12 + 8 * H  # the table's end; then amp, slope, turn, spin and the harmonics
     table, z = v[..., 12:a].reshape(v.shape[:-1] + (4, 2, H)), v[..., a + 6:a + 18].view(complex)
     theta = _ThetaConstants(harmonics=v[..., a + 18:], table=table,
@@ -247,39 +262,22 @@ def _g_segment(c: DerivedConstants, es: EigenSystem) -> _PhaseConstants:
     return _PhaseConstants(*scalars, theta=theta)
 
 
-def _distinct(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): the first row of each distinct object of a stack, and each row's object.
-
-    A spectral object depends on the surface and lambda^-3 psi alone, so
-    rows are keyed by their exact es.cubic: es.<field>[first][inverse] is
-    es.<field> again.
-    """
-    _, first, inverse = np.unique(es.cubic, return_index=True, return_inverse=True)
-    return first, inverse
-
-
 @lru_cache(maxsize=256)
 def _g_full_period(c: DerivedConstants, es: EigenSystem) -> tuple[float, float, float]:
     """The phases G_j(2T) the lift gains over one period 2T, in both regimes; rows for a stack.
 
-    Non-real regime: 2 pre_j Pi(n_j), by the complete integral of the third
-    kind, from `_phase_scalars` (no theta quotients) and solved once per
-    distinct object of a stack.  Real regime: pi on the sn and cn labels
-    and 0 on the dn label, since sn and cn change sign over 2T and dn does
-    not.
+    Non-real regime: pre_j Pi(n_j; pi, k) from Jacobi's zeta function at
+    a_j (`_period_object`), with no harmonic table, once per distinct
+    object of a stack.  Real regime: pi on the sn and cn labels and 0 on
+    the dn label, since sn and cn change sign over 2T and dn does not.
     """
     if es.regime == "real":
         labels = np.asarray(es.labels)  # (3,), or (m, 3) for a stack
         g = np.where(np.arange(3) == labels[..., 2:], 0.0, math.pi)
         return g if labels.ndim == 2 else tuple(g.tolist())
-    distinct = None if es.d.ndim == 1 else _distinct(es)
-    g = _phase_scalars(c, es, distinct)
-    if distinct is not None:  # a stack: the array path, at sin phi = 1 on every row
-        first, inverse = distinct
-        pis = _third_kind(g.n[first], g.one_minus_n[first], np.ones(1), 0.0, c.kp2, c.k2)
-        return 2.0 * g.pre * pis[inverse]
-    pis = _third_kind(g.n, g.one_minus_n, 1.0, 0.0, c.kp2, c.k2)
-    return tuple(2.0 * pre * pi for pre, pi in zip(g.pre, pis))
+    w, K = _theta_weights(_nome(c.k, math.sqrt(c.kp2))), complete_K(c.k)
+    g = _per_object(es, lambda *obj: _period_object(c, K, w, *obj)[2])
+    return g if isinstance(g, np.ndarray) else tuple(g)
 
 
 def _theta_sums(th: _ThetaConstants, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ monodromy data and the lift phases (suite `identities` checks it).  One
 formula serves both regimes: theta_j = p d_j + m G_j(2T), with the lift's
 full-period phases G_j(2T) (immersion._g_full_period), computed once per
 spectral object es = potential.eigensystem(c, lambda).  In the non-real
-regime G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)), by the complete
-integral of the third kind.  In the real-cubic-form regime the beta
+regime G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)), the complete
+integral of the third kind, read off Jacobi's zeta function at the pole
+a_j of that integral.  In the real-cubic-form regime the beta
 integrals diverge, but sn and cn are antiperiodic over 2T, so G_j(2T) is
 pi on the sn and cn modes and 0 on the dn mode.  The surface closes up
 under omega iff theta_1, theta_2 are multiples of 2 pi (theta_3 follows

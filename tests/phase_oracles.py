@@ -17,7 +17,8 @@ them with
   for a looser answer;
 * ``by_ellippi``: the closed form d_j Im / (r (d_j a1 - Re)) Pi(n_j; am(r y), k)
   with every constant recomputed from (a1, psi, lambda) in mpmath and
-  Pi from ``mpmath.ellippi``.
+  Pi from ``mpmath.ellippi``; ``period_phases_mp`` is its complete form,
+  the phases G_j(2T).
 
 The beta integrals of the Iwasawa factorization,
 beta1(y) = int_0^y (2i lam^3 conj(psi) - i w') / cdet ds and
@@ -42,10 +43,11 @@ import mpmath as mp
 import numpy as np
 
 from equilag import immersion
-from equilag.elliptic import _third_kind, jacobi
+from equilag.elliptic import jacobi
 from equilag.metric import metric_at
 from equilag.potential import DerivedConstants, EigenSystem, eigensystem
 from equilag.quadrature import adaptive_simpson
+from kernel_oracles import _third_kind
 
 
 def by_carlson(c: DerivedConstants, es: EigenSystem, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,23 +198,39 @@ def beta_by_mpmath(
         )
 
 
+def _mp_phase_constants(a1: float, psi: complex, lam: complex):
+    """(a1, Re, Im, m = k^2, q^2, r, the d_j in descending order) in mpmath at the working precision."""
+    a1m, a2, a3, psim, lamm = _mp_constants(a1, psi, lam)
+    v = psim / lamm**3
+    beta = 2 * a1m + abs(psim) ** 2 / a1m**2
+    cubic = [1, 0, -beta, 2 * mp.re(v)]  # d^3 - beta d + 2 Re
+    d = sorted((mp.re(z) for z in mp.polyroots(cubic, extraprec=60)), reverse=True)
+    return (a1m, mp.re(v), mp.im(v), (a1m - a2) / (a1m + a3), (a1m - a2) / a1m,
+            mp.sqrt(2 * (a1m + a3)), d)
+
+
 def by_ellippi(a1: float, psi: complex, lam: complex, y: float, dps: int = 30) -> np.ndarray:
     with mp.workdps(dps):
-        a1m, a2, a3, psim, lamm = _mp_constants(a1, psi, lam)
-        v = psim / lamm**3
-        re0, im0 = mp.re(v), mp.im(v)
-        beta = 2 * a1m + abs(psim) ** 2 / a1m**2
-        m = (a1m - a2) / (a1m + a3)
-        q2 = (a1m - a2) / a1m
-        r = mp.sqrt(2 * (a1m + a3))
+        a1m, re0, im0, m, q2, r, d = _mp_phase_constants(a1, psi, lam)
         K = mp.ellipk(m)
         u = r * mp.mpf(y)
         n_half = mp.nint(u / (2 * K))
         amp = mp.asin(mp.ellipfun("sn", u - 2 * n_half * K, m=m)) + n_half * mp.pi
-        cubic = [1, 0, -beta, 2 * re0]  # d^3 - beta d + 2 Re
-        d = sorted((mp.re(z) for z in mp.polyroots(cubic, extraprec=60)), reverse=True)
         out = []
         for dj in d:
             base = dj * a1m - re0
             out.append(float(dj * im0 / (r * base) * mp.ellippi(dj * a1m * q2 / base, amp, m)))
         return np.array(out)
+
+
+def period_phases_mp(a1: float, psi: complex, lam: complex, dps: int = 30) -> np.ndarray:
+    """G_j(2T) = 2 d_j Im Pi(n_j) / (r (d_j a1 - Re)), the complete Pi(n_j) of ``mpmath.ellippi``.
+
+    The formula of `bench/oracle.period_phases`, with every constant
+    recomputed from (a1, psi, lambda) in mpmath, in the descending order
+    of the d_j.
+    """
+    with mp.workdps(dps):
+        a1m, re0, im0, m, q2, r, d = _mp_phase_constants(a1, psi, lam)
+        return np.array([float(2 * dj * im0 / (r * (dj * a1m - re0))
+                               * mp.ellippi(dj * a1m * q2 / (dj * a1m - re0), m)) for dj in d])

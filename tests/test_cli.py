@@ -472,7 +472,8 @@ class TestClassify:
         assert "NoPeriodFound" in capsys.readouterr().out
 
     def test_nonreal_torus_text(self, capsys):
-        # a1 bisected along d2/d1 = 1/3 until the phase s = 33/16
+        # a1 bisected along d2/d1 = 1/3 until the phase s = 33/16; at 30
+        # digits s - 33/16 = 3.99e-16 there, one ulp of 33/16 is 4.44e-16
         a1, lam = 1.4111732121241283, complex(0.9742259663451993, -0.2255743037199995)
         rc = main(["classify", "--a1", repr(a1), "--psi", "1,0", "--lambda", f"{lam.real!r},{lam.imag!r}"])
         assert rc == EXIT_OK
@@ -482,7 +483,7 @@ class TestClassify:
             f"p_f     = {p_f.real:.17g}",
             f"omega_f = {omega_f.real:.17g} + {omega_f.imag:.17g}i",
             "certificate d_ratio: 1/3 (residual 0.000e+00)",
-            "certificate phase: 33/16 (residual 0.000e+00)",
+            "certificate phase: 33/16 (residual 4.441e-16)",
         ]
 
     def test_cylinder_json(self, capsys):

@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from equilag.elliptic import (
-    _agm_scheme,
-    _carlson_rc,
-    _carlson_rf,
-    _carlson_rj,
-    _third_kind,
-    complete_K,
-    jacobi,
-)
-from kernel_oracles import incomplete_J
+from equilag.elliptic import _agm_scheme, _carlson_rf, complete_K, jacobi
+from kernel_oracles import _carlson_rc, _carlson_rj, _third_kind, incomplete_J
 
 
 def oracle_J(theta: float, k: float) -> float:

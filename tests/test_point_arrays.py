@@ -2,17 +2,18 @@
 
 The non-real phase kernel `_phase_terms` is one harmonic sum per point; a
 float y is a one-point array on its lines, so a float, a one-point array
-and a row of a longer array give the same bits.  `_third_kind`, which
-serves the complete integrals G_j(2T), takes one call for all three n_j
-and gives, element for element, the bits of the float calls.  The point
-evaluators (`lift_at`, `beta_integrals`, `extended_frame`,
-`iwasawa_frame`) take arrays of points at one spectral object and agree
-with their float calls to rounding.  `extended_frame` also takes a stack
+and a row of a longer array give the same bits.  The reference
+`kernel_oracles._third_kind`, which the tests hold G_j(y) and G_j(2T)
+to, takes one call for all three n_j and gives, element for element, the
+bits of its float calls.  The point evaluators (`lift_at`,
+`beta_integrals`, `extended_frame`, `iwasawa_frame`) take arrays of
+points at one spectral object and agree with their float calls to
+rounding.  `extended_frame` also takes a stack
 of spectral objects of one regime (`stack_systems`), row for row against
 its points, and so does `_third_kind` with rows of n_j; each stack row of
 the phase kernels has the bits of the one-object array call at its point.
 `suite_lift` checks its cross-route points with one array call per route,
-and every point still counts.
+every point still counts, and no point calls a Carlson kernel.
 """
 
 import cmath
@@ -24,9 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilag import elliptic, immersion, iwasawa, verification
-from equilag.elliptic import _third_kind, jacobi
+from equilag.elliptic import jacobi
 from equilag.linalg3 import EPS6
 from equilag.potential import SurfaceParams, derive_constants, eigensystem, stack_systems
+from kernel_oracles import _third_kind
 
 # n_j of both signs at this lambda (tests/test_float_path.py)
 SURFACE = SurfaceParams(2.7, complex(0.4, 0.9))
@@ -163,22 +165,22 @@ def test_suite_lift_sees_every_cross_route_point(monkeypatch, point):
     assert not result.passed
 
 
-def test_suite_lift_bounds_its_carlson_rj_calls(monkeypatch):
-    # one R_J call per array pass (the 64 x 64 grid, the finite-difference
-    # sweep, the 50 lift points, their 50 beta pairs), three per full-period
-    # memo miss (one spectral object per route): 13, where a per-point
-    # finite-difference sweep took 39 and a per-point cross route 339
+def test_suite_lift_bounds_its_carlson_calls(monkeypatch):
+    # R_F alone, one call per row of each spectral object (elliptic._pole)
+    # and none per point or array pass: 9 for the suite's three objects,
+    # where a per-point cross route once took 339 R_J calls
     calls = []
-    kernel = elliptic._carlson_rj
+    kernel = elliptic._carlson_rf
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(elliptic, "_carlson_rj", counted)
+    monkeypatch.setattr(elliptic, "_carlson_rf", counted)
+    immersion._g_segment.cache_clear()
     immersion._g_full_period.cache_clear()
     assert verification.suite_lift().passed
-    assert len(calls) <= 4 + 9
+    assert len(calls) <= 3 * 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The package evaluates p_j = h_j e^{i G_j} as h_j(0) Q_j(u) e^{kappa_j u}
 Theta(0) / Theta(u), a fixed-length harmonic sum per point
 (`immersion._phase_terms`, `_nonreal_terms`).  These tests hold it to the
 route it replaced (`phase_oracles.by_carlson`) over random spectral
-objects, to 30-digit mpmath next to the real locus and at high modulus,
-and check that no point evaluation reaches the Carlson R_J loop or
-`_third_kind` but through the complete phases G_j(2T).
+objects and to 30-digit mpmath next to the real locus and at high
+modulus, and they hold the complete phases G_j(2T), read off Jacobi's zeta
+function, to 30-digit mpmath near flat and near the locus.  No route calls
+a Carlson kernel but R_F, which places the poles a_j once per spectral
+object.
 """
 
 import cmath
@@ -109,23 +111,22 @@ def test_float_one_point_and_row_give_the_same_bits(objects, case):
 
 @pytest.fixture
 def kernel_stacks(monkeypatch):
-    """The call stack (function names) of every `_carlson_rj` and `_third_kind` call."""
-    stacks = []
-    for module, name in ((elliptic, "_carlson_rj"), (elliptic, "_third_kind"),
-                         (immersion, "_third_kind")):
-        def spy(*args, _kernel=getattr(module, name)):
+    """(kernel, call stack of function names) of every call of a Carlson kernel of the package."""
+    calls = []
+    for name in [name for name in vars(elliptic) if name.startswith("_carlson")]:
+        def spy(*args, _name=name, _kernel=getattr(elliptic, name)):
             frame, names = sys._getframe(1), []
             while frame is not None:
                 names.append(frame.f_code.co_name)
                 frame = frame.f_back
-            stacks.append(names)
+            calls.append((_name, names))
             return _kernel(*args)
 
-        monkeypatch.setattr(module, name, spy)
-    return stacks
+        monkeypatch.setattr(elliptic, name, spy)
+    return calls
 
 
-def test_points_reach_the_carlson_kernels_through_the_full_period_alone(kernel_stacks):
+def test_points_reach_no_carlson_kernel_but_r_f(kernel_stacks):
     c = derive_constants(SurfaceParams(*NONREAL))
     lam = cmath.exp(0.3j)
     routes = {
@@ -141,5 +142,60 @@ def test_points_reach_the_carlson_kernels_through_the_full_period_alone(kernel_s
             memo.cache_clear()
         kernel_stacks.clear()
         route(eigensystem(c, lam))
-        assert kernel_stacks, name  # the complete phases ran once
-        assert all("_g_full_period" in names for names in kernel_stacks), name
+        # R_F alone, placing the pole a_j of each row of the spectral object
+        # once (elliptic._pole), and never per point
+        assert {kernel for kernel, _ in kernel_stacks} == {"_carlson_rf"}, name
+        assert all(names[0] == "_pole" for _, names in kernel_stacks), name
+        assert len(kernel_stacks) == 3, name
+
+
+# (a1, psi, lambda) where the Carlson route to G_j(2T) missed 30-digit
+# mpmath by 7.1e-9, 3.85e-9 and 6.2e-9
+PERIOD_REPRODUCERS = [
+    (0.06909583495301853, complex(0.01764316105068958, -0.004298281291369469),
+     complex(-0.5673261943552728, -0.8234931628121531)),
+    (2.4601086081954744, complex(-3.85730611466232, 0.07411082978361595),
+     complex(0.5055348534561143, 0.862806184459236)),
+    (0.8183582909590688, complex(0.5922112060671603, -0.4440231033490946),
+     complex(0.6728469134613694, 0.7397817455476369)),
+]
+
+
+@pytest.mark.parametrize("a1, psi, lam", PERIOD_REPRODUCERS)
+def test_full_period_phases_match_mpmath_at_the_reproducers(a1, psi, lam):
+    c = derive_constants(SurfaceParams(a1, psi))
+    got = immersion._g_full_period(c, eigensystem(c, lam))
+    assert np.max(np.abs(np.array(got) - phase_oracles.period_phases_mp(a1, psi, lam))) < 1e-12
+
+
+def _period_draws(count: int, seed: int = 36):
+    """count non-real (a1, psi, lambda): |psi| from 1e-2 to 1e2, a1 / |psi|^(2/3) - 1
+    from 1e-4 to 1e4, and 40% of lambda 1e-12 to 1e-1 rad from the real locus."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        apsi = 10.0 ** rng.uniform(-2.0, 2.0)
+        psi = apsi * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        a1 = apsi ** (2.0 / 3.0) * (1.0 + 10.0 ** rng.uniform(-4.0, 4.0))
+        if rng.uniform() < 0.4:
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+            theta = (cmath.phase(psi) + rng.integers(6) * math.pi) / 3.0 + off
+        else:
+            theta = rng.uniform(-math.pi, math.pi)
+        c = derive_constants(SurfaceParams(a1, psi))
+        es = eigensystem(c, cmath.exp(1j * theta))
+        try:
+            g = immersion._g_full_period(c, es)
+        except RegimeError:
+            continue
+        if es.regime == "nonreal":
+            out.append((a1, psi, cmath.exp(1j * theta), np.array(g)))
+    return out
+
+
+def test_full_period_phases_match_mpmath_near_flat_and_near_the_locus():
+    worst = 0.0
+    for a1, psi, lam, got in _period_draws(60):
+        want = phase_oracles.period_phases_mp(a1, psi, lam)
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), math.pi))))
+    assert worst < 2e-13
